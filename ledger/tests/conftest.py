@@ -1,0 +1,10 @@
+"""Make the `ledger` package and the program importable (run with
+``python -m pytest ledger/tests``; not part of the tier-1 suite)."""
+
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[2]
+for path in (str(ROOT / "src"), str(ROOT)):
+    if path not in sys.path:
+        sys.path.insert(0, path)
