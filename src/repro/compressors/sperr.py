@@ -12,15 +12,11 @@ Architecture per Li, Lindstrom & Clyne (IPDPS'23):
    bound;
 4. the SPECK stream goes through the LZ77 lossless backend (zstd's role).
 
-The pipeline is one fused tile loop: each independent chunk (the whole
-array when ``chunk_edge`` is None or covers it) streams through
-transform → quantize → SPECK → outlier-correct while its coefficients are
-hot, its payload is appended, and the intermediates are dropped before the
-next chunk starts — the working set is one chunk, not the whole field.
-Per-stage wall time aggregates across tiles into single
-``compressor.stage.*`` spans (:class:`repro.obs.StageClock`). Both modes
-are byte-identical to the frozen whole-array oracle
-(:class:`repro.compressors.reference.ReferenceSPERRCompressor`).
+Each stage is a whole-array pass. With ``chunk_edge`` set, arrays larger
+than the edge are cut into independent chunks and each chunk runs the same
+single-chunk pipeline (real SPERR's chunked mode) — a format feature, not
+a memory policy: the store's chunk grid bounds the working set, so fields
+that do not fit comfortably go through ``Store.pack``.
 """
 
 from __future__ import annotations
@@ -78,28 +74,14 @@ class SPERRCompressor(LossyCompressor):
         return [tuple(c) for c in itertools.product(*axes)]
 
     def _compress(self, data: np.ndarray, error_bound: float) -> tuple[bytes, dict]:
-        clock = StageClock("compressor.stage", codec=self.name)
         if self.chunk_edge is None or all(s <= self.chunk_edge for s in data.shape):
-            payload, meta = self._compress_tile(data, error_bound, clock)
-            clock.emit(tiles=1)
-            return payload, meta
+            return self._compress_single(data, error_bound)
         parts = []
         chunk_meta = []
-        slicers = self._chunk_slices(data.shape)
-        for sl in slicers:
-            payload, meta = self._compress_tile(
-                np.ascontiguousarray(data[sl]), error_bound, clock
-            )
+        for sl in self._chunk_slices(data.shape):
+            payload, meta = self._compress_single(np.ascontiguousarray(data[sl]), error_bound)
             parts.append(payload)
-            chunk_meta.append(
-                {
-                    "levels": meta["levels"],
-                    "p_top": meta["p_top"],
-                    "qstep": meta["qstep"],
-                    "nbytes": len(payload),
-                }
-            )
-        clock.emit(tiles=len(slicers))
+            chunk_meta.append({**meta, "nbytes": len(payload)})
         return b"".join(parts), {
             "mode": "chunked",
             "chunk_edge": self.chunk_edge,
@@ -110,11 +92,10 @@ class SPERRCompressor(LossyCompressor):
             "qstep": self.quant_factor * error_bound,
         }
 
-    def _compress_tile(self, data: np.ndarray, error_bound: float,
-                       clock: StageClock) -> tuple[bytes, dict]:
-        shape = data.shape
-        levels = max_levels(shape)
+    def _compress_single(self, data: np.ndarray, error_bound: float) -> tuple[bytes, dict]:
+        levels = max_levels(data.shape)
         qstep = self.quant_factor * error_bound
+        clock = StageClock("compressor.stage", codec=self.name)
         with clock("predict"):
             coefs = cdf97_forward(data, levels)
         with clock("quantize"):
@@ -146,47 +127,39 @@ class SPERRCompressor(LossyCompressor):
             head.write_bit_array(exact_mask)
             head.write_packed(pack_uint_array(exact_vals.view(np.uint64), 64))
             head_bytes = head.getvalue()
+        clock.emit()
         payload = len(head_bytes).to_bytes(8, "little") + head_bytes + lz
         return payload, {"levels": levels, "p_top": p_top, "qstep": qstep}
 
     def _decompress(self, payload: bytes, metadata: dict) -> np.ndarray:
-        clock = StageClock("compressor.stage", codec=self.name)
-        if metadata.get("mode") == "chunked":
-            shape = tuple(metadata["shape"])
-            eb = float(metadata["error_bound"])
-            out = np.empty(shape, dtype=np.float64)
-            slicers = self._chunk_slices(shape)
-            chunk_meta = metadata["chunks"]
-            if len(slicers) != len(chunk_meta):
-                raise ValueError("corrupt chunked stream: chunk count mismatch")
-            offset = 0
-            for sl, meta in zip(slicers, chunk_meta):
-                nbytes = int(meta["nbytes"])
-                part = payload[offset : offset + nbytes]
-                offset += nbytes
-                chunk_shape = tuple(s.stop - s.start for s in sl)
-                sub_meta = {
-                    "shape": chunk_shape,
-                    "error_bound": eb,
-                    "levels": meta["levels"],
-                    "p_top": meta["p_top"],
-                    "qstep": meta["qstep"],
-                }
-                out[sl] = self._decompress_tile(part, sub_meta, clock)
-            clock.emit(tiles=len(slicers))
-            return out
-        out = self._decompress_tile(payload, metadata, clock)
-        clock.emit(tiles=1)
+        if metadata.get("mode") != "chunked":
+            return self._decompress_single(payload, metadata)
+        shape = tuple(metadata["shape"])
+        out = np.empty(shape, dtype=np.float64)
+        slicers = self._chunk_slices(shape)
+        chunk_meta = metadata["chunks"]
+        if len(slicers) != len(chunk_meta):
+            raise ValueError("corrupt chunked stream: chunk count mismatch")
+        offset = 0
+        for sl, meta in zip(slicers, chunk_meta):
+            nbytes = int(meta["nbytes"])
+            sub_meta = {
+                **meta,
+                "shape": tuple(s.stop - s.start for s in sl),
+                "error_bound": metadata["error_bound"],
+            }
+            out[sl] = self._decompress_single(payload[offset : offset + nbytes], sub_meta)
+            offset += nbytes
         return out
 
-    def _decompress_tile(self, payload: bytes, metadata: dict,
-                         clock: StageClock) -> np.ndarray:
+    def _decompress_single(self, payload: bytes, metadata: dict) -> np.ndarray:
         shape = tuple(metadata["shape"])
         eb = float(metadata["error_bound"])
         levels = int(metadata["levels"])
         p_top = int(metadata["p_top"])
         qstep = float(metadata["qstep"])
         size = int(np.prod(shape))
+        clock = StageClock("compressor.stage", codec=self.name)
 
         head_len = int.from_bytes(payload[:8], "little")
         reader = BitReader(payload[8 : 8 + head_len])
@@ -204,6 +177,7 @@ class SPERRCompressor(LossyCompressor):
         coefs = self._dequantize(mag.reshape(shape), neg.reshape(shape), qstep)
         with clock("predict"):
             recon = cdf97_inverse(coefs, levels)
+        clock.emit()
 
         flat = recon.ravel()
         if n_out:

@@ -18,24 +18,10 @@ pre-quantized to the ``2*eb`` grid, then the integer Lorenzo transform
 (per-axis first differences) is applied losslessly — fully vectorizable
 while preserving the error bound.
 
-The pipeline is *fused and tile-streamed*: symbols are produced in bounded
-tiles (``tile_symbols`` codes at a time — slabs along axis 0 for Lorenzo,
-row groups along each pass's mid axis for interpolation) and handed
-straight to the entropy stage, which consumes them incrementally
-(per-tile ``HuffmanCodec.encode_packed`` into one bit stream, or
-``RangeEncoder.update``). The static entropy models need the full symbol
-histogram first, so compression streams the tiles twice: a *scan* phase
-accumulates per-tile ``np.bincount`` histograms (and collects outliers),
-then an *emit* phase regenerates the same tiles deterministically and
-encodes them — the whole-array symbol vector, its concatenation, and the
-per-symbol code expansion never exist at once. Interpolation's emit phase
-exploits the traversal invariant that every point is written exactly once:
-predictions are re-derived from the *final* reconstruction (stencil points
-are never rewritten after they are produced), so no second writeback pass
-is needed. Decode mirrors the tiling via resumable entropy decoders
-(:meth:`HuffmanCodec.stream_decoder` / ``RangeDecoder.decode``). Payloads
-are bit-for-bit identical to the frozen whole-array oracle
-(:class:`repro.compressors.reference.ReferenceSZ3Compressor`).
+Every stage is a whole-array pass — predictor, quantizer, entropy coder
+composed in order, a few numpy kernels per (level, axis) pair. Nothing
+here bounds the working set: the store's chunk grid does that, so fields
+that do not fit comfortably go through ``Store.pack``.
 """
 
 from __future__ import annotations
@@ -55,9 +41,7 @@ _OFFSET = 32768
 _OUTLIER = 65536  # sentinel symbol -> value stored exactly
 _ALPHABET = 65537
 _SYMBOL_BITS = 17
-
-#: Quantization codes per streamed tile (2 MiB of int64 symbols).
-TILE_SYMBOLS = 1 << 18
+_ENTROPIES = ("huffman", "range")
 
 
 def _anchor_level(shape: tuple[int, ...]) -> int:
@@ -94,25 +78,15 @@ def _pass_subgrid(recon: np.ndarray, axis: int, s: int, h: int) -> np.ndarray | 
     return sub
 
 
-def _predict_at(sub: np.ndarray, mids: np.ndarray, h: int) -> np.ndarray:
-    """Spline prediction for the given mid positions along axis 0.
+def _predict(sub: np.ndarray, h: int, s: int) -> tuple[np.ndarray, np.ndarray]:
+    """Spline prediction for mid positions ``h, h+s, ...`` along axis 0.
 
-    All stencil points lie on the coarse grid, hence are already
-    reconstructed. Purely elementwise per mid row, so predicting any
-    subset of ``mids`` yields the same floats as the whole-pass call —
-    the property tiled pipelines rely on for byte identity.
+    Returns ``(mids, pred)`` where ``pred`` has the mid positions' shape.
+    All stencil points lie on the coarse (stride ``s``) grid, hence are
+    already reconstructed.
     """
     n = sub.shape[0]
-    if mids.size and int(mids[0]) - 3 * h >= 0 and int(mids[-1]) + 3 * h < n:
-        # Interior fast path: the full 4-point stencil is in range for
-        # every mid, so this is exactly the ``full`` branch below —
-        # bit-identical floats without the boundary selects.
-        return (
-            _C0 * sub[mids - 3 * h]
-            + _C1 * sub[mids - h]
-            + _C1 * sub[mids + h]
-            + _C0 * sub[mids + 3 * h]
-        )
+    mids = np.arange(h, n, s)
     lm1 = sub[mids - h]
     r1 = mids + h
     has_r1 = r1 < n
@@ -129,16 +103,7 @@ def _predict_at(sub: np.ndarray, mids: np.ndarray, h: int) -> np.ndarray:
     linear_ok = has_r1.reshape(bshape)
     cubic = _C0 * lm3 + _C1 * lm1 + _C1 * rp1 + _C0 * rp3
     linear = 0.5 * (lm1 + rp1)
-    return np.where(full, cubic, np.where(linear_ok, linear, lm1))
-
-
-def _predict(sub: np.ndarray, h: int, s: int) -> tuple[np.ndarray, np.ndarray]:
-    """Spline prediction for mid positions ``h, h+s, ...`` along axis 0.
-
-    Returns ``(mids, pred)`` where ``pred`` has the mid positions' shape.
-    """
-    mids = np.arange(h, sub.shape[0], s)
-    return mids, _predict_at(sub, mids, h)
+    return mids, np.where(full, cubic, np.where(linear_ok, linear, lm1))
 
 
 class SZ3Compressor(LossyCompressor):
@@ -146,359 +111,219 @@ class SZ3Compressor(LossyCompressor):
 
     name = "sz3"
 
-    def __init__(
-        self,
-        predictor: str = "interp",
-        entropy: str = "huffman",
-        tile_symbols: int = TILE_SYMBOLS,
-    ) -> None:
+    def __init__(self, predictor: str = "interp", entropy: str = "huffman") -> None:
         if predictor not in ("interp", "lorenzo"):
             raise ValueError("predictor must be 'interp' or 'lorenzo'")
-        if entropy not in ("huffman", "range"):
+        if entropy not in _ENTROPIES:
             raise ValueError("entropy must be 'huffman' or 'range'")
-        if tile_symbols < 1:
-            raise ValueError("tile_symbols must be >= 1")
         self.predictor = predictor
         self.entropy = entropy
-        self.tile_symbols = int(tile_symbols)
+
+    def _clock(self, entropy: str) -> StageClock:
+        return StageClock("compressor.stage", codec=self.name, entropy=entropy)
+
+    def _stream_entropy(self, metadata: dict) -> str:
+        """The coder the stream names; this instance's when it names none."""
+        entropy = metadata.get("entropy", self.entropy)
+        if entropy not in _ENTROPIES:
+            raise ValueError(f"unknown entropy coder {entropy!r} in sz3 stream metadata")
+        return entropy
 
     # -- pluggable entropy backend -------------------------------------------
     #
     # "huffman": canonical Huffman + LZ77 (real SZ3's Huffman + zstd);
     # "range":  static range coder (the arithmetic/ANS stage of SZ
     #           variants) — already near entropy, so no LZ pass after it.
-    #
-    # Both models are static, built from the phase-1 histogram; the emit
-    # phase then feeds symbol tiles to the incremental encoder legs.
 
-    def _encode_stream(self, freq: np.ndarray, tiles, writer: BitWriter,
-                       clock: StageClock) -> bytes:
-        """Entropy stage over a tile iterator; model goes to ``writer``."""
+    def _encode_codes(self, symbols: np.ndarray, writer: BitWriter) -> bytes:
+        """Entropy stage; model/codebook goes to ``writer``, returns bytes."""
         if self.entropy == "range":
-            from repro.encoding.range_coder import RangeEncoder
+            from repro.encoding.range_coder import range_encode
 
-            with clock("encode"):
-                present = np.flatnonzero(freq > 0)
-                writer.write_elias_gamma(present.size + 1)
-                writer.write_packed(pack_uint_array(present.astype(np.uint64), _SYMBOL_BITS))
-                for c in freq[present]:
-                    writer.write_elias_gamma(int(c))
-                enc = RangeEncoder(freq)
-            for sym in tiles:
-                with clock("encode"):
-                    enc.update(sym)
-            with clock("encode"):
-                return enc.finish()
-        with clock("encode"):
-            codec = HuffmanCodec.from_frequencies(freq)
-            present = np.flatnonzero(codec.lengths > 0)
+            payload, freq = range_encode(symbols, alphabet_size=_ALPHABET)
+            present = np.flatnonzero(freq > 0)
             writer.write_elias_gamma(present.size + 1)
             writer.write_packed(pack_uint_array(present.astype(np.uint64), _SYMBOL_BITS))
-            writer.write_packed(pack_uint_array(codec.lengths[present].astype(np.uint64), 6))
-            code_writer = BitWriter()
-        for sym in tiles:
-            with clock("encode"):
-                # encode appends per-symbol bool runs; compact() byte-packs
-                # them immediately so pending bits stay tile-bounded.
-                codec.encode(sym, code_writer)
-                code_writer.compact()
-        with clock("encode"):
-            return lz77_compress(code_writer.getvalue())
+            for c in freq[present]:
+                writer.write_elias_gamma(int(c))
+            return payload
+        codec = HuffmanCodec.fit(symbols, alphabet_size=_ALPHABET)
+        present = np.flatnonzero(codec.lengths > 0)
+        writer.write_elias_gamma(present.size + 1)
+        writer.write_packed(pack_uint_array(present.astype(np.uint64), _SYMBOL_BITS))
+        writer.write_packed(pack_uint_array(codec.lengths[present].astype(np.uint64), 6))
+        code_writer = BitWriter()
+        codec.encode(symbols, code_writer)
+        return lz77_compress(code_writer.getvalue())
 
-    def _decode_stream(self, reader: BitReader, payload: bytes, clock: StageClock):
-        """Read the entropy model; return an incremental ``take(count)``."""
-        with clock("decode"):
-            if self.entropy == "range":
-                from repro.encoding.range_coder import RangeDecoder
+    def _decode_codes(self, reader: BitReader, payload: bytes, count: int,
+                      entropy: str) -> np.ndarray:
+        """Inverse of :meth:`_encode_codes` for the coder the stream names."""
+        n_present = reader.read_elias_gamma() - 1
+        present = reader.read_uint_array(n_present, _SYMBOL_BITS).astype(np.int64)
+        if entropy == "range":
+            from repro.encoding.range_coder import range_decode
 
-                n_present = reader.read_elias_gamma() - 1
-                present = reader.read_uint_array(n_present, _SYMBOL_BITS).astype(np.int64)
-                counts = np.array([reader.read_elias_gamma() for _ in range(n_present)],
-                                  dtype=np.int64)
-                freq = np.zeros(_ALPHABET, dtype=np.int64)
-                freq[present] = counts
-                return RangeDecoder(freq, payload).decode
-            n_present = reader.read_elias_gamma() - 1
-            present = reader.read_uint_array(n_present, _SYMBOL_BITS).astype(np.int64)
-            plens = reader.read_uint_array(n_present, 6).astype(np.int64)
-            lengths = np.zeros(_ALPHABET, dtype=np.int64)
-            lengths[present] = plens
-            codec = HuffmanCodec.from_lengths(lengths)
-            return codec.stream_decoder(BitReader(lz77_decompress(payload))).take
+            counts = np.array([reader.read_elias_gamma() for _ in range(n_present)],
+                              dtype=np.int64)
+            freq = np.zeros(_ALPHABET, dtype=np.int64)
+            freq[present] = counts
+            return range_decode(payload, freq, count)
+        lengths = np.zeros(_ALPHABET, dtype=np.int64)
+        lengths[present] = reader.read_uint_array(n_present, 6).astype(np.int64)
+        codec = HuffmanCodec.from_lengths(lengths)
+        return codec.decode(BitReader(lz77_decompress(payload)), count)
 
     # -- interpolation mode ------------------------------------------------
-
-    def _tile_rows(self, rest: int) -> int:
-        """Mid rows (or slab planes) per tile for a given row size."""
-        return max(1, self.tile_symbols // max(rest, 1))
-
-    def _interp_scan(self, data: np.ndarray, recon: np.ndarray, step: float,
-                     levels: int, clock: StageClock, outliers: list):
-        """Phase 1: build ``recon`` tile by tile, yielding symbol tiles."""
-        for axis, s, h in _interp_passes(data.shape, levels):
-            sub = _pass_subgrid(recon, axis, s, h)
-            if sub is None:
-                continue
-            orig = np.moveaxis(
-                data[tuple(
-                    slice(None) if a == axis else slice(0, None, h if a < axis else s)
-                    for a in range(data.ndim)
-                )],
-                axis,
-                0,
-            )
-            mids_all = np.arange(h, sub.shape[0], s)
-            rows = self._tile_rows(int(np.prod(sub.shape[1:], dtype=np.int64)))
-            for m0 in range(0, mids_all.size, rows):
-                mids = mids_all[m0 : m0 + rows]
-                with clock("predict"):
-                    pred = _predict_at(sub, mids, h)
-                with clock("quantize"):
-                    vals = orig[mids]
-                    q = np.rint((vals - pred) / step)
-                    bad = np.abs(q) > _RADIUS
-                    q = np.clip(q, -_RADIUS, _RADIUS).astype(np.int64)
-                    rec = pred + q * step
-                    if bad.any():
-                        rec = np.where(bad, vals, rec)
-                        outliers.append(vals[bad].ravel())
-                    sub[mids] = rec
-                    sym = q + _OFFSET
-                    sym[bad] = _OUTLIER
-                yield sym.ravel()
-
-    def _interp_emit(self, data: np.ndarray, recon: np.ndarray, step: float,
-                     levels: int, clock: StageClock):
-        """Phase 2: regenerate the same symbol tiles from the final recon.
-
-        Every grid point is reconstructed exactly once across the
-        traversal, and each pass's spline stencil reads only points
-        reconstructed in *earlier* passes — so the finished ``recon``
-        still holds each stencil's pass-time values, and re-predicting
-        from it reproduces phase 1's symbols without a second writeback.
-        """
-        for axis, s, h in _interp_passes(data.shape, levels):
-            sub = _pass_subgrid(recon, axis, s, h)
-            if sub is None:
-                continue
-            orig = np.moveaxis(
-                data[tuple(
-                    slice(None) if a == axis else slice(0, None, h if a < axis else s)
-                    for a in range(data.ndim)
-                )],
-                axis,
-                0,
-            )
-            mids_all = np.arange(h, sub.shape[0], s)
-            rows = self._tile_rows(int(np.prod(sub.shape[1:], dtype=np.int64)))
-            for m0 in range(0, mids_all.size, rows):
-                mids = mids_all[m0 : m0 + rows]
-                with clock("predict"):
-                    pred = _predict_at(sub, mids, h)
-                with clock("quantize"):
-                    vals = orig[mids]
-                    q = np.rint((vals - pred) / step)
-                    bad = np.abs(q) > _RADIUS
-                    sym = np.clip(q, -_RADIUS, _RADIUS).astype(np.int64) + _OFFSET
-                    sym[bad] = _OUTLIER
-                yield sym.ravel()
 
     def _compress_interp(self, data: np.ndarray, eb: float) -> tuple[bytes, dict]:
         step = quantization_step(eb)
         shape = data.shape
         levels = _anchor_level(shape)
         stride = 1 << levels
-        clock = StageClock("compressor.stage", codec=self.name, entropy=self.entropy)
+        clock = self._clock(self.entropy)
         recon = np.zeros_like(data)
         anchor_slicer = tuple(slice(0, None, stride) for _ in shape)
         anchors = data[anchor_slicer].astype(np.float64)
         recon[anchor_slicer] = anchors
 
-        freq = np.zeros(_ALPHABET, dtype=np.int64)
+        codes: list[np.ndarray] = []
         outliers: list[np.ndarray] = []
-        n_codes = 0
-        n_tiles = 0
-        for sym in self._interp_scan(data, recon, step, levels, clock, outliers):
-            n_tiles += 1
-            n_codes += sym.size
-            with clock("encode"):
-                freq += np.bincount(sym, minlength=_ALPHABET)
+        for axis, s, h in _interp_passes(shape, levels):
+            sub = _pass_subgrid(recon, axis, s, h)
+            if sub is None:
+                continue
+            orig = _pass_subgrid(data, axis, s, h)
+            with clock("predict"):
+                mids, pred = _predict(sub, h, s)
+            with clock("quantize"):
+                vals = orig[mids]
+                q = np.rint((vals - pred) / step)
+                bad = np.abs(q) > _RADIUS
+                q = np.clip(q, -_RADIUS, _RADIUS).astype(np.int64)
+                rec = pred + q * step
+                if bad.any():
+                    rec = np.where(bad, vals, rec)
+                    outliers.append(vals[bad].ravel())
+                sub[mids] = rec
+                sym = q + _OFFSET
+                sym[bad] = _OUTLIER
+                codes.append(sym.ravel())
 
-        writer = BitWriter()
-        writer.write_packed(pack_uint_array(anchors.ravel().view(np.uint64), 64))
+        symbols = np.concatenate(codes) if codes else np.zeros(0, dtype=np.int64)
         out_vals = np.concatenate(outliers) if outliers else np.zeros(0, dtype=np.float64)
-        writer.write_packed(pack_uint_array(out_vals.view(np.uint64), 64))
-        if n_codes:
-            lz = self._encode_stream(
-                freq, self._interp_emit(data, recon, step, levels, clock), writer, clock
-            )
-        else:
-            lz = b""
-        head = writer.getvalue()
-        payload = len(head).to_bytes(8, "little") + head + lz
-        clock.emit(tiles=n_tiles, n_symbols=n_codes)
-        return payload, {
+        with clock("encode"):
+            writer = BitWriter()
+            writer.write_packed(pack_uint_array(anchors.ravel().view(np.uint64), 64))
+            writer.write_packed(pack_uint_array(out_vals.view(np.uint64), 64))
+            lz = self._encode_codes(symbols, writer) if symbols.size else b""
+            head = writer.getvalue()
+        clock.emit(n_symbols=int(symbols.size))
+        return len(head).to_bytes(8, "little") + head + lz, {
             "mode": "interp",
             "entropy": self.entropy,
             "levels": levels,
-            "n_codes": n_codes,
+            "n_codes": int(symbols.size),
             "n_outliers": int(out_vals.size),
             "n_anchors": int(anchors.size),
         }
 
     def _decompress_interp(self, payload: bytes, metadata: dict) -> np.ndarray:
         shape = tuple(metadata["shape"])
-        eb = float(metadata["error_bound"])
-        step = quantization_step(eb)
+        step = quantization_step(float(metadata["error_bound"]))
         levels = int(metadata["levels"])
         n_codes = int(metadata["n_codes"])
-        n_out = int(metadata["n_outliers"])
-        n_anchors = int(metadata["n_anchors"])
-        clock = StageClock("compressor.stage", codec=self.name, entropy=self.entropy)
+        entropy = self._stream_entropy(metadata)
+        clock = self._clock(entropy)
 
         head_len = int.from_bytes(payload[:8], "little")
         reader = BitReader(payload[8 : 8 + head_len])
         lz = payload[8 + head_len :]
-        anchors = reader.read_uint_array(n_anchors, 64).view(np.float64)
-        out_vals = reader.read_uint_array(n_out, 64).view(np.float64)
-        take = self._decode_stream(reader, lz, clock) if n_codes else None
+        anchors = reader.read_uint_array(int(metadata["n_anchors"]), 64).view(np.float64)
+        out_vals = reader.read_uint_array(int(metadata["n_outliers"]), 64).view(np.float64)
+        with clock("decode"):
+            symbols = (
+                self._decode_codes(reader, lz, n_codes, entropy)
+                if n_codes
+                else np.zeros(0, dtype=np.int64)
+            )
 
         recon = np.zeros(shape, dtype=np.float64)
-        stride = 1 << levels
-        anchor_slicer = tuple(slice(0, None, stride) for _ in shape)
+        anchor_slicer = tuple(slice(0, None, 1 << levels) for _ in shape)
         recon[anchor_slicer] = anchors.reshape(recon[anchor_slicer].shape)
 
+        pos = 0
         out_pos = 0
-        n_tiles = 0
         for axis, s, h in _interp_passes(shape, levels):
             sub = _pass_subgrid(recon, axis, s, h)
             if sub is None:
                 continue
-            mids_all = np.arange(h, sub.shape[0], s)
-            rows = self._tile_rows(int(np.prod(sub.shape[1:], dtype=np.int64)))
-            for m0 in range(0, mids_all.size, rows):
-                mids = mids_all[m0 : m0 + rows]
-                n_tiles += 1
-                with clock("predict"):
-                    pred = _predict_at(sub, mids, h)
-                with clock("decode"):
-                    sym = take(pred.size).reshape(pred.shape)
-                    bad = sym == _OUTLIER
-                    q = sym.astype(np.float64) - _OFFSET
-                    rec = pred + q * step
-                    n_bad = int(bad.sum())
-                    if n_bad:
-                        rec[bad] = out_vals[out_pos : out_pos + n_bad]
-                        out_pos += n_bad
-                    sub[mids] = rec
-        clock.emit(tiles=n_tiles)
+            with clock("predict"):
+                mids, pred = _predict(sub, h, s)
+            with clock("decode"):
+                sym = symbols[pos : pos + pred.size].reshape(pred.shape)
+                pos += pred.size
+                bad = sym == _OUTLIER
+                rec = pred + (sym.astype(np.float64) - _OFFSET) * step
+                n_bad = int(bad.sum())
+                if n_bad:
+                    rec[bad] = out_vals[out_pos : out_pos + n_bad]
+                    out_pos += n_bad
+                sub[mids] = rec
+        clock.emit()
         return recon
 
     # -- Lorenzo mode (cuSZ-style decoupled) --------------------------------
 
-    def _lorenzo_stream(self, data: np.ndarray, step: float, clock: StageClock,
-                        out_list: list | None = None):
-        """Yield symbol tiles for axis-0 slabs of the Lorenzo transform.
-
-        The per-axis integer difference operators commute, so each slab
-        applies the trailing-axis diffs locally and the axis-0 diff
-        against the previous slab's pre-diff boundary plane — identical
-        int64 results (wraparound included) to a whole-array transform.
-        """
-        shape = data.shape
-        rows = self._tile_rows(int(np.prod(shape[1:], dtype=np.int64)))
-        carry = np.zeros((1,) + shape[1:], dtype=np.int64)
-        for r0 in range(0, shape[0], rows):
-            r1 = min(r0 + rows, shape[0])
-            with clock("quantize"):
-                qv = np.rint(data[r0:r1] / step)
-                bad = np.abs(qv) >= 2**52  # beyond exact float integer range
-                if bad.any():
-                    raise ValueError("error bound too small relative to data magnitude")
-                qv = qv.astype(np.int64)
-            with clock("predict"):
-                d = qv
-                for axis in range(1, d.ndim):
-                    d = np.diff(d, axis=axis, prepend=0)
-                boundary = d[-1:].copy()
-                res = np.diff(d, axis=0, prepend=carry)
-                carry = boundary
-                clipped = np.clip(res, -_RADIUS, _RADIUS)
-                outlier_mask = clipped != res
-                sym = (clipped + _OFFSET).astype(np.int64).ravel()
-                sym[outlier_mask.ravel()] = _OUTLIER
-                if out_list is not None and outlier_mask.any():
-                    out_list.append(res[outlier_mask].astype(np.int64))
-            yield sym
-
     def _compress_lorenzo(self, data: np.ndarray, eb: float) -> tuple[bytes, dict]:
         step = quantization_step(eb)
-        clock = StageClock("compressor.stage", codec=self.name, entropy=self.entropy)
-        freq = np.zeros(_ALPHABET, dtype=np.int64)
-        out_list: list[np.ndarray] = []
-        n_codes = 0
-        n_tiles = 0
-        for sym in self._lorenzo_stream(data, step, clock, out_list):
-            n_tiles += 1
-            n_codes += sym.size
-            with clock("encode"):
-                freq += np.bincount(sym, minlength=_ALPHABET)
+        clock = self._clock(self.entropy)
+        with clock("quantize"):
+            qv = np.rint(data / step)
+            if (np.abs(qv) >= 2**52).any():  # beyond exact float integer range
+                raise ValueError("error bound too small relative to data magnitude")
+            res = qv.astype(np.int64)
+        with clock("predict"):
+            for axis in range(res.ndim):
+                res = np.diff(res, axis=axis, prepend=0)
+            clipped = np.clip(res, -_RADIUS, _RADIUS)
+            outlier_mask = clipped != res
+            sym = (clipped + _OFFSET).ravel()
+            sym[outlier_mask.ravel()] = _OUTLIER
+            out_res = res[outlier_mask]
 
-        writer = BitWriter()
-        # Outlier residuals stored as 64-bit two's complement.
-        out_res = np.concatenate(out_list) if out_list else np.zeros(0, dtype=np.int64)
-        writer.write_packed(pack_uint_array(out_res.view(np.uint64), 64))
-        lz = self._encode_stream(
-            freq, self._lorenzo_stream(data, step, clock), writer, clock
-        )
-        head = writer.getvalue()
-        payload = len(head).to_bytes(8, "little") + head + lz
-        clock.emit(tiles=n_tiles, n_symbols=n_codes)
-        return payload, {
+        with clock("encode"):
+            writer = BitWriter()
+            # Outlier residuals stored as 64-bit two's complement.
+            writer.write_packed(pack_uint_array(out_res.view(np.uint64), 64))
+            lz = self._encode_codes(sym, writer)
+            head = writer.getvalue()
+        clock.emit(n_symbols=int(sym.size))
+        return len(head).to_bytes(8, "little") + head + lz, {
             "mode": "lorenzo",
             "entropy": self.entropy,
-            "n_codes": n_codes,
+            "n_codes": int(sym.size),
             "n_outliers": int(out_res.size),
         }
 
     def _decompress_lorenzo(self, payload: bytes, metadata: dict) -> np.ndarray:
-        shape = tuple(metadata["shape"])
-        eb = float(metadata["error_bound"])
-        step = quantization_step(eb)
-        n_codes = int(metadata["n_codes"])
-        n_out = int(metadata["n_outliers"])
-        clock = StageClock("compressor.stage", codec=self.name, entropy=self.entropy)
+        step = quantization_step(float(metadata["error_bound"]))
+        entropy = self._stream_entropy(metadata)
+        clock = self._clock(entropy)
 
         head_len = int.from_bytes(payload[:8], "little")
         reader = BitReader(payload[8 : 8 + head_len])
         lz = payload[8 + head_len :]
-        out_res = reader.read_uint_array(n_out, 64).view(np.int64)
-        take = self._decode_stream(reader, lz, clock)
-
-        out = np.empty(shape, dtype=np.float64)
-        rows = self._tile_rows(int(np.prod(shape[1:], dtype=np.int64)))
-        carry = np.zeros((1,) + shape[1:], dtype=np.int64)
-        out_pos = 0
-        n_tiles = 0
-        for r0 in range(0, shape[0], rows):
-            r1 = min(r0 + rows, shape[0])
-            n_tiles += 1
-            with clock("decode"):
-                count = (r1 - r0) * int(np.prod(shape[1:], dtype=np.int64))
-                symbols = take(count)
-                res = symbols.astype(np.int64) - _OFFSET
-                bad = symbols == _OUTLIER
-                n_bad = int(bad.sum())
-                if n_bad:
-                    res[bad] = out_res[out_pos : out_pos + n_bad]
-                    out_pos += n_bad
-                res = res.reshape((r1 - r0,) + shape[1:])
-                for axis in range(res.ndim - 1, 0, -1):
-                    res = np.cumsum(res, axis=axis)
-                res = np.cumsum(res, axis=0) + carry
-                carry = res[-1:].copy()
-                out[r0:r1] = res.astype(np.float64) * step
-        clock.emit(tiles=n_tiles)
+        out_res = reader.read_uint_array(int(metadata["n_outliers"]), 64).view(np.int64)
+        with clock("decode"):
+            symbols = self._decode_codes(reader, lz, int(metadata["n_codes"]), entropy)
+            res = symbols - _OFFSET
+            res[symbols == _OUTLIER] = out_res
+            res = res.reshape(tuple(metadata["shape"]))
+            for axis in range(res.ndim - 1, -1, -1):
+                res = np.cumsum(res, axis=axis)
+            out = res.astype(np.float64) * step
+        clock.emit()
         return out
 
     # -- dispatch -----------------------------------------------------------

@@ -10,22 +10,13 @@ flattened and cut into blocks of 128 values; each block is either
   width, the fixed-point analogue of SZx's IEEE-754 insignificant-bit
   truncation + byte-level delta.
 
-The pipeline is *fused and tile-streamed* (cuSZ+ style): blocks are
-processed ``tile_blocks`` at a time, each tile going through
-quantize → width-select → bit-pack in one pass while it is cache-hot,
-with the packed bits appended to per-section :class:`BitWriter`\\ s
-(constant flags, means, block minima, widths, one payload writer per bit
-width). Stitching the sections afterwards reproduces — bit for bit — the
-stream the frozen whole-array oracle
-(:class:`repro.compressors.reference.ReferenceSZXCompressor`) writes, so
-the working set stays at one tile plus the growing packed output instead
-of whole-array quantization/symbol matrices. Decode mirrors this: the
-per-width payload sections' bit offsets are computed from the width
-table, and each tile gathers its blocks' values through per-width
-section cursors (:meth:`BitReader.seek`), never materializing the full
-``(nblocks, block)`` code matrix. The per-block width jumps with the
-error bound, which is what makes SZx's compression function notoriously
-eb-sensitive (paper Section 6.2.1).
+Everything is vectorized over all blocks at once; non-constant payloads
+are written grouped by bit width so both encode and decode use bulk
+bitstream calls. Nothing here bounds the working set: the store's chunk
+grid does that, so fields that do not fit comfortably go through
+``Store.pack``. The per-block width jumps with the error bound, which is
+what makes SZx's compression function notoriously eb-sensitive (paper
+Section 6.2.1).
 """
 
 from __future__ import annotations
@@ -39,22 +30,16 @@ from repro.obs import StageClock
 BLOCK = 128
 _K_BITS = 6  # width field per non-constant block (widths 0..63)
 
-#: Blocks per streamed tile (512 blocks of 128 float64 = 512 KiB).
-TILE_BLOCKS = 512
-
 
 class SZXCompressor(LossyCompressor):
-    """Block-wise delta-based error-bounded compressor (SZx), fused."""
+    """Block-wise delta-based error-bounded compressor (SZx)."""
 
     name = "szx"
 
-    def __init__(self, block_size: int = BLOCK, tile_blocks: int = TILE_BLOCKS) -> None:
+    def __init__(self, block_size: int = BLOCK) -> None:
         if block_size < 2:
             raise ValueError("block_size must be >= 2")
-        if tile_blocks < 1:
-            raise ValueError("tile_blocks must be >= 1")
         self.block_size = int(block_size)
-        self.tile_blocks = int(tile_blocks)
 
     # -- encoding ---------------------------------------------------------
 
@@ -63,76 +48,44 @@ class SZXCompressor(LossyCompressor):
         flat = data.ravel()
         n = flat.size
         nblocks = -(-n // bs)
-        step = quantization_step(error_bound)
         clock = StageClock("compressor.stage", codec=self.name)
 
-        # One writer per stream section; per-width payload writers are laid
-        # out ascending at the end, exactly the grouped order the frozen
-        # whole-array reference emits.
-        const_w = BitWriter()
-        means_w = BitWriter()
-        bmin_w = BitWriter()
-        width_w = BitWriter()
-        group_w: dict[int, BitWriter] = {}
-
-        n_tiles = 0
-        for b0 in range(0, nblocks, self.tile_blocks):
-            b1 = min(b0 + self.tile_blocks, nblocks)
-            n_tiles += 1
-            with clock("quantize"):
-                lo, hi = b0 * bs, b1 * bs
-                if hi <= n:
-                    blocks = flat[lo:hi].reshape(b1 - b0, bs)
-                else:
-                    # Only the last tile pads; edge padding stays inside the
-                    # final block's value range.
-                    pad = np.empty(hi - lo, dtype=np.float64)
-                    pad[: n - lo] = flat[lo:]
-                    pad[n - lo :] = flat[-1]
-                    blocks = pad.reshape(b1 - b0, bs)
-                bmin = blocks.min(axis=1)
-                bmax = blocks.max(axis=1)
-                const = (bmax - bmin) <= 2.0 * error_bound
-                means = 0.5 * (bmin + bmax)
-                nc = ~const
-                any_nc = bool(nc.any())
-                if any_nc:
-                    q = np.rint((blocks[nc] - bmin[nc, None]) / step).astype(np.uint64)
-                    qmax = q.max(axis=1)
-                    w = np.zeros(qmax.size, dtype=np.int64)
-                    nz = qmax > 0
-                    # bit_length of the per-block max quantization code
-                    w[nz] = np.floor(np.log2(qmax[nz].astype(np.float64))).astype(np.int64) + 1
-                    # guard against log2 rounding at exact powers of two
-                    too_small = (np.uint64(1) << w.astype(np.uint64)) <= qmax
-                    w[too_small] += 1
-            with clock("encode"):
-                const_w.write_bit_array(const)
-                # Constant blocks: the midpoint as raw float64 bits.
-                if const.any():
-                    const_sel = means[const]
-                    means_w.write_packed(pack_uint_array(const_sel.view(np.uint64), 64))
-                if any_nc:
-                    bmin_w.write_packed(pack_uint_array(bmin[nc].view(np.uint64), 64))
-                    width_w.write_packed(pack_uint_array(w.astype(np.uint64), _K_BITS))
-                    for width in np.unique(w):
-                        if width == 0:
-                            continue
-                        width = int(width)
-                        gw = group_w.get(width)
-                        if gw is None:
-                            gw = group_w[width] = BitWriter()
-                        gw.write_packed(pack_uint_array(q[w == width].ravel(), width))
+        with clock("quantize"):
+            pad = nblocks * bs - n
+            if pad:  # edge padding stays inside the last block's value range
+                flat = np.concatenate((flat, np.full(pad, flat[-1])))
+            blocks = flat.reshape(nblocks, bs)
+            bmin = blocks.min(axis=1)
+            bmax = blocks.max(axis=1)
+            const = (bmax - bmin) <= 2.0 * error_bound
+            means = 0.5 * (bmin + bmax)
+            nc = ~const
+            any_nc = bool(nc.any())
+            if any_nc:
+                step = quantization_step(error_bound)
+                q = np.rint((blocks[nc] - bmin[nc, None]) / step).astype(np.uint64)
+                qmax = q.max(axis=1)
+                w = np.zeros(qmax.size, dtype=np.int64)
+                nz = qmax > 0
+                # bit_length of the per-block max quantization code
+                w[nz] = np.floor(np.log2(qmax[nz].astype(np.float64))).astype(np.int64) + 1
+                # guard against log2 rounding at exact powers of two
+                too_small = (np.uint64(1) << w.astype(np.uint64)) <= qmax
+                w[too_small] += 1
 
         with clock("encode"):
-            writer = const_w
-            writer.extend(means_w)
-            writer.extend(bmin_w)
-            writer.extend(width_w)
-            for width in sorted(group_w):
-                writer.extend(group_w[width])
+            writer = BitWriter()
+            writer.write_bit_array(const)
+            # Constant blocks: the midpoint as raw float64 bits.
+            writer.write_packed(pack_uint_array(means[const].view(np.uint64), 64))
+            if any_nc:
+                writer.write_packed(pack_uint_array(bmin[nc].view(np.uint64), 64))
+                writer.write_packed(pack_uint_array(w.astype(np.uint64), _K_BITS))
+                # Group payload by width for bulk packing.
+                for width in np.unique(w[w > 0]):
+                    writer.write_packed(pack_uint_array(q[w == width].ravel(), int(width)))
             payload = writer.getvalue()
-        clock.emit(tiles=n_tiles)
+        clock.emit()
         return payload, {"n": n, "nblocks": nblocks, "block_size": bs}
 
     # -- decoding ---------------------------------------------------------
@@ -142,66 +95,25 @@ class SZXCompressor(LossyCompressor):
         nblocks = int(metadata["nblocks"])
         bs = int(metadata.get("block_size", self.block_size))
         eb = float(metadata["error_bound"])
-        step = quantization_step(eb)
         reader = BitReader(payload)
         clock = StageClock("compressor.stage", codec=self.name)
 
         with clock("decode"):
             const = reader.read_bit_array(nblocks)
+            out = np.empty((nblocks, bs), dtype=np.float64)
             n_const = int(const.sum())
-            means = (
-                reader.read_uint_array(n_const, 64).view(np.float64)
-                if n_const
-                else np.zeros(0, dtype=np.float64)
-            )
+            if n_const:
+                means = reader.read_uint_array(n_const, 64).view(np.float64)
+                out[const] = means[:, None]
             n_nc = nblocks - n_const
             if n_nc:
                 bmin = reader.read_uint_array(n_nc, 64).view(np.float64)
                 w = reader.read_uint_array(n_nc, _K_BITS).astype(np.int64)
-            else:
-                bmin = np.zeros(0, dtype=np.float64)
-                w = np.zeros(0, dtype=np.int64)
-            # Bit offset of each width group's payload section: groups are
-            # laid out ascending, each holding all its blocks' codes.
-            cursors: dict[int, int] = {}
-            offset = reader.position
-            for width in np.unique(w):
-                if width == 0:
-                    continue
-                cursors[int(width)] = offset
-                offset += int((w == width).sum()) * bs * int(width)
-
-        out = np.empty(nblocks * bs, dtype=np.float64)
-        mean_idx = 0
-        nc_idx = 0
-        n_tiles = 0
-        for b0 in range(0, nblocks, self.tile_blocks):
-            b1 = min(b0 + self.tile_blocks, nblocks)
-            n_tiles += 1
-            with clock("decode"):
-                tconst = const[b0:b1]
-                tile = np.empty((b1 - b0, bs), dtype=np.float64)
-                k_const = int(tconst.sum())
-                if k_const:
-                    tile[tconst] = means[mean_idx : mean_idx + k_const, None]
-                    mean_idx += k_const
-                k_nc = (b1 - b0) - k_const
-                if k_nc:
-                    t_bmin = bmin[nc_idx : nc_idx + k_nc]
-                    t_w = w[nc_idx : nc_idx + k_nc]
-                    nc_idx += k_nc
-                    q = np.zeros((k_nc, bs), dtype=np.float64)
-                    for width in np.unique(t_w):
-                        if width == 0:
-                            continue
-                        width = int(width)
-                        sel = t_w == width
-                        reader.seek(cursors[width])
-                        vals = reader.read_uint_array(int(sel.sum()) * bs, width)
-                        cursors[width] = reader.position
-                        q[sel] = vals.reshape(-1, bs).astype(np.float64)
-                    tile[~tconst] = t_bmin[:, None] + q * step
-                out[b0 * bs : b1 * bs] = tile.ravel()
-        clock.emit(tiles=n_tiles)
-        shape = tuple(metadata["shape"])
-        return out[:n].reshape(shape)
+                q = np.zeros((n_nc, bs), dtype=np.float64)
+                for width in np.unique(w[w > 0]):
+                    sel = w == width
+                    vals = reader.read_uint_array(int(sel.sum()) * bs, int(width))
+                    q[sel] = vals.reshape(-1, bs).astype(np.float64)
+                out[~const] = bmin[:, None] + q * quantization_step(eb)
+        clock.emit()
+        return out.reshape(-1)[:n].reshape(tuple(metadata["shape"]))

@@ -6,17 +6,12 @@ buffers *numpy bool chunks* and only packs to bytes once, and both writer and
 reader expose bulk array operations (``write_bit_array``,
 ``write_uint_array``, ``read_bit_array``) so hot paths stay vectorized.
 
-The fused tile-streamed compressor pipelines add a second chunk kind: a
-*packed* chunk is ``(uint8 array, bit count)`` — already byte-packed bits,
-possibly ending mid-byte. Tiles produce packed chunks with
-:func:`pack_uint_array` (an ``np.unpackbits`` byte-view pack, several times
-faster than the bit-broadcast of :meth:`BitWriter.write_uint_array`) and
-append them with :meth:`BitWriter.write_packed`; :meth:`BitWriter.compact`
-folds everything written so far into one packed chunk, which is what bounds
-a long-running writer's memory to roughly its *output* size (a bool chunk
-costs 8x its packed form). :meth:`BitWriter.getvalue` shift-merges the
-mixed chunk list in one vectorized pass per chunk, so per-tile appends
-compose into exactly the stream a whole-array write would have produced.
+A second chunk kind is the *packed* chunk, ``(uint8 array, bit count)`` —
+already byte-packed bits, possibly ending mid-byte. :func:`pack_uint_array`
+builds one (an ``np.unpackbits`` byte-view pack, several times faster than
+the bit-broadcast of :meth:`BitWriter.write_uint_array`) and
+:meth:`BitWriter.write_packed` appends it; :meth:`BitWriter.getvalue`
+shift-merges the mixed chunk list in one vectorized pass per chunk.
 """
 
 from __future__ import annotations
@@ -57,8 +52,8 @@ def _container_dtype(nbits: int) -> tuple[str, int]:
 def pack_uint_array(values: np.ndarray, nbits: int) -> _Packed:
     """Pack each value to a fixed ``nbits``-bit MSB-first field.
 
-    The bit-for-bit equivalent of :meth:`BitWriter.write_uint_array`, built
-    for the fused tile loops: values are viewed as big-endian bytes,
+    The bit-for-bit equivalent of :meth:`BitWriter.write_uint_array` for
+    bulk sections: values are viewed as big-endian bytes,
     ``np.unpackbits`` expands them, and the leading container padding is
     sliced off — byte traffic proportional to the container width instead
     of one bool (1 byte) per output *bit*.
@@ -106,8 +101,8 @@ class BitWriter:
 
     Chunks are either numpy bool arrays (one element per bit, from the
     ``write_*`` methods) or :class:`_Packed` runs (already byte-packed,
-    from :meth:`write_packed` / :meth:`compact`); :meth:`getvalue`
-    shift-merges the mixed list into one stream.
+    from :meth:`write_packed`); :meth:`getvalue` shift-merges the mixed
+    list into one stream.
     """
 
     def __init__(self) -> None:
@@ -211,24 +206,6 @@ class BitWriter:
             self._chunks.append(packed)
             self._nbits += packed.nbits
 
-    def extend(self, other: "BitWriter") -> None:
-        """Append all bits from another writer (no byte alignment)."""
-        self._chunks.extend(other._chunks)
-        self._nbits += other._nbits
-
-    def compact(self) -> None:
-        """Fold everything written so far into one packed chunk.
-
-        A bool chunk costs one byte per *bit*; compacting after each tile
-        is what bounds a fused pipeline's writer memory to roughly the
-        size of its eventual output stream.
-        """
-        if len(self._chunks) <= 1 and (
-            not self._chunks or isinstance(self._chunks[0], _Packed)
-        ):
-            return
-        self._chunks = [_Packed(self._merged(), self._nbits)]
-
     def _entries(self):
         """Yield the chunk list as ``(uint8 array, nbits)`` packed runs,
         packing each run of consecutive bool chunks in one pass."""
@@ -251,8 +228,7 @@ class BitWriter:
 
         Each packed run lands with two vectorized ORs: its bytes shifted
         down by the current bit offset, and the spilled low bits into the
-        following byte — so per-tile packed appends cost O(bytes), not
-        O(bits).
+        following byte — so packed appends cost O(bytes), not O(bits).
         """
         nbytes = (self._nbits + 7) // 8
         out = np.zeros(nbytes + 1, dtype=np.uint8)  # +1: shift spill scratch
@@ -329,20 +305,6 @@ class BitReader:
 
     def read_bit_array(self, count: int) -> np.ndarray:
         return self._take(count).copy()
-
-    def seek(self, pos: int) -> None:
-        """Move the read cursor to absolute bit position ``pos``.
-
-        Lets tiled decoders interleave reads from precomputed section
-        offsets (e.g. SZx width-grouped payloads) without slicing new
-        readers per section.
-        """
-        pos = int(pos)
-        if not 0 <= pos <= self._bits.size:
-            raise ValueError(
-                f"seek position {pos} outside bitstream of {self._bits.size} bits"
-            )
-        self._pos = pos
 
     def window_values(self, width: int) -> np.ndarray:
         """Window value at every remaining position (see :func:`window_values`).

@@ -20,13 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.encoding.bitstream import (
-    BitReader,
-    BitWriter,
-    _Packed,
-    _container_dtype,
-    window_values,
-)
+from repro.encoding.bitstream import BitReader, BitWriter, window_values
 
 _MAX_CODE_LEN = 48
 _TABLE_BITS = 16  # fast-decode lookup window
@@ -148,12 +142,7 @@ class HuffmanCodec:
 
     @classmethod
     def from_frequencies(cls, frequencies: np.ndarray) -> "HuffmanCodec":
-        """Build the codec from a symbol histogram.
-
-        ``fit`` composed with per-tile ``np.bincount`` accumulation yields
-        exactly this call, so tiled pipelines that sum tile histograms get
-        the same codebook (hence the same bytes) as a whole-array ``fit``.
-        """
+        """Build the codec from a symbol histogram."""
         lengths = huffman_code_lengths(np.asarray(frequencies, dtype=np.int64))
         return cls(lengths=lengths, codes=canonical_codes(lengths))
 
@@ -182,44 +171,6 @@ class HuffmanCodec:
             bad = symbols[lens == 0][0]
             raise ValueError(f"symbol {bad} not in codebook")
         writer.write_varlen_uint_array(self.codes[symbols], lens)
-
-    def encode_packed(self, symbols: np.ndarray) -> _Packed:
-        """Byte-packed codes for ``symbols`` — bit-identical to
-        :meth:`encode`, built for fused tile loops.
-
-        Each symbol's code is expanded from a right-aligned big-endian
-        container via ``np.unpackbits`` and the live bits are selected
-        with one boolean mask (advanced indexing preserves row order, so
-        codes concatenate exactly as the per-symbol writer would emit
-        them). Cost scales with the container width, not with one bool
-        per output bit, which makes the entropy stage's packing several
-        times cheaper per tile.
-        """
-        symbols = np.asarray(symbols, dtype=np.int64).ravel()
-        if symbols.size == 0:
-            return _Packed(np.zeros(0, dtype=np.uint8), 0)
-        if symbols.min() < 0 or symbols.max() >= self.lengths.size:
-            raise ValueError("symbol outside codebook alphabet")
-        lens = self.lengths[symbols]
-        if (lens == 0).any():
-            bad = symbols[lens == 0][0]
-            raise ValueError(f"symbol {bad} not in codebook")
-        dtype, cbits = _container_dtype(int(lens.max()))
-        code_bits = np.unpackbits(
-            self.codes[symbols].astype(dtype).view(np.uint8).reshape(symbols.size, -1),
-            axis=1,
-        )
-        live = np.arange(cbits) >= (cbits - lens)[:, None]
-        return _Packed(np.packbits(code_bits[live]), int(lens.sum()))
-
-    def stream_decoder(self, reader: BitReader) -> "HuffmanStreamDecoder":
-        """A resumable decoder over ``reader``'s remaining bits.
-
-        Tiled pipelines call :meth:`HuffmanStreamDecoder.take` once per
-        tile; the window values are computed once for the whole stream,
-        so T takes cost the same total work as one bulk decode.
-        """
-        return HuffmanStreamDecoder(self, reader)
 
     def decode(self, reader: BitReader, count: int) -> np.ndarray:
         """Decode ``count`` symbols.
@@ -406,9 +357,7 @@ class HuffmanStreamDecoder:
 
     :meth:`take` runs one chase+emission pass from the saved position and
     leaves the cursor (and the underlying reader) exactly after the last
-    decoded code, so tiled decoders can pull symbols tile by tile — T
-    takes cost the same total chase work as one bulk decode, with no
-    full-stream symbol array ever materialized.
+    decoded code.
     """
 
     def __init__(

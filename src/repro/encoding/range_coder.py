@@ -56,59 +56,39 @@ class RangeEncoder:
         self._range = _MASK
         self._out = bytearray()
 
-    def update(self, symbols: np.ndarray) -> None:
-        """Encode ``symbols`` into the pending stream without flushing.
-
-        The incremental leg of the encoder: tiled pipelines call
-        ``update`` once per tile and :meth:`finish` once at the end; the
-        byte stream is identical to a single :meth:`encode` of the
-        concatenated symbols because the coder state (``low``/``range``)
-        carries across calls.
-        """
+    def encode(self, symbols: np.ndarray) -> bytes:
         total = self.total
         low, rng = self._low, self._range
         out = self._out
         symbols = np.asarray(symbols, dtype=np.int64).ravel()
-        try:
-            for start in range(0, symbols.size, _CHUNK):
-                chunk = symbols[start : start + _CHUNK]
-                # Pre-gather per-symbol (freq, cum) as plain ints; the scalar
-                # loop below then never touches a numpy object. A zero-frequency
-                # symbol still gets the prefix before it encoded, matching the
-                # scalar loop's observable output when it raises mid-stream.
-                fs = self.freq[chunk]
-                bad = int(np.argmax(fs == 0)) if (fs == 0).any() else chunk.size
-                f_list = fs[:bad].tolist()
-                c_list = self.cum[chunk[:bad]].tolist()
-                for f, c in zip(f_list, c_list):
-                    rng //= total
-                    low = (low + c * rng) & _MASK
-                    rng *= f
-                    # renormalize
-                    while (low ^ (low + rng)) < _TOP or (
-                        rng < _BOT and ((rng := -low & (_BOT - 1)) or True)
-                    ):
-                        out.append((low >> 24) & 0xFF)
-                        low = (low << 8) & _MASK
-                        rng = (rng << 8) & _MASK
-                if bad < chunk.size:
-                    raise ValueError(f"symbol {chunk[bad]} has zero frequency")
-        finally:
-            self._low, self._range = low, rng
-
-    def finish(self) -> bytes:
-        """Flush the coder and return the complete byte stream."""
-        low = self._low
-        out = self._out
+        for start in range(0, symbols.size, _CHUNK):
+            chunk = symbols[start : start + _CHUNK]
+            # Pre-gather per-symbol (freq, cum) as plain ints; the scalar
+            # loop below then never touches a numpy object. A zero-frequency
+            # symbol still gets the prefix before it encoded, matching the
+            # scalar loop's observable output when it raises mid-stream.
+            fs = self.freq[chunk]
+            bad = int(np.argmax(fs == 0)) if (fs == 0).any() else chunk.size
+            f_list = fs[:bad].tolist()
+            c_list = self.cum[chunk[:bad]].tolist()
+            for f, c in zip(f_list, c_list):
+                rng //= total
+                low = (low + c * rng) & _MASK
+                rng *= f
+                # renormalize
+                while (low ^ (low + rng)) < _TOP or (
+                    rng < _BOT and ((rng := -low & (_BOT - 1)) or True)
+                ):
+                    out.append((low >> 24) & 0xFF)
+                    low = (low << 8) & _MASK
+                    rng = (rng << 8) & _MASK
+            if bad < chunk.size:
+                raise ValueError(f"symbol {chunk[bad]} has zero frequency")
+        # flush
         for _ in range(4):
             out.append((low >> 24) & 0xFF)
             low = (low << 8) & _MASK
-        self._low = low
         return bytes(out)
-
-    def encode(self, symbols: np.ndarray) -> bytes:
-        self.update(symbols)
-        return self.finish()
 
 
 class RangeDecoder:

@@ -245,10 +245,10 @@ def emit_span(name: str, seconds: float, **attrs) -> None:
     """Record one already-measured interval as a span ending *now*.
 
     The retrospective counterpart of :func:`span` for aggregated work:
-    a tiled pipeline accumulates per-stage wall time across hundreds of
-    tiles and emits *one* span per stage afterwards, instead of one span
-    per tile (which would swamp ``trace-summary`` on large fields). The
-    span is parented wherever a live ``with span(...)`` would be.
+    a pipeline accumulates per-stage wall time across many passes and
+    emits *one* span per stage afterwards, instead of one span per pass
+    (which would swamp ``trace-summary`` on large fields). The span is
+    parented wherever a live ``with span(...)`` would be.
     No-op when tracing is off.
     """
     if not _ENABLED:
@@ -260,14 +260,14 @@ def emit_span(name: str, seconds: float, **attrs) -> None:
 
 
 class StageClock:
-    """Accumulates per-stage wall time across tiles, emitting one
+    """Accumulates per-stage wall time across passes, emitting one
     aggregated span per stage.
 
     ``with clock("quantize"):`` adds the block's duration (and one call)
     to the ``"quantize"`` bucket; :meth:`emit` then records a single
     ``<prefix>.<stage>`` span per touched stage with ``calls`` and any
     shared attributes attached. All bookkeeping is skipped while tracing
-    is disabled, so fused tile loops can time every stage unconditionally.
+    is disabled, so hot loops can time every stage unconditionally.
     """
 
     __slots__ = ("prefix", "attrs", "_seconds", "_calls")

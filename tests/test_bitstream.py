@@ -56,16 +56,6 @@ class TestBitWriter:
         r = BitReader(w.getvalue())
         assert list(r.read_bit_array(4)) == [False, True, False, True]
 
-    def test_extend_concatenates_without_alignment(self):
-        a = BitWriter()
-        a.write_bits(0b101, 3)
-        b = BitWriter()
-        b.write_bits(0b11, 2)
-        a.extend(b)
-        assert a.bit_length == 5
-        r = BitReader(a.getvalue())
-        assert r.read_bits(5) == 0b10111
-
     def test_large_values_64bit(self):
         w = BitWriter()
         big = (1 << 63) + 12345
@@ -75,10 +65,10 @@ class TestBitWriter:
 
 
 class TestPackedRuns:
-    """The fused pipelines' fast path: :func:`pack_uint_array` /
-    :meth:`BitWriter.write_packed` / :meth:`BitWriter.compact` /
-    :meth:`BitReader.seek` must be bit-identical to the primitives they
-    bypass — byte identity of whole compressor streams rests on it."""
+    """The compressors' fast path: :func:`pack_uint_array` /
+    :meth:`BitWriter.write_packed` must be bit-identical to the
+    :meth:`BitWriter.write_uint_array` they bypass — byte identity of
+    whole compressor streams rests on it."""
 
     @pytest.mark.parametrize("nbits", [1, 7, 8, 13, 17, 32, 41, 64])
     def test_pack_matches_write_uint_array(self, rng, nbits):
@@ -111,32 +101,6 @@ class TestPackedRuns:
     def test_pack_rejects_oversized_width(self):
         with pytest.raises(ValueError, match="nbits"):
             pack_uint_array(np.arange(4, dtype=np.uint64), 65)
-
-    def test_compact_per_tile_preserves_bytes(self, rng):
-        """Compacting after every tile (what the fused loops do to bound
-        writer memory) never changes the emitted stream."""
-        ref, tiled = BitWriter(), BitWriter()
-        for _ in range(5):
-            bits = rng.integers(0, 2, size=37).astype(bool)
-            ref.write_bit_array(bits)
-            tiled.write_bit_array(bits)
-            tiled.compact()
-        tiled.compact()  # idempotent on an already-packed writer
-        assert tiled.getvalue() == ref.getvalue()
-
-    def test_seek_random_access(self, rng):
-        vals = rng.integers(0, 1 << 9, size=64, dtype=np.uint64)
-        w = BitWriter()
-        w.write_uint_array(vals, 9)
-        r = BitReader(w.getvalue())
-        r.seek(9 * 10)
-        np.testing.assert_array_equal(r.read_uint_array(5, 9), vals[10:15])
-        r.seek(0)
-        np.testing.assert_array_equal(r.read_uint_array(64, 9), vals)
-        with pytest.raises(ValueError, match="seek"):
-            r.seek(10**9)
-        with pytest.raises(ValueError, match="seek"):
-            r.seek(-1)
 
 
 class TestBitReader:

@@ -16,7 +16,7 @@ class TestParser:
         assert set(sub.choices) >= {
             "datasets", "estimate", "train", "predict", "compress", "bench",
             "serve-bench", "store-pack", "store-info", "store-unpack",
-            "pack-bench", "read-bench", "load-bench", "trace-summary",
+            "pack-bench", "codec-bench", "read-bench", "load-bench", "trace-summary",
         }
 
 
@@ -223,6 +223,59 @@ class TestPackBench:
         out = capsys.readouterr().out
         assert "byte-identical" in out
         assert "below required" in out
+
+
+class TestCodecBench:
+    def test_check_mode_gates_without_writing(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        rc = main(["codec-bench", "--check"])
+        assert rc == 0
+        out = capsys.readouterr().out
+        for row in ("sz3_lossless", "szx", "sz3_lorenzo", "sperr"):
+            assert row in out
+        assert "DIVERGED" not in out and "EXCEEDED" not in out
+        assert "report written" not in out
+        assert not list(tmp_path.glob("BENCH_codec.json"))
+
+    def test_failure_message_names_what_failed(self, capsys, monkeypatch):
+        """A compressor-only failure used to print an empty name list."""
+        from repro.bench import codec_bench
+
+        real = codec_bench.run_codec_bench
+
+        def broken(*args, **kwargs):
+            report = real(*args, **kwargs)
+            report["compressors"]["szx"]["within_bound"] = False
+            return report
+
+        monkeypatch.setattr(codec_bench, "run_codec_bench", broken)
+        rc = main(["codec-bench", "--check"])
+        assert rc == 1
+        out = capsys.readouterr().out
+        assert "FAIL: round trip exceeds the error bound in: szx" in out
+        assert "byte divergence" not in out
+
+    def test_report_has_absolute_compressor_rows_and_keeps_history(self, tmp_path):
+        import json
+
+        report_path = tmp_path / "BENCH_codec.json"
+        history = [{"commit": "0000000", "note": "kept"}]
+        report_path.write_text(
+            json.dumps({"schema": "repro.codec-bench/v1", "history": history})
+        )
+        rc = main([
+            "codec-bench", "--shape", "12", "12", "12", "--reps", "1",
+            "--out", str(report_path),
+        ])
+        assert rc == 0
+        report = json.loads(report_path.read_text())
+        assert report["history"] == history
+        for row in report["compressors"].values():
+            assert set(row) == {
+                "input_bytes", "payload_bytes", "ratio", "compress_mbps",
+                "decompress_mbps", "peak_bytes", "stages", "within_bound",
+            }
+            assert row["within_bound"] is True
 
 
 class TestReadBench:

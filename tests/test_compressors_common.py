@@ -18,8 +18,18 @@ def codec(request):
     return get_compressor(request.param)
 
 
+def _plateau(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
+    """Constant background with a noisy patch: constant blocks, mixed bit
+    widths and a degenerate histogram in one field."""
+    x = np.full(shape, -1.5)
+    flat = x.reshape(-1)
+    n = flat.size
+    flat[n // 3 : 2 * n // 3] += rng.standard_normal(2 * n // 3 - n // 3)
+    return x
+
+
 class TestErrorBound:
-    @pytest.mark.parametrize("eb", [1e-4, 1e-2, 0.3])
+    @pytest.mark.parametrize("eb", [1e-6, 1e-4, 1e-2, 0.3, 0.5])
     def test_bound_holds_3d(self, codec, smooth3d, eb):
         out, _ = codec.roundtrip(smooth3d, eb)
         assert np.abs(out - smooth3d).max() <= eb * (1 + 1e-9)
@@ -36,6 +46,15 @@ class TestErrorBound:
         x = rng.standard_normal((17, 23))
         out, _ = codec.roundtrip(x, 1e-3)
         assert np.abs(out - x).max() <= 1e-3 * (1 + 1e-9)
+
+    @pytest.mark.parametrize("shape", [(5,), (127,), (257,), (64, 3), (33, 18)])
+    def test_bound_on_awkward_shapes(self, codec, rng, shape):
+        """Less than one block, ragged tails, prime lengths, a 3-wide axis —
+        on a plateau field and on a constant one."""
+        for x in (_plateau(rng, shape), np.full(shape, 3.25)):
+            out, _ = codec.roundtrip(x, 1e-3)
+            assert out.shape == shape
+            assert np.abs(out - x).max() <= 1e-3 * (1 + 1e-9)
 
     def test_bound_with_huge_values(self, codec, rng):
         x = 1e9 * np.cumsum(rng.standard_normal(500))

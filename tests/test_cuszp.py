@@ -63,6 +63,10 @@ class TestLimits:
         from repro.compressors import get_compressor
 
         x = np.cumsum(rng.standard_normal((40, 48, 48)), axis=0)
-        t_cuszp = get_compressor("cuszp").compress(x, 1e-2).elapsed
-        t_sperr = get_compressor("sperr").compress(x, 1e-2).elapsed
+        # best of three: the first call pays cold caches, which on a busy
+        # two-core host is enough to blur a 6x gap below the 3x line
+        t_cuszp, t_sperr = (
+            min(get_compressor(name).compress(x, 1e-2).elapsed for _ in range(3))
+            for name in ("cuszp", "sperr")
+        )
         assert t_cuszp < t_sperr / 3

@@ -36,17 +36,19 @@ _SEED = 20260805
 _CENTER = 256  # SZ3-like symbol offset for the quantization-code fixture
 _FIELD_EB = 1e-3
 
-#: Whole-compressor golden payloads: the fused tile-streamed pipelines
-#: are contractually byte-identical to the frozen oracles *and* to every
-#: stream already on disk — these pin the full payload format (headers,
-#: outlier sections, entropy streams) across history, not just the
-#: entropy-coder primitives above.
+#: Whole-compressor golden payloads: the only byte pin the compressors
+#: have — every stream already on disk (``.rps`` stores included) was
+#: written in this format, so these fix the full payload layout (headers,
+#: outlier sections, entropy streams) across history, one blob per
+#: predictor x entropy variant of sz3 and per sperr container mode.
 _COMPRESSORS = {
     "sz3.bin": lambda: SZ3Compressor(),
     "sz3_range.bin": lambda: SZ3Compressor(entropy="range"),
     "sz3_lorenzo.bin": lambda: SZ3Compressor(predictor="lorenzo"),
+    "sz3_lorenzo_range.bin": lambda: SZ3Compressor(predictor="lorenzo", entropy="range"),
     "szx.bin": lambda: SZXCompressor(),
     "sperr.bin": lambda: SPERRCompressor(chunk_edge=16),
+    "sperr_whole.bin": lambda: SPERRCompressor(),
 }
 
 

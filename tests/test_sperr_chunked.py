@@ -29,6 +29,25 @@ class TestChunkedRoundTrip:
         out, _ = codec.roundtrip(data, 1e-2)
         assert np.abs(out - data).max() <= 1e-2
 
+    @pytest.mark.parametrize("edge", [8, 16])
+    @pytest.mark.parametrize("shape", [(17, 13), (20, 24, 28)])
+    def test_edge_clipped_chunks(self, rng, shape, edge):
+        """Trailing chunks clipped to one or a few samples per axis."""
+        x = rng.standard_normal(shape)
+        for axis in range(len(shape)):
+            x = np.cumsum(x, axis=axis)
+        out, res = SPERRCompressor(chunk_edge=edge).roundtrip(x, 1e-2)
+        assert res.metadata["mode"] == "chunked"
+        assert np.abs(out - x).max() <= 1e-2 * (1 + 1e-9)
+
+    @pytest.mark.parametrize("quant_factor", [0.25, 1.0])
+    def test_quant_factor_extremes(self, rng, quant_factor):
+        x = np.cumsum(np.cumsum(rng.standard_normal((24, 24)), 0), 1) / 8
+        codec = SPERRCompressor(quant_factor=quant_factor, chunk_edge=16)
+        for eb in (1e-6, 1e-3, 0.5):
+            out, _ = codec.roundtrip(x, eb)
+            assert np.abs(out - x).max() <= eb * (1 + 1e-9)
+
     def test_small_array_skips_chunking(self):
         rng = np.random.default_rng(1)
         x = np.cumsum(rng.standard_normal((10, 10)), 0)

@@ -92,6 +92,13 @@ class TestLorenzoMode:
         with pytest.raises(ValueError):
             codec.compress(np.array([1e30, -1e30]), 1e-25)
 
+    def test_eb_below_float_precision_rejected_by_name(self, rng):
+        data = 1e9 * rng.standard_normal((40, 40))
+        with pytest.raises(
+            ValueError, match="^error bound too small relative to data magnitude$"
+        ):
+            SZ3Compressor(predictor="lorenzo").compress(data, 1e-12)
+
     def test_invalid_predictor(self):
         with pytest.raises(ValueError):
             SZ3Compressor(predictor="magic")
@@ -109,3 +116,39 @@ class TestEntropyBackend:
         for predictor in ("interp", "lorenzo"):
             out, _ = SZ3Compressor(predictor=predictor).roundtrip(smooth2d, 5e-3)
             assert np.abs(out - smooth2d).max() <= 5e-3
+
+    @pytest.mark.parametrize("predictor", ["interp", "lorenzo"])
+    @pytest.mark.parametrize("entropy", ["huffman", "range"])
+    def test_every_variant_bounded_on_awkward_shapes(self, rng, predictor, entropy):
+        codec = SZ3Compressor(predictor=predictor, entropy=entropy)
+        for shape in [(5,), (257,), (64, 3), (33, 18)]:
+            x = np.cumsum(rng.standard_normal(shape), axis=0) / 4
+            out, _ = codec.roundtrip(x, 5e-3)
+            assert np.abs(out - x).max() <= 5e-3 * (1 + 1e-9)
+
+    @pytest.mark.parametrize("predictor", ["interp", "lorenzo"])
+    @pytest.mark.parametrize("entropy", ["huffman", "range"])
+    def test_stream_names_its_own_entropy_coder(self, smooth3d, predictor, entropy):
+        """A default instance (what ``get_compressor("sz3")`` and the store
+        reader build) decodes a stream written with either entropy coder,
+        and so does an instance configured for the other one."""
+        writer = SZ3Compressor(predictor=predictor, entropy=entropy)
+        res = writer.compress(smooth3d, 1e-3)
+        expected = writer.decompress(res)
+        other = "range" if entropy == "huffman" else "huffman"
+        for reader in (SZ3Compressor(), SZ3Compressor(entropy=other)):
+            np.testing.assert_array_equal(reader.decompress(res), expected)
+
+    def test_entropy_falls_back_to_the_instance_when_metadata_lacks_it(self, smooth2d):
+        codec = SZ3Compressor(entropy="range")
+        res = codec.compress(smooth2d, 1e-3)
+        del res.metadata["entropy"]
+        np.testing.assert_array_equal(
+            codec.decompress(res), SZ3Compressor().decompress(codec.compress(smooth2d, 1e-3))
+        )
+
+    def test_unknown_entropy_in_metadata_rejected_by_name(self, smooth2d):
+        res = SZ3Compressor().compress(smooth2d, 1e-3)
+        res.metadata["entropy"] = "ans"
+        with pytest.raises(ValueError, match="'ans'"):
+            SZ3Compressor().decompress(res)
