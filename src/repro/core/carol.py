@@ -20,6 +20,7 @@ from repro.core.framework import RatioControlledFramework
 from repro.features.parallel import (
     extract_features_parallel,
     extract_features_parallel_many,
+    sample_blocks,
 )
 
 
@@ -35,3 +36,6 @@ class CarolFramework(RatioControlledFramework):
 
     def _extract_features_many(self, arrays: list) -> tuple[np.ndarray, float]:
         return extract_features_parallel_many(arrays)
+
+    def feature_sample(self, data: np.ndarray) -> np.ndarray:
+        return sample_blocks(data)

@@ -169,12 +169,23 @@ class RatioControlledFramework:
             total += secs
         return (np.stack(rows) if rows else np.empty((0, 0))), total
 
+    def feature_sample(self, data: np.ndarray) -> np.ndarray:
+        """The part of ``data`` that :meth:`extract_features` reads.
+
+        The contract: two inputs with equal samples have bitwise-equal
+        feature vectors. The serving layer addresses its feature cache by
+        a digest of this array, so a framework whose extractor sub-samples
+        returns that sub-sample (from the function the extractor itself
+        samples with); the default, the whole input, is always exact.
+        """
+        return data
+
     def extract_features(self, data: np.ndarray) -> np.ndarray:
         """Public feature hook: the feature vector for one input.
 
         This is the value ``predict_error_bound(..., features=...)`` accepts
-        back — the cache hook point the serving layer keys on (extract once
-        per distinct input, reuse across requests and targets).
+        back — what the serving layer caches per distinct
+        :meth:`feature_sample` and reuses across requests and targets.
         """
         return self._extract_features(as_float_array(data))[0]
 

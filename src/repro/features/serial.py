@@ -26,13 +26,22 @@ from repro.obs import timed_span
 from repro.utils.validation import as_float_array
 
 
-def _serial_features(arr: np.ndarray, stride: int | None) -> np.ndarray:
+def sample_points(arr: np.ndarray, stride: int | None) -> np.ndarray:
+    """Everything the extractor reads of ``arr``: the ``[::stride]``
+    subgrid per axis (a view), or ``arr`` itself for Serial-Full.
+
+    The features are a pure function of these values, which is what lets
+    the serving layer address its feature cache by them.
+    """
     if stride is not None and stride > 1:
-        slicer = tuple(slice(0, None, stride) for _ in range(arr.ndim))
-        # The strided gather materializes a copy: scattered reads, the cache
-        # behaviour the paper attributes to FXRZ's point-wise sampling.
-        arr = np.array(arr[slicer], dtype=np.float64)
-    return feature_vector(arr)
+        return arr[tuple(slice(0, None, stride) for _ in range(arr.ndim))]
+    return arr
+
+
+def _serial_features(arr: np.ndarray, stride: int | None) -> np.ndarray:
+    # The strided gather materializes a copy: scattered reads, the cache
+    # behaviour the paper attributes to FXRZ's point-wise sampling.
+    return feature_vector(np.ascontiguousarray(sample_points(arr, stride), dtype=np.float64))
 
 
 def extract_features_serial(

@@ -305,8 +305,20 @@ def format_report(report: dict) -> str:
 
 
 def write_report(report: dict, path: str | Path | None = None) -> Path:
-    """Write the report JSON (default: ``BENCH_serve.json`` at repo root)."""
+    """Write the report JSON (default: ``BENCH_serve.json`` at repo root).
+
+    History is appended, not overwritten: the report being replaced leaves
+    its capacity and saturation figures, with their commit, at the end of
+    the ``"history"`` list it carried.
+    """
     out = Path(path) if path is not None else _REPO_ROOT / REPORT_NAME
+    previous = load_report(out)
+    if previous is not None:
+        entry = {
+            key: previous.get(key)
+            for key in ("commit", "generated_utc", "capacity_rps", "saturation")
+        }
+        report = {**report, "history": [*previous.get("history", []), entry]}
     out.write_text(json.dumps(report, indent=2, sort_keys=False) + "\n")
     return out
 

@@ -10,7 +10,54 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.ml.tree import DecisionTreeRegressor
+from repro.ml.tree import _LEAF, DecisionTreeRegressor
+
+# (row, tree) pairs walked at once: keeps the traversal's temporaries at a
+# few MiB however many rows one call brings.
+_WALK_PAIRS = 1 << 16
+
+
+class _FlatForest:
+    """Every tree's node arrays concatenated, for one lockstep traversal.
+
+    Child indices are offset into the concatenation and a leaf is its own
+    child on both sides, so walking every ``(row, tree)`` pair for
+    ``depth`` steps needs no per-pair "already at a leaf" bookkeeping.
+    """
+
+    def __init__(self, trees: list[DecisionTreeRegressor]) -> None:
+        sizes = np.array([t.node_count for t in trees])
+        self.roots = np.concatenate(([0], np.cumsum(sizes)[:-1]))
+        feature = np.concatenate([t.feature for t in trees])
+        own = np.arange(feature.size)
+        leaf = feature == _LEAF
+        offsets = np.repeat(self.roots, sizes)
+        self.left = np.where(leaf, own, np.concatenate([t.left for t in trees]) + offsets)
+        self.right = np.where(leaf, own, np.concatenate([t.right for t in trees]) + offsets)
+        self.feature = np.where(leaf, 0, feature)
+        self.threshold = np.concatenate([t.threshold for t in trees])
+        self.value = np.concatenate([t.value for t in trees])
+        self.depth = 0
+        frontier = self.roots
+        while True:
+            frontier = frontier[~leaf[frontier]]
+            if frontier.size == 0:
+                break
+            frontier = np.concatenate((self.left[frontier], self.right[frontier]))
+            self.depth += 1
+
+    def leaf_values(self, X: np.ndarray) -> np.ndarray:
+        """``(rows, trees)`` matrix of each tree's prediction per row of
+        ``X`` — column ``k`` is ``trees[k].predict(X)`` bit for bit (same
+        ``<=`` test, so a NaN feature goes right here as it does there)."""
+        n_features = X.shape[1]
+        flat = X.ravel()
+        base = (np.arange(X.shape[0]) * n_features)[:, None]
+        node = np.broadcast_to(self.roots, (X.shape[0], self.roots.size))
+        for _ in range(self.depth):
+            go_left = flat[base + self.feature[node]] <= self.threshold[node]
+            node = np.where(go_left, self.left[node], self.right[node])
+        return self.value[node]
 
 
 class RandomForestRegressor:
@@ -35,7 +82,18 @@ class RandomForestRegressor:
         self.min_samples_leaf = int(min_samples_leaf)
         self.bootstrap = bool(bootstrap)
         self.random_state = random_state
-        self.trees: list[DecisionTreeRegressor] = []
+        self.trees = []
+
+    @property
+    def trees(self) -> list[DecisionTreeRegressor]:
+        """The fitted trees. Assigning the list (``fit``, model loading)
+        drops the flat traversal arrays derived from the previous one."""
+        return self._trees
+
+    @trees.setter
+    def trees(self, trees: list[DecisionTreeRegressor]) -> None:
+        self._trees = trees
+        self._flat: _FlatForest | None = None
 
     def get_params(self) -> dict:
         return {
@@ -52,7 +110,7 @@ class RandomForestRegressor:
         y = np.asarray(y, dtype=np.float64).ravel()
         rng = np.random.default_rng(self.random_state)
         n = X.shape[0]
-        self.trees = []
+        trees = []
         for _ in range(self.n_estimators):
             tree = DecisionTreeRegressor(
                 max_depth=self.max_depth,
@@ -66,7 +124,8 @@ class RandomForestRegressor:
                 tree.fit(X[idx], y[idx])
             else:
                 tree.fit(X, y)
-            self.trees.append(tree)
+            trees.append(tree)
+        self.trees = trees
         return self
 
     @property
@@ -83,17 +142,43 @@ class RandomForestRegressor:
         subsampled = self.max_features is not None and self.max_features != "auto"
         return self.bootstrap or subsampled
 
-    def predict(self, X: np.ndarray) -> np.ndarray:
+    def _reduce(self, X: np.ndarray, mean: bool, std: bool):
+        """One forest traversal per block of rows, reduced to the across-tree
+        mean and/or spread (``None`` for the one not asked for).
+
+        The reductions are the per-tree loops' own arithmetic: the mean
+        accumulates tree by tree in ``trees`` order, the spread reduces the
+        contiguous last axis of the ``(rows, trees)`` matrix. A row's result
+        therefore does not depend on which rows share its call or its block,
+        and equals what summing ``tree.predict`` over the trees gives.
+        """
         if not self.trees:
             raise RuntimeError("forest is not fitted")
+        if self._flat is None:
+            self._flat = _FlatForest(self.trees)
+        n, n_trees = X.shape[0], len(self.trees)
+        means = np.zeros(n) if mean else None
+        stds = np.empty(n) if std else None
+        block = max(_WALK_PAIRS // n_trees, 1)
+        for start in range(0, n, block):
+            rows = slice(start, start + block)
+            preds = self._flat.leaf_values(X[rows])
+            if mean:
+                acc = means[rows]
+                for k in range(n_trees):
+                    acc += preds[:, k]
+            if std:
+                stds[rows] = preds.std(axis=-1)
+        if mean:
+            means /= n_trees
+        return means, stds
+
+    def predict(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=np.float64)
         single = X.ndim == 1
         if single:
             X = X[None, :]
-        out = np.zeros(X.shape[0])
-        for tree in self.trees:
-            out += tree.predict(X)
-        out /= len(self.trees)
+        out, _ = self._reduce(X, mean=True, std=False)
         return out[0] if single else out
 
     def predict_std(self, X: np.ndarray) -> np.ndarray:
@@ -103,38 +188,20 @@ class RandomForestRegressor:
         training data underdetermines the answer. Used by the frameworks'
         ``safety`` option to bias error-bound predictions conservatively.
         """
-        if not self.trees:
-            raise RuntimeError("forest is not fitted")
         X = np.asarray(X, dtype=np.float64)
         if X.ndim == 1:
             X = X[None, :]
-        # Stack trees along the last (contiguous) axis so each row reduces
-        # over the same contiguous layout no matter how many rows are in the
-        # batch — a batched call is then bitwise-identical to row-at-a-time
-        # calls, which the serving layer's predict_batch guarantees.
-        preds = np.stack([tree.predict(X) for tree in self.trees], axis=-1)
-        return preds.std(axis=-1)
+        return self._reduce(X, mean=False, std=True)[1]
 
     def predict_with_std(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Mean prediction and across-tree spread from ONE ensemble pass.
-
-        Each tree is evaluated once; the mean accumulates per tree in the
-        same order :meth:`predict` sums, and the spread reduces the same
-        stacked layout :meth:`predict_std` builds — both outputs are
-        bitwise-identical to the separate calls, at half the tree cost.
-        """
-        if not self.trees:
-            raise RuntimeError("forest is not fitted")
+        """Mean prediction and across-tree spread from ONE ensemble pass,
+        each bitwise-identical to the separate :meth:`predict` and
+        :meth:`predict_std` calls."""
         X = np.asarray(X, dtype=np.float64)
         single = X.ndim == 1
         if single:
             X = X[None, :]
-        preds = np.stack([tree.predict(X) for tree in self.trees], axis=-1)
-        mean = np.zeros(X.shape[0])
-        for k in range(preds.shape[-1]):
-            mean += preds[..., k]
-        mean /= len(self.trees)
-        std = preds.std(axis=-1)
+        mean, std = self._reduce(X, mean=True, std=True)
         return (mean[0], std[0]) if single else (mean, std)
 
     def score(self, X: np.ndarray, y: np.ndarray) -> float:

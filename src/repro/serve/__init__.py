@@ -8,9 +8,9 @@ fields):
   ``predict``, ``predict_batch`` (stacked inference, bitwise-identical
   to sequential calls), ``predict_targets``, and ``verify=True``
   compression-verification;
-- :class:`LRUCache` (+ :func:`digest_array`) — content-addressed feature
-  cache with always-on hit/miss/eviction stats, mirrored into
-  :mod:`repro.obs` metrics;
+- :class:`LRUCache` (+ :func:`digest_array`) — feature cache addressed
+  by a digest of the extractor's sample, with always-on
+  hit/miss/eviction stats, mirrored into :mod:`repro.obs` metrics;
 - :class:`WorkerPool` — bounded process-pool backend with per-task
   timeouts and graceful in-process fallback;
 - :class:`ModelRegistry` — names -> saved ``.npz`` frameworks, lazily

@@ -1,11 +1,13 @@
-"""Content-addressed LRU cache for the serving layer.
+"""Digest-keyed LRU cache for the serving layer.
 
 The expensive part of a serving request is feature extraction, and the
-features depend only on the *bytes* of the input field. So the cache key
-is a content digest (:func:`digest_array`) — two requests carrying equal
-arrays share one entry no matter where the arrays came from, which is
-what makes repeated fixed-ratio requests over the same fields (the FRaZ
-serving scenario) effectively free after the first hit.
+features depend only on the values the extractor reads — its block or
+stride *sample* of the field. So the service keys the cache with a
+digest (:func:`digest_array`) of that sample: equal samples give
+bitwise-equal features, so two requests whose sampled values agree share
+one entry no matter where the arrays came from, which is what makes
+repeated fixed-ratio requests over the same fields (the FRaZ serving
+scenario) cost a hash of the sample after the first hit.
 
 :class:`LRUCache` bounds its contents two ways, independently usable:
 
@@ -46,13 +48,14 @@ def digest_array(data: np.ndarray) -> str:
 
     blake2b over the raw buffer: equal arrays hash equal, and a single
     changed element changes the digest. Non-contiguous inputs are
-    compacted first so logically-equal views agree.
+    compacted first so logically-equal views agree; a contiguous input
+    is hashed in place, without a ``tobytes()`` copy.
     """
     arr = np.ascontiguousarray(data)
     h = hashlib.blake2b(digest_size=16)
     h.update(str(arr.dtype).encode())
     h.update(str(arr.shape).encode())
-    h.update(arr.tobytes())
+    h.update(arr.reshape(-1).view(np.uint8))
     return h.hexdigest()
 
 

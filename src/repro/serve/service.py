@@ -4,9 +4,15 @@ Wraps any fitted :class:`~repro.core.framework.RatioControlledFramework`
 and turns the one-shot ``predict_error_bound`` call into a serving path
 shaped for repeated traffic:
 
-- **content-addressed feature cache** — features depend only on the
-  input bytes, so they are cached under :func:`~repro.serve.cache.digest_array`
-  and repeated requests against the same field skip extraction entirely;
+- **feature cache addressed by the extractor's sample** — the extractors
+  are block- or stride-sampled, and a feature vector is a pure function
+  of the values its extractor reads
+  (:meth:`~repro.core.framework.RatioControlledFramework.feature_sample`).
+  So the key is ``(extractor identity, digest of that sample)``: a request
+  costs a hash of what the extractor reads (1/4 to 1/64 of a field), not
+  of the field, and repeated requests skip extraction entirely. This is
+  exact: equal samples give bitwise-equal features, hence bitwise-equal
+  predictions, whatever the rest of the field holds;
 - **request batching** — :meth:`PredictionService.predict_batch` extracts
   features once per *distinct* field in the batch and runs model
   inference on one stacked design matrix; error bounds are
@@ -138,6 +144,19 @@ def worker_extract_spec(framework) -> tuple[str, int | None] | None:
     return None
 
 
+def _feature_key(framework, arr: np.ndarray) -> tuple:
+    """Cache key of ``arr``'s features under ``framework``'s extractor.
+
+    The extractor identity keeps a registry hot-swap to another extractor
+    from being served the old one's vectors. Only the two known extractors
+    are trusted to be pure functions of ``feature_sample`` — a subclass may
+    override extraction alone — so anything else hashes the whole array.
+    """
+    spec = worker_extract_spec(framework)
+    sample = arr if spec is None else framework.feature_sample(arr)
+    return (spec or type(framework), digest_array(sample))
+
+
 def _verify_task(compressor: str, data: np.ndarray, error_bound: float) -> float:
     """Worker-side compression-verification: the achieved ratio."""
     return float(get_compressor(compressor).compression_ratio(data, error_bound))
@@ -209,30 +228,30 @@ class PredictionService:
     # -- features --------------------------------------------------------------
 
     def _features_for(self, framework, arr: np.ndarray) -> np.ndarray:
-        digest = digest_array(arr)
-        feats = self.cache.get(digest)
+        key = _feature_key(framework, arr)
+        feats = self.cache.get(key)
         if feats is None:
             feats = framework.extract_features(arr)
-            self.cache.put(digest, feats)
+            self.cache.put(key, feats)
         return feats
 
     def _batch_features(
-        self, framework, arrays: list[np.ndarray], digests: list[str]
-    ) -> dict[str, np.ndarray]:
-        """Features per distinct digest, extracting each missing field once."""
-        by_digest: dict[str, np.ndarray] = {}
-        missing: list[tuple[str, np.ndarray]] = []
-        for arr, digest in zip(arrays, digests):
-            if digest in by_digest:
+        self, framework, arrays: list[np.ndarray], keys: list[tuple]
+    ) -> dict[tuple, np.ndarray]:
+        """Features per distinct key, extracting each missing sample once."""
+        by_key: dict[tuple, np.ndarray] = {}
+        missing: list[tuple[tuple, np.ndarray]] = []
+        for arr, key in zip(arrays, keys):
+            if key in by_key:
                 continue
-            feats = self.cache.get(digest)
+            feats = self.cache.get(key)
             if feats is None:
-                missing.append((digest, arr))
-                by_digest[digest] = None  # placeholder, filled below
+                missing.append((key, arr))
+                by_key[key] = None  # placeholder, filled below
             else:
-                by_digest[digest] = feats
+                by_key[key] = feats
         if not missing:
-            return by_digest
+            return by_key
         spec = self._worker_extract_spec(framework)
         if self.options.workers > 0 and len(missing) > 1 and spec is not None:
             kind, stride = spec
@@ -241,11 +260,11 @@ class PredictionService:
             )
         else:
             rows = list(framework.extract_features_many([arr for _, arr in missing]))
-        for (digest, _), feats in zip(missing, rows):
+        for (key, _), feats in zip(missing, rows):
             feats = np.asarray(feats, dtype=np.float64)
-            by_digest[digest] = feats
-            self.cache.put(digest, feats)
-        return by_digest
+            by_key[key] = feats
+            self.cache.put(key, feats)
+        return by_key
 
     # -- serving ---------------------------------------------------------------
 
@@ -265,7 +284,7 @@ class PredictionService:
     ) -> list[Prediction] | list[VerifiedPrediction]:
         """Serve ``[(field, target_ratio), ...]`` as one batch.
 
-        Feature extraction runs once per distinct field (cache-aware,
+        Feature extraction runs once per distinct sample (cache-aware,
         worker fan-out when enabled) and model inference runs on one
         stacked feature matrix. With ``verify=True`` every prediction is
         checked by actually compressing (fanned across workers) and
@@ -281,9 +300,9 @@ class PredictionService:
         if not pairs:
             return []
         with timed_span("serve.predict_batch", n_requests=len(pairs)):
-            digests = [digest_array(a) for a, _ in pairs]
-            by_digest = self._batch_features(framework, [a for a, _ in pairs], digests)
-            F = np.stack([by_digest[d] for d in digests])
+            keys = [_feature_key(framework, a) for a, _ in pairs]
+            by_key = self._batch_features(framework, [a for a, _ in pairs], keys)
+            F = np.stack([by_key[k] for k in keys])
             ratios = np.array([r for _, r in pairs], dtype=np.float64)
             ebs, stds = framework.model.predict_error_bound_batch_with_std(
                 F, ratios, safety=safety

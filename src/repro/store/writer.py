@@ -252,7 +252,7 @@ class StoreWriter:
     ``predictor`` is either a fitted
     :class:`~repro.core.framework.RatioControlledFramework` or a
     :class:`repro.serve.PredictionService` wrapping one — the service
-    route reuses its content-addressed feature cache, so re-packing an
+    route reuses its sample-addressed feature cache, so re-packing an
     already-served field skips feature extraction per chunk.
     """
 

@@ -66,6 +66,77 @@ class TestPrediction:
         assert rf.score(X, y) <= 1.0
 
 
+def _per_tree(rf, X):
+    """The reference the flat traversal must match bit for bit: one
+    ``tree.predict`` per tree, mean summed tree by tree, spread over the
+    stacked last axis."""
+    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    preds = np.stack([tree.predict(X) for tree in rf.trees], axis=-1)
+    mean = np.zeros(X.shape[0])
+    for k in range(preds.shape[-1]):
+        mean += preds[..., k]
+    return mean / len(rf.trees), preds.std(axis=-1)
+
+
+class TestFlatTraversal:
+    @pytest.fixture(scope="class")
+    def problem(self):
+        rng = np.random.default_rng(5)
+        X = rng.standard_normal((400, 6))
+        y = np.sin(X[:, 0]) + X[:, 1] ** 2 + 0.1 * rng.standard_normal(400)
+        Q = rng.standard_normal((300, 6))
+        Q[3, 2] = np.nan  # a NaN feature goes right at every split on it
+        Q[7] = np.nan
+        return X, y, Q
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            dict(n_estimators=15),
+            dict(n_estimators=1),
+            dict(n_estimators=7, max_depth=0),  # every tree a single leaf
+            dict(n_estimators=200, max_depth=3),
+            dict(n_estimators=30, bootstrap=False, max_features="sqrt"),
+            dict(n_estimators=3, bootstrap=False, max_features=None),
+            dict(n_estimators=40, min_samples_leaf=5),
+        ],
+        ids=lambda p: "-".join(f"{k}={v}" for k, v in p.items()),
+    )
+    def test_bitwise_equal_to_per_tree_prediction(self, problem, params, monkeypatch):
+        X, y, Q = problem
+        rf = RandomForestRegressor(random_state=1, **params).fit(X, y)
+        mean, std = _per_tree(rf, Q)
+
+        def check_batch_of_300():
+            np.testing.assert_array_equal(rf.predict(Q), mean)
+            np.testing.assert_array_equal(rf.predict_std(Q), std)
+            both = rf.predict_with_std(Q)
+            np.testing.assert_array_equal(both[0], mean)
+            np.testing.assert_array_equal(both[1], std)
+
+        check_batch_of_300()
+        monkeypatch.setattr("repro.ml.forest._WALK_PAIRS", 2 * rf.n_estimators)
+        check_batch_of_300()  # walked two rows at a time: same bits
+        # batch of 1 vs batch of 300
+        for i in (0, 3, 7, 299):
+            assert np.array_equal(rf.predict(Q[i]), mean[i], equal_nan=True)
+            assert np.array_equal(rf.predict_std(Q[i])[0], std[i], equal_nan=True)
+            one = rf.predict_with_std(Q[i : i + 1])
+            assert np.array_equal(one[0][0], mean[i], equal_nan=True)
+            assert np.array_equal(one[1][0], std[i], equal_nan=True)
+
+    def test_flat_arrays_follow_the_trees(self, problem):
+        X, y, Q = problem
+        rf = RandomForestRegressor(n_estimators=5, random_state=0).fit(X, y)
+        before = rf.predict(Q)
+        rf.fit(X, -y)  # refit: the arrays derived from the old trees are dropped
+        np.testing.assert_array_equal(rf.predict(Q), _per_tree(rf, Q)[0])
+        assert not np.array_equal(rf.predict(Q), before)
+        other = RandomForestRegressor(n_estimators=5, random_state=3).fit(X, y)
+        rf.trees = other.trees  # what model loading does
+        np.testing.assert_array_equal(rf.predict(Q), other.predict(Q))
+
+
 class TestParams:
     def test_get_params_round_trip(self):
         rf = RandomForestRegressor(

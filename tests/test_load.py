@@ -462,5 +462,12 @@ class TestBench:
         out = write_report(report, tmp_path / "BENCH_serve.json")
         assert load_report(out) == report
         assert load_report(tmp_path / "missing.json") is None
+        # replacing a report appends the old figures to its history
+        for commit, capacity in (("aaa", 10.0), ("bbb", 20.0)):
+            write_report({**report, "commit": commit, "capacity_rps": capacity}, out)
+        assert load_report(out)["capacity_rps"] == 20.0
+        assert [(h["commit"], h["capacity_rps"]) for h in load_report(out)["history"]] == [
+            (None, None), ("aaa", 10.0)
+        ]
         (tmp_path / "bad.json").write_text('{"schema": "other/v1"}')
         assert load_report(tmp_path / "bad.json") is None

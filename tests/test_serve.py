@@ -1,5 +1,6 @@
 """The repro.serve serving layer: cache, pool, registry, service."""
 
+import asyncio
 import os
 import time
 
@@ -8,6 +9,7 @@ import pytest
 
 from repro import load_dataset
 from repro.api import Carol, Fxrz, Service, ServiceOptions, save
+from repro.load import Gateway
 from repro.serve import (
     LRUCache,
     ModelRegistry,
@@ -52,6 +54,13 @@ class TestDigest:
         a = rng.random((10, 10))
         view = a[::2, ::2]
         assert digest_array(view) == digest_array(view.copy())
+
+    def test_digests_are_pinned(self):
+        # hashing the buffer in place must not move a single digest
+        a = np.arange(24, dtype=np.float32).reshape(2, 3, 4)
+        assert digest_array(a) == "077f272ba38b37325dbecc75e7f2d124"
+        view = np.arange(60, dtype=np.float64).reshape(6, 10)[::2, 1::3]
+        assert digest_array(view) == "9b58bb71b8912338ba4aaf284bccca6d"
 
 
 class TestLRUCache:
@@ -436,6 +445,128 @@ class TestPredictionService:
             assert svc.predict(data, 7.0).error_bound == direct
             assert svc.predict(data, 7.0).error_bound == direct
             assert svc.stats().cache.hits == 0
+
+
+class _WholeArrayCarol(Carol):
+    """An extractor the service does not know: reads every element."""
+
+    def _extract_features(self, data):
+        return np.array([data.mean(), data.max() - data.min(), data.std(), 0.0, 0.0]), 0.0
+
+
+def _framework(kind: str, fitted):
+    """Carol, FXRZ (stride 4 / full) or an unknown subclass around the one
+    fitted model — the key depends on the extractor, not on the forest."""
+    if kind == "carol":
+        return fitted
+    if kind == "unknown":
+        fw = _WholeArrayCarol(compressor="szx")
+    else:
+        fw = Fxrz(compressor="szx")
+        fw.feature_stride = {"fxrz4": 4, "fxrz_full": None}[kind]
+    fw.model = fitted.model
+    return fw
+
+
+def _sampled_mask(fw, shape) -> np.ndarray:
+    """Which elements ``fw.feature_sample`` keeps, by sampling an index grid."""
+    index = np.arange(int(np.prod(shape)), dtype=np.float64).reshape(shape)
+    mask = np.zeros(index.size, dtype=bool)
+    mask[fw.feature_sample(index).ravel().astype(np.int64)] = True
+    return mask.reshape(shape)
+
+
+def _same_bits(a, b) -> bool:
+    return a.error_bound == b.error_bound and np.array_equal(a.features, b.features)
+
+
+SAMPLE_SHAPES = [(200,), (70, 45), (10, 12, 12), (33, 70, 65), (160, 40, 40)]
+
+
+class TestSampleAddressedCache:
+    """The feature cache is keyed by what the extractor reads. That is exact
+    only while the key and the extractor sample with the same function —
+    these tests fail if the two ever drift."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", SAMPLE_SHAPES)
+    @pytest.mark.parametrize("kind", ["carol", "fxrz4", "fxrz_full"])
+    def test_key_is_exactly_the_extractors_sample(self, fitted, rng, kind, shape, dtype):
+        fw = _framework(kind, fitted)
+        data = rng.standard_normal(shape).astype(dtype)
+        sampled = _sampled_mask(fw, shape)
+        assert kind == "fxrz_full" or not sampled.all()
+        with Service(fw) as svc:
+            first = svc.predict(data, 8.0)
+            assert _same_bits(first, fw.predict_error_bound(data, 8.0))
+
+            # (i) rewrite EVERY element outside the sample: still a hit, and
+            # the cached answer is what the extractor gives on the new array
+            # (it would not be if the extractor read anything the key skips)
+            outside = data.copy()
+            outside[~sampled] = rng.standard_normal(int((~sampled).sum())).astype(dtype)
+            served = svc.predict(outside, 8.0)
+            assert svc.stats().cache.misses == 1
+            assert svc.stats().cache.hits == 1
+            assert _same_bits(served, fw.predict_error_bound(outside, 8.0))
+
+            # (ii) one element inside the sample: another key, a miss
+            inside = data.copy()
+            inside[tuple(np.argwhere(sampled)[-1])] += 1.0
+            served = svc.predict(inside, 8.0)
+            assert svc.stats().cache.misses == 2
+            assert _same_bits(served, fw.predict_error_bound(inside, 8.0))
+
+    @pytest.mark.parametrize("kind", ["carol", "fxrz4", "fxrz_full", "unknown"])
+    def test_every_entry_point_returns_the_frameworks_bits(self, fitted, rng, kind):
+        fw = _framework(kind, fitted)
+        a = rng.standard_normal((33, 40, 36)).astype(np.float32)
+        b = a.copy()
+        b[-1, -1, -1] += 1.0  # outside CAROL's and FXRZ's samples
+        requests = [(a, 4.0), (b, 9.0), (a, 17.0), (b, 4.0)]
+        direct = [fw.predict_error_bound(d, r) for d, r in requests]
+
+        async def through_gateway(svc):
+            async with Gateway(svc) as gw:
+                return await asyncio.gather(*(gw.submit(d, r) for d, r in requests))
+
+        with Service(fw) as svc:
+            assert all(_same_bits(svc.predict(d, r), p) for (d, r), p in zip(requests, direct))
+            assert all(_same_bits(g, p) for g, p in zip(svc.predict_batch(requests), direct))
+            assert all(
+                _same_bits(g, p) for g, p in zip(asyncio.run(through_gateway(svc)), direct)
+            )
+            targets = svc.predict_targets(b, [9.0, 4.0])
+            assert targets.error_bounds.tolist() == [direct[1].error_bound, direct[3].error_bound]
+
+    def test_unknown_subclass_keeps_the_whole_array_key(self, fitted, rng):
+        # (iv) it inherits Carol's feature_sample but extracts on its own,
+        # so only the whole array is known to determine its features
+        fw = _framework("unknown", fitted)
+        a = rng.standard_normal((33, 40, 36)).astype(np.float32)
+        b = a.copy()
+        b[-1, -1, -1] += 1.0
+        with Service(fw) as svc:
+            svc.predict(a, 8.0)
+            served = svc.predict(b, 8.0)
+            assert svc.stats().cache.misses == 2
+        assert _same_bits(served, fw.predict_error_bound(b, 8.0))
+
+    def test_hot_swap_to_another_extractor_is_not_served_stale_features(
+        self, fitted, train_fields
+    ):
+        data = train_fields[0].data
+        fxrz = _framework("fxrz4", fitted)
+        reg = ModelRegistry()
+        reg.add("prod", fitted)
+        with Service.from_registry(reg, "prod") as svc:
+            svc.predict(data, 8.0)
+            reg.add("prod", fxrz)  # same name, same data, another extractor
+            served = svc.predict(data, 8.0)
+            batched = svc.predict_batch([(data, 8.0)])[0]
+        assert not np.array_equal(fxrz.extract_features(data), fitted.extract_features(data))
+        assert _same_bits(served, fxrz.predict_error_bound(data, 8.0))
+        assert _same_bits(batched, fxrz.predict_error_bound(data, 8.0))
 
 
 class TestServiceOptions:
