@@ -16,7 +16,7 @@ All satisfy the pointwise absolute error bound and are monotone:
 compression ratio is non-decreasing in the error bound.
 """
 
-from repro.compressors.base import CompressionResult, LossyCompressor
+from repro.compressors.base import CompressionResult, LossyCompressor, Sizer
 from repro.compressors.registry import available_compressors, get_compressor
 from repro.compressors.sperr import SPERRCompressor
 from repro.compressors.sz3 import SZ3Compressor
@@ -26,6 +26,7 @@ from repro.compressors.zfp import ZFPCompressor
 __all__ = [
     "CompressionResult",
     "LossyCompressor",
+    "Sizer",
     "SZXCompressor",
     "ZFPCompressor",
     "SZ3Compressor",

@@ -69,6 +69,28 @@ class CompressionResult:
         )
 
 
+class Sizer:
+    """``error_bound -> compressed_bytes`` for one array under one codec.
+
+    What :meth:`LossyCompressor.sizer` returns. This base form *is* the
+    real compressor: each call runs ``compress`` and keeps what it
+    produced in ``result``, so a search that probes through it already
+    owns the bytes of its best probe. A closed-form subclass measures
+    without encoding and leaves ``result`` at ``None`` — the caller then
+    encodes once, at the error bound it settled on.
+    """
+
+    result: CompressionResult | None = None
+
+    def __init__(self, codec: "LossyCompressor", arr: np.ndarray) -> None:
+        self._codec = codec
+        self._arr = arr
+
+    def __call__(self, error_bound: float) -> int:
+        self.result = self._codec.compress(self._arr, error_bound)
+        return self.result.compressed_bytes
+
+
 class LossyCompressor(abc.ABC):
     """Error-bounded lossy compressor.
 
@@ -131,6 +153,18 @@ class LossyCompressor(abc.ABC):
     def compression_ratio(self, data: np.ndarray, error_bound: float) -> float:
         """Convenience: ratio only (the quantity f(e) in the paper)."""
         return self.compress(data, error_bound).ratio
+
+    def sizer(self, data: np.ndarray) -> Sizer:
+        """The ratio-only primitive: ``sizer(x)(eb)`` equals
+        ``compress(x, eb).compressed_bytes`` for every valid ``eb``.
+
+        Whatever does not depend on the error bound (validation, upcast,
+        per-block statistics) is done here, once per array; the returned
+        :class:`Sizer` is then called once per probe. The default runs
+        the real compressor — every codec has one, and it is the oracle
+        a closed-form override is tested against.
+        """
+        return Sizer(self, as_float_array(data))
 
     def roundtrip(
         self, data: np.ndarray, error_bound: float

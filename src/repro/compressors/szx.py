@@ -23,12 +23,73 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.compressors.base import LossyCompressor, quantization_step
+from repro.compressors.base import (
+    CompressionResult,
+    LossyCompressor,
+    Sizer,
+    quantization_step,
+)
 from repro.encoding.bitstream import BitReader, BitWriter, pack_uint_array
 from repro.obs import StageClock
+from repro.utils.validation import as_float_array, check_error_bound, require_finite
 
 BLOCK = 128
 _K_BITS = 6  # width field per non-constant block (widths 0..63)
+
+
+def _as_blocks(flat: np.ndarray, bs: int) -> np.ndarray:
+    """``flat`` as rows of ``bs`` values; edge padding repeats the last
+    value, so it stays inside the last block's value range."""
+    nblocks = -(-flat.size // bs)
+    pad = nblocks * bs - flat.size
+    if pad:
+        flat = np.concatenate((flat, np.full(pad, flat[-1])))
+    return flat.reshape(nblocks, bs)
+
+
+def _code_widths(qmax: np.ndarray) -> np.ndarray:
+    """Bit length of each block's largest quantization code (uint64 in,
+    int64 out; 0 for a zero code)."""
+    w = np.zeros(qmax.size, dtype=np.int64)
+    nz = qmax > 0
+    w[nz] = np.floor(np.log2(qmax[nz].astype(np.float64))).astype(np.int64) + 1
+    # guard against log2 rounding at exact powers of two
+    too_small = (np.uint64(1) << w.astype(np.uint64)) <= qmax
+    w[too_small] += 1
+    return w
+
+
+class _ClosedFormSizer(Sizer):
+    """SZx's size without its bits: the stage that fixes the size (the
+    per-block constant test and bit width) needs only each block's
+    spread, so one min/max pass serves every error bound.
+
+    Exact, not an estimate: subtracting the block minimum, dividing by
+    the step and ``rint`` are all monotone, so a block's largest code is
+    the code of its largest value — ``rint(spread / step)``, the very
+    float operations ``_compress`` applies to that element.
+    """
+
+    def __init__(self, arr: np.ndarray, block_size: int) -> None:
+        blocks = _as_blocks(arr.ravel(), block_size)
+        # float32 -> float64 is exact and order-preserving, so the
+        # min/max pass can run in the input's own dtype.
+        self._spread = blocks.max(axis=1).astype(np.float64) - blocks.min(
+            axis=1
+        ).astype(np.float64)
+        self._block_size = block_size
+
+    def __call__(self, error_bound: float) -> int:
+        eb = check_error_bound(error_bound)
+        spread = self._spread
+        nc_spread = spread[spread > 2.0 * eb]
+        n_nc = nc_spread.size
+        # const flags, then 64-bit midpoints | 64-bit minima + width fields
+        bits = spread.size + 64 * (spread.size - n_nc) + (64 + _K_BITS) * n_nc
+        if n_nc:
+            qmax = np.rint(nc_spread / quantization_step(eb)).astype(np.uint64)
+            bits += self._block_size * int(_code_widths(qmax).sum())
+        return (bits + 7) // 8 + CompressionResult._HEADER_BYTES
 
 
 class SZXCompressor(LossyCompressor):
@@ -41,20 +102,22 @@ class SZXCompressor(LossyCompressor):
             raise ValueError("block_size must be >= 2")
         self.block_size = int(block_size)
 
+    def sizer(self, data: np.ndarray) -> Sizer:
+        arr = as_float_array(data)
+        require_finite(arr)
+        return _ClosedFormSizer(arr, self.block_size)
+
     # -- encoding ---------------------------------------------------------
 
     def _compress(self, data: np.ndarray, error_bound: float) -> tuple[bytes, dict]:
         bs = self.block_size
         flat = data.ravel()
         n = flat.size
-        nblocks = -(-n // bs)
         clock = StageClock("compressor.stage", codec=self.name)
 
         with clock("quantize"):
-            pad = nblocks * bs - n
-            if pad:  # edge padding stays inside the last block's value range
-                flat = np.concatenate((flat, np.full(pad, flat[-1])))
-            blocks = flat.reshape(nblocks, bs)
+            blocks = _as_blocks(flat, bs)
+            nblocks = blocks.shape[0]
             bmin = blocks.min(axis=1)
             bmax = blocks.max(axis=1)
             const = (bmax - bmin) <= 2.0 * error_bound
@@ -64,14 +127,7 @@ class SZXCompressor(LossyCompressor):
             if any_nc:
                 step = quantization_step(error_bound)
                 q = np.rint((blocks[nc] - bmin[nc, None]) / step).astype(np.uint64)
-                qmax = q.max(axis=1)
-                w = np.zeros(qmax.size, dtype=np.int64)
-                nz = qmax > 0
-                # bit_length of the per-block max quantization code
-                w[nz] = np.floor(np.log2(qmax[nz].astype(np.float64))).astype(np.int64) + 1
-                # guard against log2 rounding at exact powers of two
-                too_small = (np.uint64(1) << w.astype(np.uint64)) <= qmax
-                w[too_small] += 1
+                w = _code_widths(q.max(axis=1))
 
         with clock("encode"):
             writer = BitWriter()

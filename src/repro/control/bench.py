@@ -22,12 +22,14 @@ Three phases, mirroring ``codec-bench`` / ``read-bench`` / ``load-bench``:
      model was trained on shifts, the forest cannot extrapolate, and the
      OFF pack misses its byte budget badly. The ON pack detects the miss
      (spread and drift triggers), escalates within its risk budget, and
-     must land within 10% whole-store drift while reporting how many
-     real compressions the rescue cost.
+     must land within 10% whole-store drift at a bounded cost — at most
+     ``refine_compressions`` probes per escalated chunk, and never more
+     real compressions than probes (fewer where the codec sizes a probe
+     in closed form) — while reporting both counts.
 
 The report is committed as ``BENCH_control.json`` at the repo root,
-commit-stamped. ``--check`` (CI) keeps the neutrality, determinism, and
-rescue gates on a tiny fixture, writes nothing.
+commit-stamped. ``--check`` (CI) keeps the neutrality, determinism,
+rescue and cost gates on a tiny fixture, writes nothing.
 """
 
 from __future__ import annotations
@@ -35,8 +37,6 @@ from __future__ import annotations
 import json
 import time
 from pathlib import Path
-
-import numpy as np
 
 from repro.bench.codec_bench import repo_commit
 from repro.control.policy import ControlOptions
@@ -196,12 +196,18 @@ def run_control_bench(
         "off": _pack_summary(ood_off_report, ood_off_wall),
         "on": _pack_summary(ood_on_report, ood_on_wall),
     }
+    spent = ood_on_report.control
     gates = {
         "neutral": bool(neutral),
         "deterministic": bool(deterministic),
         "ood_rescued": bool(
             ood_on_report.budget_drift <= RESCUE_DRIFT
             and ood_on_report.budget_drift < ood_off_report.budget_drift
+        ),
+        "bounded_cost": bool(
+            spent.compressions_spent
+            <= spent.probes_spent
+            <= spent.t2 * control.refine_compressions
         ),
     }
     return {
@@ -242,7 +248,7 @@ def format_report(report: dict) -> str:
             if report["gates"]["deterministic"] else "DIVERGED across worker counts"
         ),
         f"{'scenario':<10} {'mode':<4} {'wall s':>8} {'ratio':>8} {'drift':>7} "
-        f"{'worst':>7} {'t0':>4} {'t1':>4} {'t2':>4} {'compr':>6}",
+        f"{'worst':>7} {'t0':>4} {'t1':>4} {'t2':>4} {'probes':>6} {'compr':>6}",
     ]
     for scenario in ("fitted", "ood"):
         for mode in ("off", "on"):
@@ -253,18 +259,21 @@ def format_report(report: dict) -> str:
                 f"{row['achieved_ratio']:>8.2f} {row['budget_drift']:>7.1%} "
                 f"{row['worst_chunk_drift']:>7.1%} "
                 f"{ctrl.get('t0', '-'):>4} {ctrl.get('t1', '-'):>4} "
-                f"{ctrl.get('t2', '-'):>4} {ctrl.get('compressions_spent', '-'):>6}"
+                f"{ctrl.get('t2', '-'):>4} {ctrl.get('probes_spent', '-'):>6} "
+                f"{ctrl.get('compressions_spent', '-'):>6}"
             )
     lines.append(
         f"fitted ON/OFF wall ratio: {report['fitted']['wall_ratio']:.3f}x"
     )
     on, off = report["ood"]["on"], report["ood"]["off"]
     verdict = "RESCUED" if report["gates"]["ood_rescued"] else "NOT RESCUED"
-    spent = (on["control"] or {}).get("compressions_spent", 0)
+    ctrl = on["control"] or {}
     lines.append(
         f"ood rescue: drift {off['budget_drift']:.1%} (off) -> "
         f"{on['budget_drift']:.1%} (on, gate {report['rescue_drift_gate']:.0%}) "
-        f"at {spent} refine compressions — {verdict}"
+        f"at {ctrl.get('probes_spent', 0)} refine probes / "
+        f"{ctrl.get('compressions_spent', 0)} compressions, "
+        f"{ctrl.get('unreachable', 0)} unreachable — {verdict}"
     )
     return "\n".join(lines)
 

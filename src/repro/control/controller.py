@@ -47,8 +47,8 @@ class ControlledPrediction:
 
     @property
     def compressions(self) -> int:
-        """Real compressor runs this request cost *before* the final
-        compression (0 unless it escalated to T2)."""
+        """Real compressor runs this request cost (0 unless it escalated
+        to T2, whose search result already holds the final bytes)."""
         return self.fraz.n_compressions if self.fraz is not None else 0
 
 
@@ -61,7 +61,7 @@ class Controller:
     exactly like :class:`repro.store.writer.StoreWriter`; the service
     route re-resolves its framework per call, inheriting registry
     hot-reload). ``feedback``, if given, receives **every** T2
-    compression measurement as a ground-truth observation.
+    probe measurement as a ground-truth observation.
     """
 
     def __init__(
@@ -106,7 +106,7 @@ class Controller:
         self._risk_remaining = int(self.options.risk_budget)
         self._t0 = self._t1 = self._t2 = 0
         self._esc_std = self._esc_pressure = 0
-        self._compressions = 0
+        self._compressions = self._probes = self._unreachable = 0
 
     @property
     def risk_remaining(self) -> int:
@@ -245,7 +245,9 @@ class Controller:
         chunks cost the same bytes for every worker count. Every probe's
         ``(eb, ratio)`` measurement is logged into the feedback loop when
         one is attached and ``features`` are known — the caller should
-        then *not* log the chunk again.
+        then *not* log the chunk again. Probes go through the codec's
+        sizer, so they are exact but not necessarily compressions: the
+        stats count both (``probes_spent`` vs ``compressions_spent``).
         """
         codec = self.framework.compressor_name
         if self._search is None or self._search_codec != codec:
@@ -259,6 +261,8 @@ class Controller:
             data, target_ratio, initial_eb=initial_eb
         )
         self._compressions += fraz.n_compressions
+        self._probes += fraz.n_probes
+        self._unreachable += int(not fraz.reachable)
         if self.feedback is not None and features is not None:
             feats = np.asarray(features, dtype=np.float64)
             if feats.size:
@@ -322,5 +326,7 @@ class Controller:
             escalations_std=self._esc_std,
             escalations_pressure=self._esc_pressure,
             compressions_spent=self._compressions,
+            probes_spent=self._probes,
+            unreachable=self._unreachable,
             budget_drift=float(budget_drift),
         )

@@ -67,10 +67,12 @@ def refine_error_bound(
 
     The prior tier's error bound seeds the search
     (:meth:`FrazSearch.compress_to_ratio` with ``initial_eb``), so a
-    roughly-right guess converges in 1–3 compressions instead of the cold
-    bracket's full budget. ``max_compressions`` is a hard cap; the result
-    reports ``converged`` and its full ``(eb, ratio)`` history — each
-    entry a free ground-truth observation for the feedback loop.
+    roughly-right guess converges in 1–3 probes instead of the cold
+    bracket's full budget. ``max_compressions`` is a hard cap on probes
+    (each a real compression unless the codec sizes in closed form);
+    the result reports ``converged``, ``reachable`` and its full
+    ``(eb, ratio)`` history — each entry a free ground-truth observation
+    for the feedback loop.
     """
     search = FrazSearch(
         compressor, tolerance=tolerance, max_iterations=max_compressions

@@ -10,8 +10,9 @@ T0    HEURISTIC   surrogate-curve inversion, no features/model     cheapest
 T1    MODEL       the fitted model's prediction (the default)      1 feature
                                                                    pass + 1
                                                                    forest pass
-T2    REFINE      FRaZ-style iterative search against the real     1–N real
-                  compressor, warm-started from the prior tier     compressions
+T2    REFINE      FRaZ-style iterative search against the real     1–N probes
+                  compressor, warm-started from the prior tier     (at most N
+                                                                   compressions)
 ====  ==========  ===============================================  ========
 
 :func:`decide_tier` is the *entire* decision — a pure, deterministic
@@ -69,8 +70,9 @@ class ControlOptions:
 
     ``risk_budget`` caps T2 escalations per pack (the store consumes it
     chunk-by-chunk in flat chunk-id order, so the cap binds
-    deterministically). ``refine_compressions`` bounds the real
-    compressions any single T2 search may spend, and
+    deterministically). ``refine_compressions`` bounds the probes
+    (``(eb, ratio)`` measurements — real compressions unless the codec
+    sizes in closed form) any single T2 search may spend, and
     ``refine_tolerance`` is its per-request convergence band.
     ``heuristic_points`` sizes the surrogate curve the T0 tier inverts,
     and ``std_window`` is how many committed chunk spreads the store's
@@ -163,8 +165,14 @@ class ControlStats:
     drift); ``compressions_spent`` is the total real compressor runs the
     T2 searches consumed (each chunk would have cost one compression
     anyway, so the *overhead* is ``compressions_spent - t2``);
-    ``budget_drift`` is the final whole-pack relative ratio drift
-    (``nan`` outside a pack context).
+    ``probes_spent`` is the search budget those T2 searches used — every
+    ``(eb, ratio)`` they measured; it equals ``compressions_spent`` for
+    a codec whose only sizer is the compressor itself and exceeds it
+    where the size has a closed form (szx: one compression per T2
+    chunk); ``unreachable`` counts T2 searches that ended on a bracket
+    end with the target outside the codec's range there — the chunk was
+    stored at that end, not at its target; ``budget_drift`` is the final
+    whole-pack relative ratio drift (``nan`` outside a pack context).
     """
 
     t0: int
@@ -173,6 +181,8 @@ class ControlStats:
     escalations_std: int
     escalations_pressure: int
     compressions_spent: int
+    probes_spent: int
+    unreachable: int
     budget_drift: float
 
     @property
@@ -191,5 +201,7 @@ class ControlStats:
             "escalations_std": self.escalations_std,
             "escalations_pressure": self.escalations_pressure,
             "compressions_spent": self.compressions_spent,
+            "probes_spent": self.probes_spent,
+            "unreachable": self.unreachable,
             "budget_drift": self.budget_drift,
         }

@@ -11,6 +11,14 @@ control matters most.
 
 The search exploits the monotonicity of f(e): geometric bracketing followed
 by bisection on log(error bound).
+
+Measure, then encode: the search only ever reads the *ratio* of a probe
+and keeps the bytes of one, so it probes through
+:meth:`~repro.compressors.base.LossyCompressor.sizer`. For most codecs a
+probe is still a full compression (and the best probe's result is kept,
+so nothing is compressed twice); where the codec's size has a closed form
+(szx) a probe costs one pass over per-block statistics and the search
+runs the real compressor exactly once, at the error bound it settled on.
 """
 
 from __future__ import annotations
@@ -27,7 +35,15 @@ from repro.utils.validation import as_float_array
 
 @dataclass
 class FrazResult:
-    """Outcome of one fixed-ratio search."""
+    """Outcome of one fixed-ratio search.
+
+    ``history`` holds every probe's exact ``(eb, ratio)``;
+    ``n_compressions`` counts the real compressor runs behind them (one
+    per probe, or a single final encode when the codec's sizer is a
+    closed form). ``reachable`` is False when a probe at a
+    ``rel_eb_bracket`` end showed the target lies outside the codec's
+    range there — ``result`` is then the nearest end, not an answer.
+    """
 
     result: CompressionResult
     error_bound: float
@@ -36,10 +52,15 @@ class FrazResult:
     elapsed: float
     converged: bool
     history: list[tuple[float, float]] = field(default_factory=list)  # (eb, ratio)
+    reachable: bool = True
 
     @property
     def achieved_ratio(self) -> float:
         return self.result.ratio
+
+    @property
+    def n_probes(self) -> int:
+        return len(self.history)
 
 
 class FrazSearch:
@@ -72,11 +93,11 @@ class FrazSearch:
 
         ``initial_eb`` warm-starts the search: instead of bracketing the
         whole relative-eb range from both ends (the cold path, unchanged),
-        the guess is compressed first and the bracket grows geometrically
+        the guess is measured first and the bracket grows geometrically
         *around it* in whichever direction the measured ratio missed. A
         guess from a surrogate curve or a model prediction is usually
         within a factor of a few of the answer, so the warm search spends
-        1–3 compressions where the cold bracket spends its full budget.
+        1–3 probes where the cold bracket spends its full budget.
         """
         if target_ratio <= 0:
             raise ValueError("target_ratio must be positive")
@@ -84,27 +105,38 @@ class FrazSearch:
             raise ValueError("initial_eb must be positive")
         arr = as_float_array(data)
         vrange = float(arr.max() - arr.min()) or 1.0
-        lo = np.log(self.rel_eb_bracket[0] * vrange)
-        hi = np.log(self.rel_eb_bracket[1] * vrange)
+        lo = lo_end = np.log(self.rel_eb_bracket[0] * vrange)
+        hi = hi_end = np.log(self.rel_eb_bracket[1] * vrange)
 
         start = time.perf_counter()
+        size = self._codec.sizer(arr)
         history: list[tuple[float, float]] = []
         best: CompressionResult | None = None
         best_eb = float(np.exp(0.5 * (lo + hi)))
         best_gap = np.inf
         converged = False
+        reachable = True
+        n_compressions = 0
 
         def run(log_eb: float) -> float:
-            nonlocal best, best_eb, best_gap, converged
+            nonlocal best, best_eb, best_gap, converged, reachable, n_compressions
             eb = float(np.exp(log_eb))
-            res = self._codec.compress(arr, eb)
-            history.append((eb, res.ratio))
-            gap = abs(res.ratio - target_ratio) / target_ratio
+            ratio = arr.nbytes / size(eb)
+            if size.result is not None:  # the probe ran the real compressor
+                n_compressions += 1
+            history.append((eb, ratio))
+            gap = abs(ratio - target_ratio) / target_ratio
             if gap < best_gap:
-                best, best_eb, best_gap = res, eb, gap
+                best, best_eb, best_gap = size.result, eb, gap
             if gap <= self.tolerance:
                 converged = True
-            return res.ratio
+            elif (log_eb <= lo_end and ratio > target_ratio) or (
+                log_eb >= hi_end and ratio < target_ratio
+            ):
+                # Measured at a bracket end and still outside the band:
+                # no error bound in the bracket reaches this target.
+                reachable = False
+            return ratio
 
         if initial_eb is not None:
             self._warm_search(
@@ -112,33 +144,30 @@ class FrazSearch:
                 done=lambda: converged,
             )
         else:
-            # Check the bracket ends first: targets outside the achievable
-            # range converge to the nearest end.
-            r_lo = run(lo)
-            if not converged and target_ratio <= r_lo:
-                pass  # lowest eb already at/above target; best is the lo end
-            else:
-                r_hi = run(hi) if not converged else None
-                if not converged and r_hi is not None and target_ratio >= r_hi:
-                    pass  # target beyond the largest achievable ratio
+            # Bracket ends first: a target outside the achievable range
+            # ends the search there (``run`` marks it unreachable).
+            run(lo)
+            if reachable and not converged:
+                run(hi)
+            while reachable and not converged and len(history) < self.max_iterations:
+                mid = 0.5 * (lo + hi)
+                if run(mid) < target_ratio:
+                    lo = mid
                 else:
-                    while not converged and len(history) < self.max_iterations:
-                        mid = 0.5 * (lo + hi)
-                        r_mid = run(mid)
-                        if r_mid < target_ratio:
-                            lo = mid
-                        else:
-                            hi = mid
+                    hi = mid
 
-        assert best is not None
+        if best is None:  # the best probe measured without encoding
+            best = self._codec.compress(arr, best_eb)
+            n_compressions += 1
         return FrazResult(
             result=best,
             error_bound=best_eb,
             target_ratio=float(target_ratio),
-            n_compressions=len(history),
+            n_compressions=n_compressions,
             elapsed=time.perf_counter() - start,
             converged=converged,
             history=history,
+            reachable=reachable,
         )
 
     def _warm_search(
@@ -151,11 +180,12 @@ class FrazSearch:
         that *doubles with each probe* in whichever direction the ratio
         missed, clamped to the absolute ``rel_eb_bracket`` ends, and the
         usual bisection finishes inside it. Accelerating the step keeps
-        the compression count logarithmic in how wrong the guess is: a
+        the probe count logarithmic in how wrong the guess is: a
         guess off by three orders of magnitude brackets in ~3 probes
         where a constant step would burn the whole budget walking. Every
-        compression goes through ``run`` (which tracks best/converged);
-        ``done()`` reads the convergence flag.
+        probe goes through ``run`` (which tracks best/converged and
+        marks a miss at a bracket end unreachable); ``done()`` reads the
+        convergence flag.
         """
         grow = float(np.log(4.0))
         log0 = float(np.clip(np.log(initial_eb), lo_abs, hi_abs))

@@ -23,7 +23,6 @@ in-process execution so callers keep a single code path.
 from __future__ import annotations
 
 import threading
-import warnings
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeout
 from concurrent.futures.process import BrokenProcessPool
@@ -185,19 +184,6 @@ class WorkerPool:
         result = fn(*args)
         self._completed += 1
         return result
-
-    def run_many(self, fn, tasks: list[tuple]) -> list:
-        """Deprecated alias of :meth:`map_ordered` (the historical name).
-
-        Kept as a warn-and-forward shim so existing imports keep working;
-        new code should call :meth:`map_ordered`.
-        """
-        warnings.warn(
-            "WorkerPool.run_many is deprecated; use WorkerPool.map_ordered",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.map_ordered(fn, tasks)
 
     def map_ordered(self, fn, tasks, *, timeout: float | None = None) -> list:
         """Run ``fn(*task)`` for every task, preserving order.

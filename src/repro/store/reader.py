@@ -202,9 +202,6 @@ class StoreReader:
             raise CorruptChunkError(coords, self.path, "checksum mismatch")
         return payload
 
-    # kept as the historical internal name; fetch_payload is the stage API
-    _read_payload = fetch_payload
-
     # -- chunk access ------------------------------------------------------------
 
     def _cache_key(self, coords: tuple[int, ...]):

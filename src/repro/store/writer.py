@@ -198,7 +198,9 @@ class PackReport:
             c = self.control
             text += (
                 f" [control: t0={c.t0} t1={c.t1} t2={c.t2}, "
-                f"{c.compressions_spent} refine compressions]"
+                f"{c.probes_spent} refine probes, "
+                f"{c.compressions_spent} refine compressions, "
+                f"{c.unreachable} unreachable]"
             )
         return text
 

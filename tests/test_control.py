@@ -19,6 +19,7 @@ from repro.control import (
     heuristic_error_bound,
     refine_error_bound,
 )
+from repro.control.bench import format_report, run_control_bench
 from repro.core.feedback import FeedbackLoop
 from repro.core.framework import Prediction
 from repro.ml.forest import RandomForestRegressor
@@ -165,12 +166,14 @@ class TestControlStats:
     def test_derived_counts_and_dict(self):
         stats = ControlStats(
             t0=1, t1=5, t2=2, escalations_std=1, escalations_pressure=1,
-            compressions_spent=9, budget_drift=0.02,
+            compressions_spent=2, probes_spent=9, unreachable=1,
+            budget_drift=0.02,
         )
         assert stats.requests == 8
         assert stats.escalations == 2
         d = stats.as_dict()
         assert d["t2"] == 2 and d["budget_drift"] == pytest.approx(0.02)
+        assert (d["compressions_spent"], d["probes_spent"], d["unreachable"]) == (2, 9, 1)
         with pytest.raises(AttributeError):
             stats.t2 = 3
 
@@ -252,9 +255,22 @@ class TestControllerAccounting:
             feedback=loop,
         )
         fraz = ctrl.refine(smooth3d, 6.0, initial_eb=1e-3, features=np.ones(5))
-        assert fraz.n_compressions >= 1
-        assert len(loop.observations) == fraz.n_compressions
-        assert ctrl.stats().compressions_spent == fraz.n_compressions
+        # szx probes are closed-form: several measurements, each one a
+        # feedback observation, and a single real compression.
+        assert fraz.n_probes > fraz.n_compressions == 1
+        assert len(loop.observations) == fraz.n_probes
+        stats = ctrl.stats()
+        assert stats.compressions_spent == fraz.n_compressions
+        assert stats.probes_spent == fraz.n_probes
+        assert stats.unreachable == 0
+
+    def test_refine_counts_unreachable_targets(self, smooth3d):
+        ctrl = Controller(StubFramework())
+        fraz = ctrl.refine(smooth3d, 1e7, initial_eb=1e-3)
+        assert not fraz.reachable
+        assert ctrl.stats().unreachable == 1
+        ctrl.reset()
+        assert ctrl.stats().unreachable == 0
 
 
 class TestGovern:
@@ -440,8 +456,11 @@ class TestStoreIntegration:
         assert on.budget_drift <= 0.15
         stats = on.control
         assert stats.t2 >= 1
-        assert stats.compressions_spent <= stats.t2 * self.OOD_OPTS.refine_compressions
-        assert "control:" in on.summary()
+        assert stats.probes_spent <= stats.t2 * self.OOD_OPTS.refine_compressions
+        # one real compression per escalated chunk: the one that is stored
+        assert stats.compressions_spent == stats.t2 < stats.probes_spent
+        assert f"{stats.probes_spent} refine probes" in on.summary()
+        assert f"{stats.unreachable} unreachable" in on.summary()
 
     def test_manifest_round_trips_control(self, fitted, ood, tmp_path):
         path = tmp_path / "m.rps"
@@ -470,7 +489,26 @@ class TestStoreIntegration:
         assert stats.t2 >= 1
         # every T2 probe is a ground-truth observation, plus one per
         # committed model-tier chunk
-        assert len(loop.observations) >= stats.compressions_spent
+        assert len(loop.observations) >= stats.probes_spent
+
+
+class TestControlBench:
+    def test_cost_gate_counts_probes_and_compressions_apart(self, fitted):
+        """control-bench's cost gate on the szx fixture: the search budget
+        is measured in probes, and closed-form probes leave at most one
+        real compression per chunk."""
+        report = run_control_bench(
+            fitted, shape=SHAPE, chunk=CHUNK, ratio=3.0, wave_size=2,
+            workers=(0,), reps=1,
+        )
+        assert report["gates"]["neutral"] and report["gates"]["deterministic"]
+        assert report["gates"]["bounded_cost"]
+        ctrl = report["ood"]["on"]["control"]
+        assert ctrl["t2"] >= 1
+        assert ctrl["compressions_spent"] == ctrl["t2"] <= report["n_chunks"]
+        assert ctrl["probes_spent"] <= ctrl["t2"] * report["control"]["refine_compressions"]
+        text = format_report(report)
+        assert f"{ctrl['probes_spent']} refine probes" in text
 
 
 class TestServeIntegration:

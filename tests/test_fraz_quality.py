@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.compressors.base import LossyCompressor
 from repro.compressors.zfp import ZFPCompressor
 from repro.core.fraz import FrazSearch
 from repro.core.quality import max_abs_error, nrmse, psnr, rmse
@@ -50,26 +51,55 @@ class TestFrazSearch:
         out = fraz.compress_to_ratio(field.data, 8.0)
         assert out.converged
         assert abs(out.achieved_ratio - 8.0) / 8.0 <= 0.1
-        assert out.n_compressions >= 3
+        assert out.n_probes >= 3 and out.reachable
 
     def test_costs_multiple_compressions(self, field):
-        """Section 3.2: trial-and-error pays several full compressions."""
-        fraz = FrazSearch("szx", tolerance=0.02, max_iterations=14)
+        """Section 3.2: trial-and-error pays several full compressions —
+        on a codec whose size only the compressor itself can tell."""
+        fraz = FrazSearch("sz3", tolerance=0.02, max_iterations=14)
         out = fraz.compress_to_ratio(field.data, 10.0)
         assert out.n_compressions >= 4
         assert len(out.history) == out.n_compressions
 
+    def test_closed_form_codec_compresses_once(self, field):
+        """szx probes read the size without encoding: the same search
+        budget, one real compression — at the error bound it settled on."""
+        fraz = FrazSearch("szx", tolerance=0.02, max_iterations=14)
+        out = fraz.compress_to_ratio(field.data, 10.0)
+        assert out.n_probes >= 4 and out.n_compressions == 1
+        assert out.result.error_bound == out.error_bound
+        assert (out.error_bound, out.achieved_ratio) in out.history
+
     def test_target_below_achievable_clamps(self, field):
         fraz = FrazSearch("szx", max_iterations=6)
         out = fraz.compress_to_ratio(field.data, 0.5)  # < ratio at tiny eb
-        # settles at the smallest achievable ratio (lo bracket end)
+        # settles at the smallest achievable ratio (lo bracket end) —
+        # and says so instead of passing the end off as an answer
         assert out.achieved_ratio >= 1.0
-        assert out.n_compressions <= 2
+        assert out.n_probes <= 2
+        assert not out.reachable and not out.converged
 
     def test_target_above_achievable_clamps(self, field):
         fraz = FrazSearch("szx", max_iterations=6)
         out = fraz.compress_to_ratio(field.data, 1e7)
-        assert out.n_compressions <= 3  # both ends checked, hi wins
+        assert out.n_probes <= 3  # both ends checked, hi wins
+        assert not out.reachable and not out.converged
+
+    @pytest.mark.parametrize("target", [0.5, 1e7])
+    def test_warm_search_reports_unreachable_too(self, field, target):
+        fraz = FrazSearch("szx", max_iterations=12)
+        vrange = float(np.ptp(field.data))
+        out = fraz.compress_to_ratio(field.data, target, initial_eb=1e-2 * vrange)
+        assert not out.reachable and not out.converged
+        end = fraz.rel_eb_bracket[0 if target < 1 else 1] * vrange
+        assert out.error_bound == pytest.approx(end)
+
+    def test_budget_exhausted_is_not_unreachable(self, field):
+        """Running out of probes inside the bracket is a different
+        outcome from a target no error bound in the bracket can reach."""
+        fraz = FrazSearch("szx", tolerance=1e-6, max_iterations=4)
+        out = fraz.compress_to_ratio(field.data, 8.0)
+        assert not out.converged and out.reachable
 
     def test_monotone_history(self, field):
         """Bisection keeps the bracket: ratios at lo/hi straddle target."""
@@ -104,7 +134,7 @@ class TestFrazSearch:
             field.data, 8.0, initial_eb=cold.error_bound
         )
         assert warm.converged
-        assert warm.n_compressions < cold.n_compressions
+        assert warm.n_probes < cold.n_probes
 
     def test_warm_start_far_guess_still_converges(self, field):
         """The accelerating bracket: a guess off by orders of magnitude
@@ -117,6 +147,40 @@ class TestFrazSearch:
             )
             assert out.converged, factor
             assert abs(out.achieved_ratio - 8.0) / 8.0 <= 0.1
+
+
+class TestSearchProbesThroughSizer:
+    """One search loop for every codec: driving it with the default
+    (real-compress) sizer is the oracle for what it does with a
+    closed-form one, and for the compressions it spent before the split."""
+
+    CODECS = ("szx", "zfp", "sz3", "sperr", "cuszp")
+
+    @pytest.fixture(scope="class")
+    def data(self):
+        return load_field("miranda/viscosity", shape=(10, 12, 14)).data
+
+    @pytest.mark.parametrize("codec", CODECS)
+    def test_matches_real_compress_oracle(self, data, codec, monkeypatch):
+        vrange = float(np.ptp(data))
+        runs = [
+            (target, initial)
+            for target in (0.5, 4.0, 9.0, 1e7)
+            for initial in (None, 1e-9 * vrange, 1e-3 * vrange, 10.0 * vrange)
+        ]
+        search = FrazSearch(codec, tolerance=0.03, max_iterations=7)
+        got = [search.compress_to_ratio(data, t, initial_eb=i) for t, i in runs]
+        monkeypatch.setattr(type(search._codec), "sizer", LossyCompressor.sizer)
+        want = [search.compress_to_ratio(data, t, initial_eb=i) for t, i in runs]
+        for run, a, b in zip(runs, got, want):
+            assert a.history == b.history, run
+            assert a.error_bound == b.error_bound, run
+            assert a.result.payload == b.result.payload, run
+            assert a.result.metadata == b.result.metadata, run
+            assert (a.converged, a.reachable) == (b.converged, b.reachable), run
+            # the oracle is today's cost: one compression per probe
+            assert b.n_compressions == b.n_probes == a.n_probes
+            assert a.n_compressions == (1 if codec == "szx" else a.n_probes)
 
 
 class TestZfpFixedRate:

@@ -271,12 +271,6 @@ class TestWorkerPool:
         assert out == [1, 2, 3]
         assert pool.stats.timeouts == 1
 
-    def test_run_many_is_deprecated_forwarding_shim(self):
-        pool = WorkerPool(0)
-        with pytest.warns(DeprecationWarning, match="map_ordered"):
-            out = pool.run_many(_square, [(i,) for i in range(5)])
-        assert out == pool.map_ordered(_square, [(i,) for i in range(5)])
-
 
 class TestModelRegistry:
     def test_lazy_load_and_get(self, fitted, tmp_path):

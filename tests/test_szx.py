@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.compressors.base import LossyCompressor
 from repro.compressors.szx import SZXCompressor
 
 
@@ -68,3 +69,70 @@ class TestBlockSize:
     def test_invalid_block_size(self):
         with pytest.raises(ValueError):
             SZXCompressor(block_size=1)
+
+
+class TestClosedFormSizer:
+    """``sizer(x)(eb)`` is the compressed size without the bits — equal to
+    the real compressor's, not an estimate of it."""
+
+    @staticmethod
+    def _inputs(rng):
+        walk = np.cumsum(rng.standard_normal(1009))  # prime: padded tail block
+        smooth = np.cumsum(np.cumsum(rng.standard_normal((37, 41)), 0), 1)
+        cube = rng.standard_normal((9, 10, 11)) * np.linspace(1e-3, 1e3, 11)
+        mixed = np.concatenate([np.full(300, 2.5), walk[:212], np.zeros(128)])
+        cases = {
+            "constant": np.full(500, -7.25),
+            "one-element": np.array([3.5]),
+            "prime-1d": walk,
+            "2d": smooth,
+            "3d": cube,
+            "mixed-const": mixed,
+            "powers-of-two": np.tile(2.0 ** np.arange(16), 16),
+            "ints": np.arange(777) % 29,
+        }
+        for name, x in cases.items():
+            yield name, x
+            if x.dtype == np.float64:
+                yield name + "/f32", x.astype(np.float32)
+
+    def test_matches_compress_exactly(self, property_rng):
+        codecs = (SZXCompressor(), SZXCompressor(block_size=48))
+        for name, x in self._inputs(property_rng):
+            vrange = float(np.ptp(x)) or 1.0
+            ebs = np.concatenate(
+                [
+                    # from 50-bit codes (the width field holds up to 63)
+                    # to every block constant
+                    vrange * np.geomspace(1e-15, 1e3, 28),
+                    vrange * property_rng.uniform(1e-4, 0.6, 12),
+                    # exact halves of the spread: the constant-block edge
+                    [0.5 * vrange, np.nextafter(0.5 * vrange, 0.0), 1e300],
+                ]
+            )
+            for codec in codecs:
+                size = codec.sizer(x)
+                assert size.result is None
+                for eb in ebs:
+                    real = codec.compress(x, float(eb)).compressed_bytes
+                    assert size(float(eb)) == real, (name, codec.block_size, eb)
+
+    def test_default_sizer_is_the_real_compressor(self, rough1d):
+        codec = SZXCompressor()
+        size = LossyCompressor.sizer(codec, rough1d)
+        assert size(1e-3) == codec.compress(rough1d, 1e-3).compressed_bytes
+        assert size.result.payload == codec.compress(rough1d, 1e-3).payload
+
+    def test_validation_is_kept(self):
+        codec = SZXCompressor()
+        for bad in (np.array([1.0, np.nan]), np.array([np.inf, 0.0])):
+            with pytest.raises(ValueError, match="NaN or Inf"):
+                codec.sizer(bad)
+        with pytest.raises(TypeError):
+            codec.sizer(np.array([1 + 2j]))
+        with pytest.raises(ValueError):
+            codec.sizer(np.empty(0))
+        size = codec.sizer(np.arange(10.0))
+        for eb in (0.0, -1e-3, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="error_bound"):
+                size(eb)
