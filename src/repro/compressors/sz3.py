@@ -72,38 +72,37 @@ def _pass_subgrid(recon: np.ndarray, axis: int, s: int, h: int) -> np.ndarray | 
         slice(None) if a == axis else slice(0, None, h if a < axis else s)
         for a in range(recon.ndim)
     )
-    sub = np.moveaxis(recon[slicer], axis, 0)
+    order = (axis, *range(axis), *range(axis + 1, recon.ndim))
+    sub = recon[slicer].transpose(order)
     if sub.shape[0] <= h:
         return None
     return sub
 
 
-def _predict(sub: np.ndarray, h: int, s: int) -> tuple[np.ndarray, np.ndarray]:
-    """Spline prediction for mid positions ``h, h+s, ...`` along axis 0.
+def _predict(sub: np.ndarray, h: int, s: int) -> np.ndarray:
+    """Spline prediction for the mid rows ``sub[h::s]`` along axis 0.
 
-    Returns ``(mids, pred)`` where ``pred`` has the mid positions' shape.
-    All stencil points lie on the coarse (stride ``s``) grid, hence are
-    already reconstructed.
+    All stencil points lie on the coarse (stride ``s``) rows, hence are
+    already reconstructed: mid ``i`` sits between coarse rows ``i`` and
+    ``i + 1``. Interior mids (coarse rows ``i - 1 .. i + 2`` all exist)
+    get the 4-point cubic, the first mid and the one before the last
+    coarse row the 2-point linear average, and a mid past the last coarse
+    row a copy of it — each a strided slice of ``sub``, no index arrays.
     """
-    n = sub.shape[0]
-    mids = np.arange(h, n, s)
-    lm1 = sub[mids - h]
-    r1 = mids + h
-    has_r1 = r1 < n
-    rp1 = sub[np.minimum(r1, n - 1)]
-    l3 = mids - 3 * h
-    has_l3 = l3 >= 0
-    lm3 = sub[np.maximum(l3, 0)]
-    r3 = mids + 3 * h
-    has_r3 = r3 < n
-    rp3 = sub[np.minimum(r3, n - 1)]
-
-    bshape = (mids.size,) + (1,) * (sub.ndim - 1)
-    full = (has_l3 & has_r1 & has_r3).reshape(bshape)
-    linear_ok = has_r1.reshape(bshape)
-    cubic = _C0 * lm3 + _C1 * lm1 + _C1 * rp1 + _C0 * rp3
-    linear = 0.5 * (lm1 + rp1)
-    return mids, np.where(full, cubic, np.where(linear_ok, linear, lm1))
+    coarse = sub[::s]
+    nc = coarse.shape[0]
+    pred = np.empty(sub[h::s].shape, dtype=sub.dtype)
+    if nc >= 4:
+        pred[1 : nc - 2] = (
+            _C0 * coarse[: nc - 3] + _C1 * coarse[1 : nc - 2]
+            + _C1 * coarse[2 : nc - 1] + _C0 * coarse[3:]
+        )
+    if nc >= 2:  # the same row twice when nc == 2
+        pred[0] = 0.5 * (coarse[0] + coarse[1])
+        pred[nc - 2] = 0.5 * (coarse[nc - 2] + coarse[nc - 1])
+    if pred.shape[0] == nc:
+        pred[nc - 1] = coarse[nc - 1]
+    return pred
 
 
 class SZ3Compressor(LossyCompressor):
@@ -161,6 +160,11 @@ class SZ3Compressor(LossyCompressor):
         """Inverse of :meth:`_encode_codes` for the coder the stream names."""
         n_present = reader.read_elias_gamma() - 1
         present = reader.read_uint_array(n_present, _SYMBOL_BITS).astype(np.int64)
+        if n_present and present.max() >= _ALPHABET:
+            raise ValueError(
+                f"damaged sz3 {entropy} codebook: symbol {int(present.max())} "
+                f"is outside the {_ALPHABET}-symbol alphabet"
+            )
         if entropy == "range":
             from repro.encoding.range_coder import range_decode
 
@@ -195,9 +199,9 @@ class SZ3Compressor(LossyCompressor):
                 continue
             orig = _pass_subgrid(data, axis, s, h)
             with clock("predict"):
-                mids, pred = _predict(sub, h, s)
+                pred = _predict(sub, h, s)
             with clock("quantize"):
-                vals = orig[mids]
+                vals = orig[h::s]
                 q = np.rint((vals - pred) / step)
                 bad = np.abs(q) > _RADIUS
                 q = np.clip(q, -_RADIUS, _RADIUS).astype(np.int64)
@@ -205,7 +209,7 @@ class SZ3Compressor(LossyCompressor):
                 if bad.any():
                     rec = np.where(bad, vals, rec)
                     outliers.append(vals[bad].ravel())
-                sub[mids] = rec
+                sub[h::s] = rec
                 sym = q + _OFFSET
                 sym[bad] = _OUTLIER
                 codes.append(sym.ravel())
@@ -259,7 +263,7 @@ class SZ3Compressor(LossyCompressor):
             if sub is None:
                 continue
             with clock("predict"):
-                mids, pred = _predict(sub, h, s)
+                pred = _predict(sub, h, s)
             with clock("decode"):
                 sym = symbols[pos : pos + pred.size].reshape(pred.shape)
                 pos += pred.size
@@ -269,7 +273,7 @@ class SZ3Compressor(LossyCompressor):
                 if n_bad:
                     rec[bad] = out_vals[out_pos : out_pos + n_bad]
                     out_pos += n_bad
-                sub[mids] = rec
+                sub[h::s] = rec
         clock.emit()
         return recon
 

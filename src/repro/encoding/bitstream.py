@@ -9,9 +9,11 @@ reader expose bulk array operations (``write_bit_array``,
 A second chunk kind is the *packed* chunk, ``(uint8 array, bit count)`` —
 already byte-packed bits, possibly ending mid-byte. :func:`pack_uint_array`
 builds one (an ``np.unpackbits`` byte-view pack, several times faster than
-the bit-broadcast of :meth:`BitWriter.write_uint_array`) and
-:meth:`BitWriter.write_packed` appends it; :meth:`BitWriter.getvalue`
-shift-merges the mixed chunk list in one vectorized pass per chunk.
+the bit-broadcast of :meth:`BitWriter.write_uint_array`),
+:meth:`BitWriter.write_varlen_uint_array` builds one from variable-width
+values, and :meth:`BitWriter.write_packed` appends it;
+:meth:`BitWriter.getvalue` shift-merges the mixed chunk list in one
+vectorized pass per chunk.
 """
 
 from __future__ import annotations
@@ -74,13 +76,15 @@ def pack_uint_array(values: np.ndarray, nbits: int) -> _Packed:
 def window_values(bits: np.ndarray, width: int) -> np.ndarray:
     """``width``-bit MSB-first window value at every bit position.
 
-    Returns an int64 array of length ``bits.size + 1``: entry ``p`` is the
-    integer formed by bits ``p .. p+width-1``, with zeros past the end of
-    the stream (the same zero padding a :class:`BitWriter` applies when
-    packing to bytes). Computed without materializing a ``(n, width)``
-    matrix: the bits are packed to bytes once, adjacent bytes are fused
-    into 24-bit words, and every window is one gather plus one shift —
-    the bulk extract primitive behind the table-driven Huffman decoder.
+    Returns a uint16 array (a window is at most 16 bits) of length
+    ``bits.size + 1``: entry ``p`` is the integer formed by bits
+    ``p .. p+width-1``, with zeros past the end of the stream (the same
+    zero padding a :class:`BitWriter` applies when packing to bytes).
+    The bits are packed to bytes once and adjacent
+    bytes fused into 24-bit words; the window at bit ``8k + phase`` is
+    word ``k`` shifted by a constant, so the result is eight strided
+    copies of the word array, one per phase — no per-position index
+    arithmetic. The bulk extract primitive behind the Huffman decoder.
     """
     if not 0 < width <= 16:
         raise ValueError("window width must be in [1, 16]")
@@ -91,9 +95,11 @@ def window_values(bits: np.ndarray, width: int) -> np.ndarray:
     buf = np.zeros(nbits // 8 + 3, dtype=np.uint32)
     buf[: packed.size] = packed
     fused = (buf[:-2] << np.uint32(16)) | (buf[1:-1] << np.uint32(8)) | buf[2:]
-    p = np.arange(nbits + 1)
-    down = (24 - width - (p & 7)).astype(np.uint32)
-    return ((fused[p >> 3] >> down) & np.uint32((1 << width) - 1)).astype(np.int64)
+    out = np.empty((fused.size, 8), dtype=np.uint16)
+    mask = np.uint32((1 << width) - 1)
+    for phase in range(8):
+        out[:, phase] = (fused >> np.uint32(24 - width - phase)) & mask
+    return out.ravel()[: nbits + 1]
 
 
 class BitWriter:
@@ -158,12 +164,14 @@ class BitWriter:
         """Write ``values[i]`` with an individual width of ``lengths[i]`` bits.
 
         The bulk analogue of calling ``write_bits(values[i], lengths[i])`` in
-        a loop, flattened into one numpy pass: each value and its end-bit
-        position are broadcast across their output bits with ``np.repeat``,
-        and output bit ``j`` of value ``i`` is the ``(end_i - 1 - j)``-th bit
-        of the value — one shift, no per-bit index arithmetic — so
-        variable-length streams (Huffman codes) append at array speed.
-        Zero-length entries contribute nothing.
+        a loop, packed a 64-bit word at a time rather than a bool per bit:
+        a value lands in the word holding its first bit, shifted into
+        place, and the bits that do not fit spill into the next word (a
+        value is at most 64 bits, so it never reaches a third). Values
+        arrive in stream order, so all that share a word are adjacent and
+        one ``bitwise_or.reduceat`` merges them; each word boundary is
+        straddled by at most one value, so the spills are a plain indexed
+        OR. Zero-length entries contribute nothing.
         """
         values = np.asarray(values, dtype=np.uint64).ravel()
         lengths = np.asarray(lengths, dtype=np.int64).ravel()
@@ -171,14 +179,27 @@ class BitWriter:
             raise ValueError("values and lengths must have equal size")
         if (lengths < 0).any():
             raise ValueError("lengths must be non-negative")
-        total = int(lengths.sum())
-        if total == 0:
+        if lengths.size and lengths.max() > 64:
+            raise ValueError("lengths must be <= 64")
+        if not lengths.all():
+            keep = lengths > 0
+            values, lengths = values[keep], lengths[keep]
+        if lengths.size == 0:
             return
         ends = np.cumsum(lengths)
-        shifts = (np.repeat(ends, lengths) - 1 - np.arange(total)).astype(np.uint64)
-        bits = (np.repeat(values, lengths) >> shifts) & np.uint64(1)
-        self._chunks.append(bits.astype(_BOOL))
-        self._nbits += total
+        starts = ends - lengths
+        total = int(ends[-1])
+        values = values & (np.uint64(2**64 - 1) >> (64 - lengths).astype(np.uint64))
+        word = starts >> 6
+        room = 64 - (starts & 63) - lengths  # bits left in the word; < 0: that many spill
+        spill = np.maximum(-room, 0).astype(np.uint64)
+        head = (values >> spill) << np.maximum(room, 0).astype(np.uint64)
+        words = np.zeros((total + 63) >> 6, dtype=np.uint64)
+        first = np.flatnonzero(np.diff(word, prepend=-1))
+        words[word[first]] = np.bitwise_or.reduceat(head, first)
+        over = np.flatnonzero(room < 0)
+        words[word[over] + 1] |= values[over] << (np.uint64(64) - spill[over])
+        self.write_packed(_Packed(words.astype(">u8").view(np.uint8), total))
 
     def write_unary(self, value: int) -> None:
         """``value`` zero bits followed by a terminating one bit."""
@@ -305,14 +326,6 @@ class BitReader:
 
     def read_bit_array(self, count: int) -> np.ndarray:
         return self._take(count).copy()
-
-    def window_values(self, width: int) -> np.ndarray:
-        """Window value at every remaining position (see :func:`window_values`).
-
-        Does not consume bits; index ``0`` corresponds to the current read
-        position.
-        """
-        return window_values(self._bits[self._pos :], width)
 
     def read_uint_array(self, count: int, nbits: int) -> np.ndarray:
         if count == 0 or nbits == 0:

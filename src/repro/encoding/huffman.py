@@ -1,21 +1,29 @@
 """Canonical Huffman coding over integer symbol alphabets.
 
-This is SZ3's entropy stage. Encoding is vectorized: each symbol's
-(code, length) pair comes from table lookups and the variable-length codes
-land in the stream through one :meth:`BitWriter.write_varlen_uint_array`
-call. Decoding is table-driven end to end: a multi-symbol prefix table maps
-every window value to *how many* complete codes it holds and their total
-bit advance, a scalar chase walks the stream one whole window per step, and
-the symbols themselves are emitted afterwards in a handful of vectorized
-gathers. Codes longer than the lookup window decode through the canonical
-first-code arrays (codes of equal length are consecutive integers) instead
-of a per-length dict walk. :meth:`HuffmanCodec._decode_walk` is the slow
-reference oracle the fast paths are tested against.
+This is SZ3's entropy stage, sized for store chunks: a chunk is ~16 K
+symbols with its own codebook, so set-up counts as much as the stream.
+Both are array passes. The codebook is closed-form: canonical codes are
+``first_code[length] + rank within length``, and in canonical order the
+left-aligned codes ascend, so the decode tables are one ``np.repeat``
+tiling. Encoding gathers each symbol's (code, length) pair and lands the
+stream through one :meth:`BitWriter.write_varlen_uint_array` call.
+
+Decoding is data-parallel although a Huffman stream is a serial
+recurrence ("the next code starts where this one ends"): the table gives
+the code length at *every* bit position, so ``p -> p + length[p]`` is a
+successor map over bit positions and the code boundaries are the orbit
+of position 0 under it. Squaring the map ``_HOPS`` times
+(``jump = jump[jump]``) makes one hop span ``2**_HOPS`` codes; Python
+chases only those anchors, all anchors then walk the single-step map in
+lockstep, and the symbols come out of one gather. Codes longer than the
+table window are resolved, for all positions that miss the table at
+once, through the canonical first-code arrays (codes of equal length are
+consecutive integers). :meth:`HuffmanCodec._decode_walk` is the
+tiny-stream path and the oracle the array path is tested against.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +32,11 @@ from repro.encoding.bitstream import BitReader, BitWriter, window_values
 
 _MAX_CODE_LEN = 48
 _TABLE_BITS = 16  # fast-decode lookup window
+#: Squarings of the successor map: an anchor hop spans ``2**_HOPS`` codes.
+#: Each squaring is a pass over every bit position and halves the Python
+#: anchor chase. Measured, not a knob: 4 beat 3 and 5 on 16 K-symbol
+#: store chunks at ratio 3 and 9, on a 64^3 stream and on 18-bit codes.
+_HOPS = 4
 
 
 def huffman_code_lengths(frequencies: np.ndarray) -> np.ndarray:
@@ -46,28 +59,78 @@ def huffman_code_lengths(frequencies: np.ndarray) -> np.ndarray:
         lengths[present[0]] = 1
         return lengths
 
-    # Standard heap-based Huffman tree construction over the present symbols.
-    # Entries are (freq, tiebreak, node_id); parents get fresh node ids.
-    heap = [(int(freq[s]), int(i), int(i)) for i, s in enumerate(present)]
-    heapq.heapify(heap)
-    parent = np.full(2 * present.size - 1, -1, dtype=np.int64)
-    next_id = present.size
-    while len(heap) > 1:
-        f1, _, n1 = heapq.heappop(heap)
-        f2, _, n2 = heapq.heappop(heap)
-        parent[n1] = next_id
-        parent[n2] = next_id
-        heapq.heappush(heap, (f1 + f2, next_id, next_id))
-        next_id += 1
+    # Two-queue merge: leaves sorted by (count, symbol), internal nodes in
+    # creation order (their counts never decrease), the smaller front
+    # taken each time and a leaf before an internal node on ties — the
+    # pop order of a heap keyed (count, node id), hence the same tree as
+    # reference.huffman_code_lengths_reference, without the heap.
+    counts = freq[present]
+    order = np.argsort(counts, kind="stable")
+    n = present.size
+    weight = counts[order].tolist() + [0] * (n - 1)
+    parent = list(range(2 * n - 1))  # the root stays its own parent
+    leaf, inner = 0, n
+    for node in range(n, 2 * n - 1):
+        for _ in range(2):
+            if leaf < n and (inner == node or weight[leaf] <= weight[inner]):
+                child, leaf = leaf, leaf + 1
+            else:
+                child, inner = inner, inner + 1
+            parent[child] = node
+            weight[node] += weight[child]
 
-    # Depth of each leaf = code length.
-    depth = np.zeros(next_id, dtype=np.int64)
-    for node in range(next_id - 2, -1, -1):
-        depth[node] = depth[parent[node]] + 1
-    lengths[present] = depth[: present.size]
+    # Depth of each leaf = code length, by pointer jumping: ``depth``
+    # counts the edges on the first 2^k hops toward the root.
+    hops = np.array(parent)
+    depth = (hops != np.arange(hops.size)).astype(np.int64)
+    while (step := depth[hops]).any():
+        depth += step
+        hops = hops[hops]
+    lengths[present[order]] = depth[:n]
     if lengths.max() > _MAX_CODE_LEN:  # pragma: no cover - needs astronomic skew
         raise OverflowError("Huffman code length exceeds supported maximum")
     return lengths
+
+
+def _canonical(lengths: np.ndarray) -> tuple:
+    """``(sorted_syms, sorted_lens, first_code, first_rank, counts)``.
+
+    The canonical code in closed form. Symbols are ordered by (length,
+    symbol) and codes of equal length are consecutive integers, so the
+    code of the ``r``-th symbol of length ``L`` is ``first_code[L] + r``
+    and "which symbol does this code name?" is a range check per length.
+    ``first_rank[L]`` is the position in ``sorted_syms`` of the first
+    symbol of length ``L``.
+    """
+    present = np.flatnonzero(lengths > 0)
+    lens = lengths[present]
+    max_len = int(lens.max()) if present.size else 0
+    if max_len > _MAX_CODE_LEN:
+        raise ValueError(
+            f"invalid Huffman codebook: code length {max_len} exceeds {_MAX_CODE_LEN}"
+        )
+    counts = np.bincount(lens, minlength=max_len + 2)
+    order = np.argsort(lens, kind="stable")  # present ascends: ties stay by symbol
+    first_code = [0] * (max_len + 2)
+    code = 0
+    for length in range(1, max_len + 1):
+        first_code[length] = code
+        code = (code + int(counts[length])) << 1
+    if code > 2 << max_len:
+        raise ValueError(
+            "invalid Huffman codebook: code lengths are over-subscribed (Kraft sum > 1)"
+        )
+    first_rank = np.cumsum(counts) - counts
+    return present[order], lens[order], np.array(first_code, dtype=np.int64), first_rank, counts
+
+
+def _codes(canonical: tuple, alphabet_size: int) -> np.ndarray:
+    """Per-symbol code values (0 for absent symbols) of a :func:`_canonical` code."""
+    sorted_syms, sorted_lens, first_code, first_rank, _ = canonical
+    codes = np.zeros(alphabet_size, dtype=np.uint64)
+    rank = np.arange(sorted_syms.size) - first_rank[sorted_lens]
+    codes[sorted_syms] = first_code[sorted_lens] + rank
+    return codes
 
 
 def canonical_codes(lengths: np.ndarray) -> np.ndarray:
@@ -78,18 +141,7 @@ def canonical_codes(lengths: np.ndarray) -> np.ndarray:
     length 0 get code 0 and must not be encoded.
     """
     lengths = np.asarray(lengths, dtype=np.int64)
-    codes = np.zeros(lengths.size, dtype=np.uint64)
-    order = np.lexsort((np.arange(lengths.size), lengths))
-    order = order[lengths[order] > 0]
-    code = 0
-    prev_len = 0
-    for sym in order:
-        length = int(lengths[sym])
-        code <<= length - prev_len
-        codes[sym] = code
-        code += 1
-        prev_len = length
-    return codes
+    return _codes(_canonical(lengths), lengths.size)
 
 
 def huffman_encoded_bits(frequencies: np.ndarray) -> int:
@@ -124,12 +176,9 @@ class HuffmanCodec:
 
     lengths: np.ndarray
     codes: np.ndarray
-    # lazily built fast-decode tables (see _decode_table)
-    _sym_table: np.ndarray | None = None
-    _len_table: np.ndarray | None = None
-    _ns_table: np.ndarray | None = None
-    _adv_table: np.ndarray | None = None
+    # lazily built decode state (see _canonical_arrays, _tables)
     _canonical: tuple | None = None
+    _decode_tables: tuple | None = None
 
     @classmethod
     def fit(cls, symbols: np.ndarray, alphabet_size: int | None = None) -> "HuffmanCodec":
@@ -143,13 +192,18 @@ class HuffmanCodec:
     @classmethod
     def from_frequencies(cls, frequencies: np.ndarray) -> "HuffmanCodec":
         """Build the codec from a symbol histogram."""
-        lengths = huffman_code_lengths(np.asarray(frequencies, dtype=np.int64))
-        return cls(lengths=lengths, codes=canonical_codes(lengths))
+        return cls.from_lengths(huffman_code_lengths(np.asarray(frequencies, dtype=np.int64)))
 
     @classmethod
     def from_lengths(cls, lengths: np.ndarray) -> "HuffmanCodec":
+        """Build the codec from code lengths. Stored lengths are outside
+        input: :func:`_canonical` rejects, with a ``ValueError`` naming
+        the codebook, a set no prefix code can have (a length past
+        ``_MAX_CODE_LEN``, a Kraft sum above 1) — the decode tables would
+        otherwise be overrun."""
         lengths = np.asarray(lengths, dtype=np.int64)
-        return cls(lengths=lengths, codes=canonical_codes(lengths))
+        canonical = _canonical(lengths)
+        return cls(lengths, _codes(canonical, lengths.size), canonical)
 
     @property
     def alphabet_size(self) -> int:
@@ -173,150 +227,106 @@ class HuffmanCodec:
         writer.write_varlen_uint_array(self.codes[symbols], lens)
 
     def decode(self, reader: BitReader, count: int) -> np.ndarray:
-        """Decode ``count`` symbols.
+        """Decode ``count`` symbols and leave ``reader`` after the last code.
 
-        Bulk streams use the table-driven batch path (:meth:`_decode_table`):
-        every probe of the multi-symbol prefix table advances one whole
-        window, and the probed symbols are emitted vectorized afterwards.
-        Codes longer than the window (necessarily rare — their stream
-        probability is below ``2**-_TABLE_BITS``) resolve through the
-        canonical first-code arrays. Tiny streams use the per-length
-        reference walk directly.
+        The stream is read as if zero-padded, and running past its end
+        is an ``EOFError`` — a window no code matches a ``ValueError`` —
+        raised for the first code that fails. Streams of at most 64
+        symbols take the per-bit reference walk; everything else is
+        array passes plus ``ceil(count / 2**_HOPS)`` Python steps.
         """
-        lengths = self.lengths
-        present = np.flatnonzero(lengths > 0)
-        if present.size == 0:
+        count = int(count)
+        sorted_syms, sorted_lens, *_ = canonical = self._canonical_arrays()
+        if sorted_syms.size == 0:
             if count:
                 raise ValueError("cannot decode with an empty codebook")
             return np.zeros(0, dtype=np.int64)
-        max_len = int(lengths[present].max())
-        if count > 64:
-            return self._decode_table(reader, count, min(max_len, _TABLE_BITS))
-        return self._decode_walk(reader, count)
+        if count <= 64:
+            return self._decode_walk(reader, count)
+        sym_table, len_table = self._tables()
+        width = min(int(sorted_lens[-1]), _TABLE_BITS)
+        has_long = bool(sorted_lens[-1] > width)
 
-    def _decode_table(self, reader: BitReader, count: int, max_len: int) -> np.ndarray:
-        """Batch prefix-table decode (one-shot wrapper around the
-        resumable :class:`HuffmanStreamDecoder`, which holds the actual
-        chase/emission machinery)."""
-        return HuffmanStreamDecoder(self, reader, max_len=max_len).take(count)
+        # Code length at every bit position of the (zero-padded) stream.
+        bits = reader._bits[reader._pos :]
+        nbits = bits.size
+        vals = window_values(bits, width)
+        lens = _gather(len_table, vals)
+        if has_long:
+            long_pos, long_len, long_sym = _resolve_long(bits, np.flatnonzero(lens == 0), canonical)
+            lens[long_pos] = long_len
 
-    def _multi_tables(self, max_len: int) -> tuple[np.ndarray, np.ndarray]:
-        """Per-window (symbol count, bit advance) for whole-window probes.
+        # Successor map with one absorbing sink for "no code here" and
+        # "the code ends past the stream", squared _HOPS times.
+        sink = nbits + 1
+        nxt = np.arange(nbits + 2, dtype=np.int32 if sink + _MAX_CODE_LEN < 2**31 else np.int64)
+        nxt[:sink] += lens
+        nxt[:sink][lens == 0] = sink
+        np.minimum(nxt, sink, out=nxt)
+        jump = nxt
+        for _ in range(_HOPS):
+            jump = _gather(jump, jump)
 
-        Built vectorized over all ``2**max_len`` window values at once:
-        each round decodes the next code of every still-active window via
-        the single-symbol tables and shifts it out. A code only counts when
-        it fits entirely inside the window — its table entry is then
-        determined by real bits, never by the zeros shifted in — so a
-        window's (count, advance) is exact for every stream position.
-        Windows whose *first* code is longer than the window get the
-        sentinel count 0.
-        """
-        if self._ns_table is None:
-            _, len_table = self._tables(max_len)
-            size = 1 << max_len
-            mask = np.int64(size - 1)
-            cur = np.arange(size, dtype=np.int64)
-            ns = np.zeros(size, dtype=np.int64)
-            used = np.zeros(size, dtype=np.int64)
-            active = np.arange(size)
-            while active.size:
-                lens = len_table[cur[active]].astype(np.int64)
-                ok = (lens > 0) & (used[active] + lens <= max_len)
-                active = active[ok]
-                if not active.size:
-                    break
-                lens = lens[ok]
-                ns[active] += 1
-                used[active] += lens
-                cur[active] = (cur[active] << lens) & mask
-            self._ns_table, self._adv_table = ns, used
-        return self._ns_table, self._adv_table
+        # Start positions of codes 0 .. count (the last one is where the
+        # reader ends): anchors every 2**_HOPS codes, filled in lockstep.
+        hop = 1 << _HOPS
+        anchors = [0] * (count // hop + 1)
+        jump_at = jump.item
+        for i in range(1, len(anchors)):
+            anchors[i] = jump_at(anchors[i - 1])
+        starts = np.empty((hop, len(anchors)), dtype=nxt.dtype)
+        starts[0] = anchors
+        for k in range(1, hop):
+            _gather(nxt, starts[k - 1], out=starts[k])
+        starts = starts.T.ravel()[: count + 1]
+
+        if starts[count] == sink:
+            # The last code start before the sink says which way it failed.
+            at = int(starts[np.argmax(starts == sink) - 1])
+            if lens[at] == 0 and (not has_long or at + _MAX_CODE_LEN < nbits):
+                raise ValueError("invalid Huffman stream")
+            raise EOFError("bitstream exhausted during Huffman decode")
+        reader._pos += int(starts[count])
+        starts = starts[:count]
+        out = _gather(sym_table, _gather(vals, starts))
+        if has_long:
+            is_long = _gather(lens, starts) > width
+            out[is_long] = long_sym[np.searchsorted(long_pos, starts[is_long])]
+        return out
 
     def _canonical_arrays(self) -> tuple:
-        """(sorted_syms, first_code, first_rank, counts, max_len) tables.
-
-        The canonical-code property — codes of equal length are consecutive
-        integers — reduces "which symbol does this long code name?" to two
-        array lookups and a range check per candidate length.
-        """
+        """:func:`_canonical` of this codebook, computed once."""
         if self._canonical is None:
-            lengths = self.lengths
-            present = np.flatnonzero(lengths > 0)
-            order = np.lexsort((present, lengths[present]))
-            sorted_syms = present[order]
-            sorted_lens = lengths[sorted_syms]
-            sorted_codes = self.codes[sorted_syms].astype(np.int64)
-            max_len = int(sorted_lens.max())
-            first_code = np.full(max_len + 2, np.iinfo(np.int64).max, dtype=np.int64)
-            first_rank = np.zeros(max_len + 2, dtype=np.int64)
-            for length in range(1, max_len + 1):
-                idx = np.searchsorted(sorted_lens, length, side="left")
-                if idx < sorted_lens.size and sorted_lens[idx] == length:
-                    first_code[length] = sorted_codes[idx]
-                    first_rank[length] = idx
-            counts = np.bincount(sorted_lens, minlength=max_len + 2)
-            self._canonical = (sorted_syms, first_code, first_rank, counts, max_len)
+            self._canonical = _canonical(self.lengths)
         return self._canonical
 
-    def _decode_long(
-        self, bits: np.ndarray, nbits: int, pos: int, window: int, window_len: int
-    ) -> tuple[int, int]:
-        """Decode one code longer than the window; returns (symbol, length)."""
-        sorted_syms, first_code, first_rank, counts, max_len = self._canonical_arrays()
-        code = window
-        length = window_len
-        while True:
-            length += 1
-            if pos + length > nbits:
-                raise EOFError("bitstream exhausted during Huffman decode")
-            code = (code << 1) | int(bits[pos + length - 1])
-            if (
-                length <= max_len
-                and counts[length]
-                and first_code[length] <= code < first_code[length] + counts[length]
-            ):
-                return int(sorted_syms[first_rank[length] + (code - first_code[length])]), length
-            if length > _MAX_CODE_LEN:
-                raise ValueError("invalid Huffman stream")
+    def _tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(symbol, length)`` of the code each window value starts with.
 
-    def _tables(self, max_len: int) -> tuple[np.ndarray, np.ndarray]:
-        if self._sym_table is None:
-            size = 1 << max_len
-            sym_table = np.zeros(size, dtype=np.int64)
-            len_table = np.zeros(size, dtype=np.int16)
-            for sym in np.flatnonzero(self.lengths > 0):
-                L = int(self.lengths[sym])
-                if L > max_len:
-                    continue  # long code: sentinel 0 routes to the slow path
-                base = int(self.codes[sym]) << (max_len - L)
-                span = 1 << (max_len - L)
-                sym_table[base : base + span] = sym
-                len_table[base : base + span] = L
-            self._sym_table, self._len_table = sym_table, len_table
-        return self._sym_table, self._len_table
+        The window is ``min(longest code, _TABLE_BITS)`` bits. In
+        canonical order the left-aligned codes ascend and each spans
+        ``2**(window - length)`` consecutive values starting where the
+        previous one ended, so both tables are one ``np.repeat``; what is
+        left over — prefixes of longer codes, or the unused part of an
+        incomplete code — keeps length 0.
+        """
+        if self._decode_tables is None:
+            sorted_syms, sorted_lens, *_ = self._canonical_arrays()
+            width = min(int(sorted_lens[-1]), _TABLE_BITS)
+            n_short = int(np.searchsorted(sorted_lens, width, side="right"))
+            spans = np.int64(1) << (width - sorted_lens[:n_short])
+            filled = int(spans.sum())
+            sym_table = np.zeros(1 << width, dtype=np.int64)
+            len_table = np.zeros(1 << width, dtype=np.uint8)
+            sym_table[:filled] = np.repeat(sorted_syms[:n_short], spans)
+            len_table[:filled] = np.repeat(sorted_lens[:n_short], spans)
+            self._decode_tables = sym_table, len_table
+        return self._decode_tables
 
     def _decode_walk(self, reader: BitReader, count: int) -> np.ndarray:
         """Canonical per-length walk (handles arbitrarily long codes)."""
-        lengths = self.lengths
-        present = np.flatnonzero(lengths > 0)
-        # first_code[L] = smallest code of length L; first_sym_index[L] = rank
-        # (within the canonical order) of that code.
-        order = np.lexsort((present, lengths[present]))
-        sorted_syms = present[order]
-        sorted_lens = lengths[sorted_syms]
-        sorted_codes = self.codes[sorted_syms].astype(np.int64)
-        max_len = int(sorted_lens.max())
-        first_code = np.full(max_len + 2, np.iinfo(np.int64).max, dtype=np.int64)
-        first_rank = np.zeros(max_len + 2, dtype=np.int64)
-        for L in range(1, max_len + 1):
-            idx = np.searchsorted(sorted_lens, L, side="left")
-            if idx < sorted_lens.size and sorted_lens[idx] == L:
-                first_code[L] = sorted_codes[idx]
-                first_rank[L] = idx
-        # Count of codes per length to know when a prefix is decodable.
-        counts = np.bincount(sorted_lens, minlength=max_len + 1)
-
+        sorted_syms, sorted_lens, first_code, first_rank, counts = self._canonical_arrays()
+        max_len = int(sorted_lens[-1])
         out = np.empty(count, dtype=np.int64)
         for i in range(count):
             code = 0
@@ -341,130 +351,36 @@ class HuffmanCodec:
         return cls.from_lengths(lengths)
 
 
-class HuffmanStreamDecoder:
-    """Resumable table-driven decoder over one reader's remaining bits.
+def _gather(table: np.ndarray, index: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``table[index]`` for indices known to be in range. ``take`` reads
+    the narrow index dtypes the all-position arrays are kept in without
+    the intp copy fancy indexing makes, and its wrap mode is never
+    exercised: it only spares the bounds-checked (and, with ``out``,
+    buffered) default."""
+    return table.take(index, out=out, mode="wrap")
 
-    Phase 1 (scalar chase): the ``max_len``-bit window value at every bit
-    position comes from one vectorized :func:`window_values` pass over the
-    *whole* remaining stream, done once at construction; the multi-symbol
-    tables then turn each probed window into (number of complete codes,
-    total bit advance), so the data-dependent Python loop runs once per
-    *window*, not once per symbol — and it only records probe positions,
-    never touches symbols. Phase 2 (vectorized emission): for ``k = 0, 1,
-    ...`` the ``k``-th symbol of every probe is gathered in one indexed
-    lookup, so symbol extraction costs a few numpy passes regardless of
-    stream length.
 
-    :meth:`take` runs one chase+emission pass from the saved position and
-    leaves the cursor (and the underlying reader) exactly after the last
-    decoded code.
+def _resolve_long(bits: np.ndarray, miss: np.ndarray, canonical: tuple) -> tuple:
+    """Codes longer than the table window, at every position in ``miss``.
+
+    Returns ``(positions, lengths, symbols)`` for the positions where a
+    long code starts and ends inside the stream. Each position gets the
+    64-bit word that begins at its byte, shifted so the code starts at
+    the top bit (57 usable bits, codes are at most 48); a candidate
+    length then matches when the leading bits fall in that length's
+    canonical range — one vector range check per long length present.
     """
-
-    def __init__(
-        self, codec: HuffmanCodec, reader: BitReader, max_len: int | None = None
-    ) -> None:
-        self._reader = reader
-        lengths = codec.lengths
-        present = np.flatnonzero(lengths > 0)
-        self._empty = present.size == 0
-        if self._empty:
-            return
-        if max_len is None:
-            max_len = min(int(lengths[present].max()), _TABLE_BITS)
-        self._sym_table, self._len_table = codec._tables(max_len)
-        self._ns_tab, self._adv_tab = codec._multi_tables(max_len)
-        self._ns_at = self._ns_tab.tolist()
-        self._adv_at = self._adv_tab.tolist()
-        self._codec = codec
-        self._max_len = max_len
-        self._bits = reader._bits[reader._pos :]
-        self._nbits = self._bits.size
-        self._vals = window_values(self._bits, max_len)
-        self._has_long = bool((lengths > max_len).any())
-        self._pos = 0  # bit cursor relative to the construction position
-
-    def take(self, count: int) -> np.ndarray:
-        """Decode the next ``count`` symbols and advance the cursor."""
-        count = int(count)
-        if count == 0:
-            return np.zeros(0, dtype=np.int64)
-        if self._empty:
-            raise ValueError("cannot decode with an empty codebook")
-        bits, nbits, vals = self._bits, self._nbits, self._vals
-        sym_table, len_table = self._sym_table, self._len_table
-        ns_at, adv_at = self._ns_at, self._adv_at
-        max_len, has_long = self._max_len, self._has_long
-
-        probes: list[int] = []  # bit position of each probe
-        long_marks: list[int] = []  # len(probes) when each long code was hit
-        long_sym: list[int] = []
-        final_emit = 0  # symbols the final partial probe actually emits
-        total = 0
-        start = self._pos
-        pos = start
-        window_at = vals.item
-        while total < count:
-            if pos > nbits:
-                raise EOFError("bitstream exhausted during Huffman decode")
-            window = window_at(pos)
-            ns = ns_at[window]
-            if ns == 0:
-                # First code in the window is longer than the window (or the
-                # stream is invalid) — resolve it canonically.
-                if not has_long:
-                    raise ValueError("invalid Huffman stream")
-                sym, length = self._codec._decode_long(bits, nbits, pos, window, max_len)
-                long_marks.append(len(probes))
-                long_sym.append(sym)
-                total += 1
-                pos += length
-            elif total + ns >= count:
-                # Final probe: step symbol by symbol for the exact end bit.
-                probes.append(pos)
-                final_emit = count - total
-                while True:
-                    pos += int(len_table.item(window))
-                    total += 1
-                    if total == count:
-                        break
-                    if pos > nbits:
-                        raise EOFError("bitstream exhausted during Huffman decode")
-                    window = window_at(pos)
-            else:
-                probes.append(pos)
-                total += ns
-                pos += adv_at[window]
-        if pos > nbits:
-            raise EOFError("bitstream exhausted during Huffman decode")
-        self._pos = pos
-        self._reader._pos += pos - start
-
-        # Per-probe emit counts and output bases are reconstructed here
-        # instead of being appended inside the chase loop: the table lookup
-        # that produced each probe's ``ns`` is replayed as one gather, and
-        # long-coded symbols (recorded as "after probe m") shift the bases
-        # of every later probe.
-        out = np.empty(count, dtype=np.int64)
-        ends = np.zeros(0, dtype=np.int64)
-        if probes:
-            probe_pos = np.array(probes, dtype=np.int64)
-            emit = self._ns_tab[vals[probe_pos]]
-            if final_emit:
-                emit[-1] = final_emit
-            ends = np.cumsum(emit)
-            base = ends - emit
-            if long_marks:
-                marks = np.array(long_marks, dtype=np.int64)
-                base += np.searchsorted(marks, np.arange(probe_pos.size), side="right")
-            cursor = probe_pos.copy()
-            for k in range(int(emit.max())):
-                sel = np.flatnonzero(emit > k)
-                windows = vals[cursor[sel]]
-                out[base[sel] + k] = sym_table[windows]
-                cursor[sel] += len_table[windows]
-        if long_sym:
-            marks = np.array(long_marks, dtype=np.int64)
-            probe_cum = np.concatenate(([0], ends))
-            long_at = probe_cum[marks] + np.arange(marks.size)
-            out[long_at] = np.array(long_sym, dtype=np.int64)
-        return out
+    sorted_syms, _, first_code, first_rank, counts = canonical
+    padded = np.concatenate((np.packbits(bits), np.zeros(8, dtype=np.uint8)))
+    words = np.lib.stride_tricks.sliding_window_view(padded, 8)[miss >> 3]
+    aligned = words.view(">u8").ravel().astype(np.uint64) << (miss & 7).astype(np.uint64)
+    room = bits.size - miss
+    length = np.zeros(miss.size, dtype=np.uint8)
+    symbol = np.zeros(miss.size, dtype=np.int64)
+    for L in np.flatnonzero(counts[_TABLE_BITS + 1 :]) + _TABLE_BITS + 1:
+        rank = (aligned >> np.uint64(64 - L)) - np.uint64(first_code[L])  # wraps below the range
+        hit = (rank < np.uint64(counts[L])) & (room >= L) & (length == 0)
+        length[hit] = L
+        symbol[hit] = sorted_syms[first_rank[L] + rank[hit].astype(np.int64)]
+    found = length > 0
+    return miss[found], length[found], symbol[found]

@@ -18,6 +18,8 @@ Nothing on a hot path imports this module.
 
 from __future__ import annotations
 
+import heapq
+
 import numpy as np
 
 from repro.encoding.bitstream import BitReader, BitWriter
@@ -91,6 +93,45 @@ _TABLE_BITS = 16
 _MAX_CODE_LEN = 48
 
 
+def huffman_code_lengths_reference(frequencies: np.ndarray) -> np.ndarray:
+    """Original heap-based Huffman tree construction."""
+    freq = np.asarray(frequencies, dtype=np.int64)
+    if freq.ndim != 1:
+        raise ValueError("frequencies must be 1-D")
+    if (freq < 0).any():
+        raise ValueError("frequencies must be non-negative")
+    present = np.flatnonzero(freq > 0)
+    lengths = np.zeros(freq.size, dtype=np.int64)
+    if present.size == 0:
+        return lengths
+    if present.size == 1:
+        lengths[present[0]] = 1
+        return lengths
+
+    # Standard heap-based Huffman tree construction over the present symbols.
+    # Entries are (freq, tiebreak, node_id); parents get fresh node ids.
+    heap = [(int(freq[s]), int(i), int(i)) for i, s in enumerate(present)]
+    heapq.heapify(heap)
+    parent = np.full(2 * present.size - 1, -1, dtype=np.int64)
+    next_id = present.size
+    while len(heap) > 1:
+        f1, _, n1 = heapq.heappop(heap)
+        f2, _, n2 = heapq.heappop(heap)
+        parent[n1] = next_id
+        parent[n2] = next_id
+        heapq.heappush(heap, (f1 + f2, next_id, next_id))
+        next_id += 1
+
+    # Depth of each leaf = code length.
+    depth = np.zeros(next_id, dtype=np.int64)
+    for node in range(next_id - 2, -1, -1):
+        depth[node] = depth[parent[node]] + 1
+    lengths[present] = depth[: present.size]
+    if lengths.max() > _MAX_CODE_LEN:  # pragma: no cover - needs astronomic skew
+        raise OverflowError("Huffman code length exceeds supported maximum")
+    return lengths
+
+
 def huffman_encode_reference(codec, symbols: np.ndarray, writer: BitWriter) -> None:
     """Original bit-matrix Huffman encoder (mask-selected rows)."""
     symbols = np.asarray(symbols, dtype=np.int64).ravel()
@@ -135,7 +176,7 @@ def huffman_decode_reference(codec, reader: BitReader, count: int) -> np.ndarray
         return codec._decode_walk(reader, count)
     max_len = min(int(lengths[present].max()), _TABLE_BITS)
 
-    sym_table, len_table = codec._tables(max_len)
+    sym_table, len_table = codec._tables()
     bits = reader._bits[reader._pos :]
     nbits = bits.size
     padded = np.concatenate((bits.astype(np.int64), np.zeros(max_len, dtype=np.int64)))

@@ -49,8 +49,8 @@ class SZ3Surrogate(SurrogateEstimator):
             sub = _pass_subgrid(recon, axis, 2, 1)
             if sub is None:
                 continue
-            mids, pred = _predict(sub, 1, 2)
-            q = np.clip(np.rint((sub[mids] - pred) / step), -_RADIUS, _RADIUS)
+            pred = _predict(sub, 1, 2)
+            q = np.clip(np.rint((sub[1::2] - pred) / step), -_RADIUS, _RADIUS)
             codes.append(q.astype(np.int64).ravel() + _OFFSET)
         if not codes:
             return np.zeros(0, dtype=np.int64)

@@ -103,6 +103,39 @@ class TestPackedRuns:
             pack_uint_array(np.arange(4, dtype=np.uint64), 65)
 
 
+class TestVarlenArray:
+    """:meth:`BitWriter.write_varlen_uint_array` packs words; it must lay
+    down the bits ``write_bits`` lays down one value at a time."""
+
+    @pytest.mark.parametrize("max_width", [1, 7, 20, 48, 64])
+    def test_matches_write_bits(self, rng, max_width):
+        widths = rng.integers(0, max_width + 1, size=300)
+        widths[:3] = (max_width, 0, max_width)
+        vals = rng.integers(0, 1 << 63, size=300, dtype=np.uint64) * np.uint64(2) + np.uint64(1)
+        for prefix in (0, 5):
+            ref, fast = BitWriter(), BitWriter()
+            for w in (ref, fast):
+                w.write_bits(1, prefix)
+            for v, n in zip(vals.tolist(), widths.tolist()):
+                ref.write_bits(v & ((1 << n) - 1), n)  # only the low bits count
+            fast.write_varlen_uint_array(vals, widths)
+            assert fast.bit_length == ref.bit_length == prefix + widths.sum()
+            assert fast.getvalue() == ref.getvalue()
+            np.testing.assert_array_equal(fast.bits(), ref.bits())
+
+    def test_empty_and_rejected_input(self):
+        w = BitWriter()
+        w.write_varlen_uint_array(np.arange(3, dtype=np.uint64), np.zeros(3, dtype=int))
+        w.write_varlen_uint_array(np.zeros(0, dtype=np.uint64), np.zeros(0, dtype=int))
+        assert w.bit_length == 0 and w.getvalue() == b""
+        with pytest.raises(ValueError):
+            w.write_varlen_uint_array(np.arange(3, dtype=np.uint64), np.array([1, 2]))
+        with pytest.raises(ValueError):
+            w.write_varlen_uint_array(np.arange(2, dtype=np.uint64), np.array([1, -1]))
+        with pytest.raises(ValueError):
+            w.write_varlen_uint_array(np.arange(2, dtype=np.uint64), np.array([1, 65]))
+
+
 class TestBitReader:
     def test_round_trip_mixed(self, rng):
         w = BitWriter()

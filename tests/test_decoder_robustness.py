@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from repro.compressors import available_compressors, get_compressor
+from repro.encoding.bitstream import BitReader
 from repro.store.format import (
     CorruptChunkError,
     StoreFormatError,
@@ -120,6 +121,57 @@ class TestMetadataTampering:
         broken = dataclasses.replace(res, metadata=meta)
         with pytest.raises(ValueError, match="integrity"):
             get_compressor(name).decompress(broken)
+
+
+class TestDamagedSz3Codebook:
+    """With the integrity stamp gone (``decode_chunk(..., verify=False)``
+    strips it) the decoder itself must reject a codebook no encoder could
+    have written — by name, not with a bare IndexError or wrong data."""
+
+    @staticmethod
+    def _tampered(res, edit):
+        """``res`` with its stamp stripped and ``edit(bits, sym_at, len_at,
+        n_present)`` applied to the header bits: the present symbols are
+        17-bit fields from ``sym_at``, their code lengths 6-bit fields
+        from ``len_at``."""
+        head_len = int.from_bytes(res.payload[:8], "little")
+        head = res.payload[8 : 8 + head_len]
+        reader = BitReader(head)
+        reader.read_uint_array(int(res.metadata["n_anchors"]), 64)
+        reader.read_uint_array(int(res.metadata["n_outliers"]), 64)
+        n_present = reader.read_elias_gamma() - 1
+        assert n_present >= 3
+        bits = np.unpackbits(np.frombuffer(head, dtype=np.uint8))
+        edit(bits, reader.position, reader.position + 17 * n_present, n_present)
+        meta = {k: v for k, v in res.metadata.items() if k != "payload_check"}
+        payload = res.payload[:8] + np.packbits(bits).tobytes() + res.payload[8 + head_len :]
+        return dataclasses.replace(res, payload=payload, metadata=meta)
+
+    def _assert_rejected(self, payloads, edit):
+        _, res = payloads["sz3"]
+        codec = get_compressor("sz3")
+        codec.decompress(self._tampered(res, lambda *a: None))  # the stamp is not what fails
+        with pytest.raises(ValueError, match="(?i)huffman codebook"):
+            codec.decompress(self._tampered(res, edit))
+
+    def test_symbol_outside_alphabet(self, payloads):
+        def edit(bits, sym_at, len_at, n_present):
+            bits[sym_at : sym_at + 17] = 1  # symbol 131071 of 65537
+
+        self._assert_rejected(payloads, edit)
+
+    def test_code_length_past_maximum(self, payloads):
+        def edit(bits, sym_at, len_at, n_present):
+            bits[len_at : len_at + 6] = 1  # length 63 > 48
+
+        self._assert_rejected(payloads, edit)
+
+    def test_oversubscribed_lengths(self, payloads):
+        def edit(bits, sym_at, len_at, n_present):
+            fields = bits[len_at : len_at + 6 * n_present].reshape(n_present, 6)
+            fields[:] = [0, 0, 0, 0, 0, 1]  # every code one bit long: Kraft sum > 1
+
+        self._assert_rejected(payloads, edit)
 
 
 class TestDeterminism:

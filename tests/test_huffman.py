@@ -75,6 +75,39 @@ class TestCanonicalCodes:
         assert list(codes) == [0, 1, 2, 3]
 
 
+    def test_closed_form_equals_sequential_assignment(self, rng):
+        # The textbook loop: walk symbols by (length, symbol), count up,
+        # shift left when the length grows.
+        for _ in range(50):
+            lengths = huffman_code_lengths(rng.integers(0, 50, rng.integers(1, 300)))
+            want = np.zeros(lengths.size, dtype=np.uint64)
+            code = prev = 0
+            for sym in sorted(np.flatnonzero(lengths), key=lambda i: (lengths[i], i)):
+                code <<= int(lengths[sym]) - prev
+                want[sym], code, prev = code, code + 1, int(lengths[sym])
+            np.testing.assert_array_equal(canonical_codes(lengths), want)
+
+
+class TestStoredLengthsAreChecked:
+    """``from_lengths`` takes outside input: a length set no prefix code
+    can have is a ValueError naming the codebook, not a table overrun."""
+
+    def test_length_past_maximum(self):
+        with pytest.raises(ValueError, match="Huffman codebook.*49"):
+            HuffmanCodec.from_lengths(np.array([1, 49]))
+
+    def test_oversubscribed(self):
+        with pytest.raises(ValueError, match="Huffman codebook.*Kraft"):
+            HuffmanCodec.from_lengths(np.array([1, 1, 1]))
+        with pytest.raises(ValueError, match="Huffman codebook.*Kraft"):
+            HuffmanCodec.from_lengths(np.array([1, 2, 3, 3, 20]))
+
+    def test_complete_and_incomplete_codes_pass(self):
+        HuffmanCodec.from_lengths(np.array([1, 2, 3, 3]))
+        HuffmanCodec.from_lengths(np.array([0, 48, 0, 2]))
+        assert HuffmanCodec.from_lengths(np.zeros(5, dtype=int)).decode(BitReader(b""), 0).size == 0
+
+
 class TestCodecRoundTrip:
     @pytest.mark.parametrize("size,alphabet", [(100, 5), (5000, 64), (300, 2)])
     def test_random_streams(self, rng, size, alphabet):

@@ -14,9 +14,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.compressors.sz3 import _C0, _C1, _predict
 from repro.encoding import reference
-from repro.encoding.bitstream import BitReader, BitWriter
-from repro.encoding.huffman import _TABLE_BITS, HuffmanCodec, huffman_code_lengths
+from repro.encoding.bitstream import BitReader, BitWriter, window_values
+from repro.encoding.huffman import _HOPS, _TABLE_BITS, HuffmanCodec, huffman_code_lengths
 from repro.encoding.lz77 import lz77_compress, lz77_decompress
 from repro.encoding.range_coder import RangeDecoder, RangeEncoder
 from repro.encoding.rle import (
@@ -253,4 +254,195 @@ class TestVectorizedMatchesReference:
         with pytest.raises((EOFError, ValueError)):
             reference.huffman_decode_reference(
                 codec, BitReader(truncated), syms.size
+            )
+
+
+# -- the data-parallel Huffman decoder against its two oracles ------------------
+
+
+def _decoder_alphabets(
+    rng: np.random.Generator, n_long: int = 60_000
+) -> dict[str, tuple[HuffmanCodec, np.ndarray]]:
+    """(codec, probabilities) per regime the array decoder special-cases."""
+    deep = np.array(list(range(1, _TABLE_BITS + 4)) + [_TABLE_BITS + 4] * 2, dtype=np.int64)
+    assert (2.0 ** -deep.astype(float)).sum() == 1.0
+    geometric = 0.7 ** np.arange(40)
+    dominant = np.r_[0.93, np.full(30, 0.07 / 30)]  # ~1.4 bits/symbol, like a ratio-20 sz3 chunk
+    out = {
+        "uniform": (HuffmanCodec.from_frequencies(np.ones(37, dtype=np.int64)), np.ones(37)),
+        "dominant": (HuffmanCodec.from_frequencies(np.rint(dominant * 1e6)), dominant),
+        "geometric": (HuffmanCodec.from_frequencies(np.rint(geometric * 1e9) + 1), geometric),
+        "single": (HuffmanCodec.from_frequencies(np.array([0, 0, 9, 0])), np.array([0, 0, 1.0, 0])),
+        # codes of every length 1 .. 20: short and long ones interleave
+        "deep": (HuffmanCodec.from_lengths(deep), np.sqrt(np.arange(1.0, deep.size + 1))),
+        # every code 17 or 18 bits: nothing hits the table
+        "long": (HuffmanCodec.from_lengths(rng.integers(17, 19, size=n_long)), np.ones(n_long)),
+    }
+    return {k: (codec, p / p.sum()) for k, (codec, p) in out.items()}
+
+
+def _outcome(decode, codec, bits, start, count):
+    """What a decoder does with a stream: the exception type it raises,
+    or (symbols, where it left the reader)."""
+    reader = BitReader(bits)
+    reader.read_bit_array(start)
+    try:
+        return decode(codec, reader, count), reader.position
+    except (EOFError, ValueError) as exc:
+        return type(exc)
+
+
+def _assert_same_outcome(got, want, where):
+    if isinstance(want, type) or isinstance(got, type):
+        assert got is want, where
+    else:
+        np.testing.assert_array_equal(got[0], want[0], err_msg=str(where))
+        assert got[1] == want[1], where
+
+
+def _walk(codec, reader, count):
+    return codec._decode_walk(reader, count)
+
+
+class TestHuffmanDecoderEquivalence:
+    """``HuffmanCodec.decode`` == ``huffman_decode_reference`` ==
+    ``_decode_walk``: same symbols, same cursor, same exception type."""
+
+    @pytest.mark.parametrize("name", ["uniform", "dominant", "geometric", "single", "deep", "long"])
+    def test_counts_and_offsets(self, property_rng, name):
+        codec, p = _decoder_alphabets(property_rng)[name]
+        total = 16_384
+        syms = property_rng.choice(p.size, size=total, p=p).astype(np.int64)
+        w = BitWriter()
+        codec.encode(syms, w)
+        ends = np.cumsum(codec.lengths[syms])
+        hop = 1 << _HOPS
+        for start in (0, 3, 13):
+            # No byte padding: the reader holds the junk prefix and the codes.
+            bits = np.concatenate((property_rng.integers(0, 2, size=start).astype(bool), w.bits()))
+            for count in (65, 16 * hop - 1, 16 * hop, 16 * hop + 1, total, total + 1):
+                got = _outcome(HuffmanCodec.decode, codec, bits, start, count)
+                ref = _outcome(reference.huffman_decode_reference, codec, bits, start, count)
+                _assert_same_outcome(got, ref, (name, start, count))
+                if count > total:
+                    assert got is EOFError
+                    continue
+                np.testing.assert_array_equal(got[0], syms[:count])
+                assert got[1] == start + ends[count - 1]  # exactly after the last code
+                if count < 1000:  # the per-bit walk is slow
+                    walk = _outcome(_walk, codec, bits, start, count)
+                    _assert_same_outcome(walk, got, (name, start, count, "walk"))
+
+    @pytest.mark.parametrize("name", ["uniform", "dominant", "geometric", "single", "deep", "long"])
+    def test_damaged_streams_fail_the_same_way(self, property_rng, name):
+        # (the reference rebuilds a dict of all long codes on every call)
+        codec, p = _decoder_alphabets(property_rng, n_long=1500)[name]
+        count = 200
+        syms = property_rng.choice(p.size, size=count, p=p).astype(np.int64)
+        w = BitWriter()
+        codec.encode(syms, w)
+        payload = w.getvalue()
+        flips = property_rng.integers(0, 8, size=len(payload))
+        damaged = [payload[:cut] for cut in range(len(payload))]
+        for pos in range(len(payload)):
+            buf = bytearray(payload)
+            buf[pos] ^= 1 << int(flips[pos])
+            damaged.append(bytes(buf))
+        seen = set()
+        for i, blob in enumerate(damaged):
+            bits = np.unpackbits(np.frombuffer(blob, dtype=np.uint8)).astype(bool)
+            got = _outcome(HuffmanCodec.decode, codec, bits, 0, count)
+            ref = _outcome(reference.huffman_decode_reference, codec, bits, 0, count)
+            _assert_same_outcome(got, ref, (name, i))
+            seen.add(got if isinstance(got, type) else "decoded")
+        assert EOFError in seen  # every truncation is one
+        if name in ("single", "long"):  # incomplete codes: a flip can leave no code at all
+            assert ValueError in seen
+
+
+    def test_unmatched_long_window_is_eof_until_49_bits_remain(self, property_rng):
+        # A window no code of up to _MAX_CODE_LEN bits matches is "invalid"
+        # only once that many bits (and one more) were there to look at.
+        codec, p = _decoder_alphabets(property_rng, n_long=1500)["long"]
+        syms = property_rng.choice(p.size, size=70).astype(np.int64)
+        w = BitWriter()
+        codec.encode(syms, w)
+        for tail in range(44, 54):  # all-ones: past every canonical range
+            bits = np.concatenate((w.bits(), np.ones(tail, dtype=bool)))
+            got = _outcome(HuffmanCodec.decode, codec, bits, 0, syms.size + 1)
+            ref = _outcome(reference.huffman_decode_reference, codec, bits, 0, syms.size + 1)
+            assert got is ref is (ValueError if tail >= 49 else EOFError), tail
+
+
+def _window_values_parent(bits: np.ndarray, width: int) -> np.ndarray:
+    """``window_values`` as it was before the phase-shifted rewrite."""
+    arr = np.asarray(bits).astype(bool, copy=False).ravel()
+    nbits = arr.size
+    packed = np.packbits(arr)
+    buf = np.zeros(nbits // 8 + 3, dtype=np.uint32)
+    buf[: packed.size] = packed
+    fused = (buf[:-2] << np.uint32(16)) | (buf[1:-1] << np.uint32(8)) | buf[2:]
+    p = np.arange(nbits + 1)
+    down = (24 - width - (p & 7)).astype(np.uint32)
+    return ((fused[p >> 3] >> down) & np.uint32((1 << width) - 1)).astype(np.int64)
+
+
+def _predict_parent(sub: np.ndarray, h: int, s: int) -> tuple[np.ndarray, np.ndarray]:
+    """sz3's ``_predict`` as it was before the strided-slice rewrite."""
+    n = sub.shape[0]
+    mids = np.arange(h, n, s)
+    lm1 = sub[mids - h]
+    r1 = mids + h
+    has_r1 = r1 < n
+    rp1 = sub[np.minimum(r1, n - 1)]
+    l3 = mids - 3 * h
+    has_l3 = l3 >= 0
+    lm3 = sub[np.maximum(l3, 0)]
+    r3 = mids + 3 * h
+    has_r3 = r3 < n
+    rp3 = sub[np.minimum(r3, n - 1)]
+
+    bshape = (mids.size,) + (1,) * (sub.ndim - 1)
+    full = (has_l3 & has_r1 & has_r3).reshape(bshape)
+    linear_ok = has_r1.reshape(bshape)
+    cubic = _C0 * lm3 + _C1 * lm1 + _C1 * rp1 + _C0 * rp3
+    linear = 0.5 * (lm1 + rp1)
+    return mids, np.where(full, cubic, np.where(linear_ok, linear, lm1))
+
+
+class TestRewrittenKernelsMatchParentBodies:
+    def test_window_values(self, property_rng):
+        for nbits in range(41):
+            bits = property_rng.integers(0, 2, size=nbits).astype(bool)
+            for width in range(1, 17):
+                got = window_values(bits, width)
+                want = _window_values_parent(bits, width)
+                assert got.shape == want.shape
+                np.testing.assert_array_equal(got, want, err_msg=f"{nbits} bits, width {width}")
+
+    def test_sz3_predict(self, property_rng):
+        for n in (2, 3, 4, 5, 6, 7, 8, 9, 17, 33):
+            for h in (1, 2, 4):
+                if n <= h:
+                    continue  # _pass_subgrid never hands such a pass over
+                # a strided, transposed view, as _pass_subgrid produces
+                sub = property_rng.standard_normal((3, n, 5)).transpose(1, 0, 2)[:, :, ::2]
+                mids, want = _predict_parent(sub, h, 2 * h)
+                got = _predict(sub, h, 2 * h)
+                assert got.tobytes() == want.tobytes(), (n, h)
+                assert sub[h :: 2 * h].tobytes() == sub[mids].tobytes()
+
+    def test_huffman_code_lengths_equal_the_heap(self, property_rng):
+        fib = [1, 1]
+        while len(fib) < 40:
+            fib.append(fib[-1] + fib[-2])
+        cases = [np.array(fib), np.ones(1000, dtype=np.int64), np.array([3])]
+        for _ in range(200):
+            n = int(property_rng.integers(1, 80))
+            cases.append(property_rng.integers(0, 5, size=n))  # ties everywhere
+            cases.append(2 ** property_rng.integers(0, 12, size=n))
+            cases.append(property_rng.geometric(0.01, size=n) * (property_rng.random(n) < 0.7))
+        for freq in cases:
+            np.testing.assert_array_equal(
+                huffman_code_lengths(freq), reference.huffman_code_lengths_reference(freq)
             )

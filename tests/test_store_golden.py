@@ -1,17 +1,24 @@
-"""Byte-identity regression against a checked-in controlled ``.rps`` store.
+"""Byte-identity regression against checked-in ``.rps`` stores.
 
 ``tests/test_encoding_golden.py`` pins each codec's payload; this pins
 the whole write path above it — per-chunk prediction, the control
 plane's tier decisions, every T2 search's choice of error bound, the
-closed-loop budget, chunk framing and the manifest. The fixture is an
-out-of-distribution szx pack, so most chunks escalate: a change to how
-:class:`repro.core.fraz.FrazSearch` probes (or to anything else between
-the field and the file) that moves one byte fails here.
+closed-loop budget, chunk framing and the manifest. Two fixtures:
 
-The model is pinned next to the store (``control_szx_model.npz``) so the
-bytes depend on prediction, not on re-running the training search; the
-field is synthesized deterministically. Regenerate both after an
-*intentional* format or policy change with::
+- ``control_szx.rps`` — an out-of-distribution *controlled* szx pack, so
+  most chunks escalate: a change to how :class:`repro.core.fraz.FrazSearch`
+  probes (or to anything else between the field and the file) that moves
+  one byte fails here;
+- ``plain_sz3.rps`` — an *uncontrolled* sz3 pack (the paper's pure model
+  path, one compression per chunk): chunks clipped by the field's edge on
+  the last axis, each with its own Huffman codebook, some storing
+  outliers. It pins sz3's predictor, quantizer and entropy stage at
+  store-chunk scale, where set-up is not amortised.
+
+Each model is pinned next to its store (``*_model.npz``) so the bytes
+depend on prediction, not on re-running the training search; the fields
+are synthesized deterministically. Regenerate after an *intentional*
+format or policy change with::
 
     PYTHONPATH=src python -m tests.test_store_golden
 """
@@ -73,16 +80,67 @@ def test_golden_store_reads_back_within_its_bounds():
     assert np.abs(out - source).max() <= max(bounds)
 
 
+SZ3_MODEL = GOLDEN_DIR / "plain_sz3_model.npz"
+SZ3_STORE = GOLDEN_DIR / "plain_sz3.rps"
+
+_SZ3_SHAPE = (16, 20, 22)
+_SZ3_CHUNK = (8, 10, 8)  # the last axis splits 8 + 8 + 6: four clipped chunks
+_SZ3_RATIO = 3.0
+_SZ3_OPTIONS = StoreOptions(chunk_shape=_SZ3_CHUNK)
+
+
+def _sz3_source() -> np.ndarray:
+    """A smooth field with six impulses far outside its range: at the
+    error bound a ratio of 3 asks for, an impulse's residual overflows
+    the 16-bit quantization window and is stored as an outlier."""
+    data = load_field("miranda/pressure", shape=_SZ3_SHAPE, seed=5).data.copy()
+    rng = np.random.default_rng(7)
+    data[tuple(rng.integers(0, s, size=6) for s in _SZ3_SHAPE)] += np.float32(1e4)
+    return data
+
+
+def _pack_sz3(path: Path):
+    return pack(path, _sz3_source(), load(SZ3_MODEL), _SZ3_RATIO, options=_SZ3_OPTIONS)
+
+
+def test_plain_sz3_store_matches_golden(tmp_path):
+    report = _pack_sz3(tmp_path / "plain_sz3.rps")
+    assert (tmp_path / "plain_sz3.rps").read_bytes() == SZ3_STORE.read_bytes()
+    assert report.control is None
+    # The fixture only pins what it says while it has it: clipped chunks,
+    # and outliers in some chunks but not all.
+    with Store(SZ3_STORE) as st:
+        shapes = {tuple(c.shape) for c in st.grid}
+        outliers = [int(e["meta"]["n_outliers"]) for e in st.manifest["chunks"]]
+    assert shapes == {(8, 10, 8), (8, 10, 6)}
+    assert 0 < sum(n > 0 for n in outliers) < len(outliers)
+
+
+def test_golden_sz3_store_reads_back_within_its_bounds():
+    source = _sz3_source()
+    with Store(SZ3_STORE) as st:
+        out = st.read()
+        for chunk in st.grid:
+            bound = float(st.chunk_entry(chunk.coords)["error_bound"])
+            got, want = out[chunk.slices], source[chunk.slices]
+            # The codec holds the bound in float64; the store's float32
+            # round adds at most half an ulp of the largest value.
+            slack = 0.5 * float(np.spacing(np.abs(got).max()))
+            assert np.abs(got.astype(np.float64) - want).max() <= bound + slack
+
+
 def _regenerate() -> None:
-    fw = CarolFramework(
-        compressor="szx", rel_error_bounds=np.geomspace(1e-3, 3e-1, 6), n_iter=4, cv=2
-    )
-    fw.fit(load_dataset("miranda", shape=_CHUNK))
-    save(MODEL, fw)
-    report = _pack(STORE)
-    print(report.summary())
-    print(f"wrote {MODEL.name} ({MODEL.stat().st_size} bytes), "
-          f"{STORE.name} ({STORE.stat().st_size} bytes)")
+    for codec, bounds, chunk, model, store, do_pack in (
+        ("szx", np.geomspace(1e-3, 3e-1, 6), _CHUNK, MODEL, STORE, _pack),
+        ("sz3", np.geomspace(1e-7, 1e-1, 7), _SZ3_CHUNK, SZ3_MODEL, SZ3_STORE, _pack_sz3),
+    ):
+        fw = CarolFramework(compressor=codec, rel_error_bounds=bounds, n_iter=4, cv=2)
+        fw.fit(load_dataset("miranda", shape=chunk))
+        save(model, fw)
+        report = do_pack(store)
+        print(report.summary())
+        print(f"wrote {model.name} ({model.stat().st_size} bytes), "
+              f"{store.name} ({store.stat().st_size} bytes)")
 
 
 if __name__ == "__main__":

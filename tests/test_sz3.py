@@ -30,8 +30,8 @@ class TestInterpolationTraversal:
             sub = _pass_subgrid(marker, axis, s, h)
             if sub is None:
                 continue
-            mids, _pred = _predict(sub, h, s)
-            sub[mids] += 1.0
+            assert _predict(sub, h, s).shape == sub[h::s].shape
+            sub[h::s] += 1.0
         covered += marker.astype(int)
         np.testing.assert_array_equal(covered, np.ones(shape, dtype=int))
 
@@ -45,8 +45,8 @@ class TestInterpolationTraversal:
             sub = _pass_subgrid(marker, axis, s, h)
             if sub is None:
                 continue
-            mids, _ = _predict(sub, h, s)
-            sub[mids] += 1.0
+            assert _predict(sub, h, s).shape == sub[h::s].shape
+            sub[h::s] += 1.0
         np.testing.assert_array_equal(marker, np.ones(shape))
 
 
