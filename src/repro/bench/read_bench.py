@@ -166,10 +166,12 @@ def run_streaming_scan(
             identical &= digest_array(out) == digest_array(catalog.read(key))
         seconds = time.perf_counter() - t0
         prefetch = catalog.prefetch_stats()
+        pool = catalog.stats().pool
     return {
         "cache_bytes": int(cache_bytes),
         "workers": int(workers),
         "max_inflight": int(max_inflight),
+        "pool_submitted": pool.submitted if pool else 0,
         "seconds": seconds,
         "bytes_served": int(bytes_served),
         "bytes_per_s": bytes_served / seconds if seconds > 0 else 0.0,
@@ -240,6 +242,7 @@ def run_read_bench(
                 "cache_bytes": int(cfg["cache_bytes"]),
                 "workers": int(cfg["workers"]),
                 "concurrency": int(cfg["concurrency"]),
+                "pool_submitted": stats.pool.submitted if stats.pool else 0,
                 "seconds": seconds,
                 "bytes_served": bytes_served,
                 "bytes_per_s": bytes_served / seconds if seconds > 0 else 0.0,
@@ -281,20 +284,20 @@ def format_report(report: dict) -> str:
         f"reads={report['n_reads']}x{tuple(report['read_shape'])} "
         f"commit={report['commit'] or '?'}",
         f"{'config':<16} {'workers':>7} {'conc':>5} {'cache MB':>9} "
-        f"{'MB/s':>9} {'hit rate':>9} {'identical':>10}",
+        f"{'MB/s':>9} {'hit rate':>9} {'pooled':>7} {'identical':>10}",
     ]
     for name, c in report["configs"].items():
         lines.append(
             f"{name:<16} {c['workers']:>7} {c['concurrency']:>5} "
             f"{c['cache_bytes'] / 1e6:>9.1f} {c['bytes_per_s'] / 1e6:>9.2f} "
-            f"{c['cache_hit_rate']:>9.2%} "
+            f"{c['cache_hit_rate']:>9.2%} {c['pool_submitted']:>7} "
             f"{'yes' if c['identical'] else 'DIVERGED':>10}"
         )
     s = report.get("streaming")
     if s:
         lines.append(
             f"{'streaming':<16} workers={s['workers']} "
-            f"max_inflight={s['max_inflight']} "
+            f"max_inflight={s['max_inflight']} pooled={s['pool_submitted']} "
             f"first-tile={s['time_to_first_tile_s'] * 1e3:.2f}ms "
             f"peak={s['peak_resident_bytes'] / 1e6:.2f}MB "
             f"budget={s['budget_bytes'] / 1e6:.2f}MB "
@@ -306,8 +309,25 @@ def format_report(report: dict) -> str:
 
 
 def write_report(report: dict, path: str | Path | None = None) -> Path:
-    """Write the report JSON (default: ``BENCH_read.json`` at repo root)."""
+    """Write the report JSON (default: ``BENCH_read.json`` at repo root).
+
+    History is appended, not overwritten: the report being replaced
+    leaves its throughput figures, with their commit, at the end of the
+    ``"history"`` list it carried.
+    """
     out = Path(path) if path is not None else _REPO_ROOT / REPORT_NAME
+    previous = load_report(out)
+    if previous is not None:
+        entry = {
+            "commit": previous.get("commit"),
+            "generated_utc": previous.get("generated_utc"),
+            "bytes_per_s": {
+                **{name: c["bytes_per_s"] for name, c in previous["configs"].items()},
+                "streaming": previous["streaming"]["bytes_per_s"],
+            },
+            "time_to_first_tile_s": previous["streaming"]["time_to_first_tile_s"],
+        }
+        report = {**report, "history": [*previous.get("history", []), entry]}
     out.write_text(json.dumps(report, indent=2, sort_keys=False) + "\n")
     return out
 

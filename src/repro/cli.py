@@ -639,7 +639,9 @@ def cmd_read_bench(args) -> int:
     exceed twice its ``max_inflight`` tile budget.
 
     ``--check`` is the CI mode: a tiny fixture keeps the byte-identity
-    and bounded-memory gates while dropping the timing cost; nothing is
+    and bounded-memory gates while dropping the timing cost, and fails
+    if a configuration with workers sent them nothing (its chunks sit
+    exactly at ``store.reader.POOL_MIN_CHUNK_BYTES``); nothing is
     written.
     """
     from repro.bench.read_bench import format_report, run_read_bench, write_report
@@ -673,13 +675,25 @@ def cmd_read_bench(args) -> int:
         seed=args.seed,
     )
     if args.check:
+        # Two chunks of exactly POOL_MIN_CHUNK_BYTES per store, every
+        # request straddling both: the smallest fixture whose decodes
+        # still reach the workers.
         kwargs.update(
-            n_stores=2, shape=(16, 16, 16), chunk=(8, 8, 8),
-            n_reads=12, read_shape=(8, 8, 8), workers=min(args.workers, 2),
+            n_stores=2, shape=(32, 64, 128), chunk=(32, 64, 64),
+            n_reads=12, read_shape=(8, 8, 72), workers=min(args.workers, 2),
         )
     report = run_read_bench(fw, **kwargs)
     print(format_report(report))
     ok = True
+    if args.check:
+        idle = [
+            name
+            for name, c in [*report["configs"].items(), ("streaming", report["streaming"])]
+            if c["workers"] > 0 and c["pool_submitted"] == 0
+        ]
+        if idle:
+            print(f"FAIL: workers configured but no decode reached them in: {', '.join(idle)}")
+            ok = False
     if not report["identical"]:
         bad = [n for n, c in report["configs"].items() if not c["identical"]]
         if not report["streaming"]["identical"]:

@@ -13,7 +13,11 @@ give:
 - **graceful fallback** — when a worker dies (``BrokenProcessPool``) or
   a task times out, the task re-runs in-process, the broken executor is
   recycled, and the incident is counted (``<name>.fallbacks`` /
-  ``<name>.timeouts``) instead of failing the request.
+  ``<name>.timeouts``) instead of failing the request;
+- **a decomposable wait** — every task runs through :func:`_timed`, so
+  :class:`PoolStats` always knows how long the work itself took
+  (``worker_seconds``) and how long callers were blocked on it
+  (``wait_seconds``); the difference is what the pool costs.
 
 Tasks must be module-level callables with picklable arguments, same as
 :mod:`repro.core.parallel_collection`. ``n_workers=0`` degrades to pure
@@ -27,8 +31,18 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeout
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
+from time import perf_counter
 
 from repro.obs import count, set_gauge
+
+
+def _timed(fn, *args):
+    """``(seconds inside fn, fn(*args))`` — what every pooled task runs,
+    so the time is measured where the work happened (a worker process or
+    the in-process fallback) and rides back with the result."""
+    start = perf_counter()
+    result = fn(*args)
+    return perf_counter() - start, result
 
 
 @dataclass(frozen=True)
@@ -37,12 +51,21 @@ class PoolStats:
 
     :attr:`WorkerPool.stats` builds a fresh snapshot per access —
     the typed counterpart of the dict this layer used to hand out
-    (:meth:`as_dict` keeps that shape for serialization)."""
+    (:meth:`as_dict` keeps that shape for serialization).
+
+    ``worker_seconds`` is the time spent inside the tasks themselves,
+    measured where each ran; ``wait_seconds`` is the time callers were
+    blocked in :meth:`PoolTask.result` / :meth:`WorkerPool.map_ordered`.
+    ``wait_seconds - worker_seconds / n_workers`` is therefore what the
+    pool *costs* (queueing, pickling, wake-ups) on this host — what a
+    caller needs to decide whether its tasks are worth sending at all."""
 
     submitted: int = 0
     completed: int = 0
     fallbacks: int = 0
     timeouts: int = 0
+    worker_seconds: float = 0.0
+    wait_seconds: float = 0.0
 
     def as_dict(self) -> dict:
         return {
@@ -50,6 +73,8 @@ class PoolStats:
             "completed": self.completed,
             "fallbacks": self.fallbacks,
             "timeouts": self.timeouts,
+            "worker_seconds": self.worker_seconds,
+            "wait_seconds": self.wait_seconds,
         }
 
 
@@ -83,21 +108,16 @@ class PoolTask:
         to an in-process run, counted like :meth:`WorkerPool.map_ordered`
         fallbacks."""
         pool = self._pool
-        if self._future is None:
-            return pool._run_inline(self._fn, self._args, fallback=self._fallback)
-        task_timeout = pool.timeout if timeout is None else timeout
+        start = perf_counter()
         try:
-            result = self._future.result(timeout=task_timeout)
-            pool._completed += 1
-            return result
-        except FutureTimeout:
-            pool._timeouts += 1
-            count(f"{pool.name}.timeouts")
-            self._future.cancel()
-            return pool._run_inline(self._fn, self._args, fallback=True)
-        except BrokenProcessPool:
-            pool._recycle_executor()
-            return pool._run_inline(self._fn, self._args, fallback=True)
+            if self._future is None:
+                return pool._run_inline(self._fn, self._args, fallback=self._fallback)
+            return pool._collect(
+                self._future, self._fn, self._args,
+                pool.timeout if timeout is None else timeout,
+            )
+        finally:
+            pool._clock(wait=perf_counter() - start)
 
     def done(self) -> bool:
         """Whether :meth:`result` would return without blocking.
@@ -135,6 +155,8 @@ class WorkerPool:
         self._completed = 0
         self._fallbacks = 0
         self._timeouts = 0
+        self._worker_seconds = 0.0
+        self._wait_seconds = 0.0
         self._lock = threading.Lock()
         self._executor: ProcessPoolExecutor | None = None
 
@@ -146,6 +168,8 @@ class WorkerPool:
             completed=self._completed,
             fallbacks=self._fallbacks,
             timeouts=self._timeouts,
+            worker_seconds=self._worker_seconds,
+            wait_seconds=self._wait_seconds,
         )
 
     # -- executor lifecycle ----------------------------------------------------
@@ -177,12 +201,36 @@ class WorkerPool:
 
     # -- execution -------------------------------------------------------------
 
+    def _clock(self, *, worker: float = 0.0, wait: float = 0.0) -> None:
+        with self._lock:
+            self._worker_seconds += worker
+            self._wait_seconds += wait
+
     def _run_inline(self, fn, args, *, fallback: bool) -> object:
         if fallback:
             self._fallbacks += 1
             count(f"{self.name}.fallbacks")
-        result = fn(*args)
+        seconds, result = _timed(fn, *args)
         self._completed += 1
+        self._clock(worker=seconds)
+        return result
+
+    def _collect(self, future, fn, args, timeout: float | None) -> object:
+        """One submitted task's result under the pool's failure
+        semantics: a timeout or a dead worker re-runs the task
+        in-process (its time is then counted once, where it finished)."""
+        try:
+            seconds, result = future.result(timeout=timeout)
+        except FutureTimeout:
+            self._timeouts += 1
+            count(f"{self.name}.timeouts")
+            future.cancel()
+            return self._run_inline(fn, args, fallback=True)
+        except BrokenProcessPool:
+            self._recycle_executor()
+            return self._run_inline(fn, args, fallback=True)
+        self._completed += 1
+        self._clock(worker=seconds)
         return result
 
     def map_ordered(self, fn, tasks, *, timeout: float | None = None) -> list:
@@ -198,35 +246,33 @@ class WorkerPool:
         deterministic output.
         """
         tasks = [tuple(args) for args in tasks]
-        task_timeout = self.timeout if timeout is None else timeout
         self._submitted += len(tasks)
-        if self.n_workers == 0 or len(tasks) <= 1:
-            return [self._run_inline(fn, args, fallback=False) for args in tasks]
+        start = perf_counter()
+        try:
+            if self.n_workers == 0 or len(tasks) <= 1:
+                return [self._run_inline(fn, args, fallback=False) for args in tasks]
+            return self._map_windows(
+                fn, tasks, self.timeout if timeout is None else timeout
+            )
+        finally:
+            self._clock(wait=perf_counter() - start)
 
+    def _map_windows(self, fn, tasks: list, timeout: float | None) -> list:
+        """``map_ordered`` on the workers, ``max_pending`` tasks at a time."""
         results: list = [None] * len(tasks)
         for start in range(0, len(tasks), self.max_pending):
             window = list(enumerate(tasks))[start : start + self.max_pending]
             set_gauge(f"{self.name}.queue_depth", len(window))
             try:
                 executor = self._ensure_executor()
-                futures = [(i, executor.submit(fn, *args)) for i, args in window]
+                futures = [(i, executor.submit(_timed, fn, *args)) for i, args in window]
             except BrokenProcessPool:
                 self._recycle_executor()
                 for i, args in window:
                     results[i] = self._run_inline(fn, args, fallback=True)
                 continue
             for i, future in futures:
-                try:
-                    results[i] = future.result(timeout=task_timeout)
-                    self._completed += 1
-                except FutureTimeout:
-                    self._timeouts += 1
-                    count(f"{self.name}.timeouts")
-                    future.cancel()
-                    results[i] = self._run_inline(fn, tasks[i], fallback=True)
-                except BrokenProcessPool:
-                    self._recycle_executor()
-                    results[i] = self._run_inline(fn, tasks[i], fallback=True)
+                results[i] = self._collect(future, fn, tasks[i], timeout)
             set_gauge(f"{self.name}.queue_depth", 0)
         return results
 
@@ -248,7 +294,7 @@ class WorkerPool:
         if self.n_workers == 0:
             return PoolTask(self, fn, args, None)
         try:
-            future = self._ensure_executor().submit(fn, *args)
+            future = self._ensure_executor().submit(_timed, fn, *args)
         except BrokenProcessPool:
             self._recycle_executor()
             return PoolTask(self, fn, args, None, fallback=True)

@@ -15,7 +15,12 @@ resources across every reader it opens:
   stores are open — and re-registering a key under a new path can never
   serve the old store's chunks (see :meth:`StoreCatalog.register`);
 - an optional **decode pool** (:class:`~repro.serve.pool.WorkerPool`)
-  that fans a read's chunk decodes out over worker processes.
+  that fans a read's chunk decodes out over worker processes — for the
+  stores whose chunks are big enough to repay the round trip: a reader
+  keeps the pool only when its nominal chunk decodes to at least
+  :data:`repro.store.reader.POOL_MIN_CHUNK_BYTES`, every other store
+  decodes in the caller, and a fleet of small-chunk stores never forks a
+  process (see :mod:`repro.store.reader`, "Where decode runs").
 
 Both are *injected into* the staged reader — the catalog holds no read
 logic of its own, so catalog reads are byte-identical to plain
@@ -27,12 +32,12 @@ resources injected. On top of the request stream the catalog can layer a
 (``CatalogOptions(prefetch_depth=...)``): sequential and strided scans
 are detected per key and predicted next chunks are decoded into the
 shared LRU after each request, so the next request (streamed or not)
-hits cache instead of disk. When a decode pool is attached, those hint
-decodes are *submitted* to idle worker slots instead of running inline:
-the request that triggered them returns immediately and the decoded
-chunks are harvested into the cache before the next request is served
-(or whenever stats are read) — read-ahead overlaps caller think-time
-without ever blocking a request on it.
+hits cache instead of disk. For a store that kept the decode pool,
+those hint decodes are *submitted* to idle worker slots instead of
+running inline: the request that triggered them returns immediately and
+the decoded chunks are harvested into the cache before the next request
+is served (or whenever stats are read) — read-ahead overlaps caller
+think-time without ever blocking a request on it.
 
 Manifests load lazily: registration and scanning only record paths;
 a store's file is opened (and its manifest parsed) the first time that
@@ -62,7 +67,8 @@ DEFAULT_CACHE_BYTES = 256 << 20
 @dataclass(frozen=True)
 class CatalogStats:
     """Typed, immutable catalog accounting: fleet size, shared-cache
-    traffic and cost, decode-pool task counts (``None`` without workers).
+    traffic and cost, decode-pool task counts and wait/work seconds
+    (``None`` without workers).
 
     The typed counterpart of the dict :meth:`StoreCatalog.stats` used to
     return; :meth:`as_dict` preserves that shape for serialization.
@@ -98,8 +104,14 @@ class CatalogOptions:
 
     ``cache_bytes`` budgets the shared decompressed-chunk LRU (0 disables
     caching; every read decodes). ``workers`` fans chunk decode out over
-    a process pool (0 keeps decode in-process). ``verify=False`` skips
-    checksum verification on payload fetch for trusted local media.
+    a process pool (0 keeps decode in-process) for stores whose nominal
+    chunk decodes to at least
+    :data:`repro.store.reader.POOL_MIN_CHUNK_BYTES`; smaller-chunk stores
+    decode in the caller whatever ``workers`` says (a process round trip
+    costs more than their decode), and no worker is forked until a store
+    that qualifies is read — ``stats().pool`` then simply counts 0 tasks.
+    ``verify=False`` skips checksum verification on payload fetch for
+    trusted local media.
     ``prefetch_depth`` enables catalog-driven read-ahead: after a key's
     request stream shows ``prefetch_min_run`` consecutive requests at
     one stride (sequential scans included), up to ``prefetch_depth``
@@ -309,11 +321,12 @@ class StoreCatalog:
         next-request chunks are decoded into the shared cache."""
         key = str(key)
         reader = self.reader(key)
-        if self.prefetcher is not None:
-            self._settle_pending(reader, region)
+        if self.prefetcher is None:
+            return reader.read(region)
+        chunks = reader.grid.chunks_intersecting(region)
+        self._settle_pending(reader, chunks)
         out = reader.read(region)
-        if self.prefetcher is not None:
-            self._after_request(key, reader, region)
+        self._after_request(key, reader, chunks)
         return out
 
     def read_iter(
@@ -327,11 +340,12 @@ class StoreCatalog:
         decodes."""
         key = str(key)
         reader = self.reader(key)
-        if self.prefetcher is not None:
-            self._settle_pending(reader, region)
+        if self.prefetcher is None:
+            return reader.read_iter(region, tile=tile, max_inflight=max_inflight)
+        chunks = reader.grid.chunks_intersecting(region)
+        self._settle_pending(reader, chunks)
         stream = reader.read_iter(region, tile=tile, max_inflight=max_inflight)
-        if self.prefetcher is not None:
-            stream.on_complete(lambda: self._after_request(key, reader, region))
+        stream.on_complete(lambda: self._after_request(key, reader, chunks))
         return stream
 
     def read_chunk(self, key: str, coords: tuple[int, ...]) -> np.ndarray:
@@ -343,20 +357,18 @@ class StoreCatalog:
 
     # -- prefetch ----------------------------------------------------------------
 
-    def _settle_pending(self, reader: StoreReader, region) -> None:
-        """Account prefetch outcomes *before* a request is served, while
-        cache residency still reflects what the request will see: an
-        issued chunk this request covers is a **hit** if still resident
-        (the read about to happen consumes it from cache) and **wasted**
-        if the LRU already dropped it; issued chunks outside the request
-        stay pending unless evicted. Async hint decodes that have
-        finished by now are admitted first, so the request sees every
-        chunk prefetch managed to land."""
+    def _settle_pending(self, reader: StoreReader, chunks) -> None:
+        """Account prefetch outcomes *before* a request (the ``chunks``
+        it intersects) is served, while cache residency still reflects
+        what the request will see: an issued chunk this request covers
+        is a **hit** if still resident (the read about to happen
+        consumes it from cache) and **wasted** if the LRU already
+        dropped it; issued chunks outside the request stay pending
+        unless evicted. Async hint decodes that have finished by now are
+        admitted first, so the request sees every chunk prefetch managed
+        to land."""
         self._harvest_hints()
-        request = {
-            reader._cache_key(chunk.coords)
-            for chunk in reader.grid.chunks_intersecting(region)
-        }
+        request = {reader._cache_key(chunk.coords) for chunk in chunks}
         with self._prefetch_lock:
             for cache_key in list(self._prefetch_pending):
                 resident = cache_key in self.chunk_cache
@@ -369,12 +381,12 @@ class StoreCatalog:
                     self._prefetch_wasted += 1
                     count("store.read.prefetch_wasted")
 
-    def _after_request(self, key: str, reader: StoreReader, region) -> None:
-        """Record a served request with the prefetcher and issue the
-        hints it unlocks. Hint *prediction* is a pure function of the
-        key's request history; hint *issuance* skips chunks the cache
-        already holds (see :mod:`repro.store.prefetch`)."""
-        chunks = reader.grid.chunks_intersecting(region)
+    def _after_request(self, key: str, reader: StoreReader, chunks) -> None:
+        """Record a served request (the ``chunks`` it intersected) with
+        the prefetcher and issue the hints it unlocks. Hint *prediction*
+        is a pure function of the key's request history; hint *issuance*
+        skips chunks the cache already holds (see
+        :mod:`repro.store.prefetch`)."""
         hints = self.prefetcher.predict(
             key, [c.index for c in chunks], reader.n_chunks
         )
@@ -388,11 +400,12 @@ class StoreCatalog:
         prefetch must never fail or slow a request stream, and a corrupt
         chunk stays the *read* path's error to raise.
 
-        With a decode pool attached, the payload is fetched inline (file
-        I/O is serialized on the reader anyway) but the CPU-bound decode
-        is submitted to an idle worker slot and harvested later
-        (:meth:`_harvest_hints`) — read-ahead overlaps with whatever the
-        caller does next instead of stretching its request."""
+        When the reader kept a decode pool, the payload is fetched
+        inline (file I/O is serialized on the reader anyway) but the
+        CPU-bound decode is submitted to an idle worker slot and
+        harvested later (:meth:`_harvest_hints`) — read-ahead overlaps
+        with whatever the caller does next instead of stretching its
+        request."""
         from repro.store.reader import decode_chunk
 
         chunk = reader.grid.chunk(int(chunk_id))
@@ -404,8 +417,8 @@ class StoreCatalog:
             payload = reader.fetch_payload(entry)
         except Exception:
             return
-        if self.pool is not None:
-            task = self.pool.submit(
+        if reader.pool is not None:
+            task = reader.pool.submit(
                 decode_chunk, reader.compressor, entry, payload, reader.verify
             )
             with self._prefetch_lock:

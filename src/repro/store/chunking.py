@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from math import prod
 
 import numpy as np
 
@@ -56,7 +57,15 @@ class Chunk:
 
     @property
     def n_elements(self) -> int:
-        return int(np.prod(self.shape))
+        return prod(self.shape)
+
+    def clip(self, sel: tuple[slice, ...]) -> tuple[slice, ...]:
+        """This chunk's intersection with a normalized region, in field
+        coordinates (non-empty whenever the chunk intersects ``sel``)."""
+        return tuple(
+            slice(max(r.start, c.start), min(r.stop, c.stop))
+            for r, c in zip(sel, self.slices)
+        )
 
 
 @dataclass(frozen=True)
@@ -187,13 +196,7 @@ class ChunkGrid:
         if any(s.stop <= s.start for s in sel):
             return []
         if tile_shape is None:
-            return [
-                tuple(
-                    slice(max(r.start, c.start), min(r.stop, c.stop))
-                    for r, c in zip(sel, chunk.slices)
-                )
-                for chunk in self.chunks_intersecting(sel)
-            ]
+            return [chunk.clip(sel) for chunk in self.chunks_intersecting(sel)]
         tile = tuple(int(t) for t in tile_shape)
         if len(tile) != len(self.shape):
             raise ValueError(f"tile_shape {tile} does not match field rank {len(self.shape)}")
@@ -206,6 +209,25 @@ class ChunkGrid:
                 for start, t, s in zip(origin, tile, sel)
             )
             for origin in product(*starts)
+        ]
+
+    def plan_region(
+        self, region, tile_shape=None
+    ) -> list[tuple[tuple[slice, ...], list[Chunk]]]:
+        """The streaming plan: every tile of :meth:`tiles_for_region`, in
+        its order, paired with the chunks that feed it (flat-id order).
+
+        With ``tile_shape=None`` a tile *is* one chunk's intersection
+        with the region, so the whole plan comes out of a single
+        :meth:`chunks_intersecting` pass; explicit tiles intersect the
+        grid once each.
+        """
+        sel = self.normalize_region(region)
+        if tile_shape is None:
+            return [(chunk.clip(sel), [chunk]) for chunk in self.chunks_intersecting(sel)]
+        return [
+            (tile, self.chunks_intersecting(tile))
+            for tile in self.tiles_for_region(sel, tile_shape)
         ]
 
     def chunks_intersecting(self, region) -> list[Chunk]:

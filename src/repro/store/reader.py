@@ -27,6 +27,21 @@ cache hits count in ``store.read.chunks_cached`` — both counted in
 exactly one place, :meth:`StoreReader._count_decoded` and
 :meth:`StoreReader._cache_get`, whichever path served the chunk).
 
+**Where decode runs.** A reader keeps the pool it is handed only when
+its store's nominal chunk decodes to at least
+:data:`POOL_MIN_CHUNK_BYTES`; below that ``reader.pool`` is ``None`` and
+every decode runs in the caller, exactly as with no pool — so a fleet of
+small-chunk stores never forks a worker (the pool builds its executor on
+first submit). The round trip is dearer than the work: a 64 KiB szx
+chunk decodes in 0.57 ms in the caller and 0.69 ms on a worker, but
+``submit(...).result()`` of that task takes 1.04 ms (sz3: 1.68 ms
+inline, 2.72 ms round trip), and two forked workers given
+millisecond tasks are woken onto one core and take turns instead of
+overlapping. The decision is per store, not per chunk (edge chunks
+clipped below the threshold go where their store goes), and changes
+where a pure function runs, never its bytes. The break-even sweep and
+the probes behind both findings are in docs/ARCHITECTURE.md.
+
 :meth:`StoreReader.read` materializes the whole region;
 :meth:`StoreReader.read_iter` streams it as bounded-memory tiles
 (:class:`TileStream`) instead — same stages, same bytes, with fetch and
@@ -38,6 +53,7 @@ from __future__ import annotations
 import threading
 from collections import deque
 from dataclasses import dataclass
+from math import prod
 from pathlib import Path
 
 import numpy as np
@@ -47,6 +63,15 @@ from repro.compressors.registry import get_compressor
 from repro.obs import count, set_gauge_max, timed_span
 from repro.store.chunking import ChunkGrid
 from repro.store.format import CorruptChunkError, StoreFormatError, chunk_checksum, read_manifest
+
+#: Smallest nominal chunk (decoded bytes) whose decode is worth a process
+#: round trip: a store below it drops the pool it is handed and decodes
+#: in the caller. Measured, not tuned per codec — the smallest size in
+#: the ``read-bench`` sweep (docs/ARCHITECTURE.md, "Where decode runs")
+#: at which two workers were not slower than none for szx *and* sz3, on
+#: ``read`` *and* ``read_iter``; ``cat.stats().pool`` (``wait_seconds``
+#: against ``worker_seconds``) re-derives it on another host.
+POOL_MIN_CHUNK_BYTES = 512 << 10
 
 
 def decode_chunk(
@@ -101,8 +126,10 @@ class StoreReader:
     ``(cache_scope, coords)`` keys; arrays entering the cache are frozen
     read-only, since hits hand back the shared object. ``pool`` (a
     :class:`repro.serve.pool.WorkerPool`) fans a multi-chunk read's
-    decode stage out across worker processes. Both default to off, which
-    is the classic serial reader unchanged.
+    decode stage out across worker processes — kept (as ``self.pool``)
+    only by stores whose nominal chunk reaches
+    :data:`POOL_MIN_CHUNK_BYTES`, see the module docstring. Both default
+    to off, which is the classic serial reader unchanged.
     """
 
     def __init__(
@@ -118,7 +145,6 @@ class StoreReader:
         self.verify = bool(verify)
         self.chunk_cache = chunk_cache
         self.cache_scope = str(cache_scope) if cache_scope is not None else str(self.path)
-        self.pool = pool
         self._io_lock = threading.Lock()
         self._fh = open(self.path, "rb")
         try:
@@ -131,6 +157,10 @@ class StoreReader:
         self.chunk_shape = tuple(int(c) for c in self.manifest["chunk_shape"])
         self.compressor = self.manifest["compressor"]
         self.grid = ChunkGrid(self.shape, self.chunk_shape)
+        # One decision per store, from its nominal chunk: edge chunks
+        # clipped below the threshold still go where their store goes.
+        nominal_bytes = prod(self.grid.chunk_shape) * self.dtype.itemsize
+        self.pool = pool if nominal_bytes >= POOL_MIN_CHUNK_BYTES else None
         self._codec = get_compressor(self.compressor)
         self._entries = {tuple(e["coords"]): e for e in self.manifest["chunks"]}
         if len(self._entries) != self.grid.n_chunks:
@@ -347,10 +377,10 @@ class StoreReader:
         tiles are fetched/decoding ahead of the one the caller holds, so
         in-flight decoded bytes are hard-bounded by the tile working set
         (:attr:`StreamStats.budget_bytes`) no matter how large the
-        region — the pipeline never queues unboundedly. With a decode
-        ``pool`` attached, those look-ahead tiles decode concurrently
-        while the caller consumes earlier ones; without one they decode
-        lazily at yield time (same bytes, no overlap).
+        region — the pipeline never queues unboundedly. When the reader
+        kept a decode ``pool``, those look-ahead tiles decode
+        concurrently while the caller consumes earlier ones; otherwise
+        they decode lazily at yield time (same bytes, no overlap).
 
         A corrupt chunk raises
         :class:`~repro.store.format.CorruptChunkError` naming the chunk
@@ -358,9 +388,7 @@ class StoreReader:
         has been yielded intact; the reader stays usable afterward.
         """
         sel = self.grid.normalize_region(region)
-        tiles = self.grid.tiles_for_region(sel, tile)
-        plan = [(t, self.grid.chunks_intersecting(t)) for t in tiles]
-        return TileStream(self, sel, plan, max_inflight)
+        return TileStream(self, sel, self.grid.plan_region(sel, tile), max_inflight)
 
     def verify_all(self) -> int:
         """Checksum every chunk payload (even with ``verify=False``);
@@ -468,8 +496,8 @@ class TileStream:
         itemsize = reader.dtype.itemsize
         self._max_tile_cost = max(
             (
-                sum(c.n_elements for c in chunks) * itemsize
-                + int(np.prod([s.stop - s.start for s in t])) * itemsize
+                (sum(c.n_elements for c in chunks) + prod(s.stop - s.start for s in t))
+                * itemsize
                 for t, chunks in plan
             ),
             default=0,

@@ -86,3 +86,14 @@ def rough1d(rng) -> np.ndarray:
 @pytest.fixture
 def tiny_field(rng) -> np.ndarray:
     return np.cumsum(rng.standard_normal((6, 7, 5)), axis=0)
+
+
+@pytest.fixture
+def pool_small_chunks(monkeypatch) -> None:
+    """For tests that mean to exercise worker processes on tiny stores:
+    drop the reader's pool threshold to zero so every store keeps its
+    injected pool. Each such test asserts ``submitted > 0`` so it cannot
+    go vacuous."""
+    import repro.store.reader as reader_mod
+
+    monkeypatch.setattr(reader_mod, "POOL_MIN_CHUNK_BYTES", 0)

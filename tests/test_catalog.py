@@ -159,7 +159,7 @@ class TestByteIdentity:
     @pytest.mark.parametrize("workers", [0, 1, 2, 4])
     @pytest.mark.parametrize("cache_bytes", [0, 1 << 14, 64 << 20])
     def test_identical_across_workers_and_cache_sizes(
-        self, store_root, serial_baseline, workers, cache_bytes
+        self, store_root, serial_baseline, workers, cache_bytes, pool_small_chunks
     ):
         root, fields = store_root
         options = CatalogOptions(
@@ -171,8 +171,10 @@ class TestByteIdentity:
                     for i, region in enumerate(REGIONS):
                         out = cat.read(key, region)
                         np.testing.assert_array_equal(out, serial_baseline[(key, i)])
+            if workers:
+                assert cat.stats().pool.submitted > 0
 
-    def test_concurrent_readers_byte_identical(self, store_root):
+    def test_concurrent_readers_byte_identical(self, store_root, pool_small_chunks):
         root, fields = store_root
         requests = [
             (key, region) for key in fields for region in REGIONS for _ in range(3)
@@ -184,8 +186,59 @@ class TestByteIdentity:
             with ThreadPoolExecutor(max_workers=4) as tp:
                 futures = [tp.submit(cat.read, k, r) for k, r in requests]
                 results = [f.result() for f in futures]
+            assert cat.stats().pool.submitted > 0
         for got, want in zip(results, expected):
             np.testing.assert_array_equal(got, want)
+
+
+class TestDecodeSite:
+    """A reader keeps the injected pool only when its store's nominal
+    chunk reaches ``POOL_MIN_CHUNK_BYTES``; both sides return the bytes
+    a plain ``Store`` returns."""
+
+    def test_small_chunk_fleet_never_forks(self, store_root):
+        # 8 KiB chunks under the shipped constant: workers are configured,
+        # every decode (reads, streams, prefetch hints) stays in the caller.
+        root, fields = store_root
+        options = CatalogOptions(cache_bytes=64 << 20, workers=2, prefetch_depth=4)
+        with StoreCatalog(root, options=options) as cat:
+            for key in fields:
+                assert cat.reader(key).pool is None
+                with Store(root / f"{key}.rps") as plain:
+                    for chunk in plain.grid:  # a sequential scan: hints issue
+                        got = cat.read(key, chunk.slices)
+                        assert got.tobytes() == plain.read(chunk.slices).tobytes()
+                    whole = plain.read()
+                streamed = np.empty_like(whole)
+                for tile_sel, tile in cat.read_iter(key, max_inflight=4):
+                    streamed[tile_sel] = tile
+                assert streamed.tobytes() == whole.tobytes()
+            stats = cat.stats()
+            assert stats.prefetch.issued > 0 and stats.prefetch.hits > 0
+            assert stats.pool.submitted == 0 and stats.pool.completed == 0
+            assert stats.pool.wait_seconds == 0.0
+            assert cat.pool._executor is None  # no process was ever forked
+
+    @pytest.mark.parametrize("workers", [0, 1, 2])
+    def test_store_at_the_shipped_constant_is_pooled(self, fitted, tmp_path, workers):
+        from repro.store.reader import POOL_MIN_CHUNK_BYTES
+
+        chunk = (POOL_MIN_CHUNK_BYTES // (64 * 32 * 4), 64, 32)  # float32, exactly at it
+        field = load_field("miranda/pressure", shape=(chunk[0], 64, 64), seed=3)
+        assert field.data.dtype == np.float32
+        path = tmp_path / "big.rps"
+        pack(path, field, fitted, TARGET, options=StoreOptions(chunk_shape=chunk))
+        with Store(path) as plain:
+            whole = plain.read()
+        options = CatalogOptions(cache_bytes=0, workers=workers)
+        with StoreCatalog(tmp_path, options=options) as cat:
+            assert (cat.reader("big").pool is not None) == (workers > 0)
+            assert cat.read("big").tobytes() == whole.tobytes()
+            for tile_sel, tile in cat.read_iter("big"):
+                assert tile.tobytes() == whole[tile_sel].tobytes()
+            if workers:
+                assert cat.stats().pool.submitted == 4  # two chunks, read twice
+                assert cat.stats().pool.worker_seconds > 0.0
 
 
 class TestSharedChunkCache:

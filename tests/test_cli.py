@@ -289,9 +289,42 @@ class TestReadBench:
         out = capsys.readouterr().out
         for config in ("serial", "cached", "parallel+cache"):
             assert config in out
+        assert "pooled" in out and "FAIL" not in out  # workers were reached
         assert "DIVERGED" not in out
         assert "report written" not in out
         assert not list(tmp_path.glob("BENCH_read.json"))
+
+    def test_check_mode_fails_when_workers_get_nothing(self, capsys, monkeypatch):
+        # The gate must not go vacuous: if the check fixture's chunks ever
+        # fall below the pool threshold, --check says so instead of passing.
+        import repro.store.reader as reader_mod
+
+        monkeypatch.setattr(reader_mod, "POOL_MIN_CHUNK_BYTES", 1 << 30)
+        rc = main([
+            "read-bench", "--check", "--train-shape", "8", "8", "8",
+            "-n", "5", "--iters", "3", "--workers", "2",
+        ])
+        assert rc == 1
+        out = capsys.readouterr().out
+        assert "no decode reached them in: parallel+cache, streaming" in out
+
+    def test_rewritten_report_keeps_the_old_numbers_as_history(self, tmp_path):
+        from repro.bench.read_bench import SCHEMA, load_report, write_report
+
+        def report(commit, mbps):
+            return {
+                "schema": SCHEMA, "commit": commit, "generated_utc": "t",
+                "configs": {"serial": {"bytes_per_s": mbps}},
+                "streaming": {"bytes_per_s": 2 * mbps, "time_to_first_tile_s": 0.5},
+            }
+
+        path = tmp_path / "BENCH_read.json"
+        for commit, mbps in (("aaa", 1.0), ("bbb", 2.0), ("ccc", 3.0)):
+            write_report(report(commit, mbps), path)
+        final = load_report(path)
+        assert final["commit"] == "ccc"
+        assert [h["commit"] for h in final["history"]] == ["aaa", "bbb"]
+        assert final["history"][1]["bytes_per_s"] == {"serial": 2.0, "streaming": 4.0}
 
     def test_writes_report_with_throughput_and_hit_rate(self, tmp_path, capsys):
         import json

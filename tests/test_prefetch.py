@@ -252,7 +252,7 @@ class TestIssuance:
             for tile_sel, tile in it:
                 np.testing.assert_array_equal(tile, fields["a"][tile_sel])
 
-    def test_async_hint_decodes_land_in_cache_and_hit(self, store_root):
+    def test_async_hint_decodes_land_in_cache_and_hit(self, store_root, pool_small_chunks):
         """With a decode pool, hints are *submitted* (not run inline) and
         harvested before the next request: once the in-flight set drains,
         every predicted chunk was admitted, and the request that follows
@@ -273,7 +273,9 @@ class TestIssuance:
             stats = cat.prefetch_stats()
             assert stats.hits == 4 and stats.wasted == 0
 
-    def test_async_prefetch_never_corrupts_inflight_streams(self, store_root):
+    def test_async_prefetch_never_corrupts_inflight_streams(
+        self, store_root, pool_small_chunks
+    ):
         """Async hint decodes landing mid-stream (and the LRU churn they
         cause in a tiny cache) must not change bytes a read_iter already
         scheduled — streamed tiles stay fresh copies."""
@@ -294,18 +296,22 @@ class TestIssuance:
             np.testing.assert_array_equal(first, fields["a"][first_sel])
             for tile_sel, tile in it:
                 np.testing.assert_array_equal(tile, fields["a"][tile_sel])
+            assert cat.stats().pool.submitted > 0
 
-    def test_close_with_inflight_hints_does_not_hang(self, store_root):
+    def test_close_with_inflight_hints_does_not_hang(self, store_root, pool_small_chunks):
         root, _ = store_root
         options = CatalogOptions(cache_bytes=64 << 20, prefetch_depth=4, workers=1)
         with StoreCatalog(root, options=options) as cat:
             for i in range(3):
                 cat.read("a", slab_region(i))
+            assert cat.stats().pool.submitted > 0
             # exit immediately: slab 3's hint decodes may still be running;
             # close() cancels them — reaching the assertion is the test
         assert cat.prefetch_stats().wasted >= 0
 
-    def test_reregistration_mid_flight_never_serves_stale_bytes(self, store_root):
+    def test_reregistration_mid_flight_never_serves_stale_bytes(
+        self, store_root, pool_small_chunks
+    ):
         """Re-pointing a key while its hint decodes are still on the pool
         must not let the old store's chunks serve the new key (the admit
         path drops hints whose reader was retired)."""
@@ -314,6 +320,7 @@ class TestIssuance:
         with StoreCatalog(root, options=options) as cat:
             for i in range(3):
                 cat.read("a", slab_region(i))  # slab 3 hints now in flight
+            assert cat.stats().pool.submitted > 0
             cat.register("a", root / "b.rps")
             for i in range(5):
                 np.testing.assert_array_equal(

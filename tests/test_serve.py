@@ -203,6 +203,13 @@ def _die_unless_pid(main_pid, x):
     return x
 
 
+def _die_or_sleep(main_pid, delay):
+    if os.getpid() != main_pid:
+        os._exit(13)
+    time.sleep(delay)
+    return delay
+
+
 class TestWorkerPool:
     def test_in_process_mode(self):
         pool = WorkerPool(0)
@@ -270,6 +277,41 @@ class TestWorkerPool:
             out = pool.map_ordered(_slow, [(1, 0.0), (2, 2.0), (3, 0.0)], timeout=None)
         assert out == [1, 2, 3]
         assert pool.stats.timeouts == 1
+
+    def test_untouched_pool_has_no_time(self):
+        stats = WorkerPool(2).stats
+        assert stats.worker_seconds == 0.0 and stats.wait_seconds == 0.0
+        assert stats.as_dict()["worker_seconds"] == 0.0
+        assert stats.as_dict()["wait_seconds"] == 0.0
+
+    def test_pooled_map_times_the_work_where_it_ran(self):
+        with WorkerPool(2) as pool:
+            pool.map_ordered(_slow, [(i, 0.02) for i in range(4)])
+            stats = pool.stats
+        assert stats.fallbacks == 0  # every sleep was measured inside a worker
+        assert stats.worker_seconds >= 4 * 0.02
+        # two workers at best halve the wall; the rest is queueing + IPC
+        assert stats.wait_seconds >= stats.worker_seconds / pool.n_workers
+
+    def test_submitted_task_wait_and_work_are_both_counted(self):
+        with WorkerPool(1) as pool:
+            assert pool.submit(_slow, 7, 0.02).result() == 7
+            stats = pool.stats
+        assert stats.worker_seconds >= 0.02
+        assert stats.wait_seconds >= stats.worker_seconds / pool.n_workers
+
+    @pytest.mark.parametrize("n_workers", (0, 2))
+    def test_in_process_run_is_counted_once(self, n_workers):
+        """A task that ends up in the caller — no workers at all, or its
+        worker died — is timed there, once: the caller's wait encloses
+        it, so it can never exceed the wait."""
+        with WorkerPool(n_workers) as pool:
+            out = pool.map_ordered(_die_or_sleep, [(os.getpid(), 0.02)] * 3)
+            stats = pool.stats
+        assert out == [0.02] * 3
+        assert stats.completed == 3
+        assert (stats.fallbacks > 0) == (n_workers > 0)
+        assert 3 * 0.02 <= stats.worker_seconds <= stats.wait_seconds
 
 
 class TestModelRegistry:

@@ -1,5 +1,7 @@
 """Deterministic chunk grids: tiling, enumeration, region intersection."""
 
+from itertools import product
+
 import numpy as np
 import pytest
 
@@ -154,3 +156,54 @@ class TestRegions:
         assert isinstance(chunk, Chunk)
         with pytest.raises(AttributeError):
             chunk.index = 3
+
+
+def _two_pass_plan(grid: ChunkGrid, sel, tile_shape):
+    """The streaming plan as ``StoreReader.read_iter`` used to build it:
+    the tile list first, then one grid intersection per tile. Kept here
+    as the reference ``ChunkGrid.plan_region`` must reproduce."""
+    if any(s.stop <= s.start for s in sel):
+        tiles = []
+    elif tile_shape is None:
+        tiles = [
+            tuple(
+                slice(max(r.start, c.start), min(r.stop, c.stop))
+                for r, c in zip(sel, chunk.slices)
+            )
+            for chunk in grid.chunks_intersecting(sel)
+        ]
+    else:
+        starts = [range(s.start, s.stop, t) for s, t in zip(sel, tile_shape)]
+        tiles = [
+            tuple(
+                slice(start, min(start + t, s.stop))
+                for start, t, s in zip(origin, tile_shape, sel)
+            )
+            for origin in product(*starts)
+        ]
+    return [(t, grid.chunks_intersecting(t)) for t in tiles]
+
+
+class TestStreamingPlan:
+    def test_single_pass_plan_matches_two_pass_construction(self, property_rng):
+        rng = property_rng
+        for _ in range(120):
+            rank = int(rng.integers(1, 4))
+            shape = tuple(int(rng.integers(1, 14)) for _ in range(rank))
+            grid = ChunkGrid(shape, tuple(int(rng.integers(1, 7)) for _ in range(rank)))
+            lo = [int(rng.integers(0, s)) for s in shape]
+            # hi == lo now and then: the empty region has an empty plan
+            hi = [int(rng.integers(low, s + 1)) for low, s in zip(lo, shape)]
+            sel = tuple(slice(a, b) for a, b in zip(lo, hi))
+            for tile_shape in (None, tuple(int(rng.integers(1, 9)) for _ in range(rank))):
+                want = _two_pass_plan(grid, sel, tile_shape)
+                assert grid.plan_region(sel, tile_shape) == want
+                assert grid.tiles_for_region(sel, tile_shape) == [t for t, _ in want]
+
+    def test_chunk_sized_tile_is_the_chunk_clipped_to_the_region(self):
+        grid = ChunkGrid((10, 10), (4, 5))
+        sel = grid.normalize_region((slice(3, 9), slice(2, 7)))
+        for tile, chunks in grid.plan_region(sel):
+            (chunk,) = chunks
+            assert tile == chunk.clip(sel)
+            assert chunk.n_elements == int(np.prod(chunk.shape))

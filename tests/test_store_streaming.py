@@ -23,6 +23,7 @@ import shutil
 import numpy as np
 import pytest
 
+import repro.store.reader as reader_mod
 from repro import CarolFramework, load_dataset, load_field, obs
 from repro.store import (
     CatalogOptions,
@@ -98,7 +99,7 @@ class TestStreamMatchesRead:
     @pytest.mark.parametrize("workers", WORKER_COUNTS)
     @pytest.mark.parametrize("cache_bytes", CACHE_SIZES)
     def test_byte_identity_across_configurations(
-        self, store_root, workers, cache_bytes, property_rng
+        self, store_root, workers, cache_bytes, property_rng, pool_small_chunks
     ):
         root, expected = store_root
         regions = [
@@ -127,6 +128,8 @@ class TestStreamMatchesRead:
                         assert stats.tiles_yielded == stats.tiles_total == len(order)
                         assert stats.peak_inflight_bytes <= 2 * stats.budget_bytes
                 assert plan == reader.grid.tiles_for_region(sel)  # plan is pure
+            if workers:
+                assert cat.stats().pool.submitted > 0
 
     def test_empty_region_yields_nothing(self, store_root):
         root, _ = store_root
@@ -157,6 +160,80 @@ class TestStreamMatchesRead:
             assert list(stream) == []
 
 
+NOMINAL_BYTES = int(np.prod(CHUNK)) * 4  # the float32 store's nominal chunk
+
+
+class TestDecodeSite:
+    """One decision per store, from its nominal chunk: at or above
+    ``POOL_MIN_CHUNK_BYTES`` the reader keeps the injected pool, below it
+    every decode runs in the caller — and the bytes never differ."""
+
+    @pytest.mark.parametrize("workers", (0, 1, 2))
+    @pytest.mark.parametrize("side", ("below", "at", "above"))
+    def test_same_bytes_on_both_sides_of_the_threshold(
+        self, store_root, workers, side, monkeypatch
+    ):
+        threshold = NOMINAL_BYTES + {"below": 1, "at": 0, "above": -1}[side]
+        monkeypatch.setattr(reader_mod, "POOL_MIN_CHUNK_BYTES", threshold)
+        root, expected = store_root
+        pooled = workers > 0 and side != "below"
+        options = CatalogOptions(cache_bytes=64 << 20, workers=workers, prefetch_depth=4)
+        with StoreCatalog(root, options=options) as cat:
+            assert (cat.reader("field").pool is not None) == pooled
+            for lo in (0, 8, 16):  # slab scan: the third request lands on hints
+                slab = (slice(lo, min(lo + 8, SHAPE[0])),)
+                assert cat.read("field", slab).tobytes() == expected[slab].tobytes()
+                cat.prefetch_stats()  # harvest whatever hint decodes finished
+            got, _ = assemble(
+                cat.read_iter("field", max_inflight=4),
+                cat.reader("field").grid.normalize_region(None),
+                expected.dtype,
+            )
+            assert got.tobytes() == expected.tobytes()
+        with StoreCatalog(root, options=CatalogOptions(cache_bytes=0, workers=workers)) as cat:
+            assert cat.read("field").tobytes() == expected.tobytes()
+            got, _ = assemble(
+                cat.read_iter("field", tile=(5, 12, 16), max_inflight=2),
+                cat.reader("field").grid.normalize_region(None),
+                expected.dtype,
+            )
+            assert got.tobytes() == expected.tobytes()
+            if workers:
+                assert (cat.stats().pool.submitted > 0) == pooled
+                assert (cat.pool._executor is not None) == pooled
+
+    def test_clipped_edge_chunks_go_where_their_store_goes(self, store_root, monkeypatch):
+        monkeypatch.setattr(reader_mod, "POOL_MIN_CHUNK_BYTES", NOMINAL_BYTES)
+        root, expected = store_root
+        corner = (slice(16, 20), slice(16, 30), slice(16, 30))  # one 4x14x14 chunk
+        with StoreCatalog(root, options=CatalogOptions(cache_bytes=0, workers=1)) as cat:
+            ((tile_sel, tile),) = list(cat.read_iter("field", corner))
+            assert tile.nbytes < NOMINAL_BYTES
+            assert tile.tobytes() == expected[tile_sel].tobytes()
+            assert cat.stats().pool.submitted == 1
+
+    @pytest.mark.parametrize("pooled", (False, True))
+    def test_single_chunk_store(self, fitted, tmp_path, pooled, monkeypatch):
+        """The nominal chunk of a one-chunk store is the field itself,
+        whatever chunk shape it was packed with."""
+        monkeypatch.setattr(
+            reader_mod, "POOL_MIN_CHUNK_BYTES", NOMINAL_BYTES + (0 if pooled else 1)
+        )
+        field = load_field("miranda/pressure", shape=CHUNK, seed=11)
+        path = tmp_path / "one.rps"
+        pack(path, field, fitted, TARGET, options=StoreOptions(chunk_shape=(16, 32, 32)))
+        with Store(path) as plain:
+            assert plain.n_chunks == 1
+            whole = plain.read()
+        with StoreCatalog(tmp_path, options=CatalogOptions(cache_bytes=0, workers=2)) as cat:
+            assert (cat.reader("one").pool is not None) == pooled
+            assert cat.read("one").tobytes() == whole.tobytes()
+            ((_, tile),) = list(cat.read_iter("one"))
+            assert tile.tobytes() == whole.tobytes()
+            # read() decodes a lone chunk in the caller; the stream submits it
+            assert cat.stats().pool.submitted == (1 if pooled else 0)
+
+
 class TestBackpressure:
     def test_peak_stays_within_budget_and_below_materialized(self, store_root):
         root, expected = store_root
@@ -176,6 +253,20 @@ class TestBackpressure:
             stream = st.read_iter(max_inflight=max_inflight)
             stats = stream.stats
             assert stats.budget_bytes == max_inflight * stats.max_tile_cost_bytes
+            stream.close()
+
+    @pytest.mark.parametrize("tile", TILE_SHAPES)
+    def test_tile_cost_is_decoded_chunks_plus_output_box(self, store_root, tile):
+        root, expected = store_root
+        with Store(root / "field.rps") as st:
+            region = (slice(3, 19), slice(5, 30), slice(0, 17))
+            stream = st.read_iter(region, tile=tile)
+            want = max(
+                sum(int(np.prod(c.shape)) for c in st.grid.chunks_intersecting(t))
+                + int(np.prod([s.stop - s.start for s in t]))
+                for t in st.grid.tiles_for_region(region, tile)
+            ) * expected.itemsize
+            assert stream.stats.max_tile_cost_bytes == want
             stream.close()
 
     def test_invalid_arguments_rejected(self, store_root):
@@ -216,7 +307,7 @@ class TestCorruptionMidStream:
     @pytest.mark.parametrize("workers", (0, 2))
     @pytest.mark.parametrize("max_inflight", (1, 8))
     def test_bitflip_raises_at_its_tile_after_earlier_tiles(
-        self, corrupt_store, store_root, workers, max_inflight, tmp_path
+        self, corrupt_store, store_root, workers, max_inflight, tmp_path, pool_small_chunks
     ):
         path, coords, bad_id = corrupt_store
         _, expected = store_root
@@ -246,6 +337,8 @@ class TestCorruptionMidStream:
                 cat.read_iter("bad", clean_region), sel, expected.dtype
             )
             assert got.tobytes() == expected[sel].tobytes()
+            if workers:
+                assert cat.stats().pool.submitted > 0
 
     def test_truncated_payload_raises_in_order(self, store_root, tmp_path):
         root, expected = store_root
@@ -263,7 +356,7 @@ class TestCorruptionMidStream:
             with pytest.raises(CorruptChunkError, match="truncated"):
                 next(it)
 
-    def test_close_midway_leaves_reader_usable(self, store_root):
+    def test_close_midway_leaves_reader_usable(self, store_root, pool_small_chunks):
         root, expected = store_root
         options = CatalogOptions(cache_bytes=0, workers=2)
         with StoreCatalog(root, options=options) as cat:
@@ -272,6 +365,7 @@ class TestCorruptionMidStream:
             stream.close()  # cancels the look-ahead decodes
             assert list(stream) == []
             np.testing.assert_array_equal(cat.read("field"), expected)
+            assert cat.stats().pool.submitted > 0
 
 
 class TestStreamObservability:
