@@ -5,16 +5,15 @@ pytest-benchmark's normal multi-round mode so throughput regressions in the
 codecs show up as statistically meaningful deltas. The grouping mirrors the
 paper's split: high-throughput (szx, cuszp, zfp) vs high-ratio (sz3, sperr).
 
-``test_encoding_kernel_speedups`` additionally runs the codec-bench harness
-(:mod:`repro.bench.codec_bench`): every vectorized encoding kernel timed
-against its frozen scalar reference with a byte-identity gate, compared
-against the committed ``BENCH_codec.json`` trajectory.
+``test_encoding_kernel_speedups`` additionally prints the kernel table of
+:mod:`repro.bench.codec_bench`: every vectorized encoding kernel timed
+against its frozen scalar reference, with a byte-identity gate.
 """
 
 import numpy as np
 import pytest
 
-from repro.bench.codec_bench import format_report, load_report, run_codec_bench
+from repro.bench.codec_bench import format_report, run_codec_bench
 from repro.bench.harness import print_and_save
 from repro.compressors import get_compressor
 from repro.data import load_field
@@ -49,13 +48,8 @@ def test_roundtrip_throughput(benchmark, field, name):
 
 
 def test_encoding_kernel_speedups(benchmark, scale):
-    """Vectorized-vs-reference speedups, diffed against the committed report.
-
-    Byte identity (vectorized stream == reference stream) is a hard assert
-    at every scale; the committed ``BENCH_codec.json`` speedups are shown
-    as the trajectory column so drift between this machine and the recorded
-    run is visible in the scorecard.
-    """
+    """Vectorized-vs-reference speedups; byte identity (vectorized stream ==
+    reference stream) is a hard assert at every scale."""
     reps = _CODEC_BENCH_REPS.get(scale.name, 3)
 
     def run():
@@ -63,25 +57,4 @@ def test_encoding_kernel_speedups(benchmark, scale):
 
     report = benchmark.pedantic(run, rounds=1, iterations=1)
     assert report["identical"], "vectorized codec diverged from reference"
-
-    committed = load_report()
-    committed_codecs = (committed or {}).get("codecs", {})
-    lines = [format_report(report)]
-    if committed:
-        lines.append(
-            f"committed BENCH_codec.json: commit={committed['commit'] or '?'} "
-            f"shape={tuple(committed['shape'])} reps={committed['reps']}"
-        )
-        for name, entry in report["codecs"].items():
-            past = committed_codecs.get(name)
-            if past:
-                lines.append(
-                    f"  {name:<13} total x {entry['speedup_total']:>6.2f} now "
-                    f"vs {past['speedup_total']:>6.2f} committed"
-                )
-    else:
-        lines.append(
-            "no committed BENCH_codec.json — generate one with "
-            "`python -m repro codec-bench`"
-        )
-    print_and_save("codec_throughput", "\n".join(lines))
+    print_and_save("codec_throughput", format_report(report))

@@ -23,20 +23,18 @@ Main entry points:
   optionally multi-process prediction over a fitted framework;
 - :mod:`repro.load` — the traffic layer (:class:`Gateway`,
   :class:`GatewayOptions`): asyncio admission control + request
-  coalescing over a service, plus seeded workload topologies and the
-  ``python -m repro load-bench`` saturation benchmark;
+  coalescing over a service;
 - :mod:`repro.control` — the tier-escalation control plane
   (:class:`Controller`, :class:`ControlOptions`): per chunk/request,
   choose heuristic → model → FRaZ refinement from model confidence,
   budget drift, and a risk budget (``StoreOptions(control=...)``,
-  ``ServiceOptions(control=...)``, ``python -m repro control-bench``);
+  ``ServiceOptions(control=...)``);
 - :mod:`repro.store` — the chunked compressed array store
   (:class:`Store`, :class:`StoreOptions`): single-file ``.rps``
   containers with closed-loop byte budgeting and random-access reads
   (``python -m repro store-pack / store-info / store-unpack``), plus the
   sharded read service (:class:`Catalog`, :class:`CatalogOptions`): many
-  stores by dataset key behind one shared byte-budgeted chunk cache
-  (``python -m repro read-bench``);
+  stores by dataset key behind one shared byte-budgeted chunk cache;
 - :class:`CarolFramework` / :class:`FxrzFramework` — the ratio-controlled
   frameworks (paper contribution / baseline);
 - :func:`get_compressor` — the four error-bounded compressors

@@ -1,62 +1,34 @@
-"""``codec-bench``: vectorized-vs-reference encoding kernel benchmark.
+"""Vectorized-vs-reference encoding kernel table.
 
 The vectorized kernels in :mod:`repro.encoding` promise *byte-identical*
 streams to the scalar implementations they replaced, which are preserved
-verbatim in :mod:`repro.encoding.reference`. This module makes that promise
-a measured, committed artifact:
+verbatim in :mod:`repro.encoding.reference`. The promise itself is held by
+tier-1 (``tests/test_property_encoding.py::TestVectorizedMatchesReference``);
+this module measures what it buys, and lives exactly as long as the
+references do:
 
 - every codec's encode and decode run on the same deterministic fixture —
   the quantization-symbol stream a real :class:`~repro.compressors.sz3.
   SZ3Compressor` produces for a synthetic field — and the outputs are
   diffed byte-for-byte against the reference oracles;
 - both implementations are timed in the same run, so the recorded speedup
-  compares like with like on the machine that produced the numbers;
-- the report is written to ``BENCH_codec.json`` at the repo root,
-  commit-stamped, so the perf trajectory of the kernels is tracked in
-  version control alongside the code.
+  compares like with like on the machine that produced the numbers.
 
-The *whole-compressor* rows (``report["compressors"]``) are absolute:
-sz3/szx/sperr compress and decompress throughput on the same field, the
-``tracemalloc`` peak of one compress call, the per-stage
-``compressor.stage.*`` span breakdown, and a round-trip check against the
-error bound. There is no second implementation to compare with — their
-bytes are pinned by the golden blobs in ``tests/test_encoding_golden.py``.
-
-``--check`` mode (used in CI) shrinks the fixture and runs one rep: it
-keeps the kernel byte-identity gates and the round-trip check while
-dropping the timing cost.
+Its one reader is ``benchmarks/test_codec_throughput.py``, which prints
+the table into the scorecard's ``codec_throughput`` row. Whole compressors
+are measured where they are used — by the ledger's pack and read workloads
+(``ledger/README.md``).
 """
 
 from __future__ import annotations
 
-import json
-import subprocess
 import time
-from pathlib import Path
 
 import numpy as np
 
-from repro.obs import span
-
-SCHEMA = "repro.codec-bench/v1"
 DEFAULT_FIELD = "miranda/viscosity"
 DEFAULT_SHAPE = (64, 64, 64)
 DEFAULT_REL_EB = 1e-3
-REPORT_NAME = "BENCH_codec.json"
-
-_REPO_ROOT = Path(__file__).resolve().parents[3]
-
-
-def repo_commit() -> str | None:
-    """Short commit hash of the repo containing this module, if available."""
-    try:
-        out = subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"],
-            cwd=_REPO_ROOT, capture_output=True, text=True, timeout=10,
-        )
-    except (OSError, subprocess.TimeoutExpired):
-        return None
-    return out.stdout.strip() or None if out.returncode == 0 else None
 
 
 def sz3_symbol_stream(
@@ -123,7 +95,6 @@ def _best_of(fns: list, reps: int) -> tuple[list[float], list]:
 
 
 def _entry(
-    name: str,
     nbytes: int,
     reps: int,
     encode_new,
@@ -139,13 +110,10 @@ def _entry(
     ``check_decoded(new_out, ref_out)`` return True when the vectorized
     kernel's output is byte/element-identical to the reference's.
     """
-    with span("codec_bench.codec", codec=name, nbytes=nbytes):
-        (enc_s, ref_enc_s), (payload, ref_payload) = _best_of(
-            [encode_new, encode_ref], reps
-        )
-        (dec_s, ref_dec_s), (decoded, ref_decoded) = _best_of(
-            [lambda: decode_new(payload), lambda: decode_ref(ref_payload)], reps
-        )
+    (enc_s, ref_enc_s), (payload, ref_payload) = _best_of([encode_new, encode_ref], reps)
+    (dec_s, ref_dec_s), (decoded, ref_decoded) = _best_of(
+        [lambda: decode_new(payload), lambda: decode_ref(ref_payload)], reps
+    )
     identical = bool(
         check_encoded(payload, ref_payload) and check_decoded(decoded, ref_decoded)
     )
@@ -164,98 +132,6 @@ def _entry(
     }
 
 
-def _stage_breakdown(compressor, data: np.ndarray, eb: float) -> dict:
-    """Aggregated ``compressor.stage.*`` seconds for one traced round trip."""
-    from repro.obs import capture
-
-    with capture() as rec:
-        result = compressor.compress(data, eb)
-        compressor.decompress(result)
-    stages: dict[str, dict] = {}
-
-    def walk(spans):
-        for sp in spans:
-            if sp.name.startswith("compressor.stage."):
-                entry = stages.setdefault(
-                    sp.name.removeprefix("compressor.stage."),
-                    {"seconds": 0.0, "calls": 0},
-                )
-                entry["seconds"] += sp.elapsed
-                entry["calls"] += int(sp.attrs.get("calls", 1))
-            walk(sp.children)
-
-    walk(rec.roots)
-    return stages
-
-
-def _peak_tracemalloc(fn) -> int:
-    """Peak traced allocation of one untimed call (numpy buffers included)."""
-    import tracemalloc
-
-    tracemalloc.start()
-    tracemalloc.reset_peak()
-    fn()
-    _, peak = tracemalloc.get_traced_memory()
-    tracemalloc.stop()
-    return int(peak)
-
-
-def _compressor_entry(name: str, comp, data: np.ndarray, eb: float, reps: int) -> dict:
-    """Time one compressor's round trip and check it against the bound.
-
-    Peak working set is measured with ``tracemalloc`` on a separate
-    untimed run so the accounting overhead never pollutes the throughput
-    numbers.
-    """
-    with span("codec_bench.compressor", codec=name, nbytes=data.nbytes):
-        (enc_s,), (res,) = _best_of([lambda: comp.compress(data, eb)], reps)
-        (dec_s,), (out,) = _best_of([lambda: comp.decompress(res)], reps)
-        peak = _peak_tracemalloc(lambda: comp.compress(data, eb))
-    mb = data.nbytes / 1e6
-    return {
-        "input_bytes": int(data.nbytes),
-        "payload_bytes": int(len(res.payload)),
-        "ratio": round(data.nbytes / max(len(res.payload), 1), 3),
-        "compress_mbps": mb / enc_s,
-        "decompress_mbps": mb / dec_s,
-        "peak_bytes": peak,
-        "stages": _stage_breakdown(comp, data, eb),
-        "within_bound": bool(np.abs(out - data).max() <= eb * (1 + 1e-9)),
-    }
-
-
-def run_compressor_bench(
-    field_path: str = DEFAULT_FIELD,
-    shape: tuple[int, ...] = DEFAULT_SHAPE,
-    rel_eb: float = DEFAULT_REL_EB,
-    reps: int = 3,
-    seed: int | None = None,
-) -> dict:
-    """Whole-compressor rows: throughput, peak working set, stage breakdown."""
-    from repro.compressors.sperr import SPERRCompressor
-    from repro.compressors.sz3 import SZ3Compressor
-    from repro.compressors.szx import SZXCompressor
-    from repro.data.datasets import load_field
-
-    kwargs: dict = {"shape": tuple(shape)}
-    if seed is not None:
-        kwargs["seed"] = seed
-    field = load_field(field_path, **kwargs)
-    data = np.ascontiguousarray(field.data, dtype=np.float64)
-    eb = field.relative_error_bound(rel_eb)
-
-    compressors = {
-        "szx": SZXCompressor(),
-        "sz3": SZ3Compressor(),
-        "sz3_lorenzo": SZ3Compressor(predictor="lorenzo"),
-        "sperr": SPERRCompressor(chunk_edge=32),
-    }
-    return {
-        name: _compressor_entry(name, comp, data, eb, reps)
-        for name, comp in compressors.items()
-    }
-
-
 def run_codec_bench(
     field_path: str = DEFAULT_FIELD,
     shape: tuple[int, ...] = DEFAULT_SHAPE,
@@ -265,9 +141,9 @@ def run_codec_bench(
 ) -> dict:
     """Benchmark every vectorized codec against its frozen scalar reference.
 
-    Returns the ``BENCH_codec.json`` report dict; ``report["identical"]``
-    is the aggregate byte-identity verdict across all codecs, and
-    ``report["compressors"]`` holds the absolute whole-compressor rows.
+    Returns the report dict :func:`format_report` prints;
+    ``report["identical"]`` is the aggregate byte-identity verdict across
+    all codecs.
     """
     from repro.compressors.sz3 import _ALPHABET
     from repro.encoding import reference
@@ -277,8 +153,7 @@ def run_codec_bench(
     from repro.encoding.range_coder import RangeDecoder, RangeEncoder
     from repro.encoding.rle import rle_bytes_decode, rle_bytes_encode
 
-    with span("codec_bench.fixture", field=field_path, shape=list(shape)):
-        symbols = sz3_symbol_stream(field_path, shape, rel_eb=rel_eb, seed=seed)
+    symbols = sz3_symbol_stream(field_path, shape, rel_eb=rel_eb, seed=seed)
     count = int(symbols.size)
     sym_bytes = int(symbols.size * symbols.itemsize)
     zero_symbol = int(np.bincount(symbols).argmax())
@@ -306,7 +181,7 @@ def run_codec_bench(
 
     codecs = {
         "huffman": _entry(
-            "huffman", sym_bytes, reps,
+            sym_bytes, reps,
             huff_encode_new,
             huff_encode_ref,
             lambda p: codec.decode(BitReader(p), count),
@@ -314,7 +189,7 @@ def run_codec_bench(
             same_bytes, same_syms,
         ),
         "lz77": _entry(
-            "lz77", lz_bytes, reps,
+            lz_bytes, reps,
             lambda: lz77_compress(huff_payload),
             lambda: reference.lz77_compress_reference(huff_payload),
             lz77_decompress,
@@ -323,7 +198,7 @@ def run_codec_bench(
             lambda a, b: a == b == huff_payload,
         ),
         "range": _entry(
-            "range", sym_bytes, reps,
+            sym_bytes, reps,
             lambda: RangeEncoder(freq).encode(symbols),
             lambda: reference.range_encode_reference(RangeEncoder(freq), symbols),
             lambda p: RangeDecoder(freq, p).decode(count),
@@ -331,17 +206,16 @@ def run_codec_bench(
             same_bytes, same_syms,
         ),
         "rle": _entry(
-            "rle", sym_bytes, reps,
+            sym_bytes, reps,
             lambda: rle_bytes_encode(symbols, zero_symbol=zero_symbol),
             lambda: reference.rle_bytes_encode_reference(symbols, zero_symbol=zero_symbol),
             lambda p: rle_bytes_decode(p, zero_symbol=zero_symbol),
             lambda p: reference.rle_bytes_decode_reference(p, zero_symbol=zero_symbol),
             same_bytes, same_syms,
         ),
-        # The composed SZ3 lossless stage (Huffman + LZ77) — the pipeline
-        # the >=3x acceptance gate is measured on.
+        # The composed SZ3 lossless stage (Huffman + LZ77).
         "sz3_lossless": _entry(
-            "sz3_lossless", sym_bytes, reps,
+            sym_bytes, reps,
             lambda: lz77_compress(huff_encode_new()),
             lambda: reference.lz77_compress_reference(huff_encode_ref()),
             lambda p: codec.decode(BitReader(lz77_decompress(p)), count),
@@ -352,14 +226,7 @@ def run_codec_bench(
         ),
     }
 
-    compressors = run_compressor_bench(
-        field_path, shape, rel_eb=rel_eb, reps=reps, seed=seed
-    )
-
-    report = {
-        "schema": SCHEMA,
-        "commit": repo_commit(),
-        "generated_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+    return {
         "field": field_path,
         "shape": list(shape),
         "rel_error_bound": rel_eb,
@@ -368,18 +235,16 @@ def run_codec_bench(
         "symbol_bytes": sym_bytes,
         "huffman_stream_bytes": lz_bytes,
         "codecs": codecs,
-        "compressors": compressors,
         "identical": all(c["identical"] for c in codecs.values()),
     }
-    return report
 
 
 def format_report(report: dict) -> str:
     """Human-readable per-codec table of the report."""
     lines = [
-        f"codec-bench: {report['field']} shape={tuple(report['shape'])} "
-        f"rel_eb={report['rel_error_bound']:g} reps={report['reps']} "
-        f"n_symbols={report['n_symbols']} commit={report['commit'] or '?'}",
+        f"encoding kernels vs reference: {report['field']} "
+        f"shape={tuple(report['shape'])} rel_eb={report['rel_error_bound']:g} "
+        f"reps={report['reps']} n_symbols={report['n_symbols']}",
         f"{'codec':<13} {'MB':>6} {'enc MB/s':>9} {'dec MB/s':>9} "
         f"{'enc x':>7} {'dec x':>7} {'total x':>8} {'identical':>10}",
     ]
@@ -390,38 +255,4 @@ def format_report(report: dict) -> str:
             f"{c['speedup_decode']:>7.2f} {c['speedup_total']:>8.2f} "
             f"{'yes' if c['identical'] else 'DIVERGED':>10}"
         )
-    if report.get("compressors"):
-        lines.append(
-            f"{'compressor':<13} {'ratio':>6} {'cmp MB/s':>9} {'dec MB/s':>9} "
-            f"{'peak MB':>8} {'in bound':>10}"
-        )
-        for name, c in report["compressors"].items():
-            lines.append(
-                f"{name:<13} {c['ratio']:>6.1f} {c['compress_mbps']:>9.2f} "
-                f"{c['decompress_mbps']:>9.2f} {c['peak_bytes']/1e6:>8.1f} "
-                f"{'yes' if c['within_bound'] else 'EXCEEDED':>10}"
-            )
     return "\n".join(lines)
-
-
-def write_report(report: dict, path: str | Path | None = None) -> Path:
-    """Write the report JSON (default: ``BENCH_codec.json`` at repo root).
-
-    A ``"history"`` list in the report being replaced is carried over.
-    """
-    out = Path(path) if path is not None else _REPO_ROOT / REPORT_NAME
-    history = (load_report(out) or {}).get("history")
-    if history is not None:
-        report = {**report, "history": history}
-    out.write_text(json.dumps(report, indent=2, sort_keys=False) + "\n")
-    return out
-
-
-def load_report(path: str | Path | None = None) -> dict | None:
-    """Read a previously committed report; None when absent or unreadable."""
-    p = Path(path) if path is not None else _REPO_ROOT / REPORT_NAME
-    try:
-        report = json.loads(p.read_text())
-    except (OSError, ValueError):
-        return None
-    return report if report.get("schema") == SCHEMA else None

@@ -8,8 +8,8 @@ byte budget — escalates to a warm-started FRaZ search against the real
 compressor (T2). :mod:`repro.control.policy` is the pure decision table;
 :class:`Controller` adds the stateful accounting (risk budget, spread
 window, tier counters); :mod:`repro.control.escalate` implements the two
-non-model tiers; :mod:`repro.control.bench` measures the whole plane
-with a paired ON/OFF benchmark.
+non-model tiers. The ledger's ``pack-szx-ctl`` workload measures the whole
+plane end to end (``ledger/README.md``).
 """
 
 from repro.control.controller import ControlledPrediction, Controller

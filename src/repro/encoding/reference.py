@@ -6,12 +6,14 @@ shipped before the vectorized kernels in :mod:`repro.encoding.lz77`,
 :mod:`repro.encoding.rle` replaced it. They exist for two reasons:
 
 - **byte-identity gates** — the vectorized encoders promise *identical
-  output streams*; property tests and ``python -m repro codec-bench``
+  output streams*; the property tests
+  (``tests/test_property_encoding.py::TestVectorizedMatchesReference``)
   diff every stream against these oracles and fail loudly on a single
   differing byte;
-- **benchmark baselines** — ``BENCH_codec.json`` records the vectorized
-  kernels' speedup over these implementations, so the perf trajectory is
-  measured against a fixed, honest reference rather than a moving one.
+- **benchmark baselines** — :mod:`repro.bench.codec_bench` times the
+  vectorized kernels against these implementations (the scorecard's
+  ``codec_throughput`` row), so the speedup is measured against a fixed,
+  honest reference rather than a moving one.
 
 Nothing on a hot path imports this module.
 """

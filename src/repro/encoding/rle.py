@@ -4,7 +4,8 @@ Quantization-code streams from smooth scientific data are dominated by the
 "exactly predicted" symbol; collapsing its runs before entropy coding is the
 same trick SZ3's encoder plays. Fully vectorized via run-boundary detection.
 
-Also hosts the self-contained byte-stream form used by ``codec-bench``:
+Also hosts the self-contained byte-stream form the kernel table
+(:mod:`repro.bench.codec_bench`) times:
 :func:`rle_bytes_encode` serializes the ``(values, runs)`` pair as zigzag +
 LEB128 varints, with the varint arrays encoded and decoded in bulk numpy
 passes (:func:`varint_encode_array` / :func:`varint_decode_array`) instead

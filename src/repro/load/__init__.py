@@ -1,52 +1,25 @@
-"""repro.load — the traffic layer: async gateway, workloads, load-bench.
+"""repro.load — the traffic layer: the async gateway.
 
 Where :mod:`repro.serve` makes one prediction fast, this package makes
-a *stream* of them survivable. Four pieces:
-
-- :class:`Gateway` / :class:`GatewayOptions` — asyncio front door over
-  a :class:`~repro.serve.PredictionService`: bounded admission (typed
-  :class:`Overloaded` rejections, never unbounded queues) and request
-  coalescing into ``predict_batch`` calls (flush on ``max_batch`` or
-  ``max_wait_ms``, whichever first), bitwise-identical to direct
-  ``service.predict`` calls;
-- :mod:`~repro.load.workload` — seeded workload topologies:
-  :class:`OpenLoopPoisson` (arrival-rate-driven, finds saturation) and
-  :class:`ClosedLoopClients` (concurrency-driven, measures latency);
-- :mod:`~repro.load.runtable` — the scenario × load × repetition run
-  table (:func:`build_run_table` / :func:`execute_run`);
-- :mod:`~repro.load.bench` — the ``load-bench`` harness behind
-  ``python -m repro load-bench``, committing ``BENCH_serve.json`` with
-  a bitwise determinism gate and a located saturation point.
+a *stream* of them survivable: :class:`Gateway` / :class:`GatewayOptions`
+are an asyncio front door over a :class:`~repro.serve.PredictionService`
+— bounded admission (typed :class:`Overloaded` rejections, never
+unbounded queues) and request coalescing into ``predict_batch`` calls
+(flush on ``max_batch`` or ``max_wait_ms``, whichever first),
+bitwise-identical to direct ``service.predict`` calls. Load generation
+and latency measurement live outside the library, in the ledger's
+``serve-open`` workload (``ledger/README.md``).
 
 The blessed import surface is :mod:`repro.api` (``Gateway``,
 ``GatewayOptions``, ``Overloaded``); this package is the implementation.
 """
 
-from repro.load.bench import (
-    build_field_pool,
-    calibrate_capacity_rps,
-    find_saturation,
-    format_report,
-    load_report,
-    run_identity_gate,
-    run_load_bench,
-    write_report,
-)
 from repro.load.gateway import (
     Gateway,
     GatewayClosed,
     GatewayOptions,
     GatewayStats,
     Overloaded,
-)
-from repro.load.runtable import RunResult, RunSpec, build_run_table, execute_run
-from repro.load.workload import (
-    ClosedLoopClients,
-    Measurement,
-    OpenLoopPoisson,
-    WorkloadRequest,
-    drive_closed_loop,
-    drive_open_loop,
 )
 
 __all__ = [
@@ -55,22 +28,4 @@ __all__ = [
     "GatewayStats",
     "GatewayClosed",
     "Overloaded",
-    "OpenLoopPoisson",
-    "ClosedLoopClients",
-    "WorkloadRequest",
-    "Measurement",
-    "drive_open_loop",
-    "drive_closed_loop",
-    "RunSpec",
-    "RunResult",
-    "build_run_table",
-    "execute_run",
-    "run_load_bench",
-    "run_identity_gate",
-    "calibrate_capacity_rps",
-    "find_saturation",
-    "build_field_pool",
-    "format_report",
-    "write_report",
-    "load_report",
 ]

@@ -18,8 +18,9 @@ service is fastest at, while refusing to melt under overload:
 - **determinism** — ``predict_batch`` is bitwise-identical to
   sequential ``predict`` (the PR-2 contract), so every gateway response
   is bitwise-identical to a direct ``service.predict(data, ratio)``
-  call *regardless* of how requests happened to coalesce. The
-  ``load-bench`` CLI gates on exactly this.
+  call *regardless* of how requests happened to coalesce
+  (``tests/test_load.py::TestCoalescingDeterminism`` gates on exactly
+  this).
 
 Batches execute on a dedicated single-thread executor, so the event
 loop keeps accepting (and rejecting) requests while the service is busy

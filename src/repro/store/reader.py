@@ -67,7 +67,7 @@ from repro.store.format import CorruptChunkError, StoreFormatError, chunk_checks
 #: Smallest nominal chunk (decoded bytes) whose decode is worth a process
 #: round trip: a store below it drops the pool it is handed and decodes
 #: in the caller. Measured, not tuned per codec — the smallest size in
-#: the ``read-bench`` sweep (docs/ARCHITECTURE.md, "Where decode runs")
+#: the committed sweep (docs/ARCHITECTURE.md, "Where decode runs")
 #: at which two workers were not slower than none for szx *and* sz3, on
 #: ``read`` *and* ``read_iter``; ``cat.stats().pool`` (``wait_seconds``
 #: against ``worker_seconds``) re-derives it on another host.
@@ -341,6 +341,13 @@ class StoreReader:
         ``region`` follows numpy basic slicing without steps: a tuple of
         slices/ints (ints keep their axis as length one). Only intersecting
         chunks are decompressed (or served from the chunk cache).
+
+        Read-back contract: the codec holds each chunk's recorded
+        ``error_bound`` in float64 and the result is then rounded to the
+        store's dtype, so an element of a float32 store may sit up to half
+        a float32 ulp of its own value past the bound; a float64 store
+        holds the bound as the codec does (docs/ARCHITECTURE.md,
+        "Read-back contract").
         """
         sel = self.grid.normalize_region(region)
         out_shape = tuple(s.stop - s.start for s in sel)

@@ -1,8 +1,16 @@
 """CLI command tests (python -m repro ...)."""
 
+import re
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
+
+
+def _subcommands() -> set[str]:
+    sub = next(a for a in build_parser()._actions if a.dest == "command")
+    return set(sub.choices)
 
 
 class TestParser:
@@ -11,13 +19,31 @@ class TestParser:
             build_parser().parse_args([])
 
     def test_all_commands_registered(self):
-        parser = build_parser()
-        sub = next(a for a in parser._actions if a.dest == "command")
-        assert set(sub.choices) >= {
+        assert _subcommands() == {
             "datasets", "estimate", "train", "predict", "compress", "bench",
-            "serve-bench", "store-pack", "store-info", "store-unpack",
-            "pack-bench", "codec-bench", "read-bench", "load-bench", "trace-summary",
+            "store-pack", "store-info", "store-unpack", "trace-summary",
         }
+
+    def test_docs_name_only_registered_commands(self):
+        """Every ``python -m repro <word>`` in the docs, the CI workflow and
+        the package docstrings is a subcommand that exists."""
+        root = Path(__file__).resolve().parents[1]
+        files = [
+            root / "README.md",
+            *sorted((root / "docs").glob("*.md")),
+            root / ".claude/skills/verify/SKILL.md",
+            root / ".github/workflows/ci.yml",
+            *sorted((root / "src/repro").rglob("__init__.py")),
+        ]
+        named = {
+            (path.relative_to(root).as_posix(), word)
+            for path in files
+            for word in re.findall(r"python -m repro ([a-z][a-z-]*)", path.read_text())
+        }
+        assert {word for _, word in named} >= {"train", "bench", "store-pack"}
+        commands = _subcommands()
+        unknown = sorted((f, w) for f, w in named if w not in commands)
+        assert not unknown, f"docs name commands that do not exist: {unknown}"
 
 
 class TestDatasets:
@@ -170,6 +196,42 @@ class TestStoreCommands:
         assert rc == 1
         assert "FAIL" in capsys.readouterr().out
 
+    def test_unpack_allows_dtype_rounding_and_no_more(self, store_env, tmp_path, capsys):
+        """The read-back contract: the codec holds the bound in float64 and
+        the store rounds to float32, so this field (values near 1e8, where
+        a float32 ulp is 8) sits past its recorded bound without being a
+        bad store; an element moved 2 x eb further out is one."""
+        import numpy as np
+
+        from repro import load_field
+        from repro.store import Store
+
+        _, model, _, _ = store_env
+        data = load_field("nyx/velocity_x", shape=(16, 16, 16), seed=0).data
+        raw, store = tmp_path / "vx.f32", tmp_path / "vx.rps"
+        data.tofile(raw)
+        assert main([
+            "store-pack", str(raw), "--shape", "16", "16", "16",
+            "--chunk", "8", "16", "16",
+            "--model", str(model), "--ratio", "6", "--out", str(store),
+        ]) == 0
+        assert main(["store-unpack", str(store), "--verify-against", str(raw)]) == 0
+        assert "within every chunk's recorded bound" in capsys.readouterr().out
+
+        with Store(store) as st:
+            back = st.read()
+            eb = float(st.chunk_entry((0, 0, 0))["error_bound"])
+        first = np.s_[:8]  # chunk (0, 0, 0)
+        err = np.abs(back[first].astype(np.float64) - data[first])
+        assert err.max() > eb  # the rounding really is past the bound here
+        # Where float32 resolves 2 x eb: the chunk's smallest-magnitude element.
+        idx = np.unravel_index(np.abs(data[first]).argmin(), data[first].shape)
+        moved = data.copy()
+        moved[idx] += 2 * eb if data[idx] >= back[idx] else -2 * eb
+        moved.tofile(raw)
+        assert main(["store-unpack", str(store), "--verify-against", str(raw)]) == 1
+        assert "FAIL: chunk (0, 0, 0)" in capsys.readouterr().out
+
 
 class TestStorePackWorkers:
     def test_parallel_pack_matches_serial_bytes(self, tmp_path, capsys):
@@ -192,222 +254,3 @@ class TestStorePackWorkers:
             ]) == 0
             blobs[workers] = out.read_bytes()
         assert blobs[2] == blobs[0]
-
-
-class TestPackBench:
-    def test_trains_packs_and_verifies_determinism(self, tmp_path, capsys):
-        rc = main([
-            "pack-bench", "miranda/viscosity", "--shape", "16", "16", "16",
-            "--train-shape", "8", "16", "16", "--chunk", "8", "16", "16",
-            "--compressor", "szx", "--workers", "2", "--ratio", "5",
-            "--out-dir", str(tmp_path), "-n", "5", "--iters", "3",
-        ])
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "byte-identical" in out
-        assert "speedup" in out
-        assert (tmp_path / "pack-bench-w1.rps").exists()
-        assert (tmp_path / "pack-bench-w2.rps").exists()
-
-    def test_min_speedup_gate_can_fail(self, tmp_path, capsys):
-        """An absurd --min-speedup must flip the exit code (the byte check
-        itself still passes)."""
-        rc = main([
-            "pack-bench", "miranda/viscosity", "--shape", "16", "16", "16",
-            "--train-shape", "8", "16", "16", "--chunk", "8", "16", "16",
-            "--compressor", "szx", "--workers", "2", "--ratio", "5",
-            "--out-dir", str(tmp_path), "-n", "5", "--iters", "3",
-            "--min-speedup", "1e9",
-        ])
-        assert rc == 1
-        out = capsys.readouterr().out
-        assert "byte-identical" in out
-        assert "below required" in out
-
-
-class TestCodecBench:
-    def test_check_mode_gates_without_writing(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        rc = main(["codec-bench", "--check"])
-        assert rc == 0
-        out = capsys.readouterr().out
-        for row in ("sz3_lossless", "szx", "sz3_lorenzo", "sperr"):
-            assert row in out
-        assert "DIVERGED" not in out and "EXCEEDED" not in out
-        assert "report written" not in out
-        assert not list(tmp_path.glob("BENCH_codec.json"))
-
-    def test_failure_message_names_what_failed(self, capsys, monkeypatch):
-        """A compressor-only failure used to print an empty name list."""
-        from repro.bench import codec_bench
-
-        real = codec_bench.run_codec_bench
-
-        def broken(*args, **kwargs):
-            report = real(*args, **kwargs)
-            report["compressors"]["szx"]["within_bound"] = False
-            return report
-
-        monkeypatch.setattr(codec_bench, "run_codec_bench", broken)
-        rc = main(["codec-bench", "--check"])
-        assert rc == 1
-        out = capsys.readouterr().out
-        assert "FAIL: round trip exceeds the error bound in: szx" in out
-        assert "byte divergence" not in out
-
-    def test_report_has_absolute_compressor_rows_and_keeps_history(self, tmp_path):
-        import json
-
-        report_path = tmp_path / "BENCH_codec.json"
-        history = [{"commit": "0000000", "note": "kept"}]
-        report_path.write_text(
-            json.dumps({"schema": "repro.codec-bench/v1", "history": history})
-        )
-        rc = main([
-            "codec-bench", "--shape", "12", "12", "12", "--reps", "1",
-            "--out", str(report_path),
-        ])
-        assert rc == 0
-        report = json.loads(report_path.read_text())
-        assert report["history"] == history
-        for row in report["compressors"].values():
-            assert set(row) == {
-                "input_bytes", "payload_bytes", "ratio", "compress_mbps",
-                "decompress_mbps", "peak_bytes", "stages", "within_bound",
-            }
-            assert row["within_bound"] is True
-
-
-class TestReadBench:
-    def test_check_mode_gates_identity_without_writing(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.chdir(tmp_path)  # any accidental report write lands here
-        rc = main([
-            "read-bench", "--check", "--train-shape", "8", "8", "8",
-            "-n", "5", "--iters", "3", "--workers", "2",
-        ])
-        assert rc == 0
-        out = capsys.readouterr().out
-        for config in ("serial", "cached", "parallel+cache"):
-            assert config in out
-        assert "pooled" in out and "FAIL" not in out  # workers were reached
-        assert "DIVERGED" not in out
-        assert "report written" not in out
-        assert not list(tmp_path.glob("BENCH_read.json"))
-
-    def test_check_mode_fails_when_workers_get_nothing(self, capsys, monkeypatch):
-        # The gate must not go vacuous: if the check fixture's chunks ever
-        # fall below the pool threshold, --check says so instead of passing.
-        import repro.store.reader as reader_mod
-
-        monkeypatch.setattr(reader_mod, "POOL_MIN_CHUNK_BYTES", 1 << 30)
-        rc = main([
-            "read-bench", "--check", "--train-shape", "8", "8", "8",
-            "-n", "5", "--iters", "3", "--workers", "2",
-        ])
-        assert rc == 1
-        out = capsys.readouterr().out
-        assert "no decode reached them in: parallel+cache, streaming" in out
-
-    def test_rewritten_report_keeps_the_old_numbers_as_history(self, tmp_path):
-        from repro.bench.read_bench import SCHEMA, load_report, write_report
-
-        def report(commit, mbps):
-            return {
-                "schema": SCHEMA, "commit": commit, "generated_utc": "t",
-                "configs": {"serial": {"bytes_per_s": mbps}},
-                "streaming": {"bytes_per_s": 2 * mbps, "time_to_first_tile_s": 0.5},
-            }
-
-        path = tmp_path / "BENCH_read.json"
-        for commit, mbps in (("aaa", 1.0), ("bbb", 2.0), ("ccc", 3.0)):
-            write_report(report(commit, mbps), path)
-        final = load_report(path)
-        assert final["commit"] == "ccc"
-        assert [h["commit"] for h in final["history"]] == ["aaa", "bbb"]
-        assert final["history"][1]["bytes_per_s"] == {"serial": 2.0, "streaming": 4.0}
-
-    def test_writes_report_with_throughput_and_hit_rate(self, tmp_path, capsys):
-        import json
-
-        report_path = tmp_path / "BENCH_read.json"
-        rc = main([
-            "read-bench", "--train-shape", "8", "8", "8", "-n", "5",
-            "--iters", "3", "--stores", "2", "--shape", "16", "16", "16",
-            "--chunk", "8", "8", "8", "--reads", "10",
-            "--read-shape", "8", "8", "8", "--workers", "0",
-            "--out", str(report_path),
-        ])
-        assert rc == 0
-        report = json.loads(report_path.read_text())
-        assert report["schema"] == "repro.read-bench/v1"
-        assert report["identical"] is True
-        for config in ("serial", "cached", "parallel+cache"):
-            assert report["configs"][config]["bytes_per_s"] > 0
-            assert 0.0 <= report["configs"][config]["cache_hit_rate"] <= 1.0
-        assert report["configs"]["serial"]["cache_hit_rate"] == 0.0
-        assert report["configs"]["cached"]["cache_hit_rate"] > 0.0
-
-
-class TestLoadBench:
-    def test_check_mode_gates_identity_without_writing(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.chdir(tmp_path)  # any accidental report write lands here
-        rc = main([
-            "load-bench", "--check", "--train-shape", "8", "12", "12",
-            "-n", "4", "--iters", "3",
-        ])
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "identity gate" in out
-        assert "bitwise-identical" in out
-        assert "DIVERGED" not in out
-        assert "report written" not in out
-        assert not list(tmp_path.glob("BENCH_serve.json"))
-
-    def test_writes_report_with_saturation_scan(self, tmp_path, capsys):
-        import json
-
-        report_path = tmp_path / "BENCH_serve.json"
-        rc = main([
-            "load-bench", "--train-shape", "8", "12", "12", "-n", "4",
-            "--iters", "3", "--shape", "8", "12", "12", "--fields", "2",
-            "--requests", "12", "--reps", "1", "--out", str(report_path),
-        ])
-        assert rc == 0
-        report = json.loads(report_path.read_text())
-        assert report["schema"] == "repro.load-bench/v1"
-        assert report["identical"] is True
-        assert report["capacity_rps"] > 0
-        scenarios = {r["scenario"] for r in report["runs"]}
-        assert any(s.startswith("open-poisson@") for s in scenarios)
-        assert any(s.startswith("closed-") for s in scenarios)
-        for row in report["runs"]:
-            assert row["completed"] + row["rejected"] == row["requests"]
-            assert row["p50_ms"] <= row["p95_ms"] <= row["p99_ms"]
-        assert report["saturation"]["levels"]
-
-
-class TestServeBench:
-    def test_trains_and_benches(self, capsys):
-        rc = main([
-            "serve-bench", "--shape", "10", "12", "12", "--requests", "30",
-            "--fields", "3", "--batch", "8", "-n", "4", "--iters", "3",
-        ])
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "speedup" in out
-        assert "bitwise-identical" in out
-        assert "hit rate" in out
-
-    def test_loads_saved_model(self, tmp_path, capsys):
-        path = tmp_path / "m.npz"
-        assert main([
-            "train", "--datasets", "miranda", "--shape", "10", "12", "12",
-            "--compressor", "szx", "--out", str(path), "-n", "4", "--iters", "3",
-        ]) == 0
-        capsys.readouterr()
-        rc = main([
-            "serve-bench", "--model", str(path), "--shape", "10", "12", "12",
-            "--requests", "20", "--fields", "2", "--batch", "5",
-        ])
-        assert rc == 0
-        assert "bitwise-identical" in capsys.readouterr().out

@@ -1,6 +1,7 @@
 """repro.control: the tier-escalation policy table, controller accounting,
-store-writer integration (determinism, neutrality, OOD rescue), and the
-service ``govern`` path."""
+store-writer integration (determinism, neutrality, OOD rescue — on szx,
+whose T2 probes are closed-form, and on sz3, where each is a real
+compression), and the service ``govern`` path."""
 
 import itertools
 
@@ -19,7 +20,6 @@ from repro.control import (
     heuristic_error_bound,
     refine_error_bound,
 )
-from repro.control.bench import format_report, run_control_bench
 from repro.core.feedback import FeedbackLoop
 from repro.core.framework import Prediction
 from repro.ml.forest import RandomForestRegressor
@@ -32,11 +32,15 @@ REL = np.geomspace(1e-3, 3e-1, 6)
 NAN = float("nan")
 
 
-@pytest.fixture(scope="module")
-def fitted():
-    fw = CarolFramework(compressor="szx", rel_error_bounds=REL, n_iter=4, cv=2)
+def _fit(compressor: str) -> CarolFramework:
+    fw = CarolFramework(compressor=compressor, rel_error_bounds=REL, n_iter=4, cv=2)
     fw.fit(load_dataset("miranda", shape=CHUNK))
     return fw
+
+
+@pytest.fixture(scope="module")
+def fitted():
+    return _fit("szx")
 
 
 @pytest.fixture(scope="module")
@@ -431,7 +435,7 @@ class TestStoreIntegration:
                 control=self.OOD_OPTS,
             ),
         )
-        reference = tmp_path.parent / "reference.rps"
+        reference = tmp_path.parent / f"reference-{fitted.compressor_name}.rps"
         if not reference.exists():
             pack(
                 reference, ood, fitted, 3.0,
@@ -453,12 +457,16 @@ class TestStoreIntegration:
             ),
         )
         assert on.budget_drift < off.budget_drift
-        assert on.budget_drift <= 0.15
         stats = on.control
         assert stats.t2 >= 1
         assert stats.probes_spent <= stats.t2 * self.OOD_OPTS.refine_compressions
-        # one real compression per escalated chunk: the one that is stored
-        assert stats.compressions_spent == stats.t2 < stats.probes_spent
+        if fitted.compressor_name == "szx":
+            assert on.budget_drift <= 0.15
+            # one real compression per escalated chunk: the one that is stored
+            assert stats.compressions_spent == stats.t2 < stats.probes_spent
+        else:
+            # every probe is a real compression, the stored one among them
+            assert stats.compressions_spent == stats.probes_spent
         assert f"{stats.probes_spent} refine probes" in on.summary()
         assert f"{stats.unreachable} unreachable" in on.summary()
 
@@ -492,23 +500,14 @@ class TestStoreIntegration:
         assert len(loop.observations) >= stats.probes_spent
 
 
-class TestControlBench:
-    def test_cost_gate_counts_probes_and_compressions_apart(self, fitted):
-        """control-bench's cost gate on the szx fixture: the search budget
-        is measured in probes, and closed-form probes leave at most one
-        real compression per chunk."""
-        report = run_control_bench(
-            fitted, shape=SHAPE, chunk=CHUNK, ratio=3.0, wave_size=2,
-            workers=(0,), reps=1,
-        )
-        assert report["gates"]["neutral"] and report["gates"]["deterministic"]
-        assert report["gates"]["bounded_cost"]
-        ctrl = report["ood"]["on"]["control"]
-        assert ctrl["t2"] >= 1
-        assert ctrl["compressions_spent"] == ctrl["t2"] <= report["n_chunks"]
-        assert ctrl["probes_spent"] <= ctrl["t2"] * report["control"]["refine_compressions"]
-        text = format_report(report)
-        assert f"{ctrl['probes_spent']} refine probes" in text
+class TestStoreIntegrationSZ3(TestStoreIntegration):
+    """The same cases on the codec whose T2 probes are real compressions
+    (on 512-element chunks sz3's ratio is capped, so some targets are
+    unreachable and the rescue is partial)."""
+
+    @pytest.fixture(scope="class")
+    def fitted(self):
+        return _fit("sz3")
 
 
 class TestServeIntegration:

@@ -207,7 +207,7 @@ class TestVectorizedMatchesReference:
             np.testing.assert_array_equal(ref, syms, err_msg=name)
 
     def test_sz3_lossless_composition_matches(self, property_rng):
-        # The composed Huffman + LZ77 stage, exactly as codec-bench gates it.
+        # The composed Huffman + LZ77 stage, as SZ3's lossless backend runs it.
         syms = _fuzz_streams(property_rng)["skewed"]
         codec = HuffmanCodec.fit(syms)
         w_new, w_ref = BitWriter(), BitWriter()
