@@ -10,8 +10,8 @@ calibration fills the gap.
 This example walks that recipe with the cuSZp-style codec (not one of the
 paper's evaluated four):
 
-1. the codec is already in the registry (any ``LossyCompressor`` subclass
-   can be added via ``register_compressor``);
+1. the codec is one entry in ``repro/compressors/registry.py`` (any
+   ``LossyCompressor`` subclass is added the same way);
 2. its ratio estimator is the *generic* :class:`SampledFullSurrogate` with
    block-window sampling — no codec-specific surrogate code at all;
 3. CAROL trains on surrogate + calibration curves as usual and then serves

@@ -15,9 +15,11 @@ Quickstart::
 
 Main entry points:
 
-- :mod:`repro.api` — the recommended stable facade (:class:`Carol`,
-  :class:`Fxrz`, :class:`FrameworkOptions`, :func:`load`, :func:`save`),
-  re-exported here so ``from repro import Carol`` works;
+- :mod:`repro.api` — the full documented surface (:class:`Carol`,
+  :class:`Fxrz`, :func:`load`, :func:`save`, every ``*Options`` and
+  ``*Stats`` class); this package re-exports the part of it the
+  quickstart, the README and the examples use, so
+  ``from repro import Carol`` works;
 - :mod:`repro.serve` — the serving layer (:class:`Service`,
   :class:`ServiceOptions`, :class:`ModelRegistry`): batched, cached,
   optionally multi-process prediction over a fitted framework;
@@ -25,10 +27,9 @@ Main entry points:
   :class:`GatewayOptions`): asyncio admission control + request
   coalescing over a service;
 - :mod:`repro.control` — the tier-escalation control plane
-  (:class:`Controller`, :class:`ControlOptions`): per chunk/request,
+  (:class:`~repro.api.Controller`, :class:`ControlOptions`): per chunk,
   choose heuristic → model → FRaZ refinement from model confidence,
-  budget drift, and a risk budget (``StoreOptions(control=...)``,
-  ``ServiceOptions(control=...)``);
+  budget drift, and a risk budget (``StoreOptions(control=...)``);
 - :mod:`repro.store` — the chunked compressed array store
   (:class:`Store`, :class:`StoreOptions`): single-file ``.rps``
   containers with closed-loop byte budgeting and random-access reads
@@ -37,8 +38,8 @@ Main entry points:
   stores by dataset key behind one shared byte-budgeted chunk cache;
 - :class:`CarolFramework` / :class:`FxrzFramework` — the ratio-controlled
   frameworks (paper contribution / baseline);
-- :func:`get_compressor` — the four error-bounded compressors
-  (szx / zfp / sz3 / sperr);
+- :func:`get_compressor` — the five error-bounded compressors (the
+  paper's szx / zfp / sz3 / sperr, plus cuszp);
 - :func:`get_surrogate` — the SECRE ratio estimators;
 - :func:`load_dataset` / :func:`load_field` — synthetic SDRBench-like data;
 - :mod:`repro.obs` — tracing spans + metrics for the whole pipeline
@@ -50,10 +51,7 @@ from repro.api import (
     Carol,
     Catalog,
     CatalogOptions,
-    Controller,
     ControlOptions,
-    ControlStats,
-    FrameworkOptions,
     Fxrz,
     Gateway,
     GatewayOptions,
@@ -66,41 +64,17 @@ from repro.api import (
     load,
     save,
 )
-from repro.compressors import (
-    CompressionResult,
-    LossyCompressor,
-    available_compressors,
-    get_compressor,
-)
-from repro.core import (
-    CalibrationInfo,
-    Calibrator,
-    CarolFramework,
-    ErrorBoundModel,
-    FxrzFramework,
-    TrainingCollector,
-    TrainingData,
-    estimation_error,
-    invert_curve,
-)
-from repro.core.config import FrameworkConfig
-from repro.core.feedback import FeedbackLoop
-from repro.core.fraz import FrazSearch
-from repro.core.selector import CompressorSelector
-from repro.core.quality import max_abs_error, nrmse, psnr, rmse
-from repro.utils.serialization import load_framework, save_framework
-from repro.data import DATASET_NAMES, Field, load_dataset, load_field
-from repro.surrogate import available_surrogates, get_surrogate
+from repro.compressors import get_compressor
+from repro.core import CarolFramework, FxrzFramework, estimation_error, invert_curve
+from repro.data import Field, load_dataset, load_field
+from repro.surrogate import get_surrogate
 
 __version__ = "1.0.0"
 
 __all__ = [
     "Carol",
     "Fxrz",
-    "FrameworkOptions",
-    "Controller",
     "ControlOptions",
-    "ControlStats",
     "Service",
     "ServiceOptions",
     "ModelRegistry",
@@ -116,32 +90,11 @@ __all__ = [
     "obs",
     "CarolFramework",
     "FxrzFramework",
-    "Calibrator",
-    "CalibrationInfo",
-    "TrainingCollector",
-    "TrainingData",
-    "ErrorBoundModel",
     "estimation_error",
     "invert_curve",
-    "LossyCompressor",
-    "CompressionResult",
     "get_compressor",
-    "available_compressors",
     "get_surrogate",
-    "available_surrogates",
     "Field",
     "load_dataset",
     "load_field",
-    "DATASET_NAMES",
-    "FeedbackLoop",
-    "FrazSearch",
-    "FrameworkConfig",
-    "CompressorSelector",
-    "psnr",
-    "rmse",
-    "nrmse",
-    "max_abs_error",
-    "save_framework",
-    "load_framework",
-    "__version__",
 ]

@@ -2,7 +2,7 @@
 
 The recommended entry point for applications::
 
-    from repro.api import Carol, FrameworkOptions, Service, load, save
+    from repro.api import Carol, Service, load, save
 
     carol = Carol(compressor="sz3")            # or Fxrz(...)
     carol.fit(fields)
@@ -32,15 +32,11 @@ Everything here is a thin, renamed view over the library internals —
 written against either surface interoperates freely; the deep import
 paths remain supported (but new code should import from here).
 
-The ``*Options`` dataclasses (:class:`FrameworkOptions`,
-:class:`ServiceOptions`, :class:`GatewayOptions`, :class:`StoreOptions`,
-:class:`CatalogOptions`, :class:`ControlOptions`) are the hashable,
-frozen, keyword-only
-counterparts of each layer's constructor arguments: share one options
-value across services, use it as a cache key, and
-:meth:`~FrameworkOptions.build` the live object from it. Each
-round-trips — ``from_*`` recovers the options from a built object (or
-manifest) and ``to_kwargs()`` flattens back to constructor keywords.
+The ``*Options`` dataclasses (:class:`ServiceOptions`,
+:class:`GatewayOptions`, :class:`StoreOptions`, :class:`CatalogOptions`,
+:class:`ControlOptions`) are frozen, hashable, keyword-only values: pass
+one as ``options=`` to the layer's constructor (frameworks take their
+keywords directly) and read it back as ``.options``.
 Stats are typed the same way: :meth:`Service.stats`,
 :meth:`Gateway.stats`, and :meth:`Catalog.stats` return frozen
 :class:`ServiceStats` / :class:`GatewayStats` / :class:`CatalogStats`
@@ -56,11 +52,7 @@ every inference entry point (``predict_error_bound``,
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields as dc_fields
-
-import numpy as np
-
-from repro.control import ControlledPrediction, Controller, ControlOptions, ControlStats
+from repro.control import Controller, ControlOptions, ControlStats
 from repro.core.carol import CarolFramework
 from repro.core.framework import (
     BatchPrediction,
@@ -78,12 +70,7 @@ from repro.load.gateway import (
     Overloaded,
 )
 from repro.serve.registry import ModelRegistry
-from repro.serve.service import (
-    PredictionService,
-    ServiceOptions,
-    ServiceStats,
-    VerifiedPrediction,
-)
+from repro.serve.service import PredictionService, ServiceOptions, ServiceStats
 from repro.store import (
     CatalogOptions,
     CatalogStats,
@@ -102,80 +89,6 @@ Fxrz = FxrzFramework
 Service = PredictionService
 Catalog = StoreCatalog
 
-_KINDS = {"carol": CarolFramework, "fxrz": FxrzFramework}
-
-
-@dataclass(frozen=True, kw_only=True)
-class FrameworkOptions:
-    """Frozen, hashable construction options for either framework.
-
-    ``rel_error_bounds`` is a tuple (kept hashable); it is converted to
-    the array the frameworks expect at :meth:`build` time. ``None``
-    selects the library's default grid.
-    """
-
-    compressor: str = "sz3"
-    rel_error_bounds: tuple[float, ...] | None = None
-    n_iter: int = 8
-    cv: int = 3
-    seed: int = 0
-    calibration_points: int = 4
-    model_kind: str = "forest"
-
-    def __post_init__(self) -> None:
-        if self.rel_error_bounds is not None:
-            object.__setattr__(
-                self,
-                "rel_error_bounds",
-                tuple(float(e) for e in self.rel_error_bounds),
-            )
-
-    @classmethod
-    def from_framework(cls, framework: RatioControlledFramework) -> "FrameworkOptions":
-        """Recover the options a built framework was constructed with.
-
-        Round-trips with :meth:`build`:
-        ``FrameworkOptions.from_framework(opts.build("carol")) == opts``.
-        """
-        rel = framework.rel_error_bounds
-        return cls(
-            compressor=framework.compressor_name,
-            rel_error_bounds=None if rel is None else tuple(float(e) for e in rel),
-            n_iter=framework.n_iter,
-            cv=framework.cv,
-            seed=framework.seed,
-            calibration_points=framework.calibration_points,
-            model_kind=framework.model_kind,
-        )
-
-    def to_kwargs(self, *, include_compressor: bool = False) -> dict:
-        """Keyword arguments accepted by the framework constructors.
-
-        By default the ``compressor`` key is omitted (it is the one
-        positional framework argument), so the result can be passed
-        straight through: ``Carol(opts.compressor, **opts.to_kwargs())``.
-        Pass ``include_compressor=True`` for a complete flat dict (e.g.
-        to serialize or log the configuration).
-        """
-        kwargs = {f.name: getattr(self, f.name) for f in dc_fields(self)}
-        if not include_compressor:
-            kwargs.pop("compressor")
-        if kwargs["rel_error_bounds"] is not None:
-            kwargs["rel_error_bounds"] = np.asarray(
-                kwargs["rel_error_bounds"], dtype=np.float64
-            )
-        return kwargs
-
-    def build(self, framework: str = "carol") -> RatioControlledFramework:
-        """Instantiate an (unfitted) ``"carol"`` or ``"fxrz"`` framework."""
-        try:
-            cls = _KINDS[framework]
-        except KeyError:
-            raise ValueError(
-                f"framework must be one of {sorted(_KINDS)}, got {framework!r}"
-            ) from None
-        return cls(self.compressor, **self.to_kwargs())
-
 
 def load(path) -> RatioControlledFramework:
     """Load a framework saved with :func:`save` (``.npz``, pickle-free)."""
@@ -190,16 +103,13 @@ def save(path, framework: RatioControlledFramework):
 __all__ = [
     "Carol",
     "Fxrz",
-    "FrameworkOptions",
     "Controller",
     "ControlOptions",
     "ControlStats",
-    "ControlledPrediction",
     "Service",
     "ServiceOptions",
     "ServiceStats",
     "ModelRegistry",
-    "VerifiedPrediction",
     "Gateway",
     "GatewayOptions",
     "GatewayStats",

@@ -31,10 +31,12 @@ import numpy as np
 
 from repro import obs
 from repro.compressors.registry import available_compressors
+from repro.control.policy import ControlOptions
 from repro.core.carol import CarolFramework
 from repro.core.collection import TrainingCollector
 from repro.core.fxrz import FxrzFramework
 from repro.data.datasets import DATASET_NAMES, load_dataset, load_field
+from repro.store.writer import DEFAULT_WAVE_SIZE, StoreOptions
 from repro.utils.serialization import load_framework, save_framework
 
 
@@ -69,7 +71,6 @@ def cmd_datasets(_args) -> int:
 
 def cmd_estimate(args) -> int:
     field = _load_field(args)
-    ebs = np.geomspace(args.eb_min, args.eb_max, args.n) * field.value_range
     mode = args.mode
     collector = TrainingCollector(
         args.compressor, mode=mode, rel_error_bounds=np.geomspace(args.eb_min, args.eb_max, args.n),
@@ -162,14 +163,12 @@ def _store_source(args):
 
 
 def cmd_store_pack(args) -> int:
-    from repro.store import StoreOptions, pack
+    from repro.store import pack
 
     fw = load_framework(args.model)
     source = _store_source(args)
     control = None
     if args.control:
-        from repro.control import ControlOptions
-
         control = ControlOptions(
             t2_std=args.t2_std,
             t2_pressure=args.t2_pressure,
@@ -231,7 +230,7 @@ def cmd_store_info(args) -> int:
 
 
 def cmd_store_unpack(args) -> int:
-    from repro.store import Store
+    from repro.store import Store, open_raw
 
     with Store(args.store) as st:
         data = st.read()  # verifies every chunk checksum on the way
@@ -246,7 +245,12 @@ def cmd_store_unpack(args) -> int:
             out = save_raw(Field("store", "unpacked", data), args.out)
             print(f"raw field written to {out}")
         if args.verify_against:
-            original = np.fromfile(args.verify_against, dtype=st.dtype).reshape(st.shape)
+            try:
+                original = open_raw(args.verify_against, st.shape, st.dtype)
+            except (OSError, ValueError) as exc:
+                print(f"store-unpack: cannot verify against the original: {exc}",
+                      file=sys.stderr)
+                return 2
             for entry in st.manifest["chunks"]:
                 chunk = st.grid.chunk_at(tuple(entry["coords"]))
                 got = data[chunk.slices]
@@ -349,6 +353,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_trace_arg(p)
     p.set_defaults(func=cmd_bench)
 
+    # one owner per default: the options dataclasses, not this parser
+    store, control = StoreOptions(), ControlOptions()
     p = sub.add_parser(
         "store-pack",
         help="pack a field into a chunked .rps store under a byte budget",
@@ -362,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dtype", default="float32", help="raw source dtype")
     p.add_argument("--seed", type=int, default=None, help="synthetic dataset seed")
     p.add_argument("--chunk", type=int, nargs="+", default=None, help="chunk shape")
-    p.add_argument("--chunk-elements", type=int, default=32768,
+    p.add_argument("--chunk-elements", type=int, default=store.chunk_elements,
                    help="target elements per chunk when --chunk is omitted")
     p.add_argument("--open-loop", action="store_true",
                    help="disable closed-loop budget redistribution")
@@ -372,17 +378,17 @@ def build_parser() -> argparse.ArgumentParser:
                    help="worker processes per wave (0 = in-process)")
     p.add_argument("--wave-size", type=int, default=None,
                    help="chunks per closed-loop re-target wave "
-                        "(default: 1 without workers, 8 with)")
+                        f"(default: 1 without workers, {DEFAULT_WAVE_SIZE} with)")
     p.add_argument("--control", action="store_true",
                    help="enable the repro.control tier plane: low-confidence or "
                         "budget-drifting chunks escalate to warm FRaZ refinement")
-    p.add_argument("--t2-std", type=float, default=0.25,
+    p.add_argument("--t2-std", type=float, default=control.t2_std,
                    help="model spread (log-eb std) at which a chunk escalates")
-    p.add_argument("--t2-pressure", type=float, default=0.10,
+    p.add_argument("--t2-pressure", type=float, default=control.t2_pressure,
                    help="committed budget drift at which chunks escalate")
-    p.add_argument("--risk-budget", type=int, default=16,
+    p.add_argument("--risk-budget", type=int, default=control.risk_budget,
                    help="max escalations per pack (consumed in chunk order)")
-    p.add_argument("--refine-compressions", type=int, default=4,
+    p.add_argument("--refine-compressions", type=int, default=control.refine_compressions,
                    help="probe cap per escalated chunk (a probe is a real "
                         "compression unless the codec sizes in closed form)")
     _add_trace_arg(p)

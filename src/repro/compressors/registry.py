@@ -40,13 +40,3 @@ def get_compressor(name: str, **kwargs) -> LossyCompressor:
             f"unknown compressor {name!r}; available: {', '.join(_REGISTRY)}"
         )
     return _REGISTRY[key](**kwargs)
-
-
-def register_compressor(name: str, factory: Callable[[], LossyCompressor]) -> None:
-    """Extension hook: register a user-provided compressor.
-
-    This is the extensibility property the paper credits FXRZ/CAROL with —
-    supporting a new compressor only requires new execution data, not a new
-    surrogate design.
-    """
-    _REGISTRY[name.lower()] = factory

@@ -1,4 +1,4 @@
-"""The Controller: stateful tier accounting over one pack (or a service).
+"""The Controller: stateful tier accounting over one pack.
 
 :class:`Controller` owns the mutable side of the control plane — the
 risk budget, the committed-spread window, and the tier counters — while
@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,32 +23,6 @@ from repro.core.fraz import FrazResult, FrazSearch
 from repro.control.escalate import heuristic_error_bound
 from repro.control.policy import ControlOptions, ControlStats, Tier, decide_tier
 from repro.surrogate.registry import get_surrogate
-
-
-@dataclass
-class ControlledPrediction:
-    """One governed request's outcome: the final answer plus how it was made.
-
-    ``prediction`` carries the error bound actually used (the refined one
-    when the request escalated); ``model`` is the raw model prediction
-    that seeded it (``None`` for a heuristic answer); ``fraz`` is the T2
-    search record when one ran.
-    """
-
-    prediction: Prediction
-    tier: Tier
-    model: Prediction | None = None
-    fraz: FrazResult | None = None
-
-    @property
-    def error_bound(self) -> float:
-        return self.prediction.error_bound
-
-    @property
-    def compressions(self) -> int:
-        """Real compressor runs this request cost (0 unless it escalated
-        to T2, whose search result already holds the final bytes)."""
-        return self.fraz.n_compressions if self.fraz is not None else 0
 
 
 class Controller:
@@ -269,51 +242,6 @@ class Controller:
                 for eb, ratio in fraz.history:
                     self.feedback.record(feats, eb, ratio, target_ratio)
         return fraz
-
-    # -- serving -----------------------------------------------------------------
-
-    def govern(
-        self, data, target_ratio: float, *, safety: float = 0.0
-    ) -> ControlledPrediction:
-        """One governed request: predict, then escalate if warranted.
-
-        The serve path is **stateless across requests** by design: the
-        decision sees no drift history (``pressure=0``) and a
-        single-request risk allowance (1 when escalation is enabled at
-        all), never the shared pack budget — so batched, sequential, and
-        gateway-coalesced traffic produce bitwise-identical answers
-        regardless of request order. Tier counters still accumulate for
-        :meth:`stats`, but they never feed back into decisions.
-        """
-        if self._service is not None:
-            pred = self._service.predict(data, target_ratio, safety=safety)
-        else:
-            pred = self._framework.predict_error_bound(
-                data, target_ratio, safety=safety
-            )
-        risk = 1 if self.options.risk_budget > 0 else 0
-        tier = decide_tier(
-            std=pred.std, pressure=0.0, risk_remaining=risk, options=self.options
-        )
-        if tier is not Tier.REFINE:
-            self._t1 += 1
-            return ControlledPrediction(prediction=pred, tier=Tier.MODEL, model=pred)
-        self._t2 += 1
-        self._esc_std += 1
-        fraz = self.refine(
-            data, target_ratio, initial_eb=pred.error_bound, features=pred.features
-        )
-        refined = Prediction(
-            error_bound=float(fraz.error_bound),
-            target_ratio=float(target_ratio),
-            features=pred.features,
-            feature_seconds=pred.feature_seconds,
-            inference_seconds=pred.inference_seconds,
-            std=pred.std,
-        )
-        return ControlledPrediction(
-            prediction=refined, tier=Tier.REFINE, model=pred, fraz=fraz
-        )
 
     # -- introspection -----------------------------------------------------------
 

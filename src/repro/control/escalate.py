@@ -1,17 +1,16 @@
-"""The two non-model tiers: surrogate heuristic (T0) and FRaZ refinement (T2).
+"""The surrogate heuristic tier (T0).
 
-Both endpoints of the escalation ladder already exist in the codebase —
-:mod:`repro.surrogate` estimates ratio curves without compressing, and
-:class:`repro.core.fraz.FrazSearch` searches the real compressor — this
-module just adapts them to the control plane's shape: one error bound
-out, deterministic, bounded cost.
+:mod:`repro.surrogate` already estimates ratio curves without
+compressing; this module adapts that to the control plane's shape: one
+error bound out, deterministic, bounded cost. The other non-model tier
+(T2) is :meth:`repro.control.Controller.refine`, a warm-started
+:class:`repro.core.fraz.FrazSearch`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.core.fraz import FrazResult, FrazSearch
 from repro.core.prediction import invert_curve
 from repro.surrogate.base import SurrogateEstimator
 from repro.surrogate.registry import get_surrogate
@@ -52,29 +51,3 @@ def heuristic_error_bound(
     ebs = np.exp(np.linspace(np.log(lo), np.log(hi), int(points))) * vrange
     ratios, _ = surrogate.estimate_curve(arr, ebs)
     return invert_curve(ebs, ratios, float(target_ratio))
-
-
-def refine_error_bound(
-    data: np.ndarray,
-    target_ratio: float,
-    *,
-    compressor: str,
-    initial_eb: float,
-    max_compressions: int = 4,
-    tolerance: float = 0.05,
-) -> FrazResult:
-    """T2: warm-started FRaZ search against the real compressor.
-
-    The prior tier's error bound seeds the search
-    (:meth:`FrazSearch.compress_to_ratio` with ``initial_eb``), so a
-    roughly-right guess converges in 1–3 probes instead of the cold
-    bracket's full budget. ``max_compressions`` is a hard cap on probes
-    (each a real compression unless the codec sizes in closed form);
-    the result reports ``converged``, ``reachable`` and its full
-    ``(eb, ratio)`` history — each entry a free ground-truth observation
-    for the feedback loop.
-    """
-    search = FrazSearch(
-        compressor, tolerance=tolerance, max_iterations=max_compressions
-    )
-    return search.compress_to_ratio(data, target_ratio, initial_eb=float(initial_eb))

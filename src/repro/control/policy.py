@@ -23,7 +23,7 @@ function of three observables:
   no spread);
 - ``pressure``: the observed relative drift of achieved ratio from the
   target — the store writer's closed loop measures it over committed
-  chunks; a standalone request has no drift history (0.0);
+  chunks;
 - ``risk_remaining``: how many T2 escalations the caller may still
   spend (the per-pack risk budget).
 
@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, fields as dc_fields
+from dataclasses import dataclass
 
 
 class Tier(enum.IntEnum):
@@ -108,24 +108,6 @@ class ControlOptions:
             raise ValueError("heuristic_points must be >= 2")
         if self.std_window < 1:
             raise ValueError("std_window must be >= 1")
-
-    @classmethod
-    def from_controller(cls, controller) -> "ControlOptions":
-        """Recover the options a live :class:`~repro.control.Controller`
-        was built with."""
-        return controller.options
-
-    def to_kwargs(self) -> dict:
-        """The constructor kwargs that rebuild these options
-        (``ControlOptions(**opts.to_kwargs())`` round-trips)."""
-        return {f.name: getattr(self, f.name) for f in dc_fields(self)}
-
-    def build(self, predictor, *, feedback=None):
-        """Construct a :class:`~repro.control.Controller` over a fitted
-        framework or a :class:`repro.serve.PredictionService`."""
-        from repro.control.controller import Controller
-
-        return Controller(predictor, options=self, feedback=feedback)
 
 
 def decide_tier(

@@ -40,7 +40,7 @@ from __future__ import annotations
 import asyncio
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, fields as dc_fields
+from dataclasses import dataclass
 
 from repro.obs import count, observe, set_gauge, set_gauge_max, timed_span
 
@@ -89,20 +89,6 @@ class GatewayOptions:
             raise ValueError("max_wait_ms must be >= 0")
         if self.max_pending < 1:
             raise ValueError("max_pending must be >= 1")
-
-    @classmethod
-    def from_gateway(cls, gateway: "Gateway") -> "GatewayOptions":
-        """Recover the options a live gateway was built with."""
-        return gateway.options
-
-    def to_kwargs(self) -> dict:
-        """The constructor kwargs that rebuild these options
-        (``GatewayOptions(**opts.to_kwargs())`` round-trips)."""
-        return {f.name: getattr(self, f.name) for f in dc_fields(self)}
-
-    def build(self, service) -> "Gateway":
-        """Construct a :class:`Gateway` over a prediction service."""
-        return Gateway(service, options=self)
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtr
 
 from repro.ml.gp import GaussianProcess
 from repro.ml.space import SearchSpace
@@ -47,6 +47,17 @@ class BOResult:
     def trajectory(self, name: str) -> list:
         """Per-iteration values of one hyper-parameter (Fig. 5b series)."""
         return [it.params[name] for it in self.history]
+
+
+def _expected_improvement(mean: np.ndarray, std: np.ndarray, best: float) -> np.ndarray:
+    """EI of a Gaussian posterior over the incumbent ``best``.
+
+    The standard normal's cdf and pdf written out (``ndtr`` and
+    ``exp(-z²/2)/√(2π)``, bit for bit what ``scipy.stats.norm`` computes)
+    so that importing the package does not load ``scipy.stats``.
+    """
+    z = (mean - best) / std
+    return (mean - best) * ndtr(z) + std * (np.exp(-(z**2) / 2.0) / np.sqrt(2 * np.pi))
 
 
 class BayesianOptimizer:
@@ -119,8 +130,7 @@ class BayesianOptimizer:
         )
         cand = np.vstack((cand, local))
         mean, std = gp.predict(cand, return_std=True)
-        z = (mean - best) / std
-        ei = (mean - best) * norm.cdf(z) + std * norm.pdf(z)
+        ei = _expected_improvement(mean, std, best)
         return self.space.decode(cand[int(np.argmax(ei))])
 
     def observe(self, params: dict, score: float) -> None:

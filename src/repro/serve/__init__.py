@@ -6,8 +6,7 @@ fields):
 
 - :class:`PredictionService` / :class:`ServiceOptions` — the front-end:
   ``predict``, ``predict_batch`` (stacked inference, bitwise-identical
-  to sequential calls), ``predict_targets``, and ``verify=True``
-  compression-verification;
+  to sequential calls) and ``predict_targets``;
 - :class:`LRUCache` (+ :func:`digest_array`) — feature cache addressed
   by a digest of the extractor's sample, with always-on
   hit/miss/eviction stats, mirrored into :mod:`repro.obs` metrics;
@@ -27,14 +26,12 @@ from repro.serve.service import (
     PredictionService,
     ServiceOptions,
     ServiceStats,
-    VerifiedPrediction,
 )
 
 __all__ = [
     "PredictionService",
     "ServiceOptions",
     "ServiceStats",
-    "VerifiedPrediction",
     "LRUCache",
     "CacheStats",
     "default_cost",

@@ -1,9 +1,9 @@
 """Process-pool worker backend for the serving layer.
 
-Fans CPU-bound serving work — multi-field feature extraction and
-compression-verification — out over worker processes, with the failure
-semantics a service needs and a bare ``ProcessPoolExecutor`` doesn't
-give:
+Fans CPU-bound work — multi-field feature extraction, a store wave's
+compressions, chunk decodes — out over worker processes, with the
+failure semantics a service needs and a bare ``ProcessPoolExecutor``
+doesn't give:
 
 - **bounded queue** — at most ``max_pending`` tasks are in flight; a
   large batch is fed through in windows instead of being dumped on the
@@ -19,9 +19,9 @@ give:
   (``worker_seconds``) and how long callers were blocked on it
   (``wait_seconds``); the difference is what the pool costs.
 
-Tasks must be module-level callables with picklable arguments, same as
-:mod:`repro.core.parallel_collection`. ``n_workers=0`` degrades to pure
-in-process execution so callers keep a single code path.
+Tasks must be module-level callables with picklable arguments.
+``n_workers=0`` degrades to pure in-process execution so callers keep a
+single code path.
 """
 
 from __future__ import annotations

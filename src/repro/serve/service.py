@@ -19,9 +19,9 @@ shaped for repeated traffic:
   bitwise-identical to sequential :meth:`~PredictionService.predict`
   calls (see :meth:`ErrorBoundModel.predict_error_bound_batch`);
 - **worker fan-out** — with ``workers > 0``, uncached multi-field
-  extraction and compression-verification (``verify=True``) run on a
-  :class:`~repro.serve.pool.WorkerPool` with bounded queues, per-task
-  timeouts, and in-process fallback when workers die.
+  extraction runs on a :class:`~repro.serve.pool.WorkerPool` with
+  bounded queues, per-task timeouts, and in-process fallback when
+  workers die.
 
 The service resolves its framework through a
 :class:`~repro.serve.registry.ModelRegistry` when built with
@@ -31,13 +31,10 @@ hot-reload behaviour.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields as dc_fields
+from dataclasses import dataclass
 
 import numpy as np
 
-from repro.compressors.registry import get_compressor
-from repro.control.controller import ControlledPrediction
-from repro.control.policy import ControlOptions, ControlStats
 from repro.core.carol import CarolFramework
 from repro.core.framework import BatchPrediction, Prediction
 from repro.core.fxrz import FxrzFramework
@@ -52,34 +49,16 @@ from repro.utils.validation import as_float_array
 
 @dataclass(frozen=True, kw_only=True)
 class ServiceOptions:
-    """Frozen, hashable serving configuration (counterpart of
-    :class:`repro.api.FrameworkOptions` for the serving layer).
+    """Frozen, hashable serving configuration.
 
     ``workers=0`` keeps everything in-process; ``cache_entries=0``
-    disables the feature cache. ``control`` attaches a
-    :mod:`repro.control` tier policy and enables :meth:`PredictionService.govern`
-    (plain ``predict``/``predict_batch`` are unaffected).
+    disables the feature cache.
     """
 
     cache_entries: int = 256
     workers: int = 0
     max_pending: int = 32
     timeout_seconds: float = 30.0
-    control: ControlOptions | None = None
-
-    @classmethod
-    def from_service(cls, service: "PredictionService") -> "ServiceOptions":
-        """Recover the options a live service was built with."""
-        return service.options
-
-    def to_kwargs(self) -> dict:
-        """The constructor kwargs that rebuild these options
-        (``ServiceOptions(**opts.to_kwargs())`` round-trips)."""
-        return {f.name: getattr(self, f.name) for f in dc_fields(self)}
-
-    def build(self, framework) -> "PredictionService":
-        """Construct a :class:`PredictionService` over a fitted framework."""
-        return PredictionService(framework, options=self)
 
 
 @dataclass(frozen=True)
@@ -97,32 +76,14 @@ class ServiceStats:
     batches: int
     cache: CacheStats
     pool: PoolStats
-    control: ControlStats | None = None
 
     def as_dict(self) -> dict:
-        d = {
+        return {
             "requests": self.requests,
             "batches": self.batches,
             "cache": self.cache.as_dict(),
             "pool": self.pool.as_dict(),
         }
-        if self.control is not None:
-            d["control"] = self.control.as_dict()
-        return d
-
-
-@dataclass
-class VerifiedPrediction:
-    """A prediction plus the measured outcome of actually compressing."""
-
-    prediction: Prediction
-    achieved_ratio: float
-
-    @property
-    def ratio_error(self) -> float:
-        """Relative deviation of achieved from requested ratio."""
-        t = self.prediction.target_ratio
-        return abs(self.achieved_ratio - t) / t if t else float("inf")
 
 
 def _extract_task(kind: str, stride: int | None, data: np.ndarray) -> np.ndarray:
@@ -157,11 +118,6 @@ def _feature_key(framework, arr: np.ndarray) -> tuple:
     return (spec or type(framework), digest_array(sample))
 
 
-def _verify_task(compressor: str, data: np.ndarray, error_bound: float) -> float:
-    """Worker-side compression-verification: the achieved ratio."""
-    return float(get_compressor(compressor).compression_ratio(data, error_bound))
-
-
 class PredictionService:
     """Serve ``(field, target_ratio)`` queries over one fitted framework."""
 
@@ -181,11 +137,6 @@ class PredictionService:
         )
         self.n_requests = 0
         self.n_batches = 0
-        self.controller = (
-            self.options.control.build(self)
-            if self.options.control is not None
-            else None
-        )
 
     @classmethod
     def from_registry(
@@ -279,16 +230,12 @@ class PredictionService:
             arr, target_ratio, safety=safety, features=feats
         )
 
-    def predict_batch(
-        self, requests, *, safety: float = 0.0, verify: bool = False
-    ) -> list[Prediction] | list[VerifiedPrediction]:
+    def predict_batch(self, requests, *, safety: float = 0.0) -> list[Prediction]:
         """Serve ``[(field, target_ratio), ...]`` as one batch.
 
         Feature extraction runs once per distinct sample (cache-aware,
         worker fan-out when enabled) and model inference runs on one
-        stacked feature matrix. With ``verify=True`` every prediction is
-        checked by actually compressing (fanned across workers) and
-        returned as :class:`VerifiedPrediction`.
+        stacked feature matrix.
         """
         framework = self.framework
         pairs = [(self._as_array(d), float(r)) for d, r in requests]
@@ -307,21 +254,10 @@ class PredictionService:
             ebs, stds = framework.model.predict_error_bound_batch_with_std(
                 F, ratios, safety=safety
             )
-            preds = [
+            return [
                 Prediction(float(eb), float(r), F[i], 0.0, 0.0, std=float(s))
                 for i, (eb, r, s) in enumerate(zip(ebs, ratios, stds))
             ]
-            if not verify:
-                return preds
-            tasks = [
-                (framework.compressor_name, arr, pred.error_bound)
-                for (arr, _), pred in zip(pairs, preds)
-            ]
-            achieved = self.pool.map_ordered(_verify_task, tasks)
-        return [
-            VerifiedPrediction(prediction=p, achieved_ratio=float(a))
-            for p, a in zip(preds, achieved)
-        ]
 
     def predict_targets(
         self, data, target_ratios, *, safety: float = 0.0
@@ -337,25 +273,6 @@ class PredictionService:
             arr, ratios, safety=safety, features=feats
         )
 
-    def govern(
-        self, data, target_ratio: float, *, safety: float = 0.0
-    ) -> ControlledPrediction:
-        """One *governed* request: predict, escalate to refinement if the
-        model's spread crosses the policy's ``t2_std``.
-
-        Requires ``ServiceOptions.control``. The decision is stateless
-        across requests (no shared drift or risk state), so governed
-        answers are bitwise-identical however traffic is ordered or
-        batched; escalated requests spend real compressions, bounded by
-        ``refine_compressions`` per request.
-        """
-        if self.controller is None:
-            raise RuntimeError(
-                "service has no control policy; build it with "
-                "ServiceOptions(control=ControlOptions(...))"
-            )
-        return self.controller.govern(data, target_ratio, safety=safety)
-
     # -- lifecycle / introspection ---------------------------------------------
 
     def stats(self) -> ServiceStats:
@@ -366,7 +283,6 @@ class PredictionService:
             batches=self.n_batches,
             cache=self.cache.stats,
             pool=self.pool.stats,
-            control=self.controller.stats() if self.controller else None,
         )
 
     def close(self) -> None:

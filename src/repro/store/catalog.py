@@ -49,7 +49,7 @@ every other store (and every other chunk) stays readable.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, fields as dc_fields
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -99,8 +99,7 @@ class CatalogStats:
 
 @dataclass(frozen=True, kw_only=True)
 class CatalogOptions:
-    """Frozen, hashable catalog configuration (the catalog counterpart of
-    :class:`repro.api.FrameworkOptions`).
+    """Frozen, hashable catalog configuration.
 
     ``cache_bytes`` budgets the shared decompressed-chunk LRU (0 disables
     caching; every read decodes). ``workers`` fans chunk decode out over
@@ -138,20 +137,6 @@ class CatalogOptions:
             raise ValueError("prefetch_depth must be >= 0")
         if self.prefetch_min_run < 2:
             raise ValueError("prefetch_min_run must be >= 2")
-
-    @classmethod
-    def from_catalog(cls, catalog: "StoreCatalog") -> "CatalogOptions":
-        """Recover the options a live catalog was built with."""
-        return catalog.options
-
-    def to_kwargs(self) -> dict:
-        """The constructor kwargs that rebuild these options
-        (``CatalogOptions(**opts.to_kwargs())`` round-trips)."""
-        return {f.name: getattr(self, f.name) for f in dc_fields(self)}
-
-    def build(self, root=None) -> "StoreCatalog":
-        """Construct a :class:`StoreCatalog` from these options."""
-        return StoreCatalog(root, options=self)
 
 
 class StoreCatalog:

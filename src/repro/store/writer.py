@@ -34,12 +34,13 @@ improves the very model that budgets the next pack.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field, fields as dc_fields
+from dataclasses import asdict, dataclass, field as dc_field
 from pathlib import Path
 
 import numpy as np
 
 from repro.compressors.registry import get_compressor
+from repro.control.controller import Controller
 from repro.control.policy import ControlOptions, ControlStats, Tier
 from repro.core.framework import Prediction
 from repro.obs import count, observe, set_gauge, timed_span
@@ -56,8 +57,7 @@ DEFAULT_WAVE_SIZE = 8
 
 @dataclass(frozen=True, kw_only=True)
 class StoreOptions:
-    """Frozen, hashable packing configuration (the store counterpart of
-    :class:`repro.api.FrameworkOptions`).
+    """Frozen, hashable packing configuration.
 
     ``chunk_shape=None`` derives a grid of roughly ``chunk_elements``
     values per chunk. ``min_chunk_ratio``/``max_chunk_ratio`` clamp the
@@ -104,28 +104,6 @@ class StoreOptions:
             raise ValueError("workers must be >= 0")
         if self.wave_size is not None and self.wave_size < 1:
             raise ValueError("wave_size must be >= 1")
-
-    @classmethod
-    def from_manifest(cls, manifest: dict) -> "StoreOptions":
-        """Recover the packing options recorded in a store's manifest.
-
-        Only the fields a manifest persists (grid, loop mode, safety,
-        control policy) are recoverable; runtime knobs (``workers``,
-        ``wave_size``, timeouts) come back as defaults — they never
-        change the packed bytes.
-        """
-        control = manifest.get("control")
-        return cls(
-            chunk_shape=tuple(int(c) for c in manifest["chunk_shape"]),
-            closed_loop=bool(manifest.get("closed_loop", True)),
-            safety=float(manifest.get("safety", 0.0)),
-            control=ControlOptions(**control) if control else None,
-        )
-
-    def to_kwargs(self) -> dict:
-        """The constructor kwargs that rebuild these options
-        (``StoreOptions(**opts.to_kwargs())`` round-trips)."""
-        return {f.name: getattr(self, f.name) for f in dc_fields(self)}
 
     @property
     def resolved_wave_size(self) -> int:
@@ -366,8 +344,9 @@ class StoreWriter:
         wave_size = opts.resolved_wave_size
         controller = None
         if opts.control is not None:
-            controller = opts.control.build(
+            controller = Controller(
                 self._service if self._service is not None else self._framework,
+                options=opts.control,
                 feedback=feedback,
             )
 
@@ -556,7 +535,7 @@ class StoreWriter:
                         "chunks": entries,
                     }
                     if opts.control is not None:
-                        manifest["control"] = opts.control.to_kwargs()
+                        manifest["control"] = asdict(opts.control)
                     manifest_bytes = write_manifest(fh, manifest)
         finally:
             pool_stats = {}

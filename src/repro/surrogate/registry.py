@@ -37,7 +37,3 @@ def get_surrogate(name: str, **kwargs) -> SurrogateEstimator:
     if key not in _REGISTRY:
         raise KeyError(f"no surrogate for {name!r}; available: {', '.join(_REGISTRY)}")
     return _REGISTRY[key](**kwargs)
-
-
-def register_surrogate(name: str, factory: Callable[[], SurrogateEstimator]) -> None:
-    _REGISTRY[name.lower()] = factory

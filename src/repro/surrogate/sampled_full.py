@@ -8,9 +8,8 @@ sampling method has to match the target compressor's compression window."
 
 This estimator implements exactly that: it runs the *real* compressor on a
 sample drawn with a window-matched strategy and extrapolates the per-value
-cost. Any compressor registered via
-:func:`repro.compressors.registry.register_compressor` gets ratio
-estimation for free this way.
+cost. Any compressor in :mod:`repro.compressors.registry` gets ratio
+estimation for free this way (cuszp's surrogate is built from it).
 """
 
 from __future__ import annotations

@@ -1,6 +1,6 @@
 """Shared utilities: timing, validation, serialization."""
 
-from repro.utils.timing import Timer, TimingRecord, timed
+from repro.utils.timing import TimingRecord
 from repro.utils.validation import (
     as_float_array,
     check_error_bound,
@@ -10,9 +10,7 @@ from repro.utils.validation import (
 )
 
 __all__ = [
-    "Timer",
     "TimingRecord",
-    "timed",
     "as_float_array",
     "check_error_bound",
     "check_positive_int",

@@ -1,15 +1,12 @@
-"""Lightweight wall-clock instrumentation.
+"""Named wall-clock totals.
 
-Every pipeline stage in the frameworks (data collection, model training,
-feature extraction, inference) reports its cost through these helpers so the
-benchmark harnesses can regenerate the paper's timing tables without
-re-instrumenting call sites.
+Training-data collection reports what it cost through a
+:class:`TimingRecord` (``TrainingData.timing``), and merged training
+sets merge their records.
 """
 
 from __future__ import annotations
 
-import functools
-import time
 from dataclasses import dataclass, field
 
 
@@ -46,50 +43,3 @@ class TimingRecord:
 
     def __contains__(self, name: str) -> bool:
         return name in self.totals
-
-
-class Timer:
-    """Context manager measuring wall-clock time.
-
-    >>> with Timer() as t:
-    ...     pass
-    >>> t.elapsed >= 0.0
-    True
-
-    Optionally reports into a :class:`TimingRecord`:
-
-    >>> rec = TimingRecord()
-    >>> with Timer(record=rec, name="stage"):
-    ...     pass
-    >>> "stage" in rec
-    True
-    """
-
-    def __init__(self, record: TimingRecord | None = None, name: str = "") -> None:
-        self._record = record
-        self._name = name
-        self.elapsed = 0.0
-        self._start = 0.0
-
-    def __enter__(self) -> "Timer":
-        self._start = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.elapsed = time.perf_counter() - self._start
-        if self._record is not None:
-            self._record.add(self._name or "timer", self.elapsed)
-
-
-def timed(func):
-    """Decorator attaching the call's wall time as ``wrapper.last_elapsed``."""
-
-    @functools.wraps(func)
-    def wrapper(*args, **kwargs):
-        start = time.perf_counter()
-        result = func(*args, **kwargs)
-        wrapper.last_elapsed = time.perf_counter() - start
-        return result
-
-    wrapper.last_elapsed = 0.0
-    return wrapper

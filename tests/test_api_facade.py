@@ -1,7 +1,5 @@
 """The repro.api facade and the redesigned framework surface."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -10,7 +8,6 @@ from repro.api import (
     Carol,
     Catalog,
     CatalogOptions,
-    FrameworkOptions,
     Fxrz,
     Gateway,
     GatewayOptions,
@@ -46,7 +43,6 @@ class TestFacadeImports:
 
         assert repro.Carol is Carol
         assert repro.Fxrz is Fxrz
-        assert repro.FrameworkOptions is FrameworkOptions
         assert repro.load is load
         assert repro.save is save
 
@@ -99,13 +95,12 @@ class TestFacadeImports:
                 assert hasattr(mod, name), f"{mod.__name__}.{name}"
         # the documented facade pairs are all on repro.api
         for name in ("Catalog", "CatalogOptions", "Store", "StoreOptions",
-                     "Service", "ServiceOptions", "Carol", "FrameworkOptions",
-                     "Gateway", "GatewayOptions"):
+                     "Service", "ServiceOptions", "Carol", "Gateway",
+                     "GatewayOptions"):
             assert name in repro.api.__all__
 
     def test_options_are_keyword_only(self):
         for cls, arg in (
-            (FrameworkOptions, "szx"),
             (ServiceOptions, 8),
             (StoreOptions, (8, 8, 8)),
             (CatalogOptions, 1024),
@@ -113,20 +108,6 @@ class TestFacadeImports:
         ):
             with pytest.raises(TypeError):
                 cls(arg)
-
-    def test_options_to_kwargs_symmetry(self):
-        for opts in (
-            ServiceOptions(workers=2),
-            StoreOptions(chunk_shape=(4, 4, 4), safety=0.5),
-            CatalogOptions(cache_bytes=123),
-            GatewayOptions(max_batch=4, max_wait_ms=1.5),
-        ):
-            assert type(opts)(**opts.to_kwargs()) == opts
-
-    def test_store_options_from_manifest(self):
-        opts = StoreOptions(chunk_shape=(4, 8, 8), closed_loop=False, safety=0.25)
-        manifest = {"chunk_shape": [4, 8, 8], "closed_loop": False, "safety": 0.25}
-        assert StoreOptions.from_manifest(manifest) == opts
 
     def test_deprecated_paths_still_work(self):
         # the pre-facade import surface must keep working verbatim
@@ -149,69 +130,6 @@ class TestKeywordOnly:
     def test_compressor_may_be_positional(self):
         assert Carol("szx").compressor_name == "szx"
         assert Fxrz("szx", feature_stride=2).feature_stride == 2
-
-
-class TestFrameworkOptions:
-    def test_frozen(self):
-        opts = FrameworkOptions()
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            opts.compressor = "zfp"
-
-    def test_hashable_and_comparable(self):
-        a = FrameworkOptions(compressor="szx", rel_error_bounds=(1e-3, 1e-2))
-        b = FrameworkOptions(compressor="szx", rel_error_bounds=[1e-3, 1e-2])
-        assert a == b
-        assert hash(a) == hash(b)
-
-    def test_build_carol_and_fxrz(self):
-        opts = FrameworkOptions(compressor="szx", rel_error_bounds=tuple(REL),
-                                n_iter=3, cv=2, seed=7)
-        carol = opts.build("carol")
-        fxrz = opts.build("fxrz")
-        assert type(carol) is Carol and type(fxrz) is Fxrz
-        assert carol.compressor_name == "szx"
-        assert carol.n_iter == 3 and carol.seed == 7
-        np.testing.assert_allclose(carol.rel_error_bounds, REL)
-
-    def test_build_unknown_kind(self):
-        with pytest.raises(ValueError, match="framework"):
-            FrameworkOptions().build("sz_deluxe")
-
-    def test_default_grid_passthrough(self):
-        assert FrameworkOptions().build("carol").rel_error_bounds is None
-
-    def test_to_kwargs_excludes_compressor_by_default(self):
-        opts = FrameworkOptions(compressor="zfp", n_iter=9)
-        kwargs = opts.to_kwargs()
-        assert "compressor" not in kwargs
-        assert kwargs["n_iter"] == 9
-        # the documented use: positional compressor + keyword config
-        fw = Carol(opts.compressor, **kwargs)
-        assert fw.compressor_name == "zfp" and fw.n_iter == 9
-
-    def test_to_kwargs_include_compressor(self):
-        kwargs = FrameworkOptions(compressor="zfp").to_kwargs(include_compressor=True)
-        assert kwargs["compressor"] == "zfp"
-        assert Carol(**kwargs).compressor_name == "zfp"
-
-    def test_from_framework_round_trip(self):
-        opts = FrameworkOptions(
-            compressor="szx",
-            rel_error_bounds=tuple(REL),
-            n_iter=3,
-            cv=2,
-            seed=7,
-            calibration_points=4,
-            model_kind="gbt",
-        )
-        for kind in ("carol", "fxrz"):
-            assert FrameworkOptions.from_framework(opts.build(kind)) == opts
-
-    def test_from_framework_default_grid(self):
-        fw = Fxrz(compressor="szx")
-        recovered = FrameworkOptions.from_framework(fw)
-        assert recovered.rel_error_bounds is None
-        assert recovered.build("fxrz").compressor_name == "szx"
 
 
 class TestSaveLoad:

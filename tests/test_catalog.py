@@ -366,15 +366,11 @@ class TestCatalogOptions:
         with pytest.raises(TypeError):
             CatalogOptions(123)
 
-    def test_to_kwargs_round_trips(self):
-        opts = CatalogOptions(cache_bytes=99, workers=2, verify=False)
-        assert CatalogOptions(**opts.to_kwargs()) == opts
-
-    def test_build_and_from_catalog(self, store_root):
+    def test_options_size_the_chunk_cache(self, store_root):
         root, _ = store_root
         opts = CatalogOptions(cache_bytes=1 << 20)
-        with opts.build(root) as cat:
-            assert CatalogOptions.from_catalog(cat) == opts
+        with StoreCatalog(root, options=opts) as cat:
+            assert cat.options == opts
             assert cat.chunk_cache.max_cost == float(1 << 20)
 
     def test_invalid_rejected(self):

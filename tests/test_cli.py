@@ -24,6 +24,20 @@ class TestParser:
             "store-pack", "store-info", "store-unpack", "trace-summary",
         }
 
+    def test_store_pack_defaults_are_the_dataclass_defaults(self):
+        """One owner per default: the parser reads them, it does not copy them."""
+        from repro.api import ControlOptions, StoreOptions
+
+        args = build_parser().parse_args(
+            ["store-pack", "src", "--model", "m", "--ratio", "2", "--out", "o"]
+        )
+        control = ControlOptions()
+        assert args.chunk_elements == StoreOptions().chunk_elements
+        assert args.t2_std == control.t2_std
+        assert args.t2_pressure == control.t2_pressure
+        assert args.risk_budget == control.risk_budget
+        assert args.refine_compressions == control.refine_compressions
+
     def test_docs_name_only_registered_commands(self):
         """Every ``python -m repro <word>`` in the docs, the CI workflow and
         the package docstrings is a subcommand that exists."""
@@ -195,6 +209,26 @@ class TestStoreCommands:
         rc = main(["store-unpack", str(store), "--verify-against", str(other)])
         assert rc == 1
         assert "FAIL" in capsys.readouterr().out
+
+    def test_unpack_rejects_an_original_of_the_wrong_size(self, store_env, tmp_path, capsys):
+        """A RAW that cannot be the store's original is a usage error (2),
+        not a bound violation (1) and not a traceback."""
+        from repro import load_field
+
+        _, _, _, store = store_env
+        short = tmp_path / "short.f32"
+        load_field("miranda/density", shape=(16, 16, 8)).data.tofile(short)
+        assert main(["store-unpack", str(store), "--verify-against", str(short)]) == 2
+        err = capsys.readouterr().err
+        assert "8192 bytes" in err and "needs 16384" in err
+        assert len(err.strip().splitlines()) == 1
+
+    def test_unpack_rejects_a_missing_original(self, store_env, tmp_path, capsys):
+        _, _, _, store = store_env
+        absent = tmp_path / "absent.f32"
+        assert main(["store-unpack", str(store), "--verify-against", str(absent)]) == 2
+        err = capsys.readouterr().err
+        assert str(absent) in err and len(err.strip().splitlines()) == 1
 
     def test_unpack_allows_dtype_rounding_and_no_more(self, store_env, tmp_path, capsys):
         """The read-back contract: the codec holds the bound in float64 and

@@ -173,13 +173,3 @@ class TestRegistry:
     def test_unknown_rejected(self):
         with pytest.raises(KeyError):
             get_compressor("not-a-codec")
-
-    def test_register_extension(self):
-        from repro.compressors.registry import _REGISTRY, register_compressor
-        from repro.compressors.szx import SZXCompressor
-
-        register_compressor("myszx", SZXCompressor)
-        try:
-            assert get_compressor("myszx").name == "szx"
-        finally:
-            _REGISTRY.pop("myszx")

@@ -1,9 +1,11 @@
 """Gaussian process and Bayesian optimization unit tests."""
 
+import math
+
 import numpy as np
 import pytest
 
-from repro.ml.bayesopt import BayesianOptimizer
+from repro.ml.bayesopt import BayesianOptimizer, _expected_improvement
 from repro.ml.gp import GaussianProcess, matern52
 from repro.ml.space import Choice, IntRange, SearchSpace
 
@@ -57,6 +59,31 @@ class TestGP:
         gp = GaussianProcess().fit(X, np.full(10, 3.0))
         pred = gp.predict(X)
         np.testing.assert_allclose(pred, 3.0, atol=1e-6)
+
+
+class TestExpectedImprovement:
+    """The acquisition writes the normal cdf / pdf out instead of loading
+    ``scipy.stats`` for them; pinned against the textbook closed form."""
+
+    def test_matches_closed_form(self):
+        z = np.concatenate((np.linspace(-30.0, 30.0, 601), [0.0, -0.0, 1e-300, -1e-300]))
+        cdf = np.array([0.5 * math.erfc(-v / math.sqrt(2.0)) for v in z])
+        pdf = np.array([math.exp(-v * v / 2.0) / math.sqrt(2.0 * math.pi) for v in z])
+        for std in (1.0, 0.37, 5e3):
+            got = _expected_improvement(z * std, np.full(z.size, std), 0.0)
+            # z * cdf cancels against pdf in the lower tail, so the error is
+            # judged against the terms, not against their difference
+            tol = 1e-12 * std * (np.abs(z) * cdf + pdf)
+            assert np.all(np.abs(got - std * (z * cdf + pdf)) <= tol)
+
+    def test_non_finite_scores(self):
+        mean = np.array([np.inf, -np.inf, np.nan, 0.0])
+        with np.errstate(invalid="ignore"):
+            ei = _expected_improvement(mean, np.ones(4), 0.0)
+        # +inf improves without bound; -inf is 0 * inf, nan stays nan (both
+        # lose every argmax to a finite candidate); z = 0 is the pdf's peak
+        assert ei[0] == np.inf and np.isnan(ei[1]) and np.isnan(ei[2])
+        assert ei[3] == 1.0 / math.sqrt(2.0 * math.pi)
 
 
 class TestBayesOpt:

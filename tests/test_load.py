@@ -51,17 +51,6 @@ class TestGatewayOptions:
         with pytest.raises(TypeError):
             GatewayOptions(8)
 
-    def test_to_kwargs_round_trip(self):
-        opts = GatewayOptions(max_batch=3, max_wait_ms=1.5, max_pending=7, safety=0.5)
-        assert GatewayOptions(**opts.to_kwargs()) == opts
-
-    def test_build_and_from_gateway(self, fitted):
-        opts = GatewayOptions(max_batch=5, max_pending=9)
-        with Service(fitted) as svc:
-            gw = opts.build(svc)
-            assert isinstance(gw, Gateway)
-            assert GatewayOptions.from_gateway(gw) == opts
-
 
 class TestCoalescingDeterminism:
     @pytest.mark.parametrize("max_batch,max_wait_ms", [
@@ -85,7 +74,7 @@ class TestCoalescingDeterminism:
             opts = GatewayOptions(
                 max_batch=max_batch, max_wait_ms=max_wait_ms, max_pending=64
             )
-            async with opts.build(svc) as gw:
+            async with Gateway(svc, options=opts) as gw:
                 preds = await asyncio.gather(
                     *(gw.submit(datas[i], r) for i, r in requests)
                 )
@@ -103,7 +92,7 @@ class TestCoalescingDeterminism:
     def test_single_request_flushes_on_timer(self, fitted, train_fields):
         async def main(svc):
             opts = GatewayOptions(max_batch=16, max_wait_ms=1.0)
-            async with opts.build(svc) as gw:
+            async with Gateway(svc, options=opts) as gw:
                 pred = await gw.submit(train_fields[0].data, 8.0)
             return pred, gw.stats()
 
@@ -120,7 +109,7 @@ class TestCoalescingDeterminism:
 
         async def main(svc):
             opts = GatewayOptions(max_batch=2, safety=1.5)
-            async with opts.build(svc) as gw:
+            async with Gateway(svc, options=opts) as gw:
                 return (await gw.submit(data, 8.0)).error_bound
 
         with Service(fitted) as svc:
@@ -133,7 +122,7 @@ class TestAdmissionControl:
 
         async def main(svc):
             opts = GatewayOptions(max_batch=4, max_wait_ms=50.0, max_pending=4)
-            async with opts.build(svc) as gw:
+            async with Gateway(svc, options=opts) as gw:
                 results = await asyncio.gather(
                     *(gw.submit(data, 8.0) for _ in range(10)),
                     return_exceptions=True,
@@ -157,7 +146,7 @@ class TestAdmissionControl:
 
         async def main(svc):
             opts = GatewayOptions(max_batch=2, max_wait_ms=0.0, max_pending=2)
-            async with opts.build(svc) as gw:
+            async with Gateway(svc, options=opts) as gw:
                 first = await asyncio.gather(
                     *(gw.submit(data, 8.0) for _ in range(2))
                 )
@@ -179,7 +168,7 @@ class TestCloseSemantics:
         async def main(svc):
             # a long linger window: only the close() drain can flush early
             opts = GatewayOptions(max_batch=64, max_wait_ms=10_000.0)
-            gw = opts.build(svc)
+            gw = Gateway(svc, options=opts)
             async with gw:
                 tasks = [
                     asyncio.ensure_future(gw.submit(data, r))

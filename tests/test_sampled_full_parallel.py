@@ -1,12 +1,11 @@
-"""Generic sampled-full surrogate and process-parallel collection."""
+"""Generic sampled-full surrogate."""
 
 import numpy as np
 import pytest
 
 from repro.compressors import get_compressor
 from repro.core.metrics import estimation_error
-from repro.core.parallel_collection import ParallelCollector
-from repro.data import load_dataset, load_field
+from repro.data import load_field
 from repro.surrogate.sampled_full import SampledFullSurrogate
 
 SHAPE = (16, 20, 20)
@@ -59,36 +58,3 @@ class TestSampledFullSurrogate:
         )
         cal, _ = Calibrator(n_points=3).calibrate_curve(field.data, ebs, est, codec)
         assert estimation_error(true, cal) <= estimation_error(true, est) + 1e-9
-
-
-class TestParallelCollector:
-    def test_matches_serial_results(self):
-        fields = load_dataset("miranda", shape=SHAPE)[:3]
-        par = ParallelCollector("szx", mode="secre", rel_error_bounds=REL, n_workers=2)
-        data, report = par.collect(fields)
-        assert report.n_workers == 2
-        assert data.n_rows == 3 * REL.size
-        from repro.core.collection import TrainingCollector
-
-        serial = TrainingCollector("szx", mode="secre", rel_error_bounds=REL).collect(fields)
-        for a, b in zip(data.records, serial.records):
-            np.testing.assert_allclose(a.ratios, b.ratios)
-
-    def test_single_worker_path(self):
-        fields = load_dataset("hcci", shape=SHAPE)
-        par = ParallelCollector("szx", mode="full", rel_error_bounds=REL, n_workers=1)
-        data, report = par.collect(fields)
-        assert data.n_rows == REL.size
-        assert report.cpu_seconds > 0
-
-    def test_reports_resource_tradeoff(self):
-        """Research objective 2: parallelism reduces wall time but not work —
-        cpu_seconds stays on the order of the serial cost."""
-        fields = load_dataset("miranda", shape=SHAPE)[:2]
-        par = ParallelCollector("sperr", mode="full", rel_error_bounds=REL, n_workers=2)
-        _, report = par.collect(fields)
-        assert report.cpu_seconds >= report.wall_seconds * 0.3
-
-    def test_invalid_config_rejected_eagerly(self):
-        with pytest.raises(ValueError):
-            ParallelCollector("szx", mode="psychic")

@@ -1,10 +1,9 @@
-"""Compressor selector and uncertainty-aware safety margins."""
+"""Uncertainty-aware safety margins."""
 
 import numpy as np
 import pytest
 
 from repro import CarolFramework, load_dataset, load_field
-from repro.core.selector import CompressorSelector
 
 SHAPE = (14, 20, 20)
 REL = np.geomspace(1e-3, 1e-1, 6)
@@ -58,38 +57,3 @@ class TestSafetyMargin:
         std = forest.predict_std(x[None, :])
         assert std.shape == (1,)
         assert std[0] >= 0
-
-
-class TestSelector:
-    @pytest.fixture(scope="class")
-    def selector(self, train_fields):
-        sel = CompressorSelector(
-            compressors=("szx", "sperr"),
-            rel_error_bounds=REL, n_iter=3, cv=2,
-        )
-        sel.fit(train_fields)
-        return sel
-
-    def test_low_target_prefers_fast_codec(self, selector, test_field):
-        out = selector.compress_to_ratio(test_field.data, 3.0)
-        assert out.compressor == "szx"
-        assert out.result.ratio > 1.0
-
-    def test_high_target_falls_to_high_ratio_codec(self, selector, test_field):
-        # beyond SZx's trained envelope -> SPERR (larger envelope)
-        out = selector.compress_to_ratio(test_field.data, 1e5)
-        assert out.compressor == "sperr"
-
-    def test_unfitted_rejected(self, test_field):
-        sel = CompressorSelector(compressors=("szx",), rel_error_bounds=REL)
-        with pytest.raises(RuntimeError):
-            sel.compress_to_ratio(test_field.data, 3.0)
-
-    def test_empty_candidates_rejected(self):
-        with pytest.raises(ValueError):
-            CompressorSelector(compressors=())
-
-    def test_outcome_reports_envelopes(self, selector, test_field):
-        out = selector.compress_to_ratio(test_field.data, 3.0)
-        assert set(out.candidates) == {"szx", "sperr"}
-        assert all(v > 0 for v in out.candidates.values())

@@ -14,7 +14,6 @@ from repro.serve import (
     LRUCache,
     ModelRegistry,
     PredictionService,
-    VerifiedPrediction,
     WorkerPool,
     digest_array,
 )
@@ -439,16 +438,6 @@ class TestPredictionService:
         assert stats.cache.misses == 1
         assert batch.error_bounds.tolist() == again.error_bounds.tolist()
 
-    def test_verify_reports_achieved_ratio(self, fitted, train_fields):
-        with Service(fitted) as svc:
-            out = svc.predict_batch(
-                [(train_fields[0].data, 5.0), (train_fields[1].data, 10.0)],
-                verify=True,
-            )
-        assert all(isinstance(v, VerifiedPrediction) for v in out)
-        assert all(v.achieved_ratio > 0 for v in out)
-        assert out[0].ratio_error >= 0.0
-
     def test_worker_backend_identical_results(self, fitted, train_fields):
         requests = [(f.data, 6.0) for f in train_fields] + [
             (train_fields[0].data, 12.0)
@@ -614,23 +603,12 @@ class TestServiceOptions:
             opts.workers = 2
 
     def test_build(self, fitted):
-        svc = ServiceOptions(cache_entries=4).build(fitted)
-        assert isinstance(svc, PredictionService)
-        assert svc.cache.max_entries == 4
-        svc.close()
+        with PredictionService(fitted, options=ServiceOptions(cache_entries=4)) as svc:
+            assert svc.cache.max_entries == 4
 
     def test_keyword_only(self):
         with pytest.raises(TypeError):
             ServiceOptions(4)
-
-    def test_to_kwargs_round_trips(self):
-        opts = ServiceOptions(cache_entries=8, workers=3)
-        assert ServiceOptions(**opts.to_kwargs()) == opts
-
-    def test_from_service_round_trips(self, fitted):
-        opts = ServiceOptions(cache_entries=4, workers=0)
-        with opts.build(fitted) as svc:
-            assert ServiceOptions.from_service(svc) == opts
 
 
 class TestServiceFromRegistry:

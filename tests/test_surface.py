@@ -1,0 +1,157 @@
+"""Every module and every top-level name has a caller (ROADMAP item 5).
+
+The rule, applied to the AST and never by importing: a module earns its
+place when the ledger, the CLI, a benchmark or an example reaches it —
+its own test file and a re-export do not count. ``from pkg import name``
+is followed through the package's re-exports to the module that defines
+``name``, so a package ``__init__`` makes nothing reachable by listing it;
+only a package imported as a module object (``from repro import obs``)
+counts its ``__init__`` as a caller of what that imports.
+"""
+
+from __future__ import annotations
+
+import ast
+import functools
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parents[1]
+SRC = REPO / "src"
+
+#: Modules nothing reaches that stay anyway, each with what decides it.
+ALLOWED_UNREACHED = {
+    "repro.__main__": "the `python -m repro` entry point: runs cli.main, imported by nothing",
+    "repro.core.feedback": "ROADMAP item 7, the `pack-drift` ledger row decides it",
+}
+
+
+def _module_files() -> dict[str, Path]:
+    out = {}
+    for path in sorted((SRC / "repro").rglob("*.py")):
+        parts = path.relative_to(SRC).with_suffix("").parts
+        out[".".join(parts[:-1] if parts[-1] == "__init__" else parts)] = path
+    return out
+
+
+MODULES = _module_files()
+
+
+@functools.cache
+def _tree(path: Path) -> ast.Module:
+    return ast.parse(path.read_text())
+
+
+@functools.cache
+def _imports(path: Path) -> tuple[tuple[str, str | None, str], ...]:
+    """(module, name or None, bound as) for every absolute import in
+    ``path``, function-level ones included."""
+    out = []
+    for node in ast.walk(_tree(path)):
+        if isinstance(node, ast.Import):
+            out += [(a.name, None, a.asname or a.name) for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            assert node.level == 0 and node.names[0].name != "*", (
+                f"{path}: relative and star imports are not resolved here"
+            )
+            out += [(node.module, a.name, a.asname or a.name) for a in node.names]
+    return tuple(out)
+
+
+def _defining_module(module: str, name: str | None) -> str | None:
+    """The ``repro`` module an import lands in (None: not ours)."""
+    if module not in MODULES:
+        return None
+    if name is None:
+        return module
+    if f"{module}.{name}" in MODULES:
+        return f"{module}.{name}"
+    if MODULES[module].name != "__init__.py":
+        return module
+    for source, original, bound in _imports(MODULES[module]):
+        if bound == name and original is not None:
+            return _defining_module(source, original)
+    return module  # defined in the __init__ itself
+
+
+def _targets(path: Path) -> set[str]:
+    found = {_defining_module(module, name) for module, name, _ in _imports(path)}
+    return found - {None}
+
+
+def _reached(roots: list[Path]) -> set[str]:
+    """Everything the root files import, transitively. A root that is
+    itself one of ours (the CLI) is reached by being a root."""
+    by_path = {path: mod for mod, path in MODULES.items()}
+    seen: set[str] = set()
+    stack = [mod for path in roots for mod in _targets(path) | {by_path.get(path)}]
+    while stack:
+        mod = stack.pop()
+        if mod is not None and mod not in seen:
+            seen.add(mod)
+            stack.extend(_targets(MODULES[mod]))
+    # Python runs a package's __init__ before anything beneath it; reached
+    # only this way, what the __init__ imports is not followed.
+    for mod in list(seen):
+        while "." in mod:
+            mod = mod.rpartition(".")[0]
+            seen.add(mod)
+    return seen
+
+
+def _python_files(*dirs: str) -> list[Path]:
+    return [p for d in dirs for p in sorted((REPO / d).glob("*.py"))]
+
+
+def test_every_module_is_reached_from_a_root():
+    roots = _python_files("ledger", "benchmarks", "examples") + [MODULES["repro.cli"]]
+    reached = _reached(roots)
+    orphans = sorted(set(MODULES) - reached - set(ALLOWED_UNREACHED))
+    assert not orphans, (
+        f"reached only by their own tests or a re-export: {orphans} — delete "
+        "them, or add the ledger workload, CLI command, benchmark or example "
+        "that uses them"
+    )
+    stale = sorted(set(ALLOWED_UNREACHED) & reached)
+    assert not stale, f"reached now, drop from ALLOWED_UNREACHED: {stale}"
+
+
+def test_every_top_level_name_is_imported_by_some_file():
+    """``from repro import name`` or ``repro.name`` in the ledger, an
+    example, a benchmark, a test, or a README / docs snippet."""
+    used: set[str] = set()
+    for path in _python_files("ledger", "benchmarks", "examples", "tests"):
+        used |= {name for module, name, _ in _imports(path) if module == "repro"}
+        used |= {
+            node.attr
+            for node in ast.walk(_tree(path))
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "repro"
+        }
+    snippet = re.compile(r"^\s*from repro import (\([^)]*\)|.*)", re.MULTILINE)
+    for doc in [REPO / "README.md", *sorted((REPO / "docs").glob("*.md"))]:
+        for imported in snippet.findall(doc.read_text()):
+            used |= set(re.findall(r"\w+", imported))
+    (exported,) = [
+        ast.literal_eval(node.value)
+        for node in _tree(MODULES["repro"]).body
+        if isinstance(node, ast.Assign) and node.targets[0].id == "__all__"
+    ]
+    unused = sorted(set(exported) - used)
+    assert not unused, (
+        f"in repro.__all__ but read from `repro` by no file: {unused} — their "
+        "deep import paths and repro.api stay; the top level re-exports what "
+        "something uses"
+    )
+
+
+def test_importing_repro_does_not_load_scipy_stats():
+    """``scipy.stats`` costs ~0.4 s and ~20 MiB for one ``norm`` the EI
+    acquisition can write in closed form (ROADMAP item 6)."""
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    code = "import repro, sys; assert 'scipy.stats' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], check=True, env=env, cwd=REPO)
