@@ -10,7 +10,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.ml.tree import _LEAF, DecisionTreeRegressor
+from repro.ml.tree import (
+    _LEAF,
+    NODE_ARRAYS,
+    DecisionTreeRegressor,
+    check_training_data,
+    fit_trees,
+)
+from repro.obs import count, span
 
 # (row, tree) pairs walked at once: keeps the traversal's temporaries at a
 # few MiB however many rows one call brings.
@@ -106,25 +113,29 @@ class RandomForestRegressor:
         }
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "RandomForestRegressor":
-        X = np.asarray(X, dtype=np.float64)
-        y = np.asarray(y, dtype=np.float64).ravel()
+        X, y = check_training_data(X, y)
         rng = np.random.default_rng(self.random_state)
         n = X.shape[0]
-        trees = []
-        for _ in range(self.n_estimators):
-            tree = DecisionTreeRegressor(
-                max_depth=self.max_depth,
-                min_samples_split=self.min_samples_split,
-                min_samples_leaf=self.min_samples_leaf,
-                max_features=self.max_features,
-                random_state=rng.integers(0, 2**31),
+        trees, rows = [], np.empty((self.n_estimators, n), dtype=np.intp)
+        for t in range(self.n_estimators):
+            # one seed, then one bootstrap draw, per tree: the stream order
+            # a forest fitting its trees one after another consumes
+            trees.append(
+                DecisionTreeRegressor(
+                    max_depth=self.max_depth,
+                    min_samples_split=self.min_samples_split,
+                    min_samples_leaf=self.min_samples_leaf,
+                    max_features=self.max_features,
+                    random_state=rng.integers(0, 2**31),
+                )
             )
-            if self.bootstrap:
-                idx = rng.integers(0, n, size=n)
-                tree.fit(X[idx], y[idx])
-            else:
-                tree.fit(X, y)
-            trees.append(tree)
+            rows[t] = rng.integers(0, n, size=n) if self.bootstrap else np.arange(n)
+        with span("training.forest_fit", trees=self.n_estimators, rows=n) as sp:
+            growth = fit_trees(trees, X, y, rows)
+            sp.set(nodes=growth.nodes, rounds=growth.rounds,
+                   widest_round=growth.widest_round, draws=growth.draws)
+        count("training.tree_nodes", growth.nodes)
+        count("training.builder_rounds", growth.rounds)
         self.trees = trees
         return self
 
@@ -213,12 +224,9 @@ class RandomForestRegressor:
         return 1.0 - ss_res / ss_tot if ss_tot > 0 else 0.0
 
     def memory_footprint_bytes(self) -> int:
-        """Approximate in-memory size of the fitted ensemble.
+        """In-memory size of the fitted ensemble's node arrays.
 
         Used by the Fig. 5a harness to model the paper's 96 GB memory wall
         for parallel grid-search training.
         """
-        total = 0
-        for tree in self.trees:
-            total += tree.node_count * (8 * 6)  # six 8-byte arrays per node
-        return total
+        return sum(getattr(tree, name).nbytes for tree in self.trees for name in NODE_ARRAYS)

@@ -89,9 +89,9 @@ class RandomizedGridSearch:
                 sp.set(params=dict(params), score=float(scores.mean()))
             count("training.grid_evaluations")
             # Analytical footprint: ~2*n/min_samples_leaf nodes per tree,
-            # six 8-byte arrays per node (avoids an extra probe fit).
+            # seven 8-byte arrays per node (avoids an extra probe fit).
             nodes_per_tree = max(2 * X.shape[0] // params.get("min_samples_leaf", 1), 3)
-            mem = params.get("n_estimators", 1) * nodes_per_tree * 48
+            mem = params.get("n_estimators", 1) * nodes_per_tree * 7 * 8
             records.append(
                 SearchRecord(
                     params=params,

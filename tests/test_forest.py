@@ -39,6 +39,27 @@ class TestFit:
         with pytest.raises(RuntimeError):
             RandomForestRegressor().predict(np.ones((1, 2)))
 
+    # The forest checks its input at its own door, bootstrap or not: a
+    # bootstrap used to index X and y before anything had compared them.
+    @pytest.mark.parametrize("bootstrap", [True, False])
+    @pytest.mark.parametrize("n_targets", [4, 6], ids=["short-y", "long-y"])
+    def test_mismatched_rows_rejected(self, bootstrap, n_targets):
+        rf = RandomForestRegressor(n_estimators=3, bootstrap=bootstrap, random_state=0)
+        with pytest.raises(ValueError, match="matching y"):
+            rf.fit(np.ones((5, 3)), np.arange(float(n_targets)))
+
+    @pytest.mark.parametrize("bootstrap", [True, False])
+    def test_not_two_dimensional_rejected(self, bootstrap):
+        rf = RandomForestRegressor(n_estimators=3, bootstrap=bootstrap, random_state=0)
+        with pytest.raises(ValueError, match="matching y"):
+            rf.fit(np.ones(5), np.ones(5))
+
+    @pytest.mark.parametrize("bootstrap", [True, False])
+    def test_empty_rejected(self, bootstrap):
+        rf = RandomForestRegressor(n_estimators=3, bootstrap=bootstrap, random_state=0)
+        with pytest.raises(ValueError, match="empty dataset"):
+            rf.fit(np.zeros((0, 3)), np.zeros(0))
+
 
 class TestPrediction:
     def test_single_vector_prediction(self, rng):
@@ -152,3 +173,12 @@ class TestParams:
         y = rng.random(60)
         rf = RandomForestRegressor(n_estimators=4, random_state=0).fit(X, y)
         assert rf.memory_footprint_bytes() > 0
+
+    def test_memory_footprint_counts_every_node_array(self, rng):
+        X = rng.random((60, 3))
+        y = rng.random(60)
+        rf = RandomForestRegressor(n_estimators=4, random_state=0).fit(X, y)
+        arrays = ("feature", "threshold", "left", "right", "value", "n_samples", "mse")
+        held = sum(getattr(tree, name).nbytes for tree in rf.trees for name in arrays)
+        assert rf.memory_footprint_bytes() == held
+        assert held == 7 * 8 * sum(tree.node_count for tree in rf.trees)

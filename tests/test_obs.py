@@ -304,6 +304,40 @@ class TestPipelineIntegration:
         )
         assert "params" in it.attrs and "score" in it.attrs
 
+    def test_forest_fit_spans_say_where_training_went(self):
+        from repro import CarolFramework, load_dataset
+
+        fields = load_dataset("miranda", shape=(8, 12, 12))[:2]
+        fw = CarolFramework(compressor="szx",
+                            rel_error_bounds=np.geomspace(1e-3, 1e-1, 4),
+                            n_iter=3, cv=2)
+        with obs.capture() as rec:
+            fw.fit(fields)
+        fits = [s for r in rec.roots for s in _walk(r) if s.name == "training.forest_fit"]
+        in_search = [
+            s for r in rec.roots for it in _walk(r) if it.name == "training.iteration"
+            for s in it.children if s.name == "training.forest_fit"
+        ]
+        # two folds for each of three candidates, then the winner's refit
+        assert len(in_search) == 3 * 2 and len(fits) == len(in_search) + 1
+        for s in fits:
+            assert {"trees", "rows", "nodes", "rounds", "widest_round", "draws"} <= set(s.attrs)
+            assert s.attrs["widest_round"] <= s.attrs["nodes"]
+        forest = fw.model.forest
+        refit = fits[-1].attrs
+        assert refit["trees"] == len(forest.trees)
+        assert refit["nodes"] == sum(tree.node_count for tree in forest.trees)
+        assert refit["draws"] == (forest.max_features == "sqrt")
+        if not refit["draws"]:  # such trees grow a level a round
+            deepest = max(tree.depth for tree in forest.trees)
+            assert deepest <= refit["rounds"] <= forest.max_depth
+        counters = obs.registry().as_dict()["counters"]
+        assert counters["training.tree_nodes"] == sum(s.attrs["nodes"] for s in fits)
+        assert counters["training.builder_rounds"] == sum(s.attrs["rounds"] for s in fits)
+        summary = obs.format_summary(rec.roots, obs.registry().as_dict())
+        for row in ("training.forest_fit", "training.tree_nodes", "training.builder_rounds"):
+            assert row in summary
+
     def test_compressor_metrics_recorded(self):
         from repro import get_compressor
 
