@@ -42,7 +42,7 @@ Main entry points:
   paper's szx / zfp / sz3 / sperr, plus cuszp);
 - :func:`get_surrogate` — the SECRE ratio estimators;
 - :func:`load_dataset` / :func:`load_field` — synthetic SDRBench-like data;
-- :mod:`repro.obs` — tracing spans + metrics for the whole pipeline
+- :mod:`repro.obs` — tracing spans for the whole pipeline
   (``python -m repro train ... --trace out.json``).
 """
 

@@ -13,7 +13,7 @@ import numpy as np
 
 from repro.compressors.registry import get_compressor
 from repro.data.fields import Field
-from repro.obs import count, span
+from repro.obs import span
 
 _CACHE: dict[tuple, tuple[np.ndarray, float]] = {}
 
@@ -26,9 +26,7 @@ def true_curve(field: Field, compressor: str, ebs: np.ndarray) -> tuple[np.ndarr
     """
     key = (field.path, field.data.shape, compressor, ebs.tobytes())
     if key in _CACHE:
-        count("bench.curve_cache.hits")
         return _CACHE[key]
-    count("bench.curve_cache.misses")
     with span("bench.true_curve", field=field.path, compressor=compressor,
               n_points=int(ebs.size)):
         codec = get_compressor(compressor)

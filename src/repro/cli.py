@@ -18,8 +18,7 @@ Commands mirror the library's workflow:
 
 ``train``, ``compress``, ``bench``, ``store-pack`` and ``store-unpack``
 accept ``--trace out.json``: observability (:mod:`repro.obs`) is enabled
-for the run and the span tree plus metrics are written to the given path
-on exit.
+for the run and the span tree is written to the given path on exit.
 """
 
 from __future__ import annotations
@@ -278,7 +277,7 @@ def cmd_trace_summary(args) -> int:
     except (OSError, ValueError, KeyError) as exc:
         print(f"cannot read trace {args.trace_file!r}: {exc}", file=sys.stderr)
         return 2
-    print(obs.format_summary(payload["spans"], payload.get("metrics")))
+    print(obs.format_summary(payload["spans"]))
     return 0
 
 

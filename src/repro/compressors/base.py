@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.obs import count, enabled, observe, span
+from repro.obs import span
 from repro.utils.validation import as_float_array, check_error_bound, require_finite
 
 
@@ -111,11 +111,6 @@ class LossyCompressor(abc.ABC):
             payload, metadata = self._compress(arr.astype(np.float64, copy=False), eb)
             elapsed = time.perf_counter() - start
             sp.set(bytes_in=arr.nbytes, bytes_out=len(payload))
-        if enabled():
-            count("compressor.compress.calls")
-            count("compressor.compress.bytes_in", arr.nbytes)
-            count("compressor.compress.bytes_out", len(payload))
-            observe("compressor.compress.seconds", elapsed)
         metadata = dict(metadata)
         metadata.setdefault("shape", arr.shape)
         metadata.setdefault("error_bound", eb)
@@ -145,9 +140,6 @@ class LossyCompressor(abc.ABC):
         with span("compressor.decompress", codec=self.name,
                   bytes_in=result.compressed_bytes):
             out = self._decompress(result.payload, result.metadata)
-        if enabled():
-            count("compressor.decompress.calls")
-            count("compressor.decompress.bytes_in", result.compressed_bytes)
         return out.astype(result.metadata.get("dtype", "float64"), copy=False)
 
     def compression_ratio(self, data: np.ndarray, error_bound: float) -> float:

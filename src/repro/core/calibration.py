@@ -29,7 +29,7 @@ import numpy as np
 
 from repro.compressors.base import LossyCompressor
 from repro.core.metrics import signed_estimation_errors
-from repro.obs import count, span
+from repro.obs import span
 
 
 def correct_overestimation(f_secre: np.ndarray, alpha: np.ndarray) -> np.ndarray:
@@ -100,7 +100,6 @@ class Calibrator:
                 [compressor.compression_ratio(data, float(ebs[i])) for i in pts]
             )
             comp_seconds = time.perf_counter() - t0
-        count("calibration.corrections")
 
         # Step 2: signed errors and over/under determination.
         signed = signed_estimation_errors(true_pts, est[pts])

@@ -25,9 +25,8 @@ from repro.core.calibration import CalibrationInfo, Calibrator
 from repro.data.fields import Field
 from repro.features.definitions import FEATURE_NAMES
 from repro.features.serial import extract_features_serial
-from repro.obs import count, span
+from repro.obs import span
 from repro.surrogate.registry import get_surrogate
-from repro.utils.timing import TimingRecord
 
 #: Default relative error-bound grid (the paper interpolates f(e) from 35
 #: sampled error bounds; benches may pass a smaller grid for speed).
@@ -55,7 +54,6 @@ class TrainingData:
 
     compressor: str
     records: list[CurveRecord] = dc_field(default_factory=list)
-    timing: TimingRecord = dc_field(default_factory=TimingRecord)
 
     @property
     def n_rows(self) -> int:
@@ -80,10 +78,7 @@ class TrainingData:
     def merge(self, other: "TrainingData") -> "TrainingData":
         if other.compressor != self.compressor:
             raise ValueError("cannot merge training data for different compressors")
-        merged = TrainingData(compressor=self.compressor, records=self.records + other.records)
-        merged.timing.merge(self.timing)
-        merged.timing.merge(other.timing)
-        return merged
+        return TrainingData(compressor=self.compressor, records=self.records + other.records)
 
     @property
     def feature_names(self) -> list[str]:
@@ -141,8 +136,6 @@ class TrainingCollector:
                         field.data, ebs, ratios, self._codec
                     )
             collect_s = time.perf_counter() - t0
-        count("collection.fields")
-        count("collection.curve_points", int(ebs.size))
         return CurveRecord(
             field_path=field.path,
             features=feats,
@@ -154,9 +147,7 @@ class TrainingCollector:
         )
 
     def collect(self, fields: list[Field]) -> TrainingData:
-        data = TrainingData(compressor=self.compressor_name)
-        for field in fields:
-            rec = self.collect_field(field)
-            data.records.append(rec)
-            data.timing.add("collection", rec.collect_seconds)
-        return data
+        return TrainingData(
+            compressor=self.compressor_name,
+            records=[self.collect_field(field) for field in fields],
+        )

@@ -118,20 +118,3 @@ def train_model(
         return model, info
 
     raise ValueError("method must be 'grid' or 'bayesopt'")
-
-
-def train_forest(
-    X: np.ndarray,
-    y: np.ndarray,
-    method: str = "bayesopt",
-    space: SearchSpace | None = None,
-    n_iter: int = 10,
-    cv: int = 3,
-    seed: int = 0,
-    checkpoint: list | None = None,
-):
-    """Backward-compatible wrapper: train a random forest."""
-    return train_model(
-        X, y, method=method, model_kind="forest", space=space,
-        n_iter=n_iter, cv=cv, seed=seed, checkpoint=checkpoint,
-    )

@@ -28,11 +28,10 @@ loop keeps accepting (and rejecting) requests while the service is busy
 happen under load.
 
 The gateway keeps always-on counters (:meth:`Gateway.stats` returns a
-frozen :class:`GatewayStats`) and mirrors queue depth / rejections /
-batch spans into :mod:`repro.obs` when tracing is enabled
-(``load.gateway.queue_depth`` / ``.queue_depth_max`` gauges,
-``load.gateway.requests`` / ``.rejections`` counters,
-``load.gateway.batch`` spans tagged with their flush reason).
+frozen :class:`GatewayStats`: requests, rejections, batches, flushes by
+reason, the deepest the queue got) and, when tracing is enabled, records
+one ``load.gateway.batch`` span per batch, tagged with its size and
+flush reason.
 """
 
 from __future__ import annotations
@@ -42,7 +41,7 @@ from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
-from repro.obs import count, observe, set_gauge, set_gauge_max, timed_span
+from repro.obs import timed_span
 
 
 class Overloaded(RuntimeError):
@@ -225,17 +224,13 @@ class Gateway:
             raise GatewayClosed("gateway is closed")
         self._ensure_started()
         self._submitted += 1
-        count("load.gateway.requests")
         if self._pending >= self.options.max_pending:
             self._rejected += 1
-            count("load.gateway.rejections")
             raise Overloaded(self._pending, self.options.max_pending)
         self._accepted += 1
         self._pending += 1
         if self._pending > self._max_queue_depth:
             self._max_queue_depth = self._pending
-        set_gauge("load.gateway.queue_depth", self._pending)
-        set_gauge_max("load.gateway.queue_depth_max", self._pending)
         future = self._loop.create_future()
         self._queue.append((data, float(target_ratio), future))
         self._wake.set()
@@ -282,9 +277,6 @@ class Gateway:
         requests = [(data, ratio) for data, ratio, _ in batch]
         self._batches += 1
         self._flushes[reason] += 1
-        count("load.gateway.batches")
-        count(f"load.gateway.flushes.{reason}")
-        observe("load.gateway.batch_size", len(batch))
         try:
             with timed_span(
                 "load.gateway.batch", n_requests=len(batch), reason=reason
@@ -307,7 +299,6 @@ class Gateway:
                 self._pending -= 1
                 if not future.cancelled():
                     future.set_result(pred)
-        set_gauge("load.gateway.queue_depth", self._pending)
 
     # -- introspection -----------------------------------------------------------
 

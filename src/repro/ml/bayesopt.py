@@ -24,7 +24,7 @@ from scipy.special import ndtr
 
 from repro.ml.gp import GaussianProcess
 from repro.ml.space import SearchSpace
-from repro.obs import count, span
+from repro.obs import span
 
 
 @dataclass
@@ -153,7 +153,6 @@ class BayesianOptimizer:
                 t0 = time.perf_counter()
                 score = float(objective(params))
                 sp.set(params=dict(params), score=score)
-            count("training.bo_iterations")
             history.append(
                 BOIteration(params=params, score=score, seconds=time.perf_counter() - t0, kind=kind)
             )

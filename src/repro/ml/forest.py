@@ -17,7 +17,7 @@ from repro.ml.tree import (
     check_training_data,
     fit_trees,
 )
-from repro.obs import count, span
+from repro.obs import span
 
 # (row, tree) pairs walked at once: keeps the traversal's temporaries at a
 # few MiB however many rows one call brings.
@@ -134,8 +134,6 @@ class RandomForestRegressor:
             growth = fit_trees(trees, X, y, rows)
             sp.set(nodes=growth.nodes, rounds=growth.rounds,
                    widest_round=growth.widest_round, draws=growth.draws)
-        count("training.tree_nodes", growth.nodes)
-        count("training.builder_rounds", growth.rounds)
         self.trees = trees
         return self
 

@@ -17,7 +17,7 @@ import numpy as np
 from repro.ml.models import make_model
 from repro.ml.kfold import KFold, cross_val_score
 from repro.ml.space import SearchSpace
-from repro.obs import count, span
+from repro.obs import span
 
 
 @dataclass
@@ -87,7 +87,6 @@ class RandomizedGridSearch:
                 )
                 fit_s = time.perf_counter() - t0
                 sp.set(params=dict(params), score=float(scores.mean()))
-            count("training.grid_evaluations")
             # Analytical footprint: ~2*n/min_samples_leaf nodes per tree,
             # seven 8-byte arrays per node (avoids an extra probe fit).
             nodes_per_tree = max(2 * X.shape[0] // params.get("min_samples_leaf", 1), 3)

@@ -1,19 +1,22 @@
 """repro.obs — dependency-free observability for the pipeline.
 
-Three pieces (all stdlib-only, importable from anywhere in the repo
+Two pieces (both stdlib-only, importable from anywhere in the repo
 without cycles):
 
 - **spans** (:mod:`repro.obs.trace`) — hierarchical wall-clock tracing
   with a thread-safe recorder and JSON export/import;
-- **metrics** (:mod:`repro.obs.metrics`) — counters, gauges, histograms
-  in a process-wide registry;
 - **summary** (:mod:`repro.obs.summary`) — per-stage aggregation behind
   ``python -m repro trace-summary``.
 
-Disabled by default: :func:`span` returns a shared no-op and the metric
-helpers return after one flag check, so the instrumented hot paths cost
-effectively nothing until :func:`enable` (or the CLI ``--trace`` flag)
-turns recording on.
+Spans are the only thing recorded here. A cumulative count lives in the
+typed stats snapshot its owner returns (``CacheStats``, ``PoolStats``,
+``GatewayStats``, ``PackReport``, ...), a per-call quantity is an
+attribute of the span that times the call, and a call count is the
+number of spans of that name (``aggregate(spans)[name].count``).
+
+Disabled by default: :func:`span` returns a shared no-op after one flag
+check, so the instrumented hot paths cost effectively nothing until
+:func:`enable` (or the CLI ``--trace`` flag) turns recording on.
 
 Typical use::
 
@@ -25,20 +28,9 @@ Typical use::
 
     from repro.obs import load_trace, format_summary
     payload = load_trace("trace.json")
-    print(format_summary(payload["spans"], payload["metrics"]))
+    print(format_summary(payload["spans"]))
 """
 
-from repro.obs.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    count,
-    observe,
-    registry,
-    set_gauge,
-    set_gauge_max,
-)
 from repro.obs.summary import StageStats, aggregate, format_summary
 from repro.obs.trace import (
     Span,
@@ -70,15 +62,6 @@ __all__ = [
     "get_recorder",
     "export_trace",
     "load_trace",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "registry",
-    "count",
-    "observe",
-    "set_gauge",
-    "set_gauge_max",
     "StageStats",
     "aggregate",
     "format_summary",

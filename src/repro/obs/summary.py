@@ -50,7 +50,7 @@ def aggregate(spans: list[Span]) -> dict[str, StageStats]:
     return stats
 
 
-def format_summary(spans: list[Span], metrics: dict | None = None) -> str:
+def format_summary(spans: list[Span]) -> str:
     """Human-readable per-stage table, busiest stages first."""
     stats = sorted(aggregate(spans).values(), key=lambda s: -s.total_seconds)
     width = max([len(s.name) for s in stats] + [len("stage")])
@@ -65,23 +65,4 @@ def format_summary(spans: list[Span], metrics: dict | None = None) -> str:
         )
     if not stats:
         lines.append("(no spans recorded)")
-
-    if metrics:
-        counters = metrics.get("counters", {})
-        gauges = metrics.get("gauges", {})
-        histograms = metrics.get("histograms", {})
-        if counters or gauges or histograms:
-            lines.append("")
-            lines.append("metrics")
-            lines.append("-" * (width + 41))
-            for name in sorted(counters):
-                lines.append(f"{name:<{width}} {counters[name]:>20g}")
-            for name in sorted(gauges):
-                lines.append(f"{name:<{width}} {gauges[name]:>20g}")
-            for name in sorted(histograms):
-                h = histograms[name]
-                lines.append(
-                    f"{name:<{width}} n={h['count']} total={h['total']:.4f} "
-                    f"mean={h['mean']:.5f} min={h['min']:.5f} max={h['max']:.5f}"
-                )
     return "\n".join(lines)

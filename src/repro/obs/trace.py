@@ -179,19 +179,14 @@ class TraceRecorder:
 
 
 def enabled() -> bool:
-    """Is tracing (and metrics recording) currently on?"""
+    """Is tracing currently on?"""
     return _ENABLED
 
 
-def enable(recorder: TraceRecorder | None = None, *,
-           clear_metrics: bool = True) -> TraceRecorder:
+def enable(recorder: TraceRecorder | None = None) -> TraceRecorder:
     """Turn tracing on; returns the (fresh by default) active recorder."""
     global _ENABLED, _recorder
-    from repro.obs.metrics import registry
-
     _recorder = recorder if recorder is not None else TraceRecorder()
-    if clear_metrics:
-        registry().clear()
     _ENABLED = True
     return _recorder
 
@@ -219,7 +214,7 @@ def capture(recorder: TraceRecorder | None = None):
         disable()
 
 
-def span(name: str, **attrs):
+def span(name: str, /, **attrs):
     """Start a recording span, or the shared no-op when tracing is off.
 
     The disabled path performs exactly one module-flag check — no lock,
@@ -230,7 +225,7 @@ def span(name: str, **attrs):
     return Span(name, attrs, recorder=_recorder)
 
 
-def timed_span(name: str, **attrs) -> Span:
+def timed_span(name: str, /, **attrs) -> Span:
     """A span that always measures wall time.
 
     Use where the caller consumes ``.elapsed`` regardless of tracing
@@ -241,7 +236,7 @@ def timed_span(name: str, **attrs) -> Span:
     return Span(name, attrs, recorder=_recorder if _ENABLED else None)
 
 
-def emit_span(name: str, seconds: float, **attrs) -> None:
+def emit_span(name: str, seconds: float, /, **attrs) -> None:
     """Record one already-measured interval as a span ending *now*.
 
     The retrospective counterpart of :func:`span` for aggregated work:
@@ -317,18 +312,14 @@ class StageClock:
 # -- JSON export / import ---------------------------------------------------
 
 
-def export_trace(path: str | Path, recorder: TraceRecorder | None = None,
-                 metrics: dict | None = None) -> Path:
-    """Write a recorder's span trees (plus optional metrics) as JSON."""
-    from repro.obs.metrics import registry
-
+def export_trace(path: str | Path, recorder: TraceRecorder | None = None) -> Path:
+    """Write a recorder's span trees as JSON."""
     rec = recorder if recorder is not None else _recorder
     if rec is None:
         raise RuntimeError("no trace recorder to export (tracing never enabled?)")
     payload = {
         "version": _TRACE_FORMAT_VERSION,
         "spans": rec.to_dict()["spans"],
-        "metrics": metrics if metrics is not None else registry().as_dict(),
     }
     path = Path(path)
     path.write_text(json.dumps(payload, indent=2) + "\n")
@@ -336,11 +327,10 @@ def export_trace(path: str | Path, recorder: TraceRecorder | None = None,
 
 
 def load_trace(path: str | Path) -> dict:
-    """Inverse of :func:`export_trace`: ``{"spans": [Span...], "metrics": {...}}``."""
+    """Inverse of :func:`export_trace`: ``{"spans": [Span...]}``. Other
+    keys of the file (the ``"metrics"`` section older traces carry) are
+    ignored."""
     raw = json.loads(Path(path).read_text())
     if raw.get("version") != _TRACE_FORMAT_VERSION:
         raise ValueError(f"unsupported trace format version {raw.get('version')!r}")
-    return {
-        "spans": [Span.from_dict(s) for s in raw.get("spans", ())],
-        "metrics": raw.get("metrics", {}),
-    }
+    return {"spans": [Span.from_dict(s) for s in raw.get("spans", ())]}

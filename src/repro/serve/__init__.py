@@ -9,7 +9,7 @@ fields):
   to sequential calls) and ``predict_targets``;
 - :class:`LRUCache` (+ :func:`digest_array`) — feature cache addressed
   by a digest of the extractor's sample, with always-on
-  hit/miss/eviction stats, mirrored into :mod:`repro.obs` metrics;
+  hit/miss/eviction stats (:class:`CacheStats`);
 - :class:`WorkerPool` — bounded process-pool backend with per-task
   timeouts and graceful in-process fallback;
 - :class:`ModelRegistry` — names -> saved ``.npz`` frameworks, lazily

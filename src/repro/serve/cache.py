@@ -22,11 +22,9 @@ scenario) cost a hash of the sample after the first hit.
 
 All operations take an internal lock, so one cache can be shared by
 concurrent readers. The cache keeps its own always-on
-:class:`CacheStats` (the serving layer reports hit rates without
-observability enabled) and mirrors every event into the
-:mod:`repro.obs` metrics registry (``<name>.hits`` / ``<name>.misses`` /
-``<name>.evictions`` counters plus ``<name>.size`` — and, in cost mode,
-``<name>.cost`` — gauges) whenever tracing is on.
+:class:`CacheStats` (hits / misses / evictions — the one place they are
+counted; the serving layer and the catalog report hit rates from it);
+``len(cache)`` and ``cache.total_cost`` are its current size.
 """
 
 from __future__ import annotations
@@ -37,8 +35,6 @@ from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
-
-from repro.obs import count, set_gauge
 
 _MISSING = object()
 
@@ -117,7 +113,6 @@ class LRUCache:
     def __init__(
         self,
         max_entries: int | None = 256,
-        name: str = "serve.cache",
         *,
         max_cost: float | None = None,
         cost=None,
@@ -128,7 +123,6 @@ class LRUCache:
             raise ValueError("max_cost must be >= 0 (or None for unbounded)")
         self.max_entries = None if max_entries is None else int(max_entries)
         self.max_cost = None if max_cost is None else float(max_cost)
-        self.name = name
         self._hits = 0
         self._misses = 0
         self._evictions = 0
@@ -170,11 +164,9 @@ class LRUCache:
             entry = self._entries.get(key, _MISSING)
             if entry is _MISSING:
                 self._misses += 1
-                count(f"{self.name}.misses")
                 return default
             self._entries.move_to_end(key)
             self._hits += 1
-            count(f"{self.name}.hits")
             return entry[0]
 
     def put(self, key, value) -> bool:
@@ -202,10 +194,6 @@ class LRUCache:
                 _, (_, evicted_cost) = self._entries.popitem(last=False)
                 self.total_cost -= evicted_cost
                 self._evictions += 1
-                count(f"{self.name}.evictions")
-            set_gauge(f"{self.name}.size", len(self._entries))
-            if self.max_cost is not None:
-                set_gauge(f"{self.name}.cost", self.total_cost)
             return True
 
     def evict_scope(self, scope) -> int:
@@ -213,8 +201,8 @@ class LRUCache:
         (the ``(scope, ...)`` convention of the store chunk cache).
 
         This is *invalidation*, not capacity pressure: the removals are
-        counted under ``<name>.invalidations`` rather than in
-        :attr:`CacheStats.evictions`. Returns the number removed."""
+        returned to the caller, not counted in
+        :attr:`CacheStats.evictions`."""
         with self._lock:
             doomed = [
                 key
@@ -224,11 +212,6 @@ class LRUCache:
             for key in doomed:
                 _, cost = self._entries.pop(key)
                 self.total_cost -= cost
-            if doomed:
-                count(f"{self.name}.invalidations", len(doomed))
-                set_gauge(f"{self.name}.size", len(self._entries))
-                if self.max_cost is not None:
-                    set_gauge(f"{self.name}.cost", self.total_cost)
             return len(doomed)
 
     def __contains__(self, key) -> bool:
@@ -243,6 +226,3 @@ class LRUCache:
         with self._lock:
             self._entries.clear()
             self.total_cost = 0.0
-            set_gauge(f"{self.name}.size", 0)
-            if self.max_cost is not None:
-                set_gauge(f"{self.name}.cost", 0)

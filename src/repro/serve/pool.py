@@ -7,13 +7,13 @@ doesn't give:
 
 - **bounded queue** — at most ``max_pending`` tasks are in flight; a
   large batch is fed through in windows instead of being dumped on the
-  executor, so memory stays bounded and the queue-depth gauge is honest;
+  executor, so memory stays bounded;
 - **per-task timeouts** — a stuck worker costs one timeout, not the
   whole batch;
 - **graceful fallback** — when a worker dies (``BrokenProcessPool``) or
   a task times out, the task re-runs in-process, the broken executor is
-  recycled, and the incident is counted (``<name>.fallbacks`` /
-  ``<name>.timeouts``) instead of failing the request;
+  recycled, and the incident is counted (``PoolStats.fallbacks`` /
+  ``.timeouts``) instead of failing the request;
 - **a decomposable wait** — every task runs through :func:`_timed`, so
   :class:`PoolStats` always knows how long the work itself took
   (``worker_seconds``) and how long callers were blocked on it
@@ -32,8 +32,6 @@ from concurrent.futures import TimeoutError as FutureTimeout
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from time import perf_counter
-
-from repro.obs import count, set_gauge
 
 
 def _timed(fn, *args):
@@ -141,7 +139,6 @@ class WorkerPool:
         *,
         max_pending: int = 32,
         timeout: float | None = 30.0,
-        name: str = "serve.pool",
     ) -> None:
         if n_workers < 0:
             raise ValueError("n_workers must be >= 0")
@@ -150,7 +147,6 @@ class WorkerPool:
         self.n_workers = int(n_workers)
         self.max_pending = int(max_pending)
         self.timeout = timeout
-        self.name = name
         self._submitted = 0
         self._completed = 0
         self._fallbacks = 0
@@ -209,7 +205,6 @@ class WorkerPool:
     def _run_inline(self, fn, args, *, fallback: bool) -> object:
         if fallback:
             self._fallbacks += 1
-            count(f"{self.name}.fallbacks")
         seconds, result = _timed(fn, *args)
         self._completed += 1
         self._clock(worker=seconds)
@@ -223,7 +218,6 @@ class WorkerPool:
             seconds, result = future.result(timeout=timeout)
         except FutureTimeout:
             self._timeouts += 1
-            count(f"{self.name}.timeouts")
             future.cancel()
             return self._run_inline(fn, args, fallback=True)
         except BrokenProcessPool:
@@ -262,7 +256,6 @@ class WorkerPool:
         results: list = [None] * len(tasks)
         for start in range(0, len(tasks), self.max_pending):
             window = list(enumerate(tasks))[start : start + self.max_pending]
-            set_gauge(f"{self.name}.queue_depth", len(window))
             try:
                 executor = self._ensure_executor()
                 futures = [(i, executor.submit(_timed, fn, *args)) for i, args in window]
@@ -273,7 +266,6 @@ class WorkerPool:
                 continue
             for i, future in futures:
                 results[i] = self._collect(future, fn, tasks[i], timeout)
-            set_gauge(f"{self.name}.queue_depth", 0)
         return results
 
     def run(self, fn, *args) -> object:

@@ -31,7 +31,7 @@ import threading
 from dataclasses import dataclass
 from pathlib import Path
 
-from repro.obs import count
+from repro.obs import span
 from repro.utils.serialization import load_framework
 
 #: Bytes hashed from each end of the file for the change signature.
@@ -107,10 +107,9 @@ class ModelRegistry:
                 return entry.framework
             signature = _file_signature(entry.path)
             if entry.framework is None or signature != entry.signature:
-                if entry.framework is not None:
-                    count("serve.registry.reloads")
-                count("serve.registry.loads")
-                entry.framework = load_framework(entry.path)
+                with span("serve.registry.load", name=name,
+                          reload=entry.framework is not None):
+                    entry.framework = load_framework(entry.path)
                 entry.signature = signature
             return entry.framework
 
@@ -119,7 +118,7 @@ class ModelRegistry:
         with self._lock:
             entry = self._entries[name]
             if entry.path is not None:
-                count("serve.registry.loads")
-                entry.framework = load_framework(entry.path)
+                with span("serve.registry.load", name=name, reload=True):
+                    entry.framework = load_framework(entry.path)
                 entry.signature = _file_signature(entry.path)
             return entry.framework

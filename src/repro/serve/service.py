@@ -40,7 +40,7 @@ from repro.core.framework import BatchPrediction, Prediction
 from repro.core.fxrz import FxrzFramework
 from repro.features.parallel import extract_features_parallel
 from repro.features.serial import extract_features_serial
-from repro.obs import count, observe, timed_span
+from repro.obs import timed_span
 from repro.serve.cache import CacheStats, LRUCache, digest_array
 from repro.serve.pool import PoolStats, WorkerPool
 from repro.serve.registry import ModelRegistry
@@ -63,7 +63,7 @@ class ServiceOptions:
 
 @dataclass(frozen=True)
 class ServiceStats:
-    """Typed, immutable serving counters (always on, unlike obs metrics).
+    """Typed, immutable serving counters (always on).
 
     Replaces the string-keyed dict :meth:`PredictionService.stats` used
     to return: consumers read ``stats.cache.hit_rate`` instead of
@@ -128,12 +128,11 @@ class PredictionService:
         self._framework = framework
         self._registry: ModelRegistry | None = None
         self._model_name: str | None = None
-        self.cache = LRUCache(self.options.cache_entries, name="serve.cache")
+        self.cache = LRUCache(self.options.cache_entries)
         self.pool = WorkerPool(
             self.options.workers,
             max_pending=self.options.max_pending,
             timeout=self.options.timeout_seconds,
-            name="serve.pool",
         )
         self.n_requests = 0
         self.n_batches = 0
@@ -171,11 +170,6 @@ class PredictionService:
             data = data.data  # a repro.data.fields.Field
         return as_float_array(data)
 
-    def _worker_extract_spec(self, framework) -> tuple[str, int | None] | None:
-        """See :func:`worker_extract_spec` (kept as a method for callers
-        that resolve it through the service)."""
-        return worker_extract_spec(framework)
-
     # -- features --------------------------------------------------------------
 
     def _features_for(self, framework, arr: np.ndarray) -> np.ndarray:
@@ -203,7 +197,7 @@ class PredictionService:
                 by_key[key] = feats
         if not missing:
             return by_key
-        spec = self._worker_extract_spec(framework)
+        spec = worker_extract_spec(framework)
         if self.options.workers > 0 and len(missing) > 1 and spec is not None:
             kind, stride = spec
             rows = self.pool.map_ordered(
@@ -224,7 +218,6 @@ class PredictionService:
         framework = self.framework
         arr = self._as_array(data)
         self.n_requests += 1
-        count("serve.requests")
         feats = self._features_for(framework, arr)
         return framework.predict_error_bound(
             arr, target_ratio, safety=safety, features=feats
@@ -241,9 +234,6 @@ class PredictionService:
         pairs = [(self._as_array(d), float(r)) for d, r in requests]
         self.n_requests += len(pairs)
         self.n_batches += 1
-        count("serve.requests", len(pairs))
-        count("serve.batches")
-        observe("serve.batch.size", len(pairs))
         if not pairs:
             return []
         with timed_span("serve.predict_batch", n_requests=len(pairs)):
@@ -267,7 +257,6 @@ class PredictionService:
         arr = self._as_array(data)
         ratios = np.asarray(target_ratios, dtype=np.float64).ravel()
         self.n_requests += int(ratios.size)
-        count("serve.requests", int(ratios.size))
         feats = self._features_for(framework, arr)
         return framework.predict_error_bound_batch(
             arr, ratios, safety=safety, features=feats

@@ -54,7 +54,6 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.obs import count
 from repro.serve.cache import CacheStats, LRUCache
 from repro.serve.pool import PoolStats, WorkerPool
 from repro.store.prefetch import Prefetcher, PrefetchStats
@@ -160,7 +159,6 @@ class StoreCatalog:
         self._lock = threading.Lock()
         self.chunk_cache = LRUCache(
             max_entries=None,
-            name="store.chunk_cache",
             max_cost=float(self.options.cache_bytes),
         )
         # Read-ahead: advisory, decoupled from serving (see repro.store.prefetch).
@@ -189,7 +187,6 @@ class StoreCatalog:
                 self.options.workers,
                 max_pending=self.options.max_pending,
                 timeout=self.options.timeout_seconds,
-                name="catalog.pool",
             )
 
     # -- registration ------------------------------------------------------------
@@ -220,7 +217,6 @@ class StoreCatalog:
             self.chunk_cache.evict_scope(old_scope)
             if self.prefetcher is not None:
                 self.prefetcher.forget(key)
-        count("catalog.registered")
 
     def _scope(self, key: str) -> str:
         """Cache scope for ``key``'s current generation. The generation
@@ -292,7 +288,6 @@ class StoreCatalog:
                 pool=self.pool,
             )
             self._readers[key] = reader
-            count("catalog.opened")
             return reader
 
     __getitem__ = reader
@@ -360,11 +355,9 @@ class StoreCatalog:
                 if cache_key in request and resident:
                     self._prefetch_pending.discard(cache_key)
                     self._prefetch_hits += 1
-                    count("store.read.prefetch_hits")
                 elif not resident:
                     self._prefetch_pending.discard(cache_key)
                     self._prefetch_wasted += 1
-                    count("store.read.prefetch_wasted")
 
     def _after_request(self, key: str, reader: StoreReader, chunks) -> None:
         """Record a served request (the ``chunks`` it intersected) with
@@ -431,7 +424,6 @@ class StoreCatalog:
         with self._prefetch_lock:
             self._prefetch_pending.add(cache_key)
             self._prefetch_issued += 1
-        count("store.read.prefetch_issued")
 
     def _harvest_hints(self) -> None:
         """Collect async hint decodes that have finished and admit their

@@ -28,8 +28,8 @@ Two properties keep this safe to reason about:
   in-flight tile data, so prefetch-driven eviction churn can never alter
   the bytes a stream yields.
 
-The catalog accounts outcomes in :class:`PrefetchStats` (and the
-``store.read.prefetch_{issued,hits,wasted}`` obs counters): ``issued``
+The catalog accounts outcomes in :class:`PrefetchStats`
+(``cat.stats().prefetch``): ``issued``
 hints decoded into the cache, ``hits`` issued chunks a later request
 actually consumed, ``wasted`` issued chunks evicted unused.
 """

@@ -22,10 +22,11 @@ chunk skips stages 1 *and* 2 — no re-read, no re-verify, no decode —
 and because decode is deterministic and assembly order is fixed
 (flat chunk-id order), the bytes a read returns are identical for every
 worker count and cache size. A read decompresses *only* the chunks
-intersecting the request (counted in ``store.read.chunks_decompressed``;
-cache hits count in ``store.read.chunks_cached`` — both counted in
-exactly one place, :meth:`StoreReader._count_decoded` and
-:meth:`StoreReader._cache_get`, whichever path served the chunk).
+intersecting the request: every read path looks a chunk up through
+:meth:`StoreReader._cache_get`, so the cache's own
+:class:`~repro.serve.cache.CacheStats` counts each hit and miss once
+(``cat.stats().cache``; a miss is a decode), and a decode in the caller
+is one ``compressor.decompress`` span.
 
 **Where decode runs.** A reader keeps the pool it is handed only when
 its store's nominal chunk decodes to at least
@@ -60,7 +61,7 @@ import numpy as np
 
 from repro.compressors.base import CompressionResult
 from repro.compressors.registry import get_compressor
-from repro.obs import count, set_gauge_max, timed_span
+from repro.obs import timed_span
 from repro.store.chunking import ChunkGrid
 from repro.store.format import CorruptChunkError, StoreFormatError, chunk_checksum, read_manifest
 
@@ -238,17 +239,13 @@ class StoreReader:
         return (self.cache_scope, coords)
 
     def _cache_get(self, coords: tuple[int, ...]) -> np.ndarray | None:
-        """Stage-0 cache lookup. The *single* place a cache hit is
-        counted (``store.read.chunks_cached``), so every read path —
-        ``read_chunk``, ``read``'s gather, the streaming pipeline —
-        accounts hits identically whether the cache is reader-private or
-        catalog-shared."""
+        """Stage-0 cache lookup, shared by every read path —
+        ``read_chunk``, ``read``'s gather, the streaming pipeline — so
+        the cache's :class:`~repro.serve.cache.CacheStats` accounts hits
+        identically whether it is reader-private or catalog-shared."""
         if self.chunk_cache is None:
             return None
-        cached = self.chunk_cache.get(self._cache_key(coords))
-        if cached is not None:
-            count("store.read.chunks_cached")
-        return cached
+        return self.chunk_cache.get(self._cache_key(coords))
 
     def _cache_put(self, coords: tuple[int, ...], data: np.ndarray) -> bool:
         # Hits hand back the shared object, so freeze anything the cache
@@ -264,18 +261,10 @@ class StoreReader:
         data.setflags(write=False)
         return self.chunk_cache.put(self._cache_key(coords), data)
 
-    def _count_decoded(self, entry: dict) -> None:
-        """The single place a decode is counted, mirroring
-        :meth:`_cache_get` for the miss path."""
-        count("store.read.chunks_decompressed")
-        count("store.read.bytes_decompressed", int(entry["nbytes"]))
-
     def _decode_one(self, entry: dict) -> np.ndarray:
-        """Stages 1+2 for one chunk, with metrics."""
+        """Stages 1+2 for one chunk."""
         payload = self.fetch_payload(entry)
-        out = decode_chunk(self.compressor, entry, payload, self.verify)
-        self._count_decoded(entry)
-        return out
+        return decode_chunk(self.compressor, entry, payload, self.verify)
 
     def read_chunk(self, coords: tuple[int, ...]) -> np.ndarray:
         """Decompress one chunk; returns its array in the stored dtype.
@@ -324,8 +313,6 @@ class StoreReader:
                     for entry, payload in zip(entries, payloads)
                 ],
             )
-            for entry in entries:
-                self._count_decoded(entry)
         else:
             decoded = [self._decode_one(entry) for entry in entries]
         for i, data in zip(missing, decoded):
@@ -356,7 +343,6 @@ class StoreReader:
         with timed_span(
             "store.read", path=str(self.path), n_chunks=len(chunks), shape=out_shape
         ):
-            count("store.read.requests")
             for chunk, data in zip(chunks, self._chunk_arrays(chunks)):
                 assemble_region(out, sel, chunk, data)
         return out
@@ -526,7 +512,6 @@ class TileStream:
         self._inflight_bytes += int(nbytes)
         if self._inflight_bytes > self._peak_inflight:
             self._peak_inflight = self._inflight_bytes
-            set_gauge_max("store.read.stream_peak_bytes", self._peak_inflight)
 
     def _release(self, nbytes: int) -> None:
         self._inflight_bytes -= int(nbytes)
@@ -580,15 +565,13 @@ class TileStream:
             for src in sources:
                 if src.kind == "array":
                     data = src.value
-                elif src.kind == "task":
-                    data = src.value.result()
-                    reader._count_decoded(src.entry)
-                    reader._cache_put(src.chunk.coords, data)
                 else:
-                    data = decode_chunk(
-                        reader.compressor, src.entry, src.value, reader.verify
-                    )
-                    reader._count_decoded(src.entry)
+                    if src.kind == "task":
+                        data = src.value.result()
+                    else:
+                        data = decode_chunk(
+                            reader.compressor, src.entry, src.value, reader.verify
+                        )
                     reader._cache_put(src.chunk.coords, data)
                 assemble_region(out, tile_sel, src.chunk, data)
                 self._release(src.charge)
@@ -623,7 +606,6 @@ class TileStream:
             self.close()
             raise
         self._yielded += 1
-        count("store.read.tiles_streamed")
         return result
 
     def _finish(self) -> None:

@@ -43,7 +43,8 @@ from repro.compressors.registry import get_compressor
 from repro.control.controller import Controller
 from repro.control.policy import ControlOptions, ControlStats, Tier
 from repro.core.framework import Prediction
-from repro.obs import count, observe, set_gauge, timed_span
+from repro.obs import timed_span
+from repro.serve.pool import PoolStats, WorkerPool
 from repro.serve.service import _extract_task, worker_extract_spec
 from repro.store.chunking import DEFAULT_CHUNK_ELEMENTS, ChunkGrid
 from repro.store.format import chunk_checksum, json_safe, write_header, write_manifest
@@ -70,7 +71,11 @@ class StoreOptions:
     sets how many chunks share one closed-loop re-target; ``None`` means
     1 without workers (the classic serial loop) and
     :data:`DEFAULT_WAVE_SIZE` with them. The packed bytes depend on
-    ``wave_size`` but **not** on ``workers``.
+    ``wave_size``; for an explicit ``wave_size`` they do **not** depend
+    on ``workers``. With ``wave_size=None`` the width is *picked from*
+    ``workers`` (1 or :data:`DEFAULT_WAVE_SIZE`), so ``workers=0`` and
+    ``workers=2`` can pack different bytes — ``PackReport.wave_size``
+    records which width was used.
 
     ``control`` attaches the tier-escalation plane of
     :mod:`repro.control`: low-confidence chunks (or a drifting budget)
@@ -79,7 +84,7 @@ class StoreOptions:
     decisions are made at wave boundaries from committed state, and T2
     refinement runs in-process, so a controlled pack stays byte-identical
     for every worker count — ``control`` changes the bytes (vs ``None``),
-    ``workers`` never does.
+    ``workers`` at a given wave width does not.
     """
 
     chunk_shape: tuple[int, ...] | None = None
@@ -141,7 +146,7 @@ class PackReport:
     chunks: list[ChunkWriteRecord] = dc_field(default_factory=list)
     wave_size: int = 1
     workers: int = 0
-    pool_stats: dict = dc_field(default_factory=dict)
+    pool_stats: PoolStats | None = None  # None without workers
     control: ControlStats | None = None
 
     @property
@@ -360,11 +365,7 @@ class StoreWriter:
 
         pool = None
         if opts.workers > 0:
-            from repro.serve.pool import WorkerPool
-
-            pool = WorkerPool(
-                opts.workers, timeout=opts.timeout_seconds, name="store.pool"
-            )
+            pool = WorkerPool(opts.workers, timeout=opts.timeout_seconds)
 
         self.path.parent.mkdir(parents=True, exist_ok=True)
         try:
@@ -458,7 +459,6 @@ class StoreWriter:
                                 else next(pooled_iter)
                                 for i in range(len(arrays))
                             ]
-                        count("store.pack.waves")
                         # Ordered commit: payloads land in chunk-id order no
                         # matter which worker finished first.
                         for wave_i, (chunk, chunk_arr, pred, result) in enumerate(
@@ -492,9 +492,6 @@ class StoreWriter:
                                 )
                             spent += result.compressed_bytes
                             raw_remaining -= chunk_raw
-                            count("store.chunks_written")
-                            count("store.bytes_written", len(payload))
-                            observe("store.chunk.achieved_ratio", result.ratio)
                             entries.append(
                                 {
                                     "coords": list(chunk.coords),
@@ -538,9 +535,9 @@ class StoreWriter:
                         manifest["control"] = asdict(opts.control)
                     manifest_bytes = write_manifest(fh, manifest)
         finally:
-            pool_stats = {}
+            pool_stats = None
             if pool is not None:
-                pool_stats = pool.stats.as_dict()
+                pool_stats = pool.stats
                 pool.shutdown()
         control_stats = None
         if controller is not None:
@@ -548,7 +545,7 @@ class StoreWriter:
             control_stats = controller.stats(
                 budget_drift=abs(achieved - target_ratio) / target_ratio
             )
-        report = PackReport(
+        return PackReport(
             path=self.path,
             target_ratio=target_ratio,
             closed_loop=opts.closed_loop,
@@ -561,17 +558,6 @@ class StoreWriter:
             pool_stats=pool_stats,
             control=control_stats,
         )
-        observe("store.pack.budget_drift", report.budget_drift)
-        set_gauge("store.pack.achieved_ratio", report.achieved_ratio)
-        if pool_stats:
-            # Worker utilization: share of tasks that actually completed on
-            # the pool (fallbacks ran in-process, so they don't count).
-            submitted = max(pool_stats.get("submitted", 0), 1)
-            on_pool = pool_stats.get("completed", 0) - pool_stats.get("fallbacks", 0)
-            set_gauge("store.pack.worker_utilization", max(on_pool, 0) / submitted)
-            count("store.pack.worker_fallbacks", pool_stats.get("fallbacks", 0))
-            count("store.pack.worker_timeouts", pool_stats.get("timeouts", 0))
-        return report
 
 
 def pack(

@@ -1,6 +1,5 @@
-"""Shared utilities: timing, validation, serialization."""
+"""Shared utilities: validation, serialization."""
 
-from repro.utils.timing import TimingRecord
 from repro.utils.validation import (
     as_float_array,
     check_error_bound,
@@ -10,7 +9,6 @@ from repro.utils.validation import (
 )
 
 __all__ = [
-    "TimingRecord",
     "as_float_array",
     "check_error_bound",
     "check_positive_int",

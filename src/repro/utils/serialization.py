@@ -124,21 +124,6 @@ def load_model(path: str | Path) -> tuple[object, dict]:
     return model, meta["extra"]
 
 
-def save_forest(path: str | Path, forest: RandomForestRegressor, extra: dict | None = None) -> Path:
-    """Serialize a fitted forest (back-compat wrapper over :func:`save_model`)."""
-    if not isinstance(forest, RandomForestRegressor):
-        raise TypeError("save_forest expects a RandomForestRegressor")
-    return save_model(path, forest, extra=extra)
-
-
-def load_forest(path: str | Path) -> tuple[RandomForestRegressor, dict]:
-    """Inverse of :func:`save_forest`; returns ``(forest, extra)``."""
-    model, extra = load_model(path)
-    if not isinstance(model, RandomForestRegressor):
-        raise ValueError(f"archive holds a {type(model).__name__}, not a forest")
-    return model, extra
-
-
 def save_framework(path: str | Path, framework) -> Path:
     """Persist a fitted framework's inference state.
 

@@ -5,7 +5,7 @@ import pytest
 
 from repro.core.collection import DEFAULT_REL_EBS, TrainingCollector, TrainingData
 from repro.core.prediction import ErrorBoundModel, invert_curve
-from repro.core.training import train_forest
+from repro.core.training import train_model
 from repro.data import load_dataset
 
 SHAPE = (16, 20, 20)
@@ -33,7 +33,9 @@ class TestCollector:
         fast = TrainingCollector("sperr", mode="secre", rel_error_bounds=REL)
         d_full = full.collect(fields)
         d_fast = fast.collect(fields)
-        assert d_fast.timing.total("collection") < d_full.timing.total("collection")
+        assert sum(r.collect_seconds for r in d_fast.records) < sum(
+            r.collect_seconds for r in d_full.records
+        )
 
     def test_calibrated_mode_attaches_info(self, fields):
         col = TrainingCollector(
@@ -95,23 +97,23 @@ class TestTrainForest:
         return X, y
 
     def test_grid_method(self, xy):
-        model, info = train_forest(*xy, method="grid", n_iter=2, cv=3)
+        model, info = train_model(*xy, model_kind="forest", method="grid", n_iter=2, cv=3)
         assert info.method == "grid"
         assert info.n_evaluations == 2
         assert model.predict(xy[0]).shape == (80,)
 
     def test_bayesopt_method_with_checkpoint(self, xy):
-        model, info = train_forest(*xy, method="bayesopt", n_iter=4, cv=3)
+        model, info = train_model(*xy, model_kind="forest", method="bayesopt", n_iter=4, cv=3)
         assert info.checkpoint is not None
         assert len(info.checkpoint) == 4
         # warm restart runs fewer evaluations
-        _, info2 = train_forest(*xy, method="bayesopt", n_iter=4, cv=3,
+        _, info2 = train_model(*xy, model_kind="forest", method="bayesopt", n_iter=4, cv=3,
                                 checkpoint=info.checkpoint)
         assert info2.n_evaluations < info.n_evaluations + len(info.checkpoint)
 
     def test_unknown_method(self, xy):
         with pytest.raises(ValueError):
-            train_forest(*xy, method="gradient-descent")
+            train_model(*xy, model_kind="forest", method="gradient-descent")
 
 
 class TestInvertCurve:

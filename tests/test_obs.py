@@ -1,4 +1,4 @@
-"""Observability subsystem: spans, recorder, metrics, summary, CLI."""
+"""Observability subsystem: spans, recorder, summary, CLI."""
 
 import json
 import threading
@@ -14,10 +14,8 @@ from repro.obs.trace import _NOOP_SPAN
 def _observability_off():
     """Every test starts and ends with observability disabled."""
     obs.disable()
-    obs.registry().clear()
     yield
     obs.disable()
-    obs.registry().clear()
 
 
 class TestSpanNesting:
@@ -68,13 +66,7 @@ class TestDisabledMode:
     def test_nothing_recorded(self):
         with obs.span("ignored"):
             pass
-        obs.count("ignored.counter")
-        obs.observe("ignored.hist", 1.0)
-        obs.set_gauge("ignored.gauge", 1.0)
         assert obs.get_recorder() is None
-        assert obs.registry().as_dict() == {
-            "counters": {}, "gauges": {}, "histograms": {},
-        }
 
     def test_timed_span_still_times(self):
         with obs.timed_span("always") as sp:
@@ -142,7 +134,6 @@ class TestJsonRoundTrip:
                 with obs.span("collection.field", field="miranda/density"):
                     pass
                 sp.set(numpy_attr=np.float64(1.5), arr=np.arange(2))
-            obs.count("compressor.calls", 7)
         path = obs.export_trace(tmp_path / "t.json", rec)
         payload = obs.load_trace(path)
         root = payload["spans"][0]
@@ -152,7 +143,6 @@ class TestJsonRoundTrip:
         assert root.attrs["arr"] == [0, 1]
         assert root.children[0].attrs["field"] == "miranda/density"
         assert root.elapsed == pytest.approx(rec.roots[0].elapsed)
-        assert payload["metrics"]["counters"]["compressor.calls"] == 7
 
     def test_export_is_valid_json(self, tmp_path):
         with obs.capture() as rec:
@@ -161,63 +151,37 @@ class TestJsonRoundTrip:
         path = obs.export_trace(tmp_path / "t.json", rec)
         raw = json.loads(path.read_text())
         assert raw["version"] == 1 and len(raw["spans"]) == 1
+        assert set(raw) == {"version", "spans"}
+
+    def test_trace_with_metrics_section_still_loads(self, tmp_path, capsys):
+        """Traces written before the metrics registry was removed carry a
+        ``"metrics"`` key; it is ignored, the spans load and summarize."""
+        from repro.cli import main
+
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps({
+            "version": 1,
+            "spans": [{"name": "fit.collection", "elapsed": 0.25, "attrs": {},
+                       "children": [{"name": "collection.field", "elapsed": 0.1,
+                                     "attrs": {}, "children": []}]}],
+            "metrics": {
+                "counters": {"collection.fields": 1.0},
+                "gauges": {"serve.cache.size": 3.0},
+                "histograms": {"compressor.compress.seconds": {
+                    "count": 1, "total": 0.1, "mean": 0.1, "min": 0.1, "max": 0.1}},
+            },
+        }))
+        payload = obs.load_trace(path)
+        assert [s.name for s in payload["spans"]] == ["fit.collection"]
+        assert main(["trace-summary", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "fit.collection" in out and "collection.field" in out
 
     def test_load_rejects_unknown_version(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"version": 99, "spans": []}))
         with pytest.raises(ValueError, match="version"):
             obs.load_trace(path)
-
-
-class TestMetricsRegistry:
-    def test_counter_arithmetic(self):
-        reg = obs.MetricsRegistry()
-        c = reg.counter("calls")
-        c.inc()
-        c.inc(4)
-        assert c.value == 5
-        assert reg.counter("calls") is c  # get-or-create
-
-    def test_gauge_last_write_wins(self):
-        g = obs.MetricsRegistry().gauge("depth")
-        g.set(3)
-        g.set(1.5)
-        assert g.value == 1.5
-
-    def test_histogram_summary_stats(self):
-        h = obs.MetricsRegistry().histogram("seconds")
-        for v in (1.0, 2.0, 6.0):
-            h.observe(v)
-        assert h.count == 3
-        assert h.total == 9.0
-        assert h.mean == 3.0
-        assert h.min == 1.0 and h.max == 6.0
-
-    def test_empty_histogram_is_zeroed(self):
-        h = obs.MetricsRegistry().histogram("empty")
-        assert h.count == 0 and h.mean == 0.0 and h.min == 0.0 and h.max == 0.0
-
-    def test_as_dict_and_clear(self):
-        reg = obs.MetricsRegistry()
-        reg.counter("a").inc()
-        reg.gauge("b").set(2)
-        reg.histogram("c").observe(3.0)
-        d = reg.as_dict()
-        assert d["counters"] == {"a": 1}
-        assert d["gauges"] == {"b": 2.0}
-        assert d["histograms"]["c"]["count"] == 1
-        reg.clear()
-        assert reg.as_dict() == {"counters": {}, "gauges": {}, "histograms": {}}
-
-    def test_module_helpers_record_when_enabled(self):
-        obs.enable()
-        obs.count("calls", 2)
-        obs.observe("lat", 0.5)
-        obs.set_gauge("depth", 7)
-        d = obs.registry().as_dict()
-        assert d["counters"]["calls"] == 2
-        assert d["gauges"]["depth"] == 7.0
-        assert d["histograms"]["lat"]["count"] == 1
 
 
 class TestThreadSafety:
@@ -230,7 +194,7 @@ class TestThreadSafety:
             try:
                 for i in range(per_thread):
                     with obs.span("worker.span", i=i):
-                        obs.count("worker.ops")
+                        pass
             except Exception as exc:  # pragma: no cover
                 errors.append(exc)
 
@@ -243,7 +207,8 @@ class TestThreadSafety:
         assert not errors
         # spans opened on a thread with no enclosing span become roots
         assert len(rec.roots) == n_threads * per_thread
-        assert obs.registry().as_dict()["counters"]["worker.ops"] == n_threads * per_thread
+        # a call count is the number of spans of that name
+        assert obs.aggregate(rec.roots)["worker.span"].count == n_threads * per_thread
 
 
 class TestSummary:
@@ -264,12 +229,16 @@ class TestSummary:
     def test_format_summary_lists_stages_and_metrics(self):
         with obs.capture() as rec:
             with obs.span("fit.collection"):
-                pass
-            obs.count("collection.fields", 4)
-        text = obs.format_summary(rec.roots, obs.registry().as_dict())
+                for _ in range(4):
+                    with obs.span("collection.field"):
+                        pass
+        text = obs.format_summary(rec.roots)
         assert "fit.collection" in text
-        assert "collection.fields" in text
-        assert "total(s)" in text
+        for column in ("calls", "total(s)", "self(s)", "mean(ms)"):
+            assert column in text
+        row = next(ln for ln in text.splitlines() if ln.startswith("collection.field"))
+        assert row.split()[1] == "4"  # the calls column counts the spans
+        assert "metrics" not in text  # no trailing section: spans are the record
 
     def test_format_summary_empty_trace(self):
         assert "(no spans recorded)" in obs.format_summary([])
@@ -331,12 +300,7 @@ class TestPipelineIntegration:
         if not refit["draws"]:  # such trees grow a level a round
             deepest = max(tree.depth for tree in forest.trees)
             assert deepest <= refit["rounds"] <= forest.max_depth
-        counters = obs.registry().as_dict()["counters"]
-        assert counters["training.tree_nodes"] == sum(s.attrs["nodes"] for s in fits)
-        assert counters["training.builder_rounds"] == sum(s.attrs["rounds"] for s in fits)
-        summary = obs.format_summary(rec.roots, obs.registry().as_dict())
-        for row in ("training.forest_fit", "training.tree_nodes", "training.builder_rounds"):
-            assert row in summary
+        assert "training.forest_fit" in obs.format_summary(rec.roots)
 
     def test_compressor_metrics_recorded(self):
         from repro import get_compressor
@@ -347,13 +311,15 @@ class TestPipelineIntegration:
         with obs.capture() as rec:
             result = codec.compress(data, 0.1)
             codec.decompress(result)
-        counters = obs.registry().as_dict()["counters"]
-        assert counters["compressor.compress.calls"] == 1
-        assert counters["compressor.compress.bytes_in"] == data.nbytes
-        assert counters["compressor.compress.bytes_out"] == len(result.payload)
-        assert counters["compressor.decompress.calls"] == 1
-        names = {s.name for r in rec.roots for s in _walk(r)}
-        assert {"compressor.compress", "compressor.decompress"} <= names
+        # per-call quantities ride on the span that times the call; the
+        # call count is the number of spans of that name
+        stats = obs.aggregate(rec.roots)
+        assert stats["compressor.compress"].count == 1
+        assert stats["compressor.decompress"].count == 1
+        spans = {s.name: s for r in rec.roots for s in _walk(r)}
+        assert spans["compressor.compress"].attrs["bytes_in"] == data.nbytes
+        assert spans["compressor.compress"].attrs["bytes_out"] == len(result.payload)
+        assert spans["compressor.decompress"].attrs["bytes_in"] == result.compressed_bytes
 
 
 def _walk(span):

@@ -7,7 +7,7 @@ Two halves, matching the split in :mod:`repro.store.prefetch`:
   of cache state, timing, or interleaved keys;
 - **issuance** (the catalog acting on hints) fills the shared LRU ahead
   of sequential/strided scans, is fully accounted (``issued`` /
-  ``hits`` / ``wasted``, mirrored as obs counters), and is never
+  ``hits`` / ``wasted`` in ``PrefetchStats``), and is never
   load-bearing: bytes served are identical with the prefetcher on, off,
   or issuing hints the LRU immediately drops — and prefetch churn can
   never corrupt tiles already in flight (streamed tiles are fresh
@@ -19,7 +19,7 @@ import time
 import numpy as np
 import pytest
 
-from repro import CarolFramework, load_dataset, load_field, obs
+from repro import CarolFramework, load_dataset, load_field
 from repro.store import (
     CatalogOptions,
     Prefetcher,
@@ -159,25 +159,18 @@ class TestIssuance:
     def test_sequential_scan_prefetches_and_hits(self, store_root):
         root, fields = store_root
         options = CatalogOptions(cache_bytes=64 << 20, prefetch_depth=4)
-        obs.enable()  # clears the metrics registry
-        try:
-            with StoreCatalog(root, options=options) as cat:
-                for i in range(5):
-                    out = cat.read("a", slab_region(i))
-                    np.testing.assert_array_equal(out, fields["a"][slab_region(i)])
-                stats = cat.prefetch_stats()
-                # slabs 3 and 4 were fully prefetched after the run was seen
-                assert stats.issued == 8
-                assert stats.hits == 8
-                assert stats.wasted == 0
-                assert stats.hit_rate == 1.0
-                reg = obs.registry()
-                assert reg.counter("store.read.prefetch_issued").value == stats.issued
-                assert reg.counter("store.read.prefetch_hits").value == stats.hits
-                assert cat.stats().prefetch == stats
-                assert cat.stats().as_dict()["prefetch"] == stats.as_dict()
-        finally:
-            obs.disable()
+        with StoreCatalog(root, options=options) as cat:
+            for i in range(5):
+                out = cat.read("a", slab_region(i))
+                np.testing.assert_array_equal(out, fields["a"][slab_region(i)])
+            stats = cat.prefetch_stats()
+            # slabs 3 and 4 were fully prefetched after the run was seen
+            assert stats.issued == 8
+            assert stats.hits == 8
+            assert stats.wasted == 0
+            assert stats.hit_rate == 1.0
+            assert cat.stats().prefetch == stats
+            assert cat.stats().as_dict()["prefetch"] == stats.as_dict()
 
     def test_streamed_scan_observes_the_same_pattern(self, store_root):
         root, fields = store_root

@@ -1,5 +1,7 @@
 """Model/framework persistence tests."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -10,10 +12,8 @@ from repro.ml.forest import RandomForestRegressor
 from repro.ml.knn import KNeighborsRegressor
 from repro.ml.models import MODEL_KINDS
 from repro.utils.serialization import (
-    load_forest,
     load_model,
     load_framework,
-    save_forest,
     save_model,
     save_framework,
 )
@@ -27,8 +27,8 @@ class TestForestIO:
         X = rng.random((60, 4))
         y = X[:, 0] * 3 - X[:, 2]
         rf = RandomForestRegressor(n_estimators=6, random_state=0).fit(X, y)
-        path = save_forest(tmp_path / "model.npz", rf, extra={"note": "hi"})
-        loaded, extra = load_forest(path)
+        path = save_model(tmp_path / "model.npz", rf, extra={"note": "hi"})
+        loaded, extra = load_model(path)
         assert extra == {"note": "hi"}
         np.testing.assert_array_equal(loaded.predict(X), rf.predict(X))
 
@@ -39,17 +39,17 @@ class TestForestIO:
             n_estimators=3, max_depth=4, min_samples_leaf=2, bootstrap=False,
             max_features="sqrt", random_state=1,
         ).fit(X, y)
-        loaded, _ = load_forest(save_forest(tmp_path / "m.npz", rf))
+        loaded, _ = load_model(save_model(tmp_path / "m.npz", rf))
         assert loaded.get_params() == rf.get_params()
 
     def test_unfitted_rejected(self, tmp_path):
         with pytest.raises(ValueError):
-            save_forest(tmp_path / "m.npz", RandomForestRegressor())
+            save_model(tmp_path / "m.npz", RandomForestRegressor())
 
     def test_suffix_added(self, rng, tmp_path):
         X = rng.random((20, 2))
         rf = RandomForestRegressor(n_estimators=2, random_state=0).fit(X, X[:, 0])
-        path = save_forest(tmp_path / "model", rf)
+        path = save_model(tmp_path / "model", rf)
         assert path.suffix == ".npz"
         assert path.exists()
 
@@ -127,14 +127,22 @@ class TestModelIO:
         with pytest.raises(TypeError):
             save_model(tmp_path / "x.npz", object())
 
-    def test_load_forest_rejects_other_kinds(self, rng, tmp_path):
+    def test_load_model_rejects_unknown_kind(self, rng, tmp_path):
+        """The "rejects other kinds" case, on ``load_model``'s own kind
+        check (``load_forest`` went with the other back-compat wrappers)."""
         X = rng.random((30, 2))
         gbt = GradientBoostingRegressor(n_estimators=2, random_state=0).fit(
             X, X[:, 0]
         )
         path = save_model(tmp_path / "g.npz", gbt)
-        with pytest.raises(ValueError, match="not a forest"):
-            load_forest(path)
+        with np.load(path) as data:
+            arrays = dict(data)
+        meta = json.loads(arrays["meta_json"].tobytes().decode())
+        meta["kind"] = "svm"
+        arrays["meta_json"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+        np.savez_compressed(path, **arrays)
+        with pytest.raises(ValueError, match="unknown serialized model kind 'svm'"):
+            load_model(path)
 
 
 class TestAllModelKindsRoundTrip:

@@ -7,6 +7,7 @@ import pytest
 from repro import CarolFramework, Field, load_dataset, load_field, obs
 from repro.core.feedback import FeedbackLoop
 from repro.data.io import save_raw
+from repro.serve.pool import PoolStats
 from repro.store import (
     CorruptChunkError,
     Store,
@@ -125,15 +126,13 @@ class TestRandomAccess:
             region = (slice(0, 8), slice(0, 16), slice(0, 16))  # exactly 1 chunk
             expected = len(st.grid.chunks_intersecting(region))
             assert expected < st.n_chunks
-            obs.enable()  # clears the metrics registry
-            try:
-                counter = obs.registry().counter("store.read.chunks_decompressed")
+            # in-process decodes: one compressor.decompress span per chunk
+            with obs.capture() as rec:
                 st.read(region)
-                assert counter.value == expected
+            assert obs.aggregate(rec.roots)["compressor.decompress"].count == expected
+            with obs.capture() as rec:
                 st.read()
-                assert counter.value == expected + st.n_chunks
-            finally:
-                obs.disable()
+            assert obs.aggregate(rec.roots)["compressor.decompress"].count == st.n_chunks
 
     def test_read_single_chunk(self, packed, field):
         path, report = packed
@@ -342,15 +341,15 @@ class TestParallelPacking:
         assert report.n_waves == -(-report.n_chunks // 8)
         assert "waves" in report.summary()
         # the pool actually saw work (completed includes in-process fallbacks)
-        assert report.pool_stats["submitted"] > 0
-        assert report.pool_stats["completed"] == report.pool_stats["submitted"]
+        assert report.pool_stats.submitted > 0
+        assert report.pool_stats.completed == report.pool_stats.submitted
 
     def test_serial_pack_reports_no_pool(self, packed):
         _, report = packed
         assert report.workers == 0
         assert report.wave_size == 1
         assert report.n_waves == report.n_chunks
-        assert report.pool_stats == {}
+        assert report.pool_stats is None
 
     def test_retarget_boundaries_follow_wave_size(self, fitted, field, tmp_path):
         """Within one wave every chunk shares one target; targets may only
@@ -376,15 +375,16 @@ class TestParallelPacking:
             StoreOptions(wave_size=0)
 
     def test_wave_metrics_emitted(self, fitted, field, tmp_path):
-        obs.enable()  # clears the metrics registry
-        try:
+        with obs.capture() as rec:
             report = self._pack(fitted, field, tmp_path / "m.rps", workers=2, wave_size=8)
-            reg = obs.registry()
-            assert reg.counter("store.pack.waves").value == report.n_waves
-            util = reg.gauge("store.pack.worker_utilization").value
-            assert 0.0 <= util <= 1.0
-        finally:
-            obs.disable()
+        # one store.pack.wave span per wave
+        assert obs.aggregate(rec.roots)["store.pack.wave"].count == report.n_waves
+        # worker utilization: the share of tasks that finished on the pool
+        # (fallbacks ran in-process) comes from the typed PoolStats
+        pool = report.pool_stats
+        assert isinstance(pool, PoolStats)
+        assert 0 <= pool.fallbacks <= pool.completed == pool.submitted
+        assert pool.timeouts <= pool.fallbacks
 
 
 class TestBudgetExhaustion:

@@ -106,6 +106,15 @@ def _python_files(*dirs: str) -> list[Path]:
     return [p for d in dirs for p in sorted((REPO / d).glob("*.py"))]
 
 
+def _dunder_all(module: str) -> list[str]:
+    (exported,) = [
+        ast.literal_eval(node.value)
+        for node in _tree(MODULES[module]).body
+        if isinstance(node, ast.Assign) and node.targets[0].id == "__all__"
+    ]
+    return exported
+
+
 def test_every_module_is_reached_from_a_root():
     roots = _python_files("ledger", "benchmarks", "examples") + [MODULES["repro.cli"]]
     reached = _reached(roots)
@@ -136,16 +145,47 @@ def test_every_top_level_name_is_imported_by_some_file():
     for doc in [REPO / "README.md", *sorted((REPO / "docs").glob("*.md"))]:
         for imported in snippet.findall(doc.read_text()):
             used |= set(re.findall(r"\w+", imported))
-    (exported,) = [
-        ast.literal_eval(node.value)
-        for node in _tree(MODULES["repro"]).body
-        if isinstance(node, ast.Assign) and node.targets[0].id == "__all__"
-    ]
-    unused = sorted(set(exported) - used)
+    unused = sorted(set(_dunder_all("repro")) - used)
     assert not unused, (
         f"in repro.__all__ but read from `repro` by no file: {unused} — their "
         "deep import paths and repro.api stay; the top level re-exports what "
         "something uses"
+    )
+
+
+#: ``repro.obs`` records spans and nothing else: a cumulative count is a
+#: field of its owner's typed stats snapshot, a per-call quantity a span
+#: attribute, a call count the number of spans of that name.
+OBS_SPAN_API = {
+    "Span", "StageClock", "TraceRecorder", "span", "timed_span", "emit_span",
+    "enable", "disable", "enabled", "capture", "get_recorder",
+    "export_trace", "load_trace", "StageStats", "aggregate", "format_summary",
+}
+METRIC_MIRROR_NAMES = {"count", "observe", "set_gauge", "set_gauge_max", "MetricsRegistry"}
+
+
+def test_obs_is_the_span_api_and_the_metric_mirror_stays_gone():
+    exported = _dunder_all("repro.obs")
+    assert set(exported) == OBS_SPAN_API and len(exported) == len(OBS_SPAN_API)
+    assert "repro.obs.metrics" not in MODULES
+    offenders = []
+    for mod, path in MODULES.items():
+        tree = _tree(path)
+        defined = {
+            node.name for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        }
+        imported = {n for _, name, bound in _imports(path) for n in (name, bound)}
+        called = {
+            node.func.id for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        }
+        hits = (defined | imported | called) & METRIC_MIRROR_NAMES
+        if hits:
+            offenders.append((mod, sorted(hits)))
+    assert not offenders, (
+        f"a string-keyed metric mirror is back: {offenders} — count it in the "
+        "owner's typed stats, or put it on the span that times the call"
     )
 
 

@@ -1,9 +1,8 @@
-"""Utility-layer tests: timing, validation."""
+"""Utility-layer tests: validation."""
 
 import numpy as np
 import pytest
 
-from repro.utils.timing import TimingRecord
 from repro.utils.validation import (
     as_float_array,
     check_error_bound,
@@ -11,24 +10,6 @@ from repro.utils.validation import (
     check_probability,
     require_finite,
 )
-
-
-class TestTiming:
-    def test_record_merge(self):
-        a, b = TimingRecord(), TimingRecord()
-        a.add("x", 1.0)
-        b.add("x", 2.0)
-        b.add("y", 3.0)
-        a.merge(b)
-        assert a.total("x") == pytest.approx(3.0)
-        assert a.total("y") == pytest.approx(3.0)
-        assert a.counts["x"] == 2 and a.mean("x") == pytest.approx(1.5)
-        assert "y" in a and "z" not in a
-
-    def test_record_as_dict(self):
-        rec = TimingRecord()
-        rec.add("a", 1.5)
-        assert rec.as_dict() == {"a": 1.5}
 
 
 class TestValidation:
