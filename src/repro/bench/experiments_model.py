@@ -421,8 +421,10 @@ def fig9_inference_time(scale: BenchScale) -> str:
     rows = []
     for ds in datasets:
         data = _timing_field(ds, scale)
-        _, t_fxrz = extract_features_serial(data, stride=4)
-        _, t_carol = extract_features_parallel(data)
+        # Best of three: the first call in a process pays one-off costs that
+        # would land on whichever dataset happens to come first.
+        t_fxrz = min(extract_features_serial(data, stride=4)[1] for _ in range(3))
+        t_carol = min(extract_features_parallel(data)[1] for _ in range(3))
         t_gpu = model.kernel_time(data.shape, data.dtype.itemsize)
         rows.append(
             [
@@ -443,9 +445,12 @@ def fig9_inference_time(scale: BenchScale) -> str:
         rows,
         note="Paper shape: FXRZ's sampled extraction takes hundreds of ms on "
         "the large datasets while CAROL stays under ~10 ms (paper: ~36x). "
-        "Our NumPy 'vectorized' CAROL column is already data-parallel so it "
-        "tracks FXRZ's; the simulated-GPU column is the DESIGN.md "
-        "substitution for the paper's CUDA kernel.",
+        "Both measured columns are the best of three calls on this CPU. "
+        "Our NumPy CAROL column is below FXRZ's but on hurricane, whose "
+        "thin first axis makes whole-block sampling read 2.5x the points of "
+        "FXRZ's 1-in-4 grid (miranda reads 1.8x and is still faster); the "
+        "simulated-GPU column is the DESIGN.md substitution for the paper's "
+        "CUDA kernel.",
     )
 
 

@@ -5,6 +5,8 @@ the paper's Eqs. (5)-(8); these tests recompute them with straightforward
 Python loops on tiny arrays and demand near-exact agreement.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from repro.features.definitions import (
     mean_neighbor_difference,
     mean_spline_difference,
 )
+from repro.features.parallel import _interior_smoothness
 from repro.transforms.lorenzo import lorenzo_predict
 from repro.transforms.spline import spline_predict_axis
 
@@ -90,6 +93,50 @@ def test_msd_matches_naive_sum(tiny):
     for axis in range(3):
         acc += np.abs(d - spline_predict_axis(d, axis))
     assert mean_spline_difference(d) == pytest.approx(acc.mean(), rel=1e-12)
+
+
+def _naive_interior_smoothness(stack):
+    """MND, MLD and MSD averaged over the interior points of every block of
+    ``stack`` (axis 0 indexes blocks), one point and one stencil tap at a time."""
+    _, *dims = stack.shape
+    d = len(dims)
+    units = [tuple(int(k == a) for k in range(d)) for a in range(d)]
+
+    def tap(blk, p, direction, k):
+        return blk[tuple(pi + k * oi for pi, oi in zip(p, direction))]
+
+    mnd = mld = msd = 0.0
+    count = 0
+    for blk in stack:
+        for p in itertools.product(*(range(1, n - 1) for n in dims)):
+            x = blk[p]
+            neigh = sum(tap(blk, p, u, k) for u in units for k in (-1, 1))
+            mnd += abs(x - neigh / (2 * d))
+            lorenzo = sum(
+                (-1) ** (sum(o) + 1) * tap(blk, p, o, -1)
+                for o in itertools.product((0, 1), repeat=d)
+                if any(o)
+            )
+            mld += abs(x - lorenzo)
+            for a, u in enumerate(units):
+                near = tap(blk, p, u, -1) + tap(blk, p, u, 1)
+                if 3 <= p[a] <= dims[a] - 4:
+                    spline = (9 * near - tap(blk, p, u, -3) - tap(blk, p, u, 3)) / 16
+                else:
+                    spline = near / 2
+                msd += abs(x - spline)
+            count += 1
+    return mnd / count, mld / count, msd / count
+
+
+@pytest.mark.parametrize("shape", [(2, 7, 8, 9), (3, 6, 11), (4, 10)], ids=str)
+def test_parallel_kernel_excludes_the_surface(shape, rng):
+    """CAROL's extractor averages MND / MLD / MSD over block interiors only
+    (surface exclusion), with the cubic spline where both ±3 taps lie inside
+    the block and the linear one elsewhere."""
+    stack = rng.standard_normal(shape)
+    got = _interior_smoothness(stack)
+    assert got == pytest.approx(_naive_interior_smoothness(stack), rel=1e-12)
 
 
 class TestWaveletAnalytic:

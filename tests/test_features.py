@@ -101,6 +101,35 @@ class TestParallel:
         b, _ = extract_features_parallel(smooth3d)
         np.testing.assert_array_equal(a, b)
 
+    @pytest.mark.parametrize("value", [5.0, -3.0, 0.0])
+    @pytest.mark.parametrize(
+        "shape",
+        [
+            (1,),
+            (2,),
+            (1, 1),
+            (2, 2),
+            (1, 40),
+            (40, 2),
+            (1, 1, 1),
+            (2, 2, 2),
+            (2, 40, 40),
+            (40, 1, 40),
+            (40, 40, 2),
+            (300, 2, 300),
+        ],
+        ids=str,
+    )
+    def test_thin_constant_field_has_zero_smoothness(self, shape, value):
+        """An axis of length 1 or 2 leaves the sampled blocks no interior to
+        keep; a constant field is still perfectly smooth, as the serial
+        extractor says."""
+        feats, _ = extract_features_parallel(np.full(shape, value))
+        assert feats.tolist() == [value, 0.0, 0.0, 0.0, 0.0]
+        serial, _ = extract_features_serial(np.full(shape, value), stride=None)
+        if np.prod(shape) > 1:  # a lone point's serial MND / MLD compare it with zero
+            assert serial[2:].tolist() == [0.0, 0.0, 0.0]
+
 
 class TestGpuModel:
     def test_sampled_bytes_fraction(self):
