@@ -73,27 +73,28 @@ def pack_uint_array(values: np.ndarray, nbits: int) -> _Packed:
     return _Packed(np.packbits(field), values.size * nbits)
 
 
-def window_values(bits: np.ndarray, width: int) -> np.ndarray:
+def window_values(packed: np.ndarray, nbits: int, width: int) -> np.ndarray:
     """``width``-bit MSB-first window value at every bit position.
 
-    Returns a uint16 array (a window is at most 16 bits) of length
-    ``bits.size + 1``: entry ``p`` is the integer formed by bits
-    ``p .. p+width-1``, with zeros past the end of the stream (the same
-    zero padding a :class:`BitWriter` applies when packing to bytes).
-    The bits are packed to bytes once and adjacent
-    bytes fused into 24-bit words; the window at bit ``8k + phase`` is
-    word ``k`` shifted by a constant, so the result is eight strided
-    copies of the word array, one per phase — no per-position index
-    arithmetic. The bulk extract primitive behind the Huffman decoder.
+    ``packed`` holds a stream of ``nbits`` bits MSB-first (bytes past
+    the stream are ignored). Returns a uint16 array (a window is at most
+    16 bits) of length ``nbits + 1``: entry ``p`` is the integer formed
+    by bits ``p .. p+width-1``, with zeros past the end of the stream
+    (the same zero padding a :class:`BitWriter` applies when packing to
+    bytes). Adjacent bytes are fused into 24-bit words; the window at
+    bit ``8k + phase`` is word ``k`` shifted by a constant, so the
+    result is eight strided copies of the word array, one per phase —
+    no per-position index arithmetic. The bulk extract primitive behind
+    the Huffman decoder, which hands it the reader's bytes.
     """
     if not 0 < width <= 16:
         raise ValueError("window width must be in [1, 16]")
-    arr = np.asarray(bits).astype(_BOOL, copy=False).ravel()
-    nbits = arr.size
-    packed = np.packbits(arr)
+    nbytes = (nbits + 7) // 8
     # Bytes k, k+1, k+2 must exist for every k up to nbits // 8.
     buf = np.zeros(nbits // 8 + 3, dtype=np.uint32)
-    buf[: packed.size] = packed
+    buf[:nbytes] = packed[:nbytes]
+    if nbits & 7:
+        buf[nbytes - 1] &= np.uint32((0xFF << (8 - (nbits & 7))) & 0xFF)
     fused = (buf[:-2] << np.uint32(16)) | (buf[1:-1] << np.uint32(8)) | buf[2:]
     out = np.empty((fused.size, 8), dtype=np.uint16)
     mask = np.uint32((1 << width) - 1)
@@ -289,14 +290,28 @@ class BitWriter:
 
 
 class BitReader:
-    """Reads bits MSB-first from bytes produced by :class:`BitWriter`."""
+    """Reads bits MSB-first from bytes produced by :class:`BitWriter`.
+
+    The reader holds the payload packed, as it arrived: a ``bytes``
+    object with :data:`_PAD` zero bytes appended (``_raw``, for the
+    scalar reads), a ``uint8`` view of the same memory (``_buf``, for
+    the bulk reads), the bit position and the bit count. A bool-array
+    input (``BitReader(writer.bits())``) is packed once here. The
+    padding lets every read gather whole words past the last data byte
+    without a bounds branch; the bits it supplies are zero and a read
+    never returns them, because each read checks ``remaining`` first.
+    """
 
     def __init__(self, data: bytes | np.ndarray) -> None:
         if isinstance(data, (bytes, bytearray, memoryview)):
-            raw = np.frombuffer(bytes(data), dtype=np.uint8)
-            self._bits = np.unpackbits(raw).astype(_BOOL)
+            raw = bytes(data)
+            self._nbits = 8 * len(raw)
         else:
-            self._bits = np.asarray(data).astype(_BOOL).ravel()
+            arr = np.asarray(data).astype(_BOOL).ravel()
+            raw = np.packbits(arr).tobytes()
+            self._nbits = arr.size
+        self._raw = raw + bytes(_PAD)
+        self._buf = np.frombuffer(self._raw, dtype=np.uint8)
         self._pos = 0
 
     @property
@@ -305,52 +320,122 @@ class BitReader:
 
     @property
     def remaining(self) -> int:
-        return self._bits.size - self._pos
+        return self._nbits - self._pos
 
-    def _take(self, n: int) -> np.ndarray:
-        if n > self.remaining:
+    def _advance(self, n: int) -> int:
+        """Claim the next ``n`` bits; returns where they start."""
+        start = self._pos
+        if n > self._nbits - start:
             raise EOFError(f"bitstream exhausted: requested {n}, remaining {self.remaining}")
-        out = self._bits[self._pos : self._pos + n]
-        self._pos += n
-        return out
+        self._pos = start + n
+        return start
 
     def read_bit(self) -> int:
-        return int(self._take(1)[0])
+        pos = self._advance(1)
+        return (self._raw[pos >> 3] >> (7 - (pos & 7))) & 1
 
     def read_bits(self, nbits: int) -> int:
+        _check_width(nbits)
         if nbits == 0:
             return 0
-        bits = self._take(nbits).astype(np.uint64)
-        shifts = np.arange(nbits - 1, -1, -1, dtype=np.uint64)
-        return int((bits << shifts).sum())
+        end = self._advance(nbits) + nbits
+        last = (end + 7) >> 3
+        word = int.from_bytes(self._raw[(end - nbits) >> 3 : last], "big")
+        return (word >> (8 * last - end)) & ((1 << nbits) - 1)
 
     def read_bit_array(self, count: int) -> np.ndarray:
-        return self._take(count).copy()
+        # zfp and speck call this once per bit plane: checks inlined
+        start = self._pos
+        end = start + count
+        if count < 0 or end > self._nbits:
+            _check_count(count)
+            self._advance(count)
+        self._pos = end
+        phase = start & 7
+        covered = self._buf[start >> 3 : (end + 7) >> 3]
+        return np.unpackbits(covered)[phase : phase + count].view(_BOOL)
 
     def read_uint_array(self, count: int, nbits: int) -> np.ndarray:
+        """``count`` fields of ``nbits`` bits each, as uint64.
+
+        Each field is shifted out of the big-endian word that starts at
+        its first byte: a 32-bit word for widths up to 25 (a field at
+        phase 7 then still ends inside it), built once for every byte
+        the fields cover and picked with one ``take``; above 25, the
+        8-byte window at each field's first byte, plus the ninth byte
+        when the field can reach past the 64th bit (widths above 57).
+        Fields of 8, 16, 32 or 64 bits starting on a byte boundary are
+        already whole big-endian integers and are viewed, not gathered.
+        """
+        _check_count(count)
+        _check_width(nbits)
         if count == 0 or nbits == 0:
             return np.zeros(count, dtype=np.uint64)
-        # Pack each row's bits to bytes and combine per-byte: ~8x less
-        # memory traffic than broadcasting one uint64 per bit. Fields are
-        # right-padded by packbits, so the shift floor drops the padding;
-        # byte ranges are disjoint, so the sum is an exact bitwise OR.
-        bits = self._take(count * nbits)
-        nb = (nbits + 7) // 8
-        packed = np.packbits(bits.reshape(count, nbits), axis=1)
-        shifts = np.arange(nb - 1, -1, -1, dtype=np.uint64) * np.uint64(8)
-        vals = (packed.astype(np.uint64) << shifts).sum(axis=1, dtype=np.uint64)
-        return vals >> np.uint64(8 * nb - nbits)
+        start = self._advance(count * nbits)
+        if not start & 7 and nbits in (8, 16, 32, 64):
+            words = np.frombuffer(self._raw, f">u{nbits // 8}", count, start >> 3)
+            return words.astype(np.uint64)
+        bit = np.arange(start, start + count * nbits, nbits, dtype=np.int64)
+        byte = bit >> 3
+        phase = bit & 7
+        if nbits <= 25:
+            first = start >> 3
+            n = int(byte[-1]) - first + 1
+            b = self._buf[first : first + n + 3].astype(np.uint32)
+            word = (b[:n] << 24) | (b[1 : n + 1] << 16) | (b[2 : n + 2] << 8) | b[3 : n + 3]
+            word = word.take(byte - first) << phase.astype(np.uint32)
+            return (word >> np.uint32(32 - nbits)).astype(np.uint64)
+        shift = phase.astype(np.uint64)
+        windows = np.lib.stride_tricks.sliding_window_view(self._buf, 8)
+        word = windows[byte].view(">u8").ravel().astype(np.uint64) << shift
+        if nbits > 57:
+            word |= self._buf.take(byte + 8).astype(np.uint64) >> (np.uint64(8) - shift)
+        return word >> np.uint64(64 - nbits)
 
     def read_unary(self) -> int:
-        rest = self._bits[self._pos :]
-        idx = np.argmax(rest)
-        if rest.size == 0 or not rest[idx]:
+        """Zero bits up to a terminating one bit; returns their count.
+
+        The search starts at the current byte (bits before the position
+        masked off) and walks forward a byte at a time, so a call costs
+        the length of the code, not of the rest of the stream. A run of
+        more than eight zero bytes (no Elias-gamma length of a 64-bit
+        value has one) is finished with one vector scan.
+        """
+        pos, raw = self._pos, self._raw
+        end = (self._nbits + 7) >> 3
+        at = pos >> 3
+        byte = raw[at] & (0xFF >> (pos & 7))
+        stop = min(at + 9, end)
+        while not byte and at + 1 < stop:
+            at += 1
+            byte = raw[at]
+        if not byte and at + 1 < end:
+            at += 1 + int((self._buf[at + 1 : end] != 0).argmax())
+            byte = raw[at]
+        if not byte:
             raise EOFError("unary code not terminated before end of stream")
-        self._pos += int(idx) + 1
-        return int(idx)
+        one = 8 * at + 8 - byte.bit_length()  # padding bits are zero: one < _nbits
+        self._pos = one + 1
+        return one - pos
 
     def read_elias_gamma(self) -> int:
         nbits = self.read_unary() + 1
         if nbits == 1:
             return 1
         return (1 << (nbits - 1)) + self.read_bits(nbits - 1)
+
+
+#: Zero bytes after the payload: a 64-bit field at phase 7 spans nine
+#: bytes, so the 8-byte window at any data byte, and the byte after it,
+#: stay inside the buffer.
+_PAD = 8
+
+
+def _check_width(nbits: int) -> None:
+    if not 0 <= nbits <= 64:
+        raise ValueError(f"field width must be in [0, 64], got {nbits}")
+
+
+def _check_count(count: int) -> None:
+    if count < 0:
+        raise ValueError(f"read count must be non-negative, got {count}")

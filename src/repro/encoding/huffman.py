@@ -236,6 +236,8 @@ class HuffmanCodec:
         array passes plus ``ceil(count / 2**_HOPS)`` Python steps.
         """
         count = int(count)
+        if count < 0:
+            raise ValueError(f"symbol count must be non-negative, got {count}")
         sorted_syms, sorted_lens, *_ = canonical = self._canonical_arrays()
         if sorted_syms.size == 0:
             if count:
@@ -247,13 +249,17 @@ class HuffmanCodec:
         width = min(int(sorted_lens[-1]), _TABLE_BITS)
         has_long = bool(sorted_lens[-1] > width)
 
-        # Code length at every bit position of the (zero-padded) stream.
-        bits = reader._bits[reader._pos :]
-        nbits = bits.size
-        vals = window_values(bits, width)
+        # Code length at every bit position of the (zero-padded) stream,
+        # windowed straight from the reader's bytes: the stream starts at
+        # bit ``phase`` of byte ``first``.
+        start, buf = reader._pos, reader._buf
+        nbits = reader.remaining
+        first, phase = start >> 3, start & 7
+        vals = window_values(buf[first:], phase + nbits, width)[phase:]
         lens = _gather(len_table, vals)
         if has_long:
-            long_pos, long_len, long_sym = _resolve_long(bits, np.flatnonzero(lens == 0), canonical)
+            miss = np.flatnonzero(lens == 0)
+            long_pos, long_len, long_sym = _resolve_long(buf, start, nbits, miss, canonical)
             lens[long_pos] = long_len
 
         # Successor map with one absorbing sink for "no code here" and
@@ -360,9 +366,13 @@ def _gather(table: np.ndarray, index: np.ndarray, out: np.ndarray | None = None)
     return table.take(index, out=out, mode="wrap")
 
 
-def _resolve_long(bits: np.ndarray, miss: np.ndarray, canonical: tuple) -> tuple:
+def _resolve_long(
+    buf: np.ndarray, start: int, nbits: int, miss: np.ndarray, canonical: tuple
+) -> tuple:
     """Codes longer than the table window, at every position in ``miss``.
 
+    ``buf`` is a reader's zero-padded byte buffer and the stream its
+    ``nbits`` bits from bit ``start``; ``miss`` indexes that stream.
     Returns ``(positions, lengths, symbols)`` for the positions where a
     long code starts and ends inside the stream. Each position gets the
     64-bit word that begins at its byte, shifted so the code starts at
@@ -371,10 +381,10 @@ def _resolve_long(bits: np.ndarray, miss: np.ndarray, canonical: tuple) -> tuple
     canonical range — one vector range check per long length present.
     """
     sorted_syms, _, first_code, first_rank, counts = canonical
-    padded = np.concatenate((np.packbits(bits), np.zeros(8, dtype=np.uint8)))
-    words = np.lib.stride_tricks.sliding_window_view(padded, 8)[miss >> 3]
-    aligned = words.view(">u8").ravel().astype(np.uint64) << (miss & 7).astype(np.uint64)
-    room = bits.size - miss
+    at = miss + start
+    windows = np.lib.stride_tricks.sliding_window_view(buf, 8)
+    aligned = windows[at >> 3].view(">u8").ravel().astype(np.uint64) << (at & 7).astype(np.uint64)
+    room = nbits - miss
     length = np.zeros(miss.size, dtype=np.uint8)
     symbol = np.zeros(miss.size, dtype=np.int64)
     for L in np.flatnonzero(counts[_TABLE_BITS + 1 :]) + _TABLE_BITS + 1:

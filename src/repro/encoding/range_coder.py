@@ -179,6 +179,8 @@ def range_encode(symbols: np.ndarray, alphabet_size: int | None = None) -> tuple
 
 def range_decode(payload: bytes, frequencies: np.ndarray, count: int) -> np.ndarray:
     """Inverse of :func:`range_encode`."""
+    if count < 0:
+        raise ValueError(f"symbol count must be non-negative, got {count}")
     if count == 0:
         return np.zeros(0, dtype=np.int64)
     return RangeDecoder(frequencies, payload).decode(count)

@@ -179,7 +179,7 @@ def huffman_decode_reference(codec, reader: BitReader, count: int) -> np.ndarray
     max_len = min(int(lengths[present].max()), _TABLE_BITS)
 
     sym_table, len_table = codec._tables()
-    bits = reader._bits[reader._pos :]
+    bits = np.unpackbits(reader._buf, count=reader._nbits)[reader._pos :]
     nbits = bits.size
     padded = np.concatenate((bits.astype(np.int64), np.zeros(max_len, dtype=np.int64)))
     vals = np.zeros(nbits + 1, dtype=np.int64)

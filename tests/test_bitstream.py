@@ -181,6 +181,61 @@ class TestBitReader:
         assert r.read_uint_array(0, 8).size == 0
         assert r.read_uint_array(5, 0).size == 5
 
+    @pytest.mark.parametrize(
+        "read, named",
+        [
+            (lambda r: r.read_bits(65), "65"),
+            (lambda r: r.read_bits(70), "70"),
+            (lambda r: r.read_bits(-1), "-1"),
+            (lambda r: r.read_uint_array(1, 70), "70"),
+            (lambda r: r.read_uint_array(0, 65), "65"),
+            (lambda r: r.read_uint_array(-1, 4), "-1"),
+            (lambda r: r.read_uint_array(-1, 0), "-1"),
+            (lambda r: r.read_bit_array(-3), "-3"),
+        ],
+    )
+    def test_rejects_reads_it_cannot_honour(self, read, named):
+        """A width past 64 or a negative count is a ``ValueError`` naming
+        it, before anything is read (the old reader returned 2**64 - 1
+        for ``read_bits(70)``, 7 values and position -4 for
+        ``read_uint_array(-1, 4)``, 29 bools for ``read_bit_array(-3)``)."""
+        r = BitReader(bytes(range(200, 240)))
+        r.read_bits(3)
+        with pytest.raises(ValueError, match=f"got {named}$"):
+            read(r)
+        assert (r.position, r.remaining) == (3, 317)
+
+    def test_elias_gamma_past_64_bits_raises(self):
+        """A unary prefix of 65 zeros announces a 65-bit field after it;
+        the width check rejects that read (the old reader returned a
+        wrong value)."""
+        r = BitReader(np.concatenate((np.zeros(65, dtype=bool), np.ones(80, dtype=bool))))
+        with pytest.raises(ValueError, match="got 65$"):
+            r.read_elias_gamma()
+
+    @pytest.mark.parametrize("zeros", [0, 5, 8, 63, 64, 71, 72, 73, 80, 500, 4000])
+    def test_unary_over_any_zero_run(self, zeros):
+        """The byte walk and its vector fallback for long runs agree."""
+        for phase in (0, 3, 7):
+            w = BitWriter()
+            w.write_bits(1, phase)
+            w.write_unary(zeros)
+            w.write_unary(2)
+            r = BitReader(w.getvalue())
+            r.read_bits(phase)
+            assert r.read_unary() == zeros
+            assert r.read_unary() == 2
+            assert r.position == phase + zeros + 4
+
+    def test_unary_with_nothing_left_is_eof(self):
+        for data in (b"", b"\x80", np.ones(3, dtype=bool)):
+            r = BitReader(data)
+            r.read_bit_array(r.remaining)
+            with pytest.raises(EOFError):
+                r.read_unary()
+            with pytest.raises(EOFError):
+                r.read_elias_gamma()
+
 
 class TestEliasGamma:
     @pytest.mark.parametrize("value", [1, 2, 3, 4, 7, 8, 255, 256, 10**6])

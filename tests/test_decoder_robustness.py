@@ -174,6 +174,35 @@ class TestDamagedSz3Codebook:
         self._assert_rejected(payloads, edit)
 
 
+class TestNegativeCounts:
+    """A negative count in the metadata fails at the read it sizes, with
+    a ``ValueError`` naming the count — not by accident further on (an
+    empty codebook, a symbol outside the alphabet, numpy's "negative
+    dimensions"), as when the reader accepted negative counts."""
+
+    @pytest.mark.parametrize(
+        "name, codec_args, field",
+        [
+            ("sz3", {}, "n_outliers"),
+            ("sz3", {}, "n_anchors"),
+            ("sz3", {}, "n_codes"),
+            ("sz3", {"predictor": "lorenzo"}, "n_outliers"),
+            ("sz3", {"predictor": "lorenzo"}, "n_codes"),
+            ("sz3", {"entropy": "range"}, "n_codes"),
+            ("szx", {}, "nblocks"),
+        ],
+    )
+    @pytest.mark.parametrize("value", [-1, -7])
+    def test_negative_count_is_named(self, payloads, name, codec_args, field, value):
+        x, _ = payloads[name]
+        codec = get_compressor(name, **codec_args)
+        res = codec.compress(x, 1e-3)
+        codec.decompress(res)  # the untampered stream decodes
+        broken = dataclasses.replace(res, metadata={**res.metadata, field: value})
+        with pytest.raises(ValueError, match=f"non-negative, got {value}$"):
+            codec.decompress(broken)
+
+
 class TestDeterminism:
     @pytest.mark.parametrize("name", ALL)
     def test_compression_is_deterministic(self, payloads, name):

@@ -414,8 +414,12 @@ class TestRewrittenKernelsMatchParentBodies:
     def test_window_values(self, property_rng):
         for nbits in range(41):
             bits = property_rng.integers(0, 2, size=nbits).astype(bool)
+            # packed as a reader holds them, then junk after the stream:
+            # set bits in the last byte's tail and a whole extra byte
+            packed = np.packbits(np.concatenate((bits, np.ones(8 - nbits % 8, dtype=bool))))
+            packed = np.append(packed, np.uint8(0xFF))
             for width in range(1, 17):
-                got = window_values(bits, width)
+                got = window_values(packed, nbits, width)
                 want = _window_values_parent(bits, width)
                 assert got.shape == want.shape
                 np.testing.assert_array_equal(got, want, err_msg=f"{nbits} bits, width {width}")
