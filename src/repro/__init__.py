@@ -21,8 +21,8 @@ Main entry points:
   quickstart, the README and the examples use, so
   ``from repro import Carol`` works;
 - :mod:`repro.serve` — the serving layer (:class:`Service`,
-  :class:`ServiceOptions`, :class:`ModelRegistry`): batched, cached,
-  optionally multi-process prediction over a fitted framework;
+  :class:`ServiceOptions`, :class:`ModelRegistry`): batched, cached
+  prediction over a fitted framework;
 - :mod:`repro.load` — the traffic layer (:class:`Gateway`,
   :class:`GatewayOptions`): asyncio admission control + request
   coalescing over a service;

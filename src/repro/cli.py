@@ -374,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--safety", type=float, default=0.0,
                    help="prediction bias toward overshooting each chunk's ratio")
     p.add_argument("--workers", type=int, default=0,
-                   help="worker processes per wave (0 = in-process)")
+                   help="worker processes compressing each wave (0 = in-process)")
     p.add_argument("--wave-size", type=int, default=None,
                    help="chunks per closed-loop re-target wave "
                         f"(default: 1 without workers, {DEFAULT_WAVE_SIZE} with)")

@@ -1,4 +1,4 @@
-"""repro.serve — the serving layer: batched, cached, multi-worker inference.
+"""repro.serve — the serving layer: batched, cached inference.
 
 Turns a fitted framework into a service shaped for the paper's
 production use cases (repeated fixed-ratio requests over recurring
@@ -10,8 +10,9 @@ fields):
 - :class:`LRUCache` (+ :func:`digest_array`) — feature cache addressed
   by a digest of the extractor's sample, with always-on
   hit/miss/eviction stats (:class:`CacheStats`);
-- :class:`WorkerPool` — bounded process-pool backend with per-task
-  timeouts and graceful in-process fallback;
+- :class:`WorkerPool` — bounded process pool with per-task timeouts
+  and graceful in-process fallback, which the store uses to fan out
+  compression and decode (features are extracted in the caller);
 - :class:`ModelRegistry` — names -> saved ``.npz`` frameworks, lazily
   loaded and hot-reloaded on file change.
 

@@ -1,9 +1,8 @@
 """Process-pool worker backend for the serving layer.
 
-Fans CPU-bound work — multi-field feature extraction, a store wave's
-compressions, chunk decodes — out over worker processes, with the
-failure semantics a service needs and a bare ``ProcessPoolExecutor``
-doesn't give:
+Fans CPU-bound work — a store wave's compressions, chunk decodes — out
+over worker processes, with the failure semantics a service needs and a
+bare ``ProcessPoolExecutor`` doesn't give:
 
 - **bounded queue** — at most ``max_pending`` tasks are in flight; a
   large batch is fed through in windows instead of being dumped on the
@@ -19,9 +18,8 @@ doesn't give:
   (``worker_seconds``) and how long callers were blocked on it
   (``wait_seconds``); the difference is what the pool costs.
 
-Tasks must be module-level callables with picklable arguments.
-``n_workers=0`` degrades to pure in-process execution so callers keep a
-single code path.
+Tasks must be module-level callables with picklable arguments. A pool
+has at least one worker; a caller with nothing to fan out builds none.
 """
 
 from __future__ import annotations
@@ -91,14 +89,13 @@ class PoolTask:
     real cost of each pending result).
     """
 
-    __slots__ = ("_pool", "_fn", "_args", "_future", "_fallback")
+    __slots__ = ("_pool", "_fn", "_args", "_future")
 
-    def __init__(self, pool: "WorkerPool", fn, args, future, *, fallback: bool = False) -> None:
+    def __init__(self, pool: "WorkerPool", fn, args, future) -> None:
         self._pool = pool
         self._fn = fn
         self._args = args
-        self._future = future
-        self._fallback = fallback
+        self._future = future  # None: deferred by a submit-time fallback
 
     def result(self, timeout: float | None = None):
         """The task's result, waiting if needed (``timeout`` overrides
@@ -109,7 +106,7 @@ class PoolTask:
         start = perf_counter()
         try:
             if self._future is None:
-                return pool._run_inline(self._fn, self._args, fallback=self._fallback)
+                return pool._run_inline(self._fn, self._args, fallback=True)
             return pool._collect(
                 self._future, self._fn, self._args,
                 pool.timeout if timeout is None else timeout,
@@ -119,8 +116,8 @@ class PoolTask:
 
     def done(self) -> bool:
         """Whether :meth:`result` would return without blocking.
-        Deferred in-process tasks (``n_workers=0`` or submit-time
-        fallback) are always ready — they run at collection time."""
+        A task deferred by a submit-time fallback is always ready — it
+        runs in-process at collection time."""
         return self._future is None or self._future.done()
 
     def cancel(self) -> None:
@@ -140,8 +137,8 @@ class WorkerPool:
         max_pending: int = 32,
         timeout: float | None = 30.0,
     ) -> None:
-        if n_workers < 0:
-            raise ValueError("n_workers must be >= 0")
+        if n_workers < 1:
+            raise ValueError("n_workers must be >= 1")
         if max_pending < 1:
             raise ValueError("max_pending must be >= 1")
         self.n_workers = int(n_workers)
@@ -243,7 +240,7 @@ class WorkerPool:
         self._submitted += len(tasks)
         start = perf_counter()
         try:
-            if self.n_workers == 0 or len(tasks) <= 1:
+            if len(tasks) <= 1:
                 return [self._run_inline(fn, args, fallback=False) for args in tasks]
             return self._map_windows(
                 fn, tasks, self.timeout if timeout is None else timeout
@@ -268,26 +265,20 @@ class WorkerPool:
                 results[i] = self._collect(future, fn, tasks[i], timeout)
         return results
 
-    def run(self, fn, *args) -> object:
-        """Run one task (same semantics as :meth:`map_ordered`)."""
-        return self.map_ordered(fn, [tuple(args)])[0]
-
     def submit(self, fn, *args) -> PoolTask:
         """Start one task without waiting; returns a :class:`PoolTask`.
 
         The asynchronous leg of the pool API: ``map_ordered`` blocks
         until a whole batch is done, ``submit`` lets a producer overlap
         later tasks with consumption of earlier results (the streaming
-        read pipeline). With ``n_workers=0`` the task is deferred and
-        runs in-process at :meth:`PoolTask.result` time, so callers keep
-        one code path. The caller bounds its own in-flight set.
+        read pipeline). If the executor is broken at submit time the task
+        is deferred and runs in-process at :meth:`PoolTask.result` time.
+        The caller bounds its own in-flight set.
         """
         self._submitted += 1
-        if self.n_workers == 0:
-            return PoolTask(self, fn, args, None)
         try:
             future = self._ensure_executor().submit(_timed, fn, *args)
         except BrokenProcessPool:
             self._recycle_executor()
-            return PoolTask(self, fn, args, None, fallback=True)
+            return PoolTask(self, fn, args, None)
         return PoolTask(self, fn, args, future)

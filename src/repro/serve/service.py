@@ -1,4 +1,4 @@
-"""PredictionService: batched, cached, multi-worker serving front-end.
+"""PredictionService: batched, cached serving front-end.
 
 Wraps any fitted :class:`~repro.core.framework.RatioControlledFramework`
 and turns the one-shot ``predict_error_bound`` call into a serving path
@@ -17,11 +17,11 @@ shaped for repeated traffic:
   features once per *distinct* field in the batch and runs model
   inference on one stacked design matrix; error bounds are
   bitwise-identical to sequential :meth:`~PredictionService.predict`
-  calls (see :meth:`ErrorBoundModel.predict_error_bound_batch`);
-- **worker fan-out** — with ``workers > 0``, uncached multi-field
-  extraction runs on a :class:`~repro.serve.pool.WorkerPool` with
-  bounded queues, per-task timeouts, and in-process fallback when
-  workers die.
+  calls (see :meth:`ErrorBoundModel.predict_error_bound_batch`).
+
+Features are extracted in the caller's process. Extraction reads only
+the sample, so shipping the whole field to a worker process costs more
+than the extraction it would offload.
 
 The service resolves its framework through a
 :class:`~repro.serve.registry.ModelRegistry` when built with
@@ -38,11 +38,8 @@ import numpy as np
 from repro.core.carol import CarolFramework
 from repro.core.framework import BatchPrediction, Prediction
 from repro.core.fxrz import FxrzFramework
-from repro.features.parallel import extract_features_parallel
-from repro.features.serial import extract_features_serial
 from repro.obs import timed_span
 from repro.serve.cache import CacheStats, LRUCache, digest_array
-from repro.serve.pool import PoolStats, WorkerPool
 from repro.serve.registry import ModelRegistry
 from repro.utils.validation import as_float_array
 
@@ -51,14 +48,14 @@ from repro.utils.validation import as_float_array
 class ServiceOptions:
     """Frozen, hashable serving configuration.
 
-    ``workers=0`` keeps everything in-process; ``cache_entries=0``
-    disables the feature cache.
+    ``cache_entries=0`` disables the feature cache.
     """
 
     cache_entries: int = 256
-    workers: int = 0
-    max_pending: int = 32
-    timeout_seconds: float = 30.0
+
+    def __post_init__(self) -> None:
+        if self.cache_entries < 0:
+            raise ValueError("cache_entries must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -75,29 +72,19 @@ class ServiceStats:
     requests: int
     batches: int
     cache: CacheStats
-    pool: PoolStats
 
     def as_dict(self) -> dict:
         return {
             "requests": self.requests,
             "batches": self.batches,
             "cache": self.cache.as_dict(),
-            "pool": self.pool.as_dict(),
         }
 
 
-def _extract_task(kind: str, stride: int | None, data: np.ndarray) -> np.ndarray:
-    """Worker-side feature extraction (module-level for pickling)."""
-    if kind == "fxrz":
-        return extract_features_serial(data, stride=stride)[0]
-    return extract_features_parallel(data)[0]
-
-
-def worker_extract_spec(framework) -> tuple[str, int | None] | None:
-    """Picklable extractor description for ``_extract_task``, or None if
-    only the framework instance itself can extract (unknown subclass —
-    callers should stay in-process). Shared by the service's batched
-    prediction path and the store's wave packer."""
+def _extractor_identity(framework) -> tuple[str, int | None] | None:
+    """The extractor part of a cache key: which known extractor (and, for
+    FXRZ, which stride) computes ``framework``'s features, or None for an
+    unknown subclass, whose features only its own instance can vouch for."""
     if type(framework) is FxrzFramework:
         return ("fxrz", framework.feature_stride)
     if type(framework) is CarolFramework:
@@ -113,9 +100,9 @@ def _feature_key(framework, arr: np.ndarray) -> tuple:
     are trusted to be pure functions of ``feature_sample`` — a subclass may
     override extraction alone — so anything else hashes the whole array.
     """
-    spec = worker_extract_spec(framework)
-    sample = arr if spec is None else framework.feature_sample(arr)
-    return (spec or type(framework), digest_array(sample))
+    identity = _extractor_identity(framework)
+    sample = arr if identity is None else framework.feature_sample(arr)
+    return (identity or type(framework), digest_array(sample))
 
 
 class PredictionService:
@@ -129,11 +116,6 @@ class PredictionService:
         self._registry: ModelRegistry | None = None
         self._model_name: str | None = None
         self.cache = LRUCache(self.options.cache_entries)
-        self.pool = WorkerPool(
-            self.options.workers,
-            max_pending=self.options.max_pending,
-            timeout=self.options.timeout_seconds,
-        )
         self.n_requests = 0
         self.n_batches = 0
 
@@ -197,14 +179,7 @@ class PredictionService:
                 by_key[key] = feats
         if not missing:
             return by_key
-        spec = worker_extract_spec(framework)
-        if self.options.workers > 0 and len(missing) > 1 and spec is not None:
-            kind, stride = spec
-            rows = self.pool.map_ordered(
-                _extract_task, [(kind, stride, arr) for _, arr in missing]
-            )
-        else:
-            rows = list(framework.extract_features_many([arr for _, arr in missing]))
+        rows = framework.extract_features_many([arr for _, arr in missing])
         for (key, _), feats in zip(missing, rows):
             feats = np.asarray(feats, dtype=np.float64)
             by_key[key] = feats
@@ -226,9 +201,8 @@ class PredictionService:
     def predict_batch(self, requests, *, safety: float = 0.0) -> list[Prediction]:
         """Serve ``[(field, target_ratio), ...]`` as one batch.
 
-        Feature extraction runs once per distinct sample (cache-aware,
-        worker fan-out when enabled) and model inference runs on one
-        stacked feature matrix.
+        Feature extraction runs once per distinct sample (cache-aware)
+        and model inference runs on one stacked feature matrix.
         """
         framework = self.framework
         pairs = [(self._as_array(d), float(r)) for d, r in requests]
@@ -271,11 +245,10 @@ class PredictionService:
             requests=self.n_requests,
             batches=self.n_batches,
             cache=self.cache.stats,
-            pool=self.pool.stats,
         )
 
     def close(self) -> None:
-        self.pool.shutdown()
+        """Nothing to release; kept so a service is a context manager."""
 
     def __enter__(self) -> "PredictionService":
         return self

@@ -36,12 +36,12 @@ worker-pool decode injected into every reader it opens::
         sub = cat.read("climate/temp", (slice(0, 8), slice(None), slice(None)))
 
 Packing parallelizes without changing a single byte:
-``StoreOptions(workers=N)`` fans each wave's feature extraction and
-compression across a :class:`repro.serve.WorkerPool`, and because
-budget re-targets happen only at wave boundaries (``wave_size`` chunks,
-default 8 with workers, 1 without) the output file is byte-identical
-for every worker count — ``wave_size=1`` is the classic serial loop
-bit-for-bit.
+``StoreOptions(workers=N)`` fans each wave's compression across a
+:class:`repro.serve.WorkerPool` (features are extracted in the caller's
+process), and because budget re-targets happen only at wave boundaries
+(``wave_size`` chunks, default 8 with workers, 1 without) the output
+file is byte-identical for every worker count — ``wave_size=1`` is the
+classic serial loop bit-for-bit.
 """
 
 from repro.store.catalog import CatalogOptions, CatalogStats, StoreCatalog

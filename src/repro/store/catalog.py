@@ -132,6 +132,8 @@ class CatalogOptions:
             raise ValueError("workers must be >= 0")
         if self.max_pending < 1:
             raise ValueError("max_pending must be >= 1")
+        if self.timeout_seconds <= 0:
+            raise ValueError("timeout_seconds must be > 0")
         if self.prefetch_depth < 0:
             raise ValueError("prefetch_depth must be >= 0")
         if self.prefetch_min_run < 2:

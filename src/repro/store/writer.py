@@ -18,13 +18,14 @@ per-chunk-prediction baseline the closed loop is measured against.
 **Wave parallelism.** The pack loop is organized into deterministic
 waves of ``wave_size`` chunks (flat chunk-id order). All chunks in a
 wave share one re-target computed from the budget state at the wave
-boundary; their feature extraction and compression fan out across a
-:class:`repro.serve.WorkerPool` (``workers > 0``) and the payloads are
-committed to the file strictly in chunk-id order. Because the re-target
-sequence depends only on ``wave_size`` — never on ``workers`` — the
-output file is **byte-identical for every worker count**, including the
-in-process ``workers=0`` path. ``wave_size=1`` degenerates to the
-original serial chunk-at-a-time loop bit-for-bit.
+boundary; their features are extracted in the caller's process, their
+compression fans out across a :class:`repro.serve.WorkerPool`
+(``workers > 0``), and the payloads are committed to the file strictly
+in chunk-id order. Because the re-target sequence depends only on
+``wave_size`` — never on ``workers`` — the output file is
+**byte-identical for every worker count**, including the in-process
+``workers=0`` path. ``wave_size=1`` degenerates to the original serial
+chunk-at-a-time loop bit-for-bit.
 
 Every ``(features, error bound, achieved ratio, target)`` outcome can be
 fed to a :class:`repro.core.feedback.FeedbackLoop` (``feedback=``): a
@@ -45,7 +46,6 @@ from repro.control.policy import ControlOptions, ControlStats, Tier
 from repro.core.framework import Prediction
 from repro.obs import timed_span
 from repro.serve.pool import PoolStats, WorkerPool
-from repro.serve.service import _extract_task, worker_extract_spec
 from repro.store.chunking import DEFAULT_CHUNK_ELEMENTS, ChunkGrid
 from repro.store.format import chunk_checksum, json_safe, write_header, write_manifest
 from repro.utils.validation import as_float_array
@@ -66,8 +66,10 @@ class StoreOptions:
     mispredicted chunk from driving the next target somewhere the model
     was never trained.
 
-    ``workers`` fans each wave's feature extraction and compression out
-    over a process pool (0 keeps everything in-process). ``wave_size``
+    ``workers`` fans each wave's compression out over a process pool (0
+    keeps everything in-process); features are always extracted in the
+    caller's process. ``timeout_seconds`` (> 0) is the per-task limit on
+    the pool before a task re-runs in-process. ``wave_size``
     sets how many chunks share one closed-loop re-target; ``None`` means
     1 without workers (the classic serial loop) and
     :data:`DEFAULT_WAVE_SIZE` with them. The packed bytes depend on
@@ -109,6 +111,8 @@ class StoreOptions:
             raise ValueError("workers must be >= 0")
         if self.wave_size is not None and self.wave_size < 1:
             raise ValueError("wave_size must be >= 1")
+        if self.timeout_seconds <= 0:
+            raise ValueError("timeout_seconds must be > 0")
 
     @property
     def resolved_wave_size(self) -> int:
@@ -260,7 +264,7 @@ class StoreWriter:
 
     # -- prediction --------------------------------------------------------------
 
-    def _predict_wave(self, arrays: list[np.ndarray], target: float, pool) -> list[Prediction]:
+    def _predict_wave(self, arrays: list[np.ndarray], target: float) -> list[Prediction]:
         """Error-bound predictions for one wave, in chunk order.
 
         Single-chunk waves follow the same batched code path — the
@@ -269,26 +273,15 @@ class StoreWriter:
         """
         opts = self.options
         if self._service is not None:
-            # The service batches, caches, and (optionally) fans out with
-            # its own pool; results are bitwise-identical to service.predict.
+            # The service batches and caches; results are bitwise-identical
+            # to service.predict.
             return list(
                 self._service.predict_batch(
                     [(arr, target) for arr in arrays], safety=opts.safety
                 )
             )
         framework = self._framework
-        if pool is not None and len(arrays) > 1:
-            spec = worker_extract_spec(framework)
-            if spec is not None:
-                kind, stride = spec
-                rows = pool.map_ordered(
-                    _extract_task, [(kind, stride, arr) for arr in arrays]
-                )
-                F = np.stack([np.asarray(r, dtype=np.float64) for r in rows])
-            else:
-                F = framework.extract_features_many(arrays)
-        else:
-            F = framework.extract_features_many(arrays)
+        F = framework.extract_features_many(arrays)
         ratios = np.full(len(arrays), float(target))
         ebs = framework.model.predict_error_bound_batch(F, ratios, safety=opts.safety)
         return [
@@ -419,7 +412,7 @@ class StoreWriter:
                                     for a in arrays
                                 ]
                             else:
-                                preds = self._predict_wave(arrays, wave_target, pool)
+                                preds = self._predict_wave(arrays, wave_target)
                                 if controller is not None:
                                     for i, (a, p) in enumerate(zip(arrays, preds)):
                                         controller.record_std(p.std)

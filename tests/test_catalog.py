@@ -372,6 +372,13 @@ class TestCatalogOptions:
         with pytest.raises(ValueError):
             CatalogOptions(workers=-1)
 
+    @pytest.mark.parametrize("timeout", (0, 0.0, -1.0))
+    def test_non_positive_timeout_rejected(self, timeout):
+        # a pooled read would otherwise count every task as a timeout
+        # and silently re-run it in-process
+        with pytest.raises(ValueError, match="timeout_seconds"):
+            CatalogOptions(timeout_seconds=timeout)
+
 
 class TestStatsAndApi:
     def test_stats_shape(self, store_root):

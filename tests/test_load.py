@@ -249,4 +249,4 @@ class TestGatewayStats:
             stats.requests = 0
         d = stats.as_dict()
         assert d["requests"] == 1 and d["cache"]["misses"] == 1
-        assert set(d) == {"requests", "batches", "cache", "pool"}
+        assert set(d) == {"requests", "batches", "cache"}

@@ -321,17 +321,25 @@ class TestIssuance:
                 )
             drain_hints(cat)
 
-    def test_pool_task_done(self, store_root):
+    def test_pool_task_done(self, store_root, monkeypatch):
+        from concurrent.futures.process import BrokenProcessPool
+
         from repro.serve.pool import WorkerPool
 
-        with WorkerPool(0) as pool:
-            task = pool.submit(int, "7")
-            assert task.done()  # deferred in-process tasks are always ready
-            assert task.result() == 7
         with WorkerPool(1) as pool:
             task = pool.submit(int, "7")
             assert task.result() == 7
             assert task.done()
+
+            def _broken():
+                raise BrokenProcessPool("executor gone")
+
+            monkeypatch.setattr(pool, "_ensure_executor", _broken)
+            task = pool.submit(int, "7")
+            assert task.done()  # a submit-time fallback is deferred, always ready
+            assert task.result() == 7  # run in the caller, counted once
+            assert pool.stats.submitted == pool.stats.completed == 2
+            assert pool.stats.fallbacks == 1
 
     def test_reregistration_forgets_history(self, store_root, tmp_path):
         root, fields = store_root

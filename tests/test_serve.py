@@ -210,12 +210,6 @@ def _die_or_sleep(main_pid, delay):
 
 
 class TestWorkerPool:
-    def test_in_process_mode(self):
-        pool = WorkerPool(0)
-        assert pool.map_ordered(_square, [(i,) for i in range(5)]) == [0, 1, 4, 9, 16]
-        assert pool.stats.completed == 5
-        assert pool.stats.fallbacks == 0
-
     def test_order_preserved_across_workers(self):
         with WorkerPool(2, max_pending=3) as pool:
             out = pool.map_ordered(_square, [(i,) for i in range(8)])
@@ -223,8 +217,10 @@ class TestWorkerPool:
 
     def test_single_task_runs_inline(self):
         pool = WorkerPool(2)
-        assert pool.run(_square, 7) == 49
+        assert pool.map_ordered(_square, [(7,)]) == [49]
+        assert pool.map_ordered(_square, []) == []
         assert pool._executor is None  # no worker was ever spawned
+        assert pool.stats.completed == 1 and pool.stats.fallbacks == 0
 
     def test_timeout_falls_back_in_process(self):
         with WorkerPool(2, timeout=0.2) as pool:
@@ -247,8 +243,9 @@ class TestWorkerPool:
                 pool.map_ordered(_square, [(1,), ("nope", 2)])
 
     def test_invalid_config_rejected(self):
-        with pytest.raises(ValueError):
-            WorkerPool(-1)
+        for n_workers in (-1, 0):
+            with pytest.raises(ValueError, match="n_workers"):
+                WorkerPool(n_workers)
         with pytest.raises(ValueError):
             WorkerPool(1, max_pending=0)
 
@@ -256,11 +253,6 @@ class TestWorkerPool:
         with WorkerPool(2, max_pending=3) as pool:
             out = pool.map_ordered(_square, [(i,) for i in range(8)])
         assert out == [i * i for i in range(8)]
-
-    def test_map_ordered_in_process(self):
-        pool = WorkerPool(0)
-        assert pool.map_ordered(_square, [(i,) for i in range(4)]) == [0, 1, 4, 9]
-        assert pool.stats.completed == 4
 
     def test_map_ordered_timeout_override(self):
         """A per-call timeout overrides the pool default; the slow task
@@ -299,18 +291,18 @@ class TestWorkerPool:
         assert stats.worker_seconds >= 0.02
         assert stats.wait_seconds >= stats.worker_seconds / pool.n_workers
 
-    @pytest.mark.parametrize("n_workers", (0, 2))
-    def test_in_process_run_is_counted_once(self, n_workers):
-        """A task that ends up in the caller — no workers at all, or its
-        worker died — is timed there, once: the caller's wait encloses
-        it, so it can never exceed the wait."""
-        with WorkerPool(n_workers) as pool:
-            out = pool.map_ordered(_die_or_sleep, [(os.getpid(), 0.02)] * 3)
+    @pytest.mark.parametrize("n_tasks", (1, 2))
+    def test_in_process_run_is_counted_once(self, n_tasks):
+        """A task that ends up in the caller — a lone task run inline, or
+        one whose worker died — is timed there, once: the caller's wait
+        encloses it, so it can never exceed the wait."""
+        with WorkerPool(2) as pool:
+            out = pool.map_ordered(_die_or_sleep, [(os.getpid(), 0.02)] * n_tasks)
             stats = pool.stats
-        assert out == [0.02] * 3
-        assert stats.completed == 3
-        assert (stats.fallbacks > 0) == (n_workers > 0)
-        assert 3 * 0.02 <= stats.worker_seconds <= stats.wait_seconds
+        assert out == [0.02] * n_tasks
+        assert stats.completed == n_tasks
+        assert (stats.fallbacks > 0) == (n_tasks > 1)
+        assert n_tasks * 0.02 <= stats.worker_seconds <= stats.wait_seconds
 
 
 class TestModelRegistry:
@@ -394,9 +386,11 @@ class TestPredictionService:
         sequential = [
             fitted.predict_error_bound(d, r).error_bound for d, r in requests
         ]
-        with Service(fitted) as svc:
-            batched = svc.predict_batch(requests)
-        assert [p.error_bound for p in batched] == sequential
+        # three distinct fields miss together: one stacked extraction
+        for cache_entries in (256, 8, 0):
+            with Service(fitted, options=ServiceOptions(cache_entries=cache_entries)) as svc:
+                batched = svc.predict_batch(requests)
+            assert [p.error_bound for p in batched] == sequential
 
     def test_batch_with_safety_identical(self, fitted, train_fields):
         requests = [(train_fields[0].data, r) for r in (4.0, 9.0, 17.0)]
@@ -437,20 +431,6 @@ class TestPredictionService:
             stats = svc.stats()
         assert stats.cache.misses == 1
         assert batch.error_bounds.tolist() == again.error_bounds.tolist()
-
-    def test_worker_backend_identical_results(self, fitted, train_fields):
-        requests = [(f.data, 6.0) for f in train_fields] + [
-            (train_fields[0].data, 12.0)
-        ]
-        sequential = [
-            fitted.predict_error_bound(d, r).error_bound for d, r in requests
-        ]
-        opts = ServiceOptions(cache_entries=8, workers=2, timeout_seconds=60.0)
-        with Service(fitted, options=opts) as svc:
-            batched = svc.predict_batch(requests)
-            stats = svc.stats()
-        assert [p.error_bound for p in batched] == sequential
-        assert stats.pool.fallbacks == 0
 
     def test_fxrz_service(self, train_fields):
         fw = Fxrz(compressor="szx", rel_error_bounds=REL, n_iter=2, cv=2)
@@ -596,11 +576,11 @@ class TestSampleAddressedCache:
 
 class TestServiceOptions:
     def test_frozen_and_hashable(self):
-        opts = ServiceOptions(cache_entries=16, workers=1)
-        assert opts == ServiceOptions(cache_entries=16, workers=1)
-        assert hash(opts) == hash(ServiceOptions(cache_entries=16, workers=1))
+        opts = ServiceOptions(cache_entries=16)
+        assert opts == ServiceOptions(cache_entries=16)
+        assert hash(opts) == hash(ServiceOptions(cache_entries=16))
         with pytest.raises(Exception):
-            opts.workers = 2
+            opts.cache_entries = 2
 
     def test_build(self, fitted):
         with PredictionService(fitted, options=ServiceOptions(cache_entries=4)) as svc:
@@ -609,6 +589,10 @@ class TestServiceOptions:
     def test_keyword_only(self):
         with pytest.raises(TypeError):
             ServiceOptions(4)
+
+    def test_negative_cache_entries_rejected_at_construction(self):
+        with pytest.raises(ValueError, match="cache_entries"):
+            ServiceOptions(cache_entries=-1)
 
 
 class TestServiceFromRegistry:

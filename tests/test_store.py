@@ -340,8 +340,9 @@ class TestParallelPacking:
         report = self._pack(fitted, field, tmp_path / "r.rps", workers=2, wave_size=8)
         assert report.n_waves == -(-report.n_chunks // 8)
         assert "waves" in report.summary()
-        # the pool actually saw work (completed includes in-process fallbacks)
-        assert report.pool_stats.submitted > 0
+        # the pool sees compressions only: one task per chunk, features
+        # never leave the caller (completed includes in-process fallbacks)
+        assert report.pool_stats.submitted == report.n_chunks
         assert report.pool_stats.completed == report.pool_stats.submitted
 
     def test_serial_pack_reports_no_pool(self, packed):
@@ -373,6 +374,13 @@ class TestParallelPacking:
             StoreOptions(workers=-1)
         with pytest.raises(ValueError, match="wave_size"):
             StoreOptions(wave_size=0)
+
+    @pytest.mark.parametrize("timeout", (0, 0.0, -1.0))
+    def test_non_positive_timeout_rejected(self, timeout):
+        # a pooled pack would otherwise count every task as a timeout and
+        # silently re-run it in-process
+        with pytest.raises(ValueError, match="timeout_seconds"):
+            StoreOptions(timeout_seconds=timeout)
 
     def test_wave_metrics_emitted(self, fitted, field, tmp_path):
         with obs.capture() as rec:

@@ -7,11 +7,15 @@ is followed through the package's re-exports to the module that defines
 ``name``, so a package ``__init__`` makes nothing reachable by listing it;
 only a package imported as a module object (``from repro import obs``)
 counts its ``__init__`` as a caller of what that imports.
+
+The same goes for knobs: every field of every ``*Options`` class on
+``repro.api`` is pinned below, so adding one is a visible edit.
 """
 
 from __future__ import annotations
 
 import ast
+import dataclasses
 import functools
 import os
 import re
@@ -187,6 +191,42 @@ def test_obs_is_the_span_api_and_the_metric_mirror_stays_gone():
         f"a string-keyed metric mirror is back: {offenders} — count it in the "
         "owner's typed stats, or put it on the span that times the call"
     )
+
+
+#: Every knob a caller can set, per ``*Options`` class ``repro.api``
+#: exports. A knob pays rent in a ledger row or a stated guarantee; one
+#: that stops paying leaves, and this table shrinks with it.
+OPTION_FIELDS = {
+    "ServiceOptions": {"cache_entries"},
+    "GatewayOptions": {"max_batch", "max_wait_ms", "max_pending", "safety"},
+    "StoreOptions": {
+        "chunk_shape", "chunk_elements", "closed_loop", "safety",
+        "min_chunk_ratio", "max_chunk_ratio", "workers", "wave_size",
+        "timeout_seconds", "control",
+    },
+    "CatalogOptions": {
+        "cache_bytes", "workers", "max_pending", "timeout_seconds", "verify",
+        "prefetch_depth", "prefetch_min_run",
+    },
+    "ControlOptions": {
+        "t0_std", "t0_pressure", "t2_std", "t2_pressure", "risk_budget",
+        "refine_compressions", "refine_tolerance", "heuristic_points",
+        "std_window",
+    },
+}
+
+
+def test_every_options_knob_is_pinned():
+    import repro.api
+
+    exported = {name for name in repro.api.__all__ if name.endswith("Options")}
+    assert exported == set(OPTION_FIELDS), "pin the new *Options class's fields here"
+    for name, pinned in OPTION_FIELDS.items():
+        fields = {f.name for f in dataclasses.fields(getattr(repro.api, name))}
+        assert fields == pinned, (
+            f"{name}: added {sorted(fields - pinned)}, removed {sorted(pinned - fields)} "
+            "— edit OPTION_FIELDS with the change"
+        )
 
 
 def test_importing_repro_does_not_load_scipy_stats():
