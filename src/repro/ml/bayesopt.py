@@ -15,12 +15,12 @@ of Fig. 5a.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.special import ndtr
 
 from repro.ml.gp import GaussianProcess
 from repro.ml.space import SearchSpace
@@ -50,14 +50,12 @@ class BOResult:
 
 
 def _expected_improvement(mean: np.ndarray, std: np.ndarray, best: float) -> np.ndarray:
-    """EI of a Gaussian posterior over the incumbent ``best``.
-
-    The standard normal's cdf and pdf written out (``ndtr`` and
-    ``exp(-z²/2)/√(2π)``, bit for bit what ``scipy.stats.norm`` computes)
-    so that importing the package does not load ``scipy.stats``.
-    """
+    """EI of a Gaussian posterior over the incumbent ``best``; the standard
+    normal's cdf is ``½·erfc(−z/√2)``, one ``math.erfc`` call per candidate
+    (a pool is a few hundred), and its pdf ``exp(−z²/2)/√(2π)``."""
     z = (mean - best) / std
-    return (mean - best) * ndtr(z) + std * (np.exp(-(z**2) / 2.0) / np.sqrt(2 * np.pi))
+    cdf = np.array([0.5 * math.erfc(-v / math.sqrt(2.0)) for v in z.tolist()])
+    return (mean - best) * cdf + std * (np.exp(-(z**2) / 2.0) / np.sqrt(2 * np.pi))
 
 
 class BayesianOptimizer:
@@ -116,7 +114,12 @@ class BayesianOptimizer:
     def _suggest_ei(self) -> dict:
         X = np.vstack(self._X)
         y = np.array(self._y)
-        gp = GaussianProcess(random_state=0).fit(X, y)
+        # A non-finite score stays in the history but teaches the GP nothing.
+        finite = np.isfinite(y)
+        if not finite.any():
+            return self.space.sample(self._rng)
+        X, y = X[finite], y[finite]
+        gp = GaussianProcess().fit(X, y)
         best = y.max()
 
         d = self.space.dim
@@ -158,7 +161,9 @@ class BayesianOptimizer:
             )
             self.observe(params, score)
         y = np.array(self._y)
-        best_idx = int(np.argmax(y))
+        best_idx = int(np.argmax(np.where(np.isfinite(y), y, -np.inf)))
+        if not np.isfinite(y[best_idx]):
+            raise ValueError(f"all {y.size} objective scores are non-finite")
         best_params = self.space.decode(self._X[best_idx])
         return BOResult(
             best_params=best_params,

@@ -5,9 +5,28 @@ import math
 import numpy as np
 import pytest
 
+from repro.ml import gp as gp_module
 from repro.ml.bayesopt import BayesianOptimizer, _expected_improvement
 from repro.ml.gp import GaussianProcess, matern52
 from repro.ml.space import Choice, IntRange, SearchSpace
+
+# predict(..., return_std=True) of the 2-observation fit in
+# TestHyperparameterGrid, recorded from the L-BFGS-B implementation the
+# grid replaced
+TWO_POINT_MEAN = (
+    0.5401624437926067,
+    1.425812587748763,
+    0.678372296104663,
+    0.24230706713074324,
+    0.6182381553276316,
+)
+TWO_POINT_STD = (
+    0.8902697710802467,
+    0.2617696052775336,
+    0.7718024277323221,
+    0.8188054743269239,
+    0.8993285298088403,
+)
 
 
 class TestKernel:
@@ -60,10 +79,65 @@ class TestGP:
         pred = gp.predict(X)
         np.testing.assert_allclose(pred, 3.0, atol=1e-6)
 
+    def test_non_finite_targets_rejected(self):
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="non-finite y"):
+                GaussianProcess().fit(np.eye(3), np.array([1.0, bad, 0.0]))
+
+
+class TestHyperparameterGrid:
+    """With three or more observations ``fit`` takes the grid point of
+    lowest negative log marginal likelihood; below three it keeps the
+    constructor's hyper-parameters."""
+
+    @staticmethod
+    def _brute_force(X, y):
+        """One Cholesky per grid point, in a plain loop."""
+        yn = (y - y.mean()) / (y.std() or 1.0)
+        best, best_nll = None, np.inf
+        for ls in gp_module._LOG_LENGTHSCALE:
+            for sv in gp_module._LOG_SIGNAL:
+                for nv in gp_module._LOG_NOISE:
+                    K = np.exp(sv) * matern52(X, X, np.exp(ls))
+                    K += (np.exp(nv) + gp_module._JITTER) * np.eye(len(X))
+                    try:
+                        L = np.linalg.cholesky(K)
+                    except np.linalg.LinAlgError:
+                        continue
+                    z = np.linalg.solve(L, yn)
+                    nll = 0.5 * z @ z + np.log(np.diag(L)).sum()
+                    if nll < best_nll:
+                        best, best_nll = (np.exp(ls), np.exp(sv), np.exp(nv)), nll
+        return best
+
+    @pytest.mark.parametrize("n, d", [(3, 1), (5, 2), (9, 3), (16, 6)])
+    def test_choice_matches_brute_force(self, rng, n, d):
+        X = rng.random((n, d))
+        y = np.sin(5.0 * X.sum(axis=1)) + 0.1 * rng.standard_normal(n)
+        gp = GaussianProcess().fit(X, y)
+        assert (gp.lengthscale, gp.signal_var, gp.noise_var) == self._brute_force(X, y)
+
+    def test_duplicate_rows_and_constant_targets_fit(self, rng):
+        X = np.repeat(rng.random((3, 2)), 3, axis=0)
+        for y in (np.arange(9.0) % 3, np.full(9, -2.5)):
+            mean, std = GaussianProcess().fit(X, y).predict(X, return_std=True)
+            assert np.all(np.isfinite(mean)) and np.all(np.isfinite(std))
+
+    def test_two_observations_keep_the_defaults(self):
+        """Below three observations neither implementation searched; the
+        ledger's own fits take this path, so it must not move."""
+        X = np.array([[0.2, 0.7], [0.6, 0.1]])
+        Xs = np.array([[0.0, 0.0], [0.25, 0.65], [0.5, 0.5], [0.9, 0.3], [1.0, 1.0]])
+        gp = GaussianProcess().fit(X, np.array([1.5, -0.3]))
+        assert (gp.lengthscale, gp.signal_var, gp.noise_var) == (0.3, 1.0, 1e-4)
+        mean, std = gp.predict(Xs, return_std=True)
+        np.testing.assert_allclose(mean, TWO_POINT_MEAN, rtol=1e-12)
+        np.testing.assert_allclose(std, TWO_POINT_STD, rtol=1e-12)
+
 
 class TestExpectedImprovement:
-    """The acquisition writes the normal cdf / pdf out instead of loading
-    ``scipy.stats`` for them; pinned against the textbook closed form."""
+    """The acquisition writes the normal cdf / pdf out; pinned against the
+    textbook closed form."""
 
     def test_matches_closed_form(self):
         z = np.concatenate((np.linspace(-30.0, 30.0, 601), [0.0, -0.0, 1e-300, -1e-300]))
@@ -126,6 +200,26 @@ class TestBayesOpt:
         warm = BayesianOptimizer.from_checkpoint(simple_space, state, random_state=0)
         suggestion = warm.suggest()
         assert abs(suggestion["x"] - 80) <= 25
+
+    def test_non_finite_score_is_kept_out_of_the_model(self):
+        space = SearchSpace({"x": IntRange(0, 100)})
+        calls = []
+
+        def objective(params):
+            calls.append(params["x"])
+            return np.nan if len(calls) == 2 else -abs(params["x"] - 60) / 10.0
+
+        bo = BayesianOptimizer(space, n_initial=3, random_state=0)
+        res = bo.run(objective, n_iter=8)
+        scores = [h.score for h in res.history]
+        assert len(scores) == 8 and np.isnan(scores[1])
+        assert res.best_score == max(s for s in scores if np.isfinite(s))
+        assert res.best_params == {"x": calls[scores.index(res.best_score)]}
+
+    def test_all_scores_non_finite_raises(self, simple_space):
+        bo = BayesianOptimizer(simple_space, n_initial=2, random_state=0)
+        with pytest.raises(ValueError, match="non-finite"):
+            bo.run(lambda p: np.inf, n_iter=3)
 
     def test_observe_then_suggest(self, simple_space):
         bo = BayesianOptimizer(simple_space, n_initial=1, random_state=0)

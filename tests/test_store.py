@@ -262,6 +262,12 @@ class TestFeedbackWiring:
     def test_feedback_retrain_improves_next_pack(self, field, tmp_path):
         # Train only on the rough velocity fields; the smooth pressure field
         # is mispredicted until its own pack outcomes are folded back in.
+        # The targets lie inside what szx reaches on this field within the
+        # trained error bounds (about 3 to 6.8; a target past the top
+        # cannot improve), halfway between its ratio plateaus. More than
+        # one: the chunks of one pack tend to share one predicted bound, and
+        # a tree refitted on a single bound's outcomes predicts that bound
+        # again, whichever forest the search picked.
         train = [
             f for f in load_dataset("miranda", shape=CHUNK) if f.name.startswith("velocity")
         ]
@@ -269,11 +275,15 @@ class TestFeedbackWiring:
         fw.fit(train)
         opts = StoreOptions(chunk_shape=CHUNK, closed_loop=False)
         loop = FeedbackLoop(fw, refresh_every=10_000)
-        before = pack(tmp_path / "b.rps", field, fw, TARGET, options=opts, feedback=loop)
+        targets = (4.5, 5.5, 6.5)
+        before = [
+            pack(tmp_path / "b.rps", field, fw, t, options=opts, feedback=loop).budget_drift
+            for t in targets
+        ]
         loop.refresh()
         assert loop.refreshes == 1
-        after = pack(tmp_path / "a.rps", field, fw, TARGET, options=opts)
-        assert after.budget_drift < before.budget_drift
+        after = [pack(tmp_path / "a.rps", field, fw, t, options=opts).budget_drift for t in targets]
+        assert np.mean(after) < np.mean(before)
 
 
 class TestValidation:
