@@ -41,6 +41,18 @@ def invert_curve(error_bounds, ratios, target_ratio: float) -> float:
     return float(np.exp(np.interp(logt, logf[keep], np.log(ebs)[keep])))
 
 
+def _require_finite_rows(F: np.ndarray) -> None:
+    """Reject a design matrix with a NaN or Inf feature: the forest would
+    route it down some branch and return a bound that means nothing."""
+    bad = ~np.isfinite(F).all(axis=1)
+    if bad.any():
+        rows = np.flatnonzero(bad).tolist()
+        raise ValueError(
+            f"non-finite features in row(s) {rows}: {F[bad][:3].tolist()} "
+            "(a field holding NaN or Inf has no predictable error bound)"
+        )
+
+
 class ErrorBoundModel:
     """Learned mapping (features, target ratio) -> error bound.
 
@@ -111,8 +123,9 @@ class ErrorBoundModel:
             raise RuntimeError("model is not fitted")
         if target_ratio <= 0:
             raise ValueError("target_ratio must be positive")
-        x = np.concatenate((np.asarray(features, dtype=np.float64).ravel(),
-                            [np.log(target_ratio)]))
+        feats = np.asarray(features, dtype=np.float64).ravel()
+        _require_finite_rows(feats[None, :])
+        x = np.concatenate((feats, [np.log(target_ratio)]))
         if hasattr(self.forest, "predict_with_std") and getattr(
             self.forest, "has_spread", True
         ):
@@ -167,6 +180,7 @@ class ErrorBoundModel:
             raise ValueError(
                 f"features rows ({F.shape[0]}) must match target_ratios ({ratios.size})"
             )
+        _require_finite_rows(F)
         X = np.column_stack((F, np.log(ratios)))
         if hasattr(self.forest, "predict_with_std") and getattr(
             self.forest, "has_spread", True

@@ -20,7 +20,11 @@ service is fastest at, while refusing to melt under overload:
   is bitwise-identical to a direct ``service.predict(data, ratio)``
   call *regardless* of how requests happened to coalesce
   (``tests/test_load.py::TestCoalescingDeterminism`` gates on exactly
-  this).
+  this);
+- **failure isolation** — when ``predict_batch`` raises, the batch's
+  requests are served again one at a time, so a bad request (an empty
+  array, a non-finite field) fails alone and its neighbours still get
+  their predictions.
 
 Batches execute on a dedicated single-thread executor, so the event
 loop keeps accepting (and rejecting) requests while the service is busy
@@ -273,32 +277,42 @@ class Gateway:
                 reason = "timer"
             await self._serve_batch(batch, reason)
 
+    async def _predict(self, requests: list) -> list:
+        """``service.predict_batch(requests)`` on the batch executor."""
+        return await self._loop.run_in_executor(
+            self._executor,
+            lambda: self.service.predict_batch(requests, safety=self.options.safety),
+        )
+
     async def _serve_batch(self, batch: list, reason: str) -> None:
         requests = [(data, ratio) for data, ratio, _ in batch]
         self._batches += 1
         self._flushes[reason] += 1
-        try:
-            with timed_span(
-                "load.gateway.batch", n_requests=len(batch), reason=reason
-            ):
-                preds = await self._loop.run_in_executor(
-                    self._executor,
-                    lambda: self.service.predict_batch(
-                        requests, safety=self.options.safety
-                    ),
-                )
-        except Exception as exc:  # noqa: BLE001 - failures belong to the callers
-            for _, _, future in batch:
+        with timed_span("load.gateway.batch", n_requests=len(batch), reason=reason):
+            try:
+                outcomes = await self._predict(requests)
+            except Exception as exc:  # noqa: BLE001 - failures belong to the callers
+                if len(requests) == 1:
+                    outcomes = [exc]
+                else:
+                    # one bad request must not fail its neighbours: serve
+                    # each alone, so every caller gets its own outcome
+                    outcomes = []
+                    for request in requests:
+                        try:
+                            outcomes += await self._predict([request])
+                        except Exception as one:  # noqa: BLE001
+                            outcomes.append(one)
+        for (_, _, future), outcome in zip(batch, outcomes):
+            self._pending -= 1
+            if isinstance(outcome, Exception):
                 self._failed += 1
-                self._pending -= 1
                 if not future.cancelled():
-                    future.set_exception(exc)
-        else:
-            for (_, _, future), pred in zip(batch, preds):
+                    future.set_exception(outcome)
+            else:
                 self._completed += 1
-                self._pending -= 1
                 if not future.cancelled():
-                    future.set_result(pred)
+                    future.set_result(outcome)
 
     # -- introspection -----------------------------------------------------------
 

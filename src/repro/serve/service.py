@@ -13,11 +13,13 @@ shaped for repeated traffic:
   of the field, and repeated requests skip extraction entirely. This is
   exact: equal samples give bitwise-equal features, hence bitwise-equal
   predictions, whatever the rest of the field holds;
-- **request batching** — :meth:`PredictionService.predict_batch` extracts
-  features once per *distinct* field in the batch and runs model
-  inference on one stacked design matrix; error bounds are
-  bitwise-identical to sequential :meth:`~PredictionService.predict`
-  calls (see :meth:`ErrorBoundModel.predict_error_bound_batch`).
+- **request batching** — :meth:`PredictionService.predict_batch` hashes
+  the sample once per distinct array *object* in the batch (a batch
+  that names one field five times pays one key), extracts features
+  once per distinct key and runs model inference on one stacked design
+  matrix; error bounds are bitwise-identical to sequential
+  :meth:`~PredictionService.predict` calls (see
+  :meth:`ErrorBoundModel.predict_error_bound_batch`).
 
 Features are extracted in the caller's process. Extraction reads only
 the sample, so shipping the whole field to a worker process costs more
@@ -169,8 +171,9 @@ class PredictionService:
     def predict_batch(self, requests, *, safety: float = 0.0) -> list[Prediction]:
         """Serve ``[(field, target_ratio), ...]`` as one batch.
 
-        Feature extraction runs once per distinct sample (cache-aware)
-        and model inference runs on one stacked feature matrix.
+        The cache key is computed once per distinct array object, feature
+        extraction runs once per distinct sample (cache-aware) and model
+        inference runs on one stacked feature matrix.
         """
         framework = self.framework
         pairs = [(self._as_array(d), float(r)) for d, r in requests]
@@ -179,7 +182,15 @@ class PredictionService:
         if not pairs:
             return []
         with timed_span("serve.predict_batch", n_requests=len(pairs)):
-            keys = [_feature_key(framework, a) for a, _ in pairs]
+            # one key per distinct array object: every array stays alive
+            # in ``pairs``, so no id() is reused within the call
+            keys_by_id: dict[int, tuple] = {}
+            keys = []
+            for a, _ in pairs:
+                key = keys_by_id.get(id(a))
+                if key is None:
+                    key = keys_by_id[id(a)] = _feature_key(framework, a)
+                keys.append(key)
             by_key = self._batch_features(framework, [a for a, _ in pairs], keys)
             F = np.stack([by_key[k] for k in keys])
             ratios = np.array([r for _, r in pairs], dtype=np.float64)

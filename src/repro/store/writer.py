@@ -336,6 +336,9 @@ class StoreWriter:
         if target_ratio <= 1.0:
             raise ValueError(f"target_ratio must be > 1, got {target_ratio}")
         arr = _as_source_array(source)
+        # a non-native byte order (a ">f4" memmap) is stored, like it is
+        # compressed, as the native dtype -- converted chunk by chunk
+        dtype = arr.dtype.newbyteorder("=")
         opts = self.options
         grid = opts.grid_for(arr.shape)
         codec = self._framework._codec
@@ -396,7 +399,8 @@ class StoreWriter:
                             # One wave in RAM at a time: a memmap source is
                             # read page-by-page here, never materialized whole.
                             arrays = [
-                                np.ascontiguousarray(arr[c.slices]) for c in wave
+                                np.ascontiguousarray(arr[c.slices], dtype=dtype)
+                                for c in wave
                             ]
                             # Control decisions use only wave-boundary state
                             # (pressure, committed spreads, remaining risk) and
@@ -514,7 +518,7 @@ class StoreWriter:
                         "compressor": codec.name,
                         "framework": self._framework.name,
                         "shape": list(arr.shape),
-                        "dtype": str(arr.dtype),
+                        "dtype": str(dtype),
                         "chunk_shape": list(grid.chunk_shape),
                         "grid_shape": list(grid.grid_shape),
                         "target_ratio": target_ratio,

@@ -12,14 +12,14 @@ import numpy as np
 def as_float_array(data, *, name: str = "data", allow_empty: bool = False) -> np.ndarray:
     """Coerce ``data`` to a C-contiguous float array (float32 or float64).
 
-    Integer and float16 inputs are promoted to float64/float32; other dtypes
-    (complex, object, strings) are rejected.
+    Integer and float16 inputs are promoted to float64/float32, and
+    non-native byte order (``">f4"`` on a little-endian host) becomes
+    native with values unchanged; other dtypes (complex, object, strings)
+    are rejected.
     """
     arr = np.asarray(data)
-    if arr.dtype == np.float32:
-        pass
-    elif arr.dtype == np.float64:
-        pass
+    if arr.dtype.kind == "f" and arr.dtype.itemsize in (4, 8):
+        arr = arr.astype(arr.dtype.newbyteorder("="), copy=False)
     elif np.issubdtype(arr.dtype, np.integer) or arr.dtype == np.float16:
         arr = arr.astype(np.float64)
     else:

@@ -218,9 +218,37 @@ class TestCloseSemantics:
 
         with Service(fitted) as svc:
             results, stats = _run(main(svc))
-        # the whole batch fails together: failures belong to the callers
-        assert all(isinstance(r, ValueError) for r in results)
-        assert stats.failed == 2 and stats.completed == 0
+            direct = svc.predict(train_fields[0].data, 8.0)
+        # the failure belongs to its own caller; its batch-mate is served
+        assert results[0].error_bound == direct.error_bound
+        assert isinstance(results[1], ValueError)
+        assert stats.failed == 1 and stats.completed == 1
+
+    def test_one_bad_request_fails_alone(self, fitted, train_fields):
+        good = [(train_fields[i % 3].data, 2.0 + i) for i in range(15)]
+        empty = np.zeros((0, 4), np.float32)
+
+        async def main(svc):
+            options = GatewayOptions(max_batch=16, max_wait_ms=50.0)
+            async with Gateway(svc, options=options) as gw:
+                results = await asyncio.gather(
+                    *(gw.submit(d, r) for d, r in good[:7]),
+                    gw.submit(empty, 8.0),
+                    *(gw.submit(d, r) for d, r in good[7:]),
+                    return_exceptions=True,
+                )
+            return results, gw.stats()
+
+        with Service(fitted) as svc:
+            results, stats = _run(main(svc))
+            direct = [svc.predict(d, r) for d, r in good]
+        bad = results.pop(7)
+        assert isinstance(bad, ValueError) and "non-empty" in str(bad)
+        assert [p.error_bound for p in results] == [p.error_bound for p in direct]
+        assert all(np.array_equal(p.features, q.features) for p, q in zip(results, direct))
+        assert stats.batches == 1 and stats.flushes_full == 1
+        assert stats.completed == 15 and stats.failed == 1
+        assert stats.accepted == 16
 
 
 class TestGatewayStats:

@@ -10,6 +10,7 @@ import pytest
 from repro import load_dataset
 from repro.api import Carol, Fxrz, Service, ServiceOptions
 from repro.load import Gateway
+from repro.serve import service as service_mod
 from repro.serve import (
     LRUCache,
     PredictionService,
@@ -56,9 +57,13 @@ class TestDigest:
     def test_digests_are_pinned(self):
         # hashing the buffer in place must not move a single digest
         a = np.arange(24, dtype=np.float32).reshape(2, 3, 4)
-        assert digest_array(a) == "077f272ba38b37325dbecc75e7f2d124"
+        assert digest_array(a) == (
+            "828293e6e4a3402e1238d3be6538d5bd711e6a3bf4aa8c553307b254486078b3"
+        )
         view = np.arange(60, dtype=np.float64).reshape(6, 10)[::2, 1::3]
-        assert digest_array(view) == "9b58bb71b8912338ba4aaf284bccca6d"
+        assert digest_array(view) == (
+            "71176e6a6e3b51916dc203c139398f0d99ca38b383bd002d27324138c6d01d6c"
+        )
 
 
 class TestLRUCache:
@@ -510,6 +515,112 @@ class TestSampleAddressedCache:
         assert not np.array_equal(fxrz.extract_features(data), fitted.extract_features(data))
         assert _same_bits(served, fxrz.predict_error_bound(data, 8.0))
         assert _same_bits(batched, fxrz.predict_error_bound(data, 8.0))
+
+
+@pytest.fixture
+def digest_calls(monkeypatch):
+    """The samples ``repro.serve.service`` hashes, in call order."""
+    calls = []
+
+    def counting(sample):
+        calls.append(sample)
+        return digest_array(sample)
+
+    monkeypatch.setattr(service_mod, "digest_array", counting)
+    return calls
+
+
+@pytest.fixture
+def extractions(fitted, monkeypatch):
+    """How many fields each ``extract_features_many`` call of the fitted
+    framework's class extracts."""
+    sizes = []
+    cls = type(fitted)
+    real = cls.extract_features_many
+
+    def counting(self, datas):
+        sizes.append(len(datas))
+        return real(self, datas)
+
+    monkeypatch.setattr(cls, "extract_features_many", counting)
+    return sizes
+
+
+class TestOneKeyPerArray:
+    """predict_batch hashes each distinct array object once per call."""
+
+    def test_sixteen_requests_over_three_arrays_hash_three_times(
+        self, fitted, train_fields, digest_calls
+    ):
+        arrays = [f.data for f in train_fields]
+        requests = [(arrays[i % 3], 3.0 + i) for i in range(16)]
+        with Service(fitted) as svc:
+            batched = svc.predict_batch(requests)
+        assert len(digest_calls) == 3
+        assert all(
+            _same_bits(g, fitted.predict_error_bound(d, r))
+            for g, (d, r) in zip(batched, requests)
+        )
+
+    def test_equal_content_in_two_objects_is_extracted_once(
+        self, fitted, train_fields, digest_calls, extractions
+    ):
+        a = train_fields[0].data
+        b = a.copy()
+        with Service(fitted) as svc:
+            batched = svc.predict_batch([(a, 4.0), (b, 8.0), (a, 16.0), (b, 32.0)])
+            assert svc.stats().cache.misses == 1
+        assert len(digest_calls) == 2
+        assert extractions == [1]
+        assert np.array_equal(batched[0].features, batched[1].features)
+
+    def test_repeated_integer_array_matches_sequential_predict(
+        self, fitted, train_fields, extractions
+    ):
+        # as_float_array converts it per request: a new object each time
+        ints = np.round(train_fields[1].data * 1000).astype(np.int32)
+        requests = [(ints, r) for r in (4.0, 8.0, 16.0, 32.0)]
+        with Service(fitted) as svc:
+            sequential = [svc.predict(d, r) for d, r in requests]
+        with Service(fitted) as svc:
+            batched = svc.predict_batch(requests)
+        assert extractions == [1]
+        assert all(_same_bits(g, p) for g, p in zip(batched, sequential))
+
+
+ALL_NAN = np.full((4, 4, 4), np.nan, np.float32)
+
+
+class TestNonFiniteSample:
+    """A field with NaN gets a ValueError, never a made-up error bound."""
+
+    def test_framework(self, fitted):
+        with pytest.raises(ValueError, match=r"non-finite features in row\(s\) \[0\]"):
+            fitted.predict_error_bound(ALL_NAN, 8.0)
+
+    def test_service_predict(self, fitted):
+        with Service(fitted) as svc, pytest.raises(ValueError, match="non-finite"):
+            svc.predict(ALL_NAN, 8.0)
+
+    def test_service_batch_names_the_row(self, fitted, train_fields):
+        requests = [(train_fields[0].data, 8.0), (ALL_NAN, 8.0)]
+        with Service(fitted) as svc:
+            with pytest.raises(ValueError, match=r"non-finite features in row\(s\) \[1\]"):
+                svc.predict_batch(requests)
+
+    def test_gateway_fails_only_that_request(self, fitted, train_fields):
+        good = train_fields[0].data
+
+        async def main(svc):
+            async with Gateway(svc) as gw:
+                return await asyncio.gather(
+                    gw.submit(good, 8.0), gw.submit(ALL_NAN, 8.0), return_exceptions=True
+                )
+
+        with Service(fitted) as svc:
+            served, failed = asyncio.run(main(svc))
+        assert _same_bits(served, fitted.predict_error_bound(good, 8.0))
+        assert isinstance(failed, ValueError) and "non-finite" in str(failed)
 
 
 class TestServiceOptions:

@@ -6,7 +6,8 @@ import pytest
 
 from repro import CarolFramework, Field, load_dataset, load_field, obs
 from repro.core.feedback import FeedbackLoop
-from repro.data.io import save_raw
+from repro.compressors import get_compressor
+from repro.data.io import load_raw, save_raw
 from repro.serve.pool import PoolStats
 from repro.store import (
     CorruptChunkError,
@@ -224,6 +225,25 @@ class TestStreamingSources:
         out = tmp_path / "field.rps"
         pack(out, field, fitted, TARGET, options=StoreOptions(chunk_shape=CHUNK))
         assert out.read_bytes() == path.read_bytes()
+
+    def test_big_endian_field_is_the_native_field(self, fitted, field, packed, tmp_path):
+        path, _ = packed
+        (tmp_path / "be.f32").write_bytes(field.data.astype(">f4").tobytes())
+        swapped = load_raw(tmp_path / "be.f32", SHAPE, dtype=">f4")
+        assert swapped.data.dtype == np.dtype(">f4")
+        native_eb = fitted.predict_error_bound(field.data, TARGET).error_bound
+        assert fitted.predict_error_bound(swapped.data, TARGET).error_bound == native_eb
+        codec = get_compressor("szx")
+        assert (
+            codec.compress(swapped.data, native_eb).payload
+            == codec.compress(field.data, native_eb).payload
+        )
+        for source in (swapped, open_raw(tmp_path / "be.f32", SHAPE, dtype=">f4")):
+            out = tmp_path / "be.rps"
+            pack(out, source, fitted, TARGET, options=StoreOptions(chunk_shape=CHUNK))
+            assert out.read_bytes() == path.read_bytes()
+            with Store(out) as st:
+                assert st.read().dtype == np.float32
 
 
 class TestServicePredictor:

@@ -23,6 +23,13 @@ class TestValidation:
     def test_float16_promoted(self):
         assert as_float_array(np.ones(4, dtype=np.float16)).dtype == np.float64
 
+    @pytest.mark.parametrize("dtype", [">f4", ">f8", "<f4", "<f8"])
+    def test_byte_order_made_native(self, dtype):
+        x = np.linspace(-3.0, 7.0, 11).astype(dtype)
+        out = as_float_array(x)
+        assert out.dtype == np.dtype(dtype).newbyteorder("=")
+        assert out.dtype.isnative and np.array_equal(out, x)
+
     def test_object_rejected(self):
         with pytest.raises(TypeError):
             as_float_array(np.array(["a", "b"]))
