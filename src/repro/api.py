@@ -46,8 +46,9 @@ Signature conventions, uniform across the surface: configuration is
 keyword-only everywhere; a single requested ratio is ``target_ratio``
 and several are ``target_ratios``; prediction bias is ``safety`` on
 every inference entry point (``predict_error_bound``,
-``predict_error_bound_batch``, ``evaluate_targets``,
-``compress_to_ratio``, and the service's ``predict`` family).
+``evaluate_targets``, ``compress_to_ratio``, and the service's
+``predict_batch`` and ``predict``, a batch of one). ``Store.pack`` and
+:class:`Controller` take the fitted framework, never a service.
 """
 
 from __future__ import annotations
@@ -55,7 +56,6 @@ from __future__ import annotations
 from repro.control import Controller, ControlOptions, ControlStats
 from repro.core.carol import CarolFramework
 from repro.core.framework import (
-    BatchPrediction,
     EvaluationReport,
     Prediction,
     RatioControlledFramework,
@@ -126,6 +126,5 @@ __all__ = [
     "RatioControlledFramework",
     "SetupReport",
     "Prediction",
-    "BatchPrediction",
     "EvaluationReport",
 ]

@@ -25,52 +25,44 @@ from repro.control.policy import ControlOptions, ControlStats, Tier, decide_tier
 from repro.surrogate.registry import get_surrogate
 
 
-class Controller:
-    """Risk- and budget-aware tier escalation over one predictor.
+def _require_framework(framework):
+    """``framework`` itself, or a ``TypeError`` naming what was passed
+    (a :class:`repro.serve.PredictionService` is told to pass its
+    ``.framework``)."""
+    if hasattr(framework, "predict_error_bound"):
+        return framework
+    hint = "; pass service.framework" if hasattr(framework, "framework") else ""
+    raise TypeError(
+        f"predictor must be a fitted framework, got {type(framework).__name__}{hint}"
+    )
 
-    ``predictor`` is a fitted
-    :class:`~repro.core.framework.RatioControlledFramework` or a
-    :class:`repro.serve.PredictionService` wrapping one (duck-typed
-    exactly like :class:`repro.store.writer.StoreWriter`; the service
-    route re-resolves its framework per call, inheriting registry
-    hot-reload). ``feedback``, if given, receives **every** T2
-    probe measurement as a ground-truth observation.
+
+class Controller:
+    """Risk- and budget-aware tier escalation over one framework.
+
+    ``framework`` is a fitted
+    :class:`~repro.core.framework.RatioControlledFramework` (anything
+    with its ``predict_error_bound`` and ``compressor_name``).
+    ``feedback``, if given, receives **every** T2 probe measurement as a
+    ground-truth observation.
     """
 
     def __init__(
         self,
-        predictor,
+        framework,
         *,
         options: ControlOptions | None = None,
         feedback=None,
     ) -> None:
         self.options = options or ControlOptions()
         self.feedback = feedback
-        if hasattr(predictor, "predict_error_bound"):
-            self._framework = predictor
-            self._service = None
-        elif hasattr(predictor, "predict") and hasattr(predictor, "framework"):
-            self._framework = None
-            self._service = predictor
-        else:
-            raise TypeError(
-                "predictor must be a fitted framework or a PredictionService, "
-                f"got {type(predictor).__name__}"
-            )
+        self.framework = _require_framework(framework)
         self._surrogate = None
         self._search: FrazSearch | None = None
         self._search_codec: str | None = None
         self._stds: deque[float] = deque(maxlen=self.options.std_window)
         self._errors: deque[float] = deque(maxlen=self.options.std_window)
         self.reset()
-
-    @property
-    def framework(self):
-        """The framework decisions are made for (re-resolved when
-        service-backed, so registry hot-reloads are honoured)."""
-        if self._service is not None:
-            return self._service.framework
-        return self._framework
 
     def reset(self) -> None:
         """Start a fresh accounting scope (one pack): full risk budget,

@@ -15,13 +15,11 @@
 from repro.core.calibration import CalibrationInfo, Calibrator
 from repro.core.carol import CarolFramework
 from repro.core.collection import CurveRecord, TrainingCollector, TrainingData
-from repro.core.framework import BatchPrediction
 from repro.core.fxrz import FxrzFramework
 from repro.core.metrics import estimation_error, signed_estimation_errors
 from repro.core.prediction import ErrorBoundModel, invert_curve
 
 __all__ = [
-    "BatchPrediction",
     "Calibrator",
     "CalibrationInfo",
     "TrainingCollector",

@@ -17,11 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.framework import RatioControlledFramework
-from repro.features.parallel import (
-    extract_features_parallel,
-    extract_features_parallel_many,
-    sample_blocks,
-)
+from repro.features.parallel import extract_features_parallel, sample_blocks
 
 
 class CarolFramework(RatioControlledFramework):
@@ -33,9 +29,6 @@ class CarolFramework(RatioControlledFramework):
 
     def _extract_features(self, data: np.ndarray) -> tuple[np.ndarray, float]:
         return extract_features_parallel(data)
-
-    def _extract_features_many(self, arrays: list) -> tuple[np.ndarray, float]:
-        return extract_features_parallel_many(arrays)
 
     def feature_sample(self, data: np.ndarray) -> np.ndarray:
         return sample_blocks(data)

@@ -68,35 +68,6 @@ class Prediction:
 
 
 @dataclass
-class BatchPrediction:
-    """One ``predict_error_bound_batch`` call: shared feature pass + stacked inference.
-
-    Mirrors :class:`EvaluationReport`'s accounting: the (single) feature
-    extraction is charged here, not faked onto any one prediction, and the
-    stacked model call's time lives in ``inference_seconds``.
-    """
-
-    predictions: list[Prediction]
-    feature_seconds: float
-    inference_seconds: float
-
-    @property
-    def error_bounds(self) -> np.ndarray:
-        return np.array([p.error_bound for p in self.predictions])
-
-    @property
-    def stds(self) -> np.ndarray:
-        """Per-prediction model spread (``nan`` where the model has none)."""
-        return np.array([p.std for p in self.predictions])
-
-    def __iter__(self):
-        return iter(self.predictions)
-
-    def __len__(self) -> int:
-        return len(self.predictions)
-
-
-@dataclass
 class EvaluationReport:
     """Requested-vs-achieved ratios on one test input (Tables 3, Fig. 7).
 
@@ -159,16 +130,6 @@ class RatioControlledFramework:
     def _extract_features(self, data: np.ndarray) -> tuple[np.ndarray, float]:
         raise NotImplementedError
 
-    def _extract_features_many(self, arrays: list) -> tuple[np.ndarray, float]:
-        """Stacked multi-field extraction; subclasses override with the
-        batched entry points of :mod:`repro.features`."""
-        rows, total = [], 0.0
-        for arr in arrays:
-            feats, secs = self._extract_features(arr)
-            rows.append(feats)
-            total += secs
-        return (np.stack(rows) if rows else np.empty((0, 0))), total
-
     def feature_sample(self, data: np.ndarray) -> np.ndarray:
         """The part of ``data`` that :meth:`extract_features` reads.
 
@@ -191,8 +152,9 @@ class RatioControlledFramework:
 
     def extract_features_many(self, datas) -> np.ndarray:
         """Stacked ``(n, d)`` feature matrix for several inputs; row ``i``
-        is bitwise-identical to ``extract_features(datas[i])``."""
-        return self._extract_features_many([as_float_array(d) for d in datas])[0]
+        is ``extract_features(datas[i])``, from the same one hook."""
+        rows = [self._extract_features(as_float_array(d))[0] for d in datas]
+        return np.stack(rows) if rows else np.empty((0, 0))
 
     def _make_collector(self) -> TrainingCollector:
         return TrainingCollector(
@@ -304,42 +266,6 @@ class RatioControlledFramework:
             std=std,
         )
 
-    def predict_error_bound_batch(
-        self,
-        data: np.ndarray,
-        target_ratios,
-        *,
-        safety: float = 0.0,
-        features: np.ndarray | None = None,
-    ) -> BatchPrediction:
-        """Predict error bounds for many targets on one input, in one pass.
-
-        Features are extracted once (or taken from ``features``) and model
-        inference runs on a stacked design matrix, so the cost is one
-        extraction plus one vectorized model call. Error bounds are
-        bitwise-identical to per-target :meth:`predict_error_bound` calls —
-        see :meth:`ErrorBoundModel.predict_error_bound_batch`.
-        """
-        ratios = np.asarray(target_ratios, dtype=np.float64).ravel()
-        if features is None:
-            arr = as_float_array(data)
-            feats, feat_s = self._extract_features(arr)
-        else:
-            feats, feat_s = np.asarray(features, dtype=np.float64), 0.0
-        with timed_span(
-            "inference.predict_batch", framework=self.name, n_targets=int(ratios.size)
-        ) as sp:
-            ebs, stds = self.model.predict_error_bound_batch_with_std(
-                feats, ratios, safety=safety
-            )
-        preds = [
-            Prediction(float(eb), float(t), feats, 0.0, 0.0, std=float(s))
-            for eb, t, s in zip(ebs, ratios, stds)
-        ]
-        return BatchPrediction(
-            predictions=preds, feature_seconds=feat_s, inference_seconds=sp.elapsed
-        )
-
     def compress_to_ratio(
         self, data: np.ndarray, target_ratio: float, *, safety: float = 0.0
     ) -> tuple[CompressionResult, Prediction]:
@@ -367,14 +293,10 @@ class RatioControlledFramework:
         ebs = np.empty(targets.size)
         preds: list[Prediction] = []
         for i, t in enumerate(targets):
-            with timed_span(
-                "inference.predict", framework=self.name, target_ratio=float(t)
-            ) as sp:
-                eb = self.model.predict_error_bound(feats, float(t), safety=safety)
-                sp.set(error_bound=eb)
-            ebs[i] = eb
-            achieved[i] = self._codec.compression_ratio(arr, eb)
-            preds.append(Prediction(eb, float(t), feats, 0.0, sp.elapsed))
+            pred = self.predict_error_bound(arr, t, safety=safety, features=feats)
+            ebs[i] = pred.error_bound
+            achieved[i] = self._codec.compression_ratio(arr, pred.error_bound)
+            preds.append(pred)
         return EvaluationReport(
             targets=targets,
             achieved=achieved,

@@ -15,11 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.framework import RatioControlledFramework
-from repro.features.serial import (
-    extract_features_serial,
-    extract_features_serial_many,
-    sample_points,
-)
+from repro.features.serial import extract_features_serial, sample_points
 
 
 class FxrzFramework(RatioControlledFramework):
@@ -37,9 +33,6 @@ class FxrzFramework(RatioControlledFramework):
 
     def _extract_features(self, data: np.ndarray) -> tuple[np.ndarray, float]:
         return extract_features_serial(data, stride=self.feature_stride)
-
-    def _extract_features_many(self, arrays: list) -> tuple[np.ndarray, float]:
-        return extract_features_serial_many(arrays, stride=self.feature_stride)
 
     def feature_sample(self, data: np.ndarray) -> np.ndarray:
         return sample_points(data, self.feature_stride)

@@ -111,32 +111,15 @@ class ErrorBoundModel:
 
         Returns ``(error_bound, std)`` where ``std`` is the across-tree
         standard deviation in log-eb space *before* any ``safety`` shift —
-        the confidence signal the control plane escalates on. Both values
-        come from one ensemble pass (:meth:`RandomForestRegressor.predict_with_std`),
-        and the error bound is bitwise-identical to the std-free call.
-        Model kinds without a spread report ``nan`` (no signal), and so
-        does a forest whose configuration makes every tree identical
-        (``has_spread`` False) — its zero spread is degeneracy, not
-        confidence.
+        the confidence signal the control plane escalates on. It is row 0
+        of a one-row :meth:`predict_error_bound_batch_with_std`, so a
+        scalar call and a batch row are the same bits by construction.
         """
-        if self.forest is None:
-            raise RuntimeError("model is not fitted")
-        if target_ratio <= 0:
-            raise ValueError("target_ratio must be positive")
         feats = np.asarray(features, dtype=np.float64).ravel()
-        _require_finite_rows(feats[None, :])
-        x = np.concatenate((feats, [np.log(target_ratio)]))
-        if hasattr(self.forest, "predict_with_std") and getattr(
-            self.forest, "has_spread", True
-        ):
-            mean, spread = self.forest.predict_with_std(x[None, :])
-            log_eb, std = float(mean[0]), float(spread[0])
-        else:
-            log_eb, std = float(self.forest.predict(x[None, :])[0]), float("nan")
-        if safety and np.isfinite(std):
-            log_eb += float(safety) * std
-        eb = float(np.clip(np.exp(log_eb), *self._eb_range))
-        return eb, std
+        ebs, stds = self.predict_error_bound_batch_with_std(
+            feats[None, :], [target_ratio], safety=safety
+        )
+        return float(ebs[0]), float(stds[0])
 
     def predict_error_bound_batch(
         self, features: np.ndarray, target_ratios, safety: float = 0.0
@@ -144,12 +127,10 @@ class ErrorBoundModel:
         """Vectorized :meth:`predict_error_bound` over stacked requests.
 
         ``features`` is either one vector (shared by every ratio) or an
-        ``(n, d)`` matrix aligned with ``target_ratios``. The design matrix
-        rows are built exactly as the scalar path builds its single row and
-        every model predicts rows independently, so element ``i`` of the
-        result is bitwise-identical to a scalar call with ``features[i]``
-        and ``target_ratios[i]`` — the guarantee the serving layer's
-        ``predict_batch`` relies on.
+        ``(n, d)`` matrix aligned with ``target_ratios``. Every model
+        predicts rows independently and a scalar call is a one-row batch,
+        so element ``i`` of the result is bitwise-identical to a scalar
+        call with ``features[i]`` and ``target_ratios[i]``.
         """
         return self.predict_error_bound_batch_with_std(
             features, target_ratios, safety=safety
@@ -160,19 +141,26 @@ class ErrorBoundModel:
     ) -> tuple[np.ndarray, np.ndarray]:
         """Vectorized :meth:`predict_error_bound_with_std`.
 
-        Returns ``(error_bounds, stds)`` aligned with ``target_ratios``;
-        the stds are the pre-``safety`` across-tree spreads from the same
-        single ensemble pass that produced the error bounds. Model kinds
-        without a spread — including a degenerate forest whose trees are
-        all identical (``has_spread`` False) — report ``nan`` per element.
+        The one body that calls the regressor. Returns ``(error_bounds,
+        stds)`` aligned with ``target_ratios``; the stds are the
+        pre-``safety`` across-tree spreads from the same single ensemble
+        pass that produced the error bounds. Model kinds without a spread —
+        including a degenerate forest whose trees are all identical
+        (``has_spread`` False), whose zero spread is degeneracy, not
+        confidence — report ``nan`` per element. A ratio that is not
+        positive and finite raises ``ValueError``: the forest would route
+        it down some branch and return a bound that means nothing.
         """
         if self.forest is None:
             raise RuntimeError("model is not fitted")
         ratios = np.asarray(target_ratios, dtype=np.float64).ravel()
         if ratios.size == 0:
             return np.empty(0), np.empty(0)
-        if np.any(ratios <= 0):
-            raise ValueError("target_ratio must be positive")
+        bad = ~(np.isfinite(ratios) & (ratios > 0))
+        if bad.any():
+            raise ValueError(
+                f"target_ratio must be positive and finite, got {ratios[bad][:3].tolist()}"
+            )
         F = np.asarray(features, dtype=np.float64)
         if F.ndim == 1:
             F = np.broadcast_to(F, (ratios.size, F.size))

@@ -20,11 +20,8 @@ from repro.features.definitions import (
     mean_neighbor_difference,
     mean_spline_difference,
 )
-from repro.features.parallel import (
-    extract_features_parallel,
-    extract_features_parallel_many,
-)
-from repro.features.serial import extract_features_serial, extract_features_serial_many
+from repro.features.parallel import extract_features_parallel
+from repro.features.serial import extract_features_serial
 
 __all__ = [
     "FEATURE_NAMES",
@@ -33,7 +30,5 @@ __all__ = [
     "mean_lorenzo_difference",
     "mean_spline_difference",
     "extract_features_serial",
-    "extract_features_serial_many",
     "extract_features_parallel",
-    "extract_features_parallel_many",
 ]

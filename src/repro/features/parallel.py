@@ -217,26 +217,3 @@ def extract_features_parallel(
                     block_stride=block_stride, n_elements=int(arr.size)) as sp:
         feats = _parallel_features(arr, block_edge, block_stride)
     return feats, sp.elapsed
-
-
-def extract_features_parallel_many(
-    arrays,
-    block_edge: int = BLOCK_EDGE,
-    block_stride: int = BLOCK_STRIDE,
-) -> tuple[np.ndarray, float]:
-    """Block-sampled features for several fields; returns ``((n, 5), seconds)``.
-
-    The stacked multi-field entry point used by :mod:`repro.serve`. Rows are
-    computed by the exact code path of :func:`extract_features_parallel`, so
-    each is bitwise-identical to a standalone call on the same array; fields
-    of different shapes batch together under one span.
-    """
-    arrs = [as_float_array(a) for a in arrays]
-    with timed_span("features.parallel_many", block_edge=block_edge,
-                    block_stride=block_stride, n_fields=len(arrs),
-                    n_elements=int(sum(a.size for a in arrs))) as sp:
-        if arrs:
-            feats = np.stack([_parallel_features(a, block_edge, block_stride) for a in arrs])
-        else:
-            feats = np.empty((0, 5))
-    return feats, sp.elapsed

@@ -5,8 +5,7 @@ production use cases (repeated fixed-ratio requests over recurring
 fields):
 
 - :class:`PredictionService` / :class:`ServiceOptions` — the front-end:
-  ``predict``, ``predict_batch`` (stacked inference, bitwise-identical
-  to sequential calls) and ``predict_targets``;
+  ``predict_batch`` (stacked inference) and ``predict``, a batch of one;
 - :class:`LRUCache` (+ :func:`digest_array`) — feature cache addressed
   by a digest of the extractor's sample, with always-on
   hit/miss/eviction stats (:class:`CacheStats`);

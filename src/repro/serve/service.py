@@ -13,13 +13,13 @@ shaped for repeated traffic:
   of the field, and repeated requests skip extraction entirely. This is
   exact: equal samples give bitwise-equal features, hence bitwise-equal
   predictions, whatever the rest of the field holds;
-- **request batching** — :meth:`PredictionService.predict_batch` hashes
+- **one batched path** — :meth:`PredictionService.predict_batch` hashes
   the sample once per distinct array *object* in the batch (a batch
   that names one field five times pays one key), extracts features
   once per distinct key and runs model inference on one stacked design
-  matrix; error bounds are bitwise-identical to sequential
-  :meth:`~PredictionService.predict` calls (see
-  :meth:`ErrorBoundModel.predict_error_bound_batch`).
+  matrix. :meth:`~PredictionService.predict` is a batch of one, and
+  the model answers each row independently, so a request gets the same
+  bits alone, in any batch, and from the framework directly.
 
 Features are extracted in the caller's process. Extraction reads only
 the sample, so shipping the whole field to a worker process costs more
@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.carol import CarolFramework
-from repro.core.framework import BatchPrediction, Prediction
+from repro.core.framework import Prediction
 from repro.core.fxrz import FxrzFramework
 from repro.obs import timed_span
 from repro.serve.cache import CacheStats, LRUCache, digest_array
@@ -124,14 +124,6 @@ class PredictionService:
 
     # -- features --------------------------------------------------------------
 
-    def _features_for(self, framework, arr: np.ndarray) -> np.ndarray:
-        key = _feature_key(framework, arr)
-        feats = self.cache.get(key)
-        if feats is None:
-            feats = framework.extract_features(arr)
-            self.cache.put(key, feats)
-        return feats
-
     def _batch_features(
         self, framework, arrays: list[np.ndarray], keys: list[tuple]
     ) -> dict[tuple, np.ndarray]:
@@ -159,14 +151,8 @@ class PredictionService:
     # -- serving ---------------------------------------------------------------
 
     def predict(self, data, target_ratio: float, *, safety: float = 0.0) -> Prediction:
-        """One request: the framework's prediction, through the feature cache."""
-        framework = self.framework
-        arr = self._as_array(data)
-        self.n_requests += 1
-        feats = self._features_for(framework, arr)
-        return framework.predict_error_bound(
-            arr, target_ratio, safety=safety, features=feats
-        )
+        """One request: a :meth:`predict_batch` of one."""
+        return self.predict_batch([(data, target_ratio)], safety=safety)[0]
 
     def predict_batch(self, requests, *, safety: float = 0.0) -> list[Prediction]:
         """Serve ``[(field, target_ratio), ...]`` as one batch.
@@ -201,19 +187,6 @@ class PredictionService:
                 Prediction(float(eb), float(r), F[i], 0.0, 0.0, std=float(s))
                 for i, (eb, r, s) in enumerate(zip(ebs, ratios, stds))
             ]
-
-    def predict_targets(
-        self, data, target_ratios, *, safety: float = 0.0
-    ) -> BatchPrediction:
-        """Many targets on one field — the framework batch call, cached."""
-        framework = self.framework
-        arr = self._as_array(data)
-        ratios = np.asarray(target_ratios, dtype=np.float64).ravel()
-        self.n_requests += int(ratios.size)
-        feats = self._features_for(framework, arr)
-        return framework.predict_error_bound_batch(
-            arr, ratios, safety=safety, features=feats
-        )
 
     # -- lifecycle / introspection ---------------------------------------------
 

@@ -3,8 +3,7 @@
 :class:`StoreWriter` turns "this field must fit N bytes" into a chunked
 ``.rps`` container: it walks a deterministic :class:`~repro.store.chunking.ChunkGrid`
 over the input, predicts each chunk's error bound through a fitted
-framework (or a :class:`repro.serve.PredictionService`, inheriting its
-feature cache), compresses, and appends the payload — the input is only
+framework, compresses, and appends the payload — the input is only
 ever touched one *wave* at a time, so fields loaded via ``np.memmap``
 stream through without materializing.
 
@@ -41,7 +40,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.compressors.registry import get_compressor
-from repro.control.controller import Controller
+from repro.control.controller import Controller, _require_framework
 from repro.control.policy import ControlOptions, ControlStats, Tier
 from repro.core.framework import Prediction
 from repro.obs import timed_span
@@ -238,55 +237,34 @@ def _compress_task(codec_name: str, data: np.ndarray, error_bound: float):
 class StoreWriter:
     """Packs one field into one ``.rps`` container.
 
-    ``predictor`` is either a fitted
-    :class:`~repro.core.framework.RatioControlledFramework` or a
-    :class:`repro.serve.PredictionService` wrapping one — the service
-    route reuses its sample-addressed feature cache, so re-packing an
-    already-served field skips feature extraction per chunk.
+    ``framework`` is a fitted
+    :class:`~repro.core.framework.RatioControlledFramework`; a
+    :class:`repro.serve.PredictionService` is refused with a ``TypeError``
+    (pass its ``.framework``).
     """
 
-    def __init__(self, path, predictor, *, options: StoreOptions | None = None) -> None:
+    def __init__(self, path, framework, *, options: StoreOptions | None = None) -> None:
         self.path = Path(path)
         self.options = options or StoreOptions()
-        if hasattr(predictor, "predict_error_bound"):
-            self._framework = predictor
-            self._service = None
-        elif hasattr(predictor, "predict") and hasattr(predictor, "framework"):
-            self._framework = predictor.framework
-            self._service = predictor
-        else:
-            raise TypeError(
-                "predictor must be a fitted framework or a PredictionService, "
-                f"got {type(predictor).__name__}"
-            )
-        if self._framework.model.forest is None:
-            raise ValueError("predictor's framework is not fitted")
+        self._framework = _require_framework(framework)
+        if framework.model.forest is None:
+            raise ValueError("framework is not fitted")
 
     # -- prediction --------------------------------------------------------------
 
     def _predict_wave(self, arrays: list[np.ndarray], target: float) -> list[Prediction]:
-        """Error-bound predictions for one wave, in chunk order.
-
-        Single-chunk waves follow the same batched code path — the
-        batched entry points are bitwise-identical to their scalar
-        counterparts, so ``wave_size=1`` reproduces the serial pack.
-        """
-        opts = self.options
-        if self._service is not None:
-            # The service batches and caches; results are bitwise-identical
-            # to service.predict.
-            return list(
-                self._service.predict_batch(
-                    [(arr, target) for arr in arrays], safety=opts.safety
-                )
-            )
+        """Error-bound predictions for one wave, in chunk order: one
+        feature pass and one model pass, with the model's spread kept
+        for the controller. Each row is the bits a single-chunk call
+        gives, so ``wave_size=1`` reproduces the serial pack."""
         framework = self._framework
         F = framework.extract_features_many(arrays)
-        ratios = np.full(len(arrays), float(target))
-        ebs = framework.model.predict_error_bound_batch(F, ratios, safety=opts.safety)
+        ebs, stds = framework.model.predict_error_bound_batch_with_std(
+            F, np.full(len(arrays), float(target)), safety=self.options.safety
+        )
         return [
-            Prediction(float(eb), float(target), F[i], 0.0, 0.0)
-            for i, eb in enumerate(ebs)
+            Prediction(float(eb), float(target), F[i], 0.0, 0.0, std=float(s))
+            for i, (eb, s) in enumerate(zip(ebs, stds))
         ]
 
     # -- packing -----------------------------------------------------------------
@@ -333,8 +311,8 @@ class StoreWriter:
         outcome is recorded as a training observation, in chunk-id order.
         """
         target_ratio = float(target_ratio)
-        if target_ratio <= 1.0:
-            raise ValueError(f"target_ratio must be > 1, got {target_ratio}")
+        if not np.isfinite(target_ratio) or target_ratio <= 1.0:
+            raise ValueError(f"target_ratio must be finite and > 1, got {target_ratio}")
         arr = _as_source_array(source)
         # a non-native byte order (a ">f4" memmap) is stored, like it is
         # compressed, as the native dtype -- converted chunk by chunk
@@ -346,9 +324,7 @@ class StoreWriter:
         controller = None
         if opts.control is not None:
             controller = Controller(
-                self._service if self._service is not None else self._framework,
-                options=opts.control,
-                feedback=feedback,
+                self._framework, options=opts.control, feedback=feedback
             )
 
         original_bytes = int(arr.nbytes)
@@ -560,13 +536,13 @@ class StoreWriter:
 def pack(
     path,
     source,
-    predictor,
+    framework,
     target_ratio: float,
     *,
     options: StoreOptions | None = None,
     feedback=None,
 ) -> PackReport:
     """One-call pack: ``source`` (Field / array / memmap) into ``path``."""
-    return StoreWriter(path, predictor, options=options).write(
+    return StoreWriter(path, framework, options=options).write(
         source, target_ratio, feedback=feedback
     )

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.api import (
-    BatchPrediction,
     Carol,
     Catalog,
     CatalogOptions,
@@ -175,25 +174,19 @@ class TestInferenceSurface:
             rep.feature_seconds + sum(p.inference_seconds for p in rep.predictions)
         )
 
-    def test_predict_error_bound_batch_surface(self, fitted, train_fields):
-        data = train_fields[0].data
-        batch = fitted.predict_error_bound_batch(data, [4.0, 8.0, 16.0])
-        assert isinstance(batch, BatchPrediction)
-        assert len(batch) == 3
-        assert [p.target_ratio for p in batch] == [4.0, 8.0, 16.0]
-        assert batch.error_bounds.shape == (3,)
-        assert batch.feature_seconds > 0
-
     def test_batch_matches_sequential_bitwise(self, fitted, train_fields):
         data = train_fields[0].data
+        feats = fitted.extract_features(data)
         ratios = [3.0, 7.0, 11.0, 29.0]
         for safety in (0.0, 1.5):
-            batch = fitted.predict_error_bound_batch(data, ratios, safety=safety)
+            ebs, stds = fitted.model.predict_error_bound_batch_with_std(
+                feats, ratios, safety=safety
+            )
             sequential = [
-                fitted.predict_error_bound(data, r, safety=safety).error_bound
-                for r in ratios
+                fitted.predict_error_bound(data, r, safety=safety) for r in ratios
             ]
-            assert batch.error_bounds.tolist() == sequential
+            assert ebs.tolist() == [p.error_bound for p in sequential]
+            np.testing.assert_array_equal(stds, [p.std for p in sequential])
 
     def test_precomputed_features_skip_extraction(self, fitted, train_fields):
         data = train_fields[0].data
@@ -202,12 +195,25 @@ class TestInferenceSurface:
         assert pred.feature_seconds == 0.0
         assert pred.error_bound == fitted.predict_error_bound(data, 5.0).error_bound
 
-    def test_extract_features_many_matches_single(self, fitted, train_fields):
-        datas = [f.data for f in train_fields]
-        many = fitted.extract_features_many(datas)
-        for row, data in zip(many, datas):
-            np.testing.assert_array_equal(row, fitted.extract_features(data))
+    def test_extract_features_many_matches_single(self, fitted, train_fields, rng):
+        # mixed shapes, dtypes and ranks in one call, for both extractors
+        datas = [f.data for f in train_fields] + [
+            rng.standard_normal((64, 64, 64)).astype(np.float32),
+            rng.standard_normal((40, 50)),
+            np.full((2, 40, 40), 5.0),
+            rng.integers(-9, 9, size=(130, 33, 20)),
+            rng.standard_normal((77,)),
+            rng.standard_normal((64, 64, 64)).astype(np.float32),
+        ]
+        for fw in (fitted, Fxrz(compressor="szx")):
+            many = fw.extract_features_many(datas)
+            assert many.shape == (len(datas), 5)
+            for row, data in zip(many, datas):
+                single = fw.extract_features(data)
+                np.testing.assert_array_equal(row.view(np.int64), single.view(np.int64))
 
     def test_batch_invalid_ratios_rejected(self, fitted, train_fields):
-        with pytest.raises(ValueError):
-            fitted.predict_error_bound_batch(train_fields[0].data, [4.0, -1.0])
+        feats = fitted.extract_features(train_fields[0].data)
+        for bad in (-1.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="positive and finite"):
+                fitted.model.predict_error_bound_batch(feats, [4.0, bad])

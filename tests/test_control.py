@@ -22,6 +22,7 @@ from repro.control import (
 from repro.core.feedback import FeedbackLoop
 from repro.core.framework import Prediction
 from repro.ml.forest import RandomForestRegressor
+from repro.ml.space import Choice, IntRange, SearchSpace
 from repro.store import Store, StoreOptions, pack
 
 SHAPE = (16, 16, 16)
@@ -461,3 +462,52 @@ class TestServeIntegration:
                 pred.std == single.std
                 or (np.isnan(pred.std) and np.isnan(single.std))
             )
+
+
+#: One bootstrapped forest configuration: its trees disagree, so every
+#: prediction carries a spread.
+SPREAD_SPACE = SearchSpace(
+    {
+        "n_estimators": IntRange(8, 8),
+        "max_features": Choice(("auto",)),
+        "max_depth": IntRange(6, 6),
+        "min_samples_split": Choice((2,)),
+        "min_samples_leaf": Choice((1,)),
+        "bootstrap": Choice((True,)),
+    }
+)
+
+
+class TestPackerSeesTheSpread:
+    OPTS = ControlOptions(t2_std=0.05, t2_pressure=5.0)
+
+    def test_std_escalates_a_framework_pack(self, field, tmp_path):
+        fw = CarolFramework(
+            compressor="szx", rel_error_bounds=REL, space=SPREAD_SPACE, n_iter=2, cv=2
+        )
+        fw.fit(load_dataset("miranda", shape=CHUNK))
+        assert fw.model.forest.has_spread
+        report = pack(
+            tmp_path / "spread.rps", field, fw, 8.0,
+            options=StoreOptions(chunk_shape=CHUNK, control=self.OPTS),
+        )
+        assert report.control.escalations_std > 0
+        # Replay each chunk: the service's prediction at the chunk's
+        # target, then the same warm refinement where its spread escalates.
+        # A pressure threshold of 5 leaves the spread as the only trigger.
+        replay = Controller(fw, options=self.OPTS)
+        n_std = 0
+        with Service(fw) as service:
+            for rec in report.chunks:
+                chunk = np.ascontiguousarray(
+                    field.data[tuple(slice(c * e, (c + 1) * e) for c, e in zip(rec.coords, CHUNK))]
+                )
+                pred = service.predict(chunk, rec.target_ratio)
+                expected = pred.error_bound
+                if pred.std >= self.OPTS.t2_std:
+                    n_std += 1
+                    expected = replay.refine(
+                        chunk, rec.target_ratio, initial_eb=pred.error_bound
+                    ).error_bound
+                assert rec.error_bound == expected
+        assert report.control.escalations_std == report.control.t2 == n_std

@@ -13,6 +13,7 @@ import itertools
 import numpy as np
 import pytest
 
+from repro.core.carol import CarolFramework
 from repro.features.definitions import (
     mean_lorenzo_difference,
     mean_neighbor_difference,
@@ -24,7 +25,6 @@ from repro.features.parallel import (
     _parallel_features,
     _thin_smoothness,
     extract_features_parallel,
-    extract_features_parallel_many,
     sample_blocks,
 )
 from tests.features_oracle import reference_parallel_features
@@ -151,6 +151,7 @@ def test_finite_float32_input_raises_no_floating_point_error(rng):
 
 
 def test_many_rows_equal_single_calls(rng):
+    # the batched hook CAROL serves and packs with, over mixed shapes and dtypes
     arrays = [
         rng.standard_normal((64, 64, 64)).astype(np.float32),
         rng.standard_normal((40, 50)),
@@ -159,7 +160,7 @@ def test_many_rows_equal_single_calls(rng):
         rng.standard_normal((77,)),
         rng.standard_normal((64, 64, 64)).astype(np.float32),
     ]
-    rows, _ = extract_features_parallel_many(arrays)
+    rows = CarolFramework(compressor="szx").extract_features_many(arrays)
     assert rows.shape == (len(arrays), 5)
     for row, arr in zip(rows, arrays):
         single, _ = extract_features_parallel(arr)

@@ -175,6 +175,8 @@ class TestAllModelKindsRoundTrip:
             a = fw.predict_error_bound(probe.data, ratio)
             b = loaded.predict_error_bound(probe.data, ratio)
             assert a.error_bound == b.error_bound
-        batch_a = fw.predict_error_bound_batch(probe.data, [4.0, 9.0])
-        batch_b = loaded.predict_error_bound_batch(probe.data, [4.0, 9.0])
-        np.testing.assert_array_equal(batch_a.error_bounds, batch_b.error_bounds)
+        feats = fw.extract_features(probe.data)
+        np.testing.assert_array_equal(feats, loaded.extract_features(probe.data))
+        batch_a = fw.model.predict_error_bound_batch_with_std(feats, [4.0, 9.0])
+        batch_b = loaded.model.predict_error_bound_batch_with_std(feats, [4.0, 9.0])
+        np.testing.assert_array_equal(batch_a, batch_b)

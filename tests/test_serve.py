@@ -367,16 +367,6 @@ class TestPredictionService:
         with Service(fitted) as svc:
             assert svc.predict_batch([]) == []
 
-    def test_predict_targets_single_extraction(self, fitted, train_fields):
-        data = train_fields[0].data
-        with Service(fitted) as svc:
-            batch = svc.predict_targets(data, [4.0, 8.0, 16.0])
-            assert len(batch) == 3
-            again = svc.predict_targets(data, [4.0, 8.0, 16.0])
-            stats = svc.stats()
-        assert stats.cache.misses == 1
-        assert batch.error_bounds.tolist() == again.error_bounds.tolist()
-
     def test_fxrz_service(self, train_fields):
         fw = Fxrz(compressor="szx", rel_error_bounds=REL, n_iter=2, cv=2)
         fw.fit(train_fields[:2])
@@ -427,7 +417,11 @@ def _sampled_mask(fw, shape) -> np.ndarray:
 
 
 def _same_bits(a, b) -> bool:
-    return a.error_bound == b.error_bound and np.array_equal(a.features, b.features)
+    return (
+        a.error_bound == b.error_bound
+        and np.array_equal(a.features, b.features)
+        and np.array_equal(a.std, b.std, equal_nan=True)
+    )
 
 
 SAMPLE_SHAPES = [(200,), (70, 45), (10, 12, 12), (33, 70, 65), (160, 40, 40)]
@@ -480,14 +474,15 @@ class TestSampleAddressedCache:
             async with Gateway(svc) as gw:
                 return await asyncio.gather(*(gw.submit(d, r) for d, r in requests))
 
+        # a fresh service per entry point: each one extracts from cold
         with Service(fw) as svc:
             assert all(_same_bits(svc.predict(d, r), p) for (d, r), p in zip(requests, direct))
+        with Service(fw) as svc:
             assert all(_same_bits(g, p) for g, p in zip(svc.predict_batch(requests), direct))
+        with Service(fw) as svc:
             assert all(
                 _same_bits(g, p) for g, p in zip(asyncio.run(through_gateway(svc)), direct)
             )
-            targets = svc.predict_targets(b, [9.0, 4.0])
-            assert targets.error_bounds.tolist() == [direct[1].error_bound, direct[3].error_bound]
 
     def test_unknown_subclass_keeps_the_whole_array_key(self, fitted, rng):
         # (iv) it inherits Carol's feature_sample but extracts on its own,
@@ -584,7 +579,8 @@ class TestOneKeyPerArray:
             sequential = [svc.predict(d, r) for d, r in requests]
         with Service(fitted) as svc:
             batched = svc.predict_batch(requests)
-        assert extractions == [1]
+        # one extraction per service: the sequential calls hit from the second on
+        assert extractions == [1, 1]
         assert all(_same_bits(g, p) for g, p in zip(batched, sequential))
 
 
@@ -621,6 +617,41 @@ class TestNonFiniteSample:
             served, failed = asyncio.run(main(svc))
         assert _same_bits(served, fitted.predict_error_bound(good, 8.0))
         assert isinstance(failed, ValueError) and "non-finite" in str(failed)
+
+
+class TestNonFiniteRatio:
+    """A NaN or infinite target ratio gets a ValueError at every entry
+    point, never the error bound of whichever leaf the forest routes it to."""
+
+    @pytest.mark.parametrize("ratio", [np.nan, np.inf, -np.inf])
+    def test_framework(self, fitted, train_fields, ratio):
+        data = train_fields[0].data
+        with pytest.raises(ValueError, match="positive and finite"):
+            fitted.predict_error_bound(data, ratio)
+        with pytest.raises(ValueError, match="positive and finite"):
+            fitted.evaluate_targets(data, [8.0, ratio])
+
+    def test_service(self, fitted, train_fields):
+        data = train_fields[0].data
+        with Service(fitted) as svc:
+            with pytest.raises(ValueError, match="positive and finite"):
+                svc.predict(data, np.nan)
+            with pytest.raises(ValueError, match=r"positive and finite, got \[inf\]"):
+                svc.predict_batch([(data, 8.0), (data, np.inf)])
+
+    def test_gateway_fails_only_that_request(self, fitted, train_fields):
+        good = train_fields[0].data
+
+        async def main(svc):
+            async with Gateway(svc) as gw:
+                return await asyncio.gather(
+                    gw.submit(good, 8.0), gw.submit(good, np.nan), return_exceptions=True
+                )
+
+        with Service(fitted) as svc:
+            served, failed = asyncio.run(main(svc))
+        assert _same_bits(served, fitted.predict_error_bound(good, 8.0))
+        assert isinstance(failed, ValueError) and "positive and finite" in str(failed)
 
 
 class TestServiceOptions:

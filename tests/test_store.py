@@ -247,19 +247,19 @@ class TestStreamingSources:
 
 
 class TestServicePredictor:
-    def test_service_route_matches_framework_route(self, fitted, field, packed, tmp_path):
-        from repro.api import Service
+    def test_service_is_refused_with_a_hint(self, fitted, field, tmp_path):
+        from repro.api import Controller, Service, Store
+        from repro.store import StoreWriter
 
-        path, _ = packed
         with Service(fitted) as service:
-            out1 = tmp_path / "svc1.rps"
-            pack(out1, field, service, TARGET, options=StoreOptions(chunk_shape=CHUNK))
-            assert out1.read_bytes() == path.read_bytes()
-            # Re-packing hits the service's content-addressed feature cache.
-            out2 = tmp_path / "svc2.rps"
-            pack(out2, field, service, TARGET, options=StoreOptions(chunk_shape=CHUNK))
-            stats = service.stats()
-            assert stats.cache.hits > 0
+            for make in (
+                lambda: Store.pack(tmp_path / "svc.rps", field, service, TARGET),
+                lambda: StoreWriter(tmp_path / "svc.rps", service),
+                lambda: Controller(service),
+            ):
+                with pytest.raises(TypeError, match="pass service.framework"):
+                    make()
+        assert not (tmp_path / "svc.rps").exists()
 
 
 class TestFeedbackWiring:
@@ -316,8 +316,10 @@ class TestValidation:
             StoreWriter("x.rps", object())
 
     def test_target_ratio_must_exceed_one(self, fitted, field, tmp_path):
-        with pytest.raises(ValueError, match="target_ratio"):
-            pack(tmp_path / "x.rps", field, fitted, 1.0)
+        for bad in (1.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="target_ratio"):
+                pack(tmp_path / "x.rps", field, fitted, bad)
+        assert not (tmp_path / "x.rps").exists()
 
     def test_options_validation(self):
         with pytest.raises(ValueError, match="chunk_elements"):
