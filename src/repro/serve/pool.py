@@ -4,15 +4,16 @@ Fans CPU-bound work — a store wave's compressions, chunk decodes — out
 over worker processes, with the failure semantics a service needs and a
 bare ``ProcessPoolExecutor`` doesn't give:
 
-- **bounded queue** — at most ``max_pending`` tasks are in flight; a
-  large batch is fed through in windows instead of being dumped on the
-  executor, so memory stays bounded;
+- **windowed batches** — ``map_ordered`` submits a large batch
+  ``max_pending`` tasks at a time, so memory stays bounded (``submit``
+  leaves the bound to its caller);
 - **per-task timeouts** — a stuck worker costs one timeout, not the
   whole batch;
 - **graceful fallback** — when a worker dies (``BrokenProcessPool``) or
   a task times out, the task re-runs in-process, the broken executor is
   recycled, and the incident is counted (``PoolStats.fallbacks`` /
-  ``.timeouts``) instead of failing the request;
+  ``.timeouts``) instead of failing the request — in one place,
+  :meth:`PoolTask.result`, which collects every pooled task;
 - **a decomposable wait** — every task runs through :func:`_timed`, so
   :class:`PoolStats` always knows how long the work itself took
   (``worker_seconds``) and how long callers were blocked on it
@@ -77,16 +78,13 @@ class PoolStats:
 class PoolTask:
     """Handle for one task submitted via :meth:`WorkerPool.submit`.
 
-    :meth:`result` applies the pool's failure semantics at collection
-    time — per-task timeout and in-process fallback on worker death —
-    so a caller pipelining many submitted tasks (the store's streaming
-    reader) gets exactly the degraded-not-failed behavior of
-    :meth:`WorkerPool.map_ordered`, one task at a time. Exceptions
-    raised *by the task itself* propagate unchanged, as everywhere else
-    in the pool. The submitter is responsible for bounding how many
-    tasks it holds in flight (``submit`` does not window like
-    ``map_ordered`` — backpressure lives with the caller, who knows the
-    real cost of each pending result).
+    :meth:`result` is where the pool's failure semantics live — per-task
+    timeout and in-process fallback on worker death — for every pooled
+    task: :meth:`WorkerPool.map_ordered` collects its windows through it
+    too. Exceptions raised *by the task itself* propagate unchanged. The
+    submitter is responsible for bounding how many tasks it holds in
+    flight (backpressure lives with the caller, who knows the real cost
+    of each pending result).
     """
 
     __slots__ = ("_pool", "_fn", "_args", "_future")
@@ -100,17 +98,28 @@ class PoolTask:
     def result(self, timeout: float | None = None):
         """The task's result, waiting if needed (``timeout`` overrides
         the pool's per-task default). Timeouts and worker death degrade
-        to an in-process run, counted like :meth:`WorkerPool.map_ordered`
-        fallbacks."""
+        to an in-process run, counted in ``PoolStats.fallbacks`` (and
+        ``.timeouts``)."""
         pool = self._pool
         start = perf_counter()
         try:
-            if self._future is None:
-                return pool._run_inline(self._fn, self._args, fallback=True)
-            return pool._collect(
-                self._future, self._fn, self._args,
-                pool.timeout if timeout is None else timeout,
-            )
+            if self._future is not None:
+                try:
+                    seconds, result = self._future.result(
+                        pool.timeout if timeout is None else timeout
+                    )
+                except FutureTimeout:
+                    pool._timeouts += 1
+                    self._future.cancel()
+                except BrokenProcessPool:
+                    pool._recycle_executor()
+                else:
+                    pool._completed += 1
+                    pool._clock(worker=seconds)
+                    return result
+            # deferred at submit, timed out or its worker died: run it here,
+            # its time counted once, where it finished
+            return pool._run_inline(self._fn, self._args, fallback=True)
         finally:
             pool._clock(wait=perf_counter() - start)
 
@@ -207,77 +216,47 @@ class WorkerPool:
         self._clock(worker=seconds)
         return result
 
-    def _collect(self, future, fn, args, timeout: float | None) -> object:
-        """One submitted task's result under the pool's failure
-        semantics: a timeout or a dead worker re-runs the task
-        in-process (its time is then counted once, where it finished)."""
-        try:
-            seconds, result = future.result(timeout=timeout)
-        except FutureTimeout:
-            self._timeouts += 1
-            future.cancel()
-            return self._run_inline(fn, args, fallback=True)
-        except BrokenProcessPool:
-            self._recycle_executor()
-            return self._run_inline(fn, args, fallback=True)
-        self._completed += 1
-        self._clock(worker=seconds)
-        return result
-
     def map_ordered(self, fn, tasks, *, timeout: float | None = None) -> list:
         """Run ``fn(*task)`` for every task, preserving order.
 
-        Worker death and timeouts degrade the affected tasks to in-process
-        execution; exceptions raised *by the task itself* propagate
-        unchanged (they would fail in-process too, and hiding them would
-        turn bugs into silent fallbacks). ``timeout`` overrides the pool's
-        per-task default for this call. Results are returned in task order
-        regardless of completion order — the guarantee the store's wave
-        scheduler (and the catalog's decode stage) rely on for
-        deterministic output.
+        A lone task runs in the caller; a batch is :meth:`submit`-ted in
+        windows of ``max_pending``, each collected by :meth:`PoolTask.result`
+        — the one failure path: worker death and timeouts degrade a task
+        to in-process execution, while exceptions raised *by the task
+        itself* propagate unchanged (hiding them would turn bugs into
+        silent fallbacks). ``timeout`` overrides the pool's per-task
+        default for this call. Results come back in task order — the
+        guarantee the store's wave scheduler relies on for deterministic
+        output.
         """
         tasks = [tuple(args) for args in tasks]
+        if len(tasks) > 1:
+            results: list = []
+            for first in range(0, len(tasks), self.max_pending):
+                window = tasks[first : first + self.max_pending]
+                pending = [self.submit(fn, *args) for args in window]
+                results.extend(task.result(timeout) for task in pending)
+            return results
         self._submitted += len(tasks)
         start = perf_counter()
         try:
-            if len(tasks) <= 1:
-                return [self._run_inline(fn, args, fallback=False) for args in tasks]
-            return self._map_windows(
-                fn, tasks, self.timeout if timeout is None else timeout
-            )
+            return [self._run_inline(fn, args, fallback=False) for args in tasks]
         finally:
             self._clock(wait=perf_counter() - start)
-
-    def _map_windows(self, fn, tasks: list, timeout: float | None) -> list:
-        """``map_ordered`` on the workers, ``max_pending`` tasks at a time."""
-        results: list = [None] * len(tasks)
-        for start in range(0, len(tasks), self.max_pending):
-            window = list(enumerate(tasks))[start : start + self.max_pending]
-            try:
-                executor = self._ensure_executor()
-                futures = [(i, executor.submit(_timed, fn, *args)) for i, args in window]
-            except BrokenProcessPool:
-                self._recycle_executor()
-                for i, args in window:
-                    results[i] = self._run_inline(fn, args, fallback=True)
-                continue
-            for i, future in futures:
-                results[i] = self._collect(future, fn, tasks[i], timeout)
-        return results
 
     def submit(self, fn, *args) -> PoolTask:
         """Start one task without waiting; returns a :class:`PoolTask`.
 
-        The asynchronous leg of the pool API: ``map_ordered`` blocks
-        until a whole batch is done, ``submit`` lets a producer overlap
-        later tasks with consumption of earlier results (the streaming
-        read pipeline). If the executor is broken at submit time the task
-        is deferred and runs in-process at :meth:`PoolTask.result` time.
-        The caller bounds its own in-flight set.
+        Every pooled task starts here, ``map_ordered``'s too; a producer
+        overlaps later tasks with consumption of earlier results (the
+        store's read path). If the executor is broken at submit time the
+        task is deferred and runs in-process at :meth:`PoolTask.result`
+        time. The caller bounds its own in-flight set.
         """
         self._submitted += 1
         try:
-            future = self._ensure_executor().submit(_timed, fn, *args)
+            executor = self._ensure_executor()
+            future = executor.submit(_timed, fn, *args)
         except BrokenProcessPool:
             self._recycle_executor()
             return PoolTask(self, fn, args, None)

@@ -23,21 +23,18 @@ resources across every reader it opens:
   process (see :mod:`repro.store.reader`, "Where decode runs").
 
 Both are *injected into* the staged reader — the catalog holds no read
-logic of its own, so catalog reads are byte-identical to plain
-``StoreReader`` reads for every worker count and cache size. That holds
-for streaming too: :meth:`StoreCatalog.read_iter` is the reader's
-bounded-memory :class:`~repro.store.reader.TileStream` with the shared
-resources injected. On top of the request stream the catalog can layer a
+logic of its own, so catalog reads (streamed ones too) are
+byte-identical to plain ``StoreReader`` reads for every worker count and
+cache size. On top of the request stream the catalog can layer a
 :class:`~repro.store.prefetch.Prefetcher`
 (``CatalogOptions(prefetch_depth=...)``): sequential and strided scans
 are detected per key and predicted next chunks are decoded into the
-shared LRU after each request, so the next request (streamed or not)
-hits cache instead of disk. For a store that kept the decode pool,
-those hint decodes are *submitted* to idle worker slots instead of
-running inline: the request that triggered them returns immediately and
-the decoded chunks are harvested into the cache before the next request
-is served (or whenever stats are read) — read-ahead overlaps caller
-think-time without ever blocking a request on it.
+shared LRU after each request, so the next request hits cache instead of
+disk. A hint takes the reader's own chunk path: for a store that kept
+the decode pool its decode is submitted, the request that triggered it
+returns at once, and the chunk is harvested into the cache before the
+next request is served (or whenever stats are read) — read-ahead
+overlaps caller think-time without ever blocking a request on it.
 
 Manifests load lazily: registration and scanning only record paths;
 a store's file is opened (and its manifest parsed) the first time that
@@ -145,6 +142,7 @@ class StoreCatalog:
         self.options = options or CatalogOptions()
         self._paths: dict[str, Path] = {}
         self._readers: dict[str, StoreReader] = {}
+        self._retired: list[StoreReader] = []  # displaced by register(), closed by close()
         # Per-key re-registration generation, folded into each reader's
         # cache scope so a re-pointed key can never hit the old store's
         # cached chunks (see register()).
@@ -159,8 +157,8 @@ class StoreCatalog:
         self._prefetch_lock = threading.Lock()
         self._prefetch_pending: set = set()  # issued cache keys not yet consumed
         # Hint decodes running on the pool, not yet admitted to the cache:
-        # (key, reader, coords, cache_key, PoolTask) records, harvested
-        # opportunistically (see _harvest_hints).
+        # (key, reader, begun chunk) records, harvested opportunistically
+        # (see _harvest_hints).
         self._prefetch_inflight: list = []
         self._prefetch_issued = 0
         self._prefetch_hits = 0
@@ -189,8 +187,8 @@ class StoreCatalog:
         repopulate entries the new store would hit) and the old
         generation's entries are evicted eagerly to free budget. The
         displaced reader is *not* closed here — reads already in flight
-        on it finish normally against the old store, and its file handle
-        closes when the last reference is dropped.
+        on it finish normally against the old store — but kept, and
+        closed by :meth:`close`.
         """
         key = str(key)
         with self._lock:
@@ -199,7 +197,9 @@ class StoreCatalog:
             if repointed:
                 old_scope = self._scope(key)
                 self._gens[key] = self._gens.get(key, 0) + 1
-                self._readers.pop(key, None)
+                displaced = self._readers.pop(key, None)
+                if displaced is not None:
+                    self._retired.append(displaced)
             self._paths[key] = Path(path)
         if repointed:
             self.chunk_cache.evict_scope(old_scope)
@@ -366,74 +366,56 @@ class StoreCatalog:
         prefetch must never fail or slow a request stream, and a corrupt
         chunk stays the *read* path's error to raise.
 
-        When the reader kept a decode pool, the payload is fetched
-        inline (file I/O is serialized on the reader anyway) but the
-        CPU-bound decode is submitted to an idle worker slot and
+        A hint is a pooled :meth:`StoreReader._begin`: when the reader
+        kept a decode pool the decode runs on an idle worker slot and is
         harvested later (:meth:`_harvest_hints`) — read-ahead overlaps
         with whatever the caller does next instead of stretching its
         request."""
-        from repro.store.reader import decode_chunk
-
         chunk = reader.grid.chunk(int(chunk_id))
-        cache_key = reader._cache_key(chunk.coords)
-        if self.chunk_cache.disabled or cache_key in self.chunk_cache:
+        if self.chunk_cache.disabled or reader._cache_key(chunk.coords) in self.chunk_cache:
             return
         try:
-            entry = reader.chunk_entry(chunk.coords)
-            payload = reader.fetch_payload(entry)
+            src = reader._begin(chunk, pooled=True)
         except Exception:
             return
-        if reader.pool is not None:
-            task = reader.pool.submit(
-                decode_chunk, reader.compressor, entry, payload, reader.verify
-            )
-            with self._prefetch_lock:
-                self._prefetch_inflight.append(
-                    (key, reader, chunk.coords, cache_key, task)
-                )
+        if src.task is None:
+            self._admit_hint(key, reader, src)
             return
-        try:
-            data = decode_chunk(reader.compressor, entry, payload, reader.verify)
-        except Exception:
-            return
-        self._admit_hint(key, reader, chunk.coords, cache_key, data)
+        with self._prefetch_lock:
+            self._prefetch_inflight.append((key, reader, src))
 
-    def _admit_hint(self, key: str, reader: StoreReader,
-                    coords: tuple[int, ...], cache_key, data) -> None:
-        """Admit one decoded hint chunk to the shared cache and count it
-        as issued. A hint whose reader was retired (the key re-pointed
-        while the decode ran) is dropped — its cache scope is already
-        evicted and its bytes belong to the old store; counting only
-        *admitted* hints keeps ``issued >= hits + wasted`` exact."""
+    def _admit_hint(self, key: str, reader: StoreReader, src) -> None:
+        """Finish one begun hint chunk (:meth:`StoreReader._finish`),
+        admit it to the shared cache and count it as issued. A hint whose
+        reader was retired (the key re-pointed while the decode ran) is
+        dropped — its cache scope is already evicted and its bytes belong
+        to the old store; counting only *admitted* hints keeps
+        ``issued >= hits + wasted`` exact."""
+        try:
+            data = reader._finish(src)
+        except Exception:
+            return
         with self._lock:
             current = self._readers.get(key) is reader
+        coords = src.chunk.coords
         if not current or not reader._cache_put(coords, data):
             return
         with self._prefetch_lock:
-            self._prefetch_pending.add(cache_key)
+            self._prefetch_pending.add(reader._cache_key(coords))
             self._prefetch_issued += 1
 
     def _harvest_hints(self) -> None:
-        """Collect async hint decodes that have finished and admit their
-        chunks. Non-blocking: tasks still running stay in flight (the
-        read path never waits on read-ahead), and a decode that failed
-        is dropped silently, same as the inline path."""
-        with self._prefetch_lock:
-            if not self._prefetch_inflight:
-                return
-            inflight, self._prefetch_inflight = self._prefetch_inflight, []
+        """Admit the async hint decodes that have finished. Non-blocking:
+        tasks still running stay in flight (the read path never waits on
+        read-ahead), and a decode that failed is dropped silently, same
+        as the inline path."""
         ready, still = [], []
-        for rec in inflight:
-            (ready if rec[4].done() else still).append(rec)
-        if still:
-            with self._prefetch_lock:
-                self._prefetch_inflight.extend(still)
-        for key, reader, coords, cache_key, task in ready:
-            try:
-                data = task.result()
-            except Exception:
-                continue
-            self._admit_hint(key, reader, coords, cache_key, data)
+        with self._prefetch_lock:
+            for rec in self._prefetch_inflight:
+                (ready if rec[2].task.done() else still).append(rec)
+            self._prefetch_inflight = still
+        for key, reader, src in ready:
+            self._admit_hint(key, reader, src)
 
     def prefetch_stats(self) -> PrefetchStats:
         """A :class:`PrefetchStats` snapshot (all zeros when the
@@ -469,17 +451,19 @@ class StoreCatalog:
     # -- lifecycle ---------------------------------------------------------------
 
     def close(self) -> None:
-        """Close every open reader, drop the cache, shut the pool down.
+        """Close every open reader (and every one a re-registration
+        displaced), drop the cache, shut the pool down.
         In-flight hint decodes are cancelled, not awaited — read-ahead
         for requests that will never come is not worth waiting on (a
         hint already running on a worker finishes with the pool's
         shutdown, its result discarded)."""
         with self._prefetch_lock:
             inflight, self._prefetch_inflight = self._prefetch_inflight, []
-        for rec in inflight:
-            rec[4].cancel()
+        for _, _, src in inflight:
+            src.cancel()
         with self._lock:
-            readers, self._readers = list(self._readers.values()), {}
+            readers = [*self._readers.values(), *self._retired]
+            self._readers, self._retired = {}, []
         for reader in readers:
             reader.close()
         self.chunk_cache.clear()

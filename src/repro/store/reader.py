@@ -17,31 +17,30 @@ chunk and subvolume reads through a staged pipeline:
 
 The stages are separable so a :class:`~repro.store.catalog.StoreCatalog`
 can inject a shared decompressed-chunk cache (``chunk_cache``) and a
-decode pool (``pool``) without duplicating any reader logic: a cached
-chunk skips stages 1 *and* 2 — no re-read, no re-verify, no decode —
-and because decode is deterministic and assembly order is fixed
-(flat chunk-id order), the bytes a read returns are identical for every
-worker count and cache size. A read decompresses *only* the chunks
-intersecting the request: every read path looks a chunk up through
-:meth:`StoreReader._cache_get`, so the cache's own
-:class:`~repro.serve.cache.CacheStats` counts each hit and miss once
-(``cat.stats().cache``; a miss is a decode), and a decode in the caller
-is one ``compressor.decompress`` span.
+decode pool (``pool``) without duplicating any reader logic. **One chunk
+path** serves :meth:`~StoreReader.read`, :meth:`~StoreReader.read_chunk`,
+:class:`TileStream` and the catalog's read-ahead hints: a chunk is
+*started* — a cache hit, else ``StoreReader._begin`` runs stage 1 and,
+when pooled, submits stage 2 — and later *resolved* —
+``StoreReader._finish`` collects the pool's result or decodes in the
+caller, and the array is offered to the cache. So a cached chunk skips
+stages 1 *and* 2, the cache's own :class:`~repro.serve.cache.CacheStats`
+counts each hit and miss once (``cat.stats().cache``; a miss is a
+decode), and since decode is deterministic and assembly order is fixed
+(flat chunk-id order), a read returns the same bytes for every worker
+count and cache size.
 
 **Where decode runs.** A reader keeps the pool it is handed only when
 its store's nominal chunk decodes to at least
 :data:`POOL_MIN_CHUNK_BYTES`; below that ``reader.pool`` is ``None`` and
-every decode runs in the caller, exactly as with no pool — so a fleet of
-small-chunk stores never forks a worker (the pool builds its executor on
-first submit). The round trip is dearer than the work: a 64 KiB szx
-chunk decodes in 0.57 ms in the caller and 0.69 ms on a worker, but
-``submit(...).result()`` of that task takes 1.04 ms (sz3: 1.68 ms
-inline, 2.72 ms round trip), and two forked workers given
-millisecond tasks are woken onto one core and take turns instead of
-overlapping. The decision is per store, not per chunk (edge chunks
-clipped below the threshold go where their store goes), and changes
-where a pure function runs, never its bytes. The break-even sweep and
-the probes behind both findings are in docs/ARCHITECTURE.md.
+every decode runs in the caller — so a fleet of small-chunk stores
+never forks a worker (the pool builds its executor on first submit):
+for millisecond decodes the process round trip is dearer than the work
+(docs/ARCHITECTURE.md has the probes and the break-even sweep). With
+the pool kept, a stream and a hint always submit, a ``read`` submits
+only when it misses more than one chunk, and ``read_chunk`` decodes in
+the caller. Either way a pure function changes where it runs, never its
+bytes.
 
 :meth:`StoreReader.read` materializes the whole region;
 :meth:`StoreReader.read_iter` streams it as bounded-memory tiles
@@ -56,14 +55,16 @@ from collections import deque
 from dataclasses import dataclass
 from math import prod
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from repro.compressors.base import CompressionResult
 from repro.compressors.registry import get_compressor
 from repro.obs import timed_span
-from repro.store.chunking import ChunkGrid
-from repro.store.format import CorruptChunkError, StoreFormatError, chunk_checksum, read_manifest
+from repro.store.chunking import Chunk, ChunkGrid
+from repro.store.format import FOOTER_BYTES, HEADER_BYTES, CorruptChunkError, StoreFormatError
+from repro.store.format import chunk_checksum, read_manifest
 
 #: Smallest nominal chunk (decoded bytes) whose decode is worth a process
 #: round trip: a store below it drops the pool it is handed and decodes
@@ -114,6 +115,35 @@ def assemble_region(out: np.ndarray, sel, chunk, data: np.ndarray) -> None:
         out_sl.append(slice(start - r.start, stop - r.start))
         chunk_sl.append(slice(start - c.start, stop - c.start))
     out[tuple(out_sl)] = data[tuple(chunk_sl)]
+
+
+#: What a read takes from each manifest chunk entry, and the type it needs.
+_ENTRY_TYPES = {
+    "coords": list,
+    "offset": int,
+    "nbytes": int,
+    "checksum": str,
+    "meta": dict,
+    "raw_bytes": (int, float),
+    "error_bound": (int, float),
+    "achieved_ratio": (int, float),
+}
+
+
+class _ChunkSource(NamedTuple):
+    """A chunk begun by :meth:`StoreReader._begin`: its verified payload
+    and its decode, in flight on the pool (``task``) or still to run in
+    the caller (``task`` is ``None``)."""
+
+    chunk: Chunk
+    entry: dict
+    payload: bytes
+    task: object
+
+    def cancel(self) -> None:
+        """Best effort: a decode no longer wanted leaves the pool's queue."""
+        if self.task is not None:
+            self.task.cancel()
 
 
 class StoreReader:
@@ -168,12 +198,30 @@ class StoreReader:
         # clipped below the threshold still go where their store goes.
         nominal_bytes = prod(self.grid.chunk_shape) * self.dtype.itemsize
         self.pool = pool if nominal_bytes >= POOL_MIN_CHUNK_BYTES else None
-        self._entries = self._manifest_field("chunks", lambda v: {tuple(e["coords"]): e for e in v})
-        if len(self._entries) != self.grid.n_chunks:
-            raise StoreFormatError(
-                f"{self.path.name}: manifest field 'chunks' lists "
-                f"{len(self._entries)} chunks; the grid needs {self.grid.n_chunks}"
-            )
+        self._entries = self._manifest_field("chunks", self._index_chunks)
+
+    def _index_chunks(self, entries: list) -> dict:
+        """``coords -> entry`` for the manifest's chunk list. Each entry is
+        checked once, here — the fields a read takes from it, its coords
+        on the grid, its payload between the header and the manifest — so
+        a damaged one fails the open naming the chunk, not a later read."""
+        self._fh.seek(-FOOTER_BYTES, 2)
+        payload_end = int.from_bytes(self._fh.read(8), "little")  # the manifest's offset
+        grid = self.grid.grid_shape
+        index = {}
+        for i, entry in enumerate(entries):
+            bad = [k for k, kind in _ENTRY_TYPES.items() if not isinstance(entry.get(k), kind)]
+            if bad:
+                raise ValueError(f"chunk {i} lacks a valid {', '.join(bad)}")
+            coords, start = entry["coords"], entry["offset"]
+            if len(coords) != len(grid) or not all(c in range(g) for c, g in zip(coords, grid)):
+                raise ValueError(f"chunk {i} has coords {coords} off the grid {grid}")
+            if not HEADER_BYTES <= start <= start + entry["nbytes"] <= payload_end:
+                raise ValueError(f"chunk {i} has a payload outside [{HEADER_BYTES}, {payload_end})")
+            index[tuple(coords)] = entry
+        if len(index) != self.grid.n_chunks:
+            raise ValueError(f"lists {len(index)} chunks; the grid needs {self.grid.n_chunks}")
+        return index
 
     def _manifest_field(self, name: str, parse):
         """``parse(manifest[name])``, a value it cannot take raised as a
@@ -255,9 +303,8 @@ class StoreReader:
         return (self.cache_scope, coords)
 
     def _cache_get(self, coords: tuple[int, ...]) -> np.ndarray | None:
-        """Stage-0 cache lookup, shared by every read path —
-        ``read_chunk``, ``read``'s gather, the streaming pipeline — so
-        the cache's :class:`~repro.serve.cache.CacheStats` accounts hits
+        """Stage-0 cache lookup, the one every read path makes, so the
+        cache's :class:`~repro.serve.cache.CacheStats` accounts hits
         identically whether it is reader-private or catalog-shared."""
         if self.chunk_cache is None:
             return None
@@ -277,10 +324,36 @@ class StoreReader:
         data.setflags(write=False)
         return self.chunk_cache.put(self._cache_key(coords), data)
 
-    def _decode_one(self, entry: dict) -> np.ndarray:
-        """Stages 1+2 for one chunk."""
+    def _begin(self, chunk, pooled: bool) -> _ChunkSource:
+        """Start one chunk the cache missed: stage 1 (fetch + verify)
+        now, and stage 2 submitted to the pool when ``pooled`` and this
+        reader kept one — else stage 2 waits for :meth:`_finish`."""
+        entry = self.chunk_entry(chunk.coords)
         payload = self.fetch_payload(entry)
-        return decode_chunk(self.compressor, entry, payload, self.verify)
+        task = None
+        if pooled and self.pool is not None:
+            task = self.pool.submit(decode_chunk, self.compressor, entry, payload, self.verify)
+        return _ChunkSource(chunk, entry, payload, task)
+
+    def _finish(self, src: _ChunkSource) -> np.ndarray:
+        """Stage 2 of a begun chunk: the pool's result, or a decode here."""
+        if src.task is not None:
+            return src.task.result()
+        return decode_chunk(self.compressor, src.entry, src.payload, self.verify)
+
+    def _start(self, chunk, pooled: bool):
+        """A chunk's cached array, else its begun :class:`_ChunkSource`."""
+        cached = self._cache_get(chunk.coords)
+        return cached if cached is not None else self._begin(chunk, pooled)
+
+    def _resolve(self, started) -> np.ndarray:
+        """The array of a started chunk: a cache hit as it is, a begun
+        chunk finished and offered to the cache."""
+        if isinstance(started, np.ndarray):
+            return started
+        data = self._finish(started)
+        self._cache_put(started.chunk.coords, data)
+        return data
 
     def read_chunk(self, coords: tuple[int, ...]) -> np.ndarray:
         """Decompress one chunk; returns its array in the stored dtype.
@@ -293,48 +366,8 @@ class StoreReader:
         writeable, as in the plain uncached reader.
         """
         key = tuple(int(c) for c in coords)
-        entry = self.chunk_entry(key)
-        cached = self._cache_get(key)
-        if cached is not None:
-            return cached
-        out = self._decode_one(entry)
-        self._cache_put(key, out)
-        return out
-
-    def _chunk_arrays(self, chunks) -> list[np.ndarray]:
-        """Decoded arrays for a list of chunks, in the given order.
-
-        Cache lookups first; the misses run fetch+verify serially (one
-        file handle) and decode either inline or fanned across ``pool``.
-        The result is order-deterministic either way, so reads stay
-        byte-identical for every worker count and cache size.
-        """
-        arrays: list[np.ndarray | None] = [None] * len(chunks)
-        missing: list[int] = []
-        for i, chunk in enumerate(chunks):
-            cached = self._cache_get(chunk.coords)
-            if cached is not None:
-                arrays[i] = cached
-                continue
-            missing.append(i)
-        if not missing:
-            return arrays
-        entries = [self.chunk_entry(chunks[i].coords) for i in missing]
-        if self.pool is not None and len(missing) > 1:
-            payloads = [self.fetch_payload(e) for e in entries]
-            decoded = self.pool.map_ordered(
-                decode_chunk,
-                [
-                    (self.compressor, entry, payload, self.verify)
-                    for entry, payload in zip(entries, payloads)
-                ],
-            )
-        else:
-            decoded = [self._decode_one(entry) for entry in entries]
-        for i, data in zip(missing, decoded):
-            self._cache_put(chunks[i].coords, data)
-            arrays[i] = data
-        return arrays
+        self.chunk_entry(key)  # coords outside the grid: a KeyError naming it
+        return self._resolve(self._start(self.grid.chunk_at(key), pooled=False))
 
     # -- subvolume reads ---------------------------------------------------------
 
@@ -359,8 +392,20 @@ class StoreReader:
         with timed_span(
             "store.read", path=str(self.path), n_chunks=len(chunks), shape=out_shape
         ):
-            for chunk, data in zip(chunks, self._chunk_arrays(chunks)):
-                assemble_region(out, sel, chunk, data)
+            # A lone miss decodes in the caller: one chunk gains nothing
+            # from a process round trip.
+            started = [self._cache_get(chunk.coords) for chunk in chunks]
+            missing = [i for i, data in enumerate(started) if data is None]
+            try:
+                for i in missing:
+                    started[i] = self._begin(chunks[i], pooled=len(missing) > 1)
+                for chunk, src in zip(chunks, started):
+                    assemble_region(out, sel, chunk, self._resolve(src))
+            except BaseException:
+                for src in started:
+                    if isinstance(src, _ChunkSource):
+                        src.cancel()
+                raise
         return out
 
     def __getitem__(self, region) -> np.ndarray:
@@ -386,10 +431,9 @@ class StoreReader:
         tiles are fetched/decoding ahead of the one the caller holds, so
         in-flight decoded bytes are hard-bounded by the tile working set
         (:attr:`StreamStats.budget_bytes`) no matter how large the
-        region — the pipeline never queues unboundedly. When the reader
-        kept a decode ``pool``, those look-ahead tiles decode
-        concurrently while the caller consumes earlier ones; otherwise
-        they decode lazily at yield time (same bytes, no overlap).
+        region. Look-ahead tiles decode on the reader's ``pool`` while
+        the caller consumes earlier ones, or lazily at yield time when
+        it kept none (same bytes, no overlap).
 
         A corrupt chunk raises
         :class:`~repro.store.format.CorruptChunkError` naming the chunk
@@ -457,35 +501,20 @@ class StreamStats:
         }
 
 
-class _TileSource:
-    """One chunk feeding one pending tile: a cache hit (``array``), a
-    pool decode in flight (``task``), or a fetched payload awaiting lazy
-    in-process decode (``payload``)."""
-
-    __slots__ = ("kind", "chunk", "entry", "value", "charge")
-
-    def __init__(self, kind, chunk, entry, value, charge) -> None:
-        self.kind = kind
-        self.chunk = chunk
-        self.entry = entry
-        self.value = value
-        self.charge = charge
-
-
 class TileStream:
     """Iterator over a region's tiles with bounded look-ahead.
 
     Built by :meth:`StoreReader.read_iter`; yields
     ``(tile_region, ndarray)`` with ``tile_region`` a tuple of
     field-coordinate slices and the array a fresh (writeable,
-    C-contiguous) copy of that box. The pipeline schedules up to
-    ``max_inflight`` tiles ahead of the caller — fetching payloads,
-    submitting decodes to the reader's pool when it has one — and blocks
-    scheduling beyond that, so in-flight decoded bytes stay bounded by
-    the tile working set (backpressure, not queueing). A fetch error is
-    captured at schedule time and re-raised when its tile's turn comes,
-    preserving yield order. :meth:`close` abandons look-ahead work;
-    :attr:`stats` reports the plan and the observed memory peak.
+    C-contiguous) copy of that box. The pipeline starts the chunks of up
+    to ``max_inflight`` tiles ahead of the caller (the reader's chunk
+    path, pooled) and blocks scheduling beyond that, so in-flight decoded
+    bytes stay bounded by the tile working set (backpressure, not
+    queueing). A fetch error is captured at schedule time and re-raised
+    when its tile's turn comes, preserving yield order. :meth:`close`
+    abandons look-ahead work; :attr:`stats` reports the plan and the
+    observed memory peak.
     """
 
     def __init__(self, reader: StoreReader, sel, plan, max_inflight: int) -> None:
@@ -534,73 +563,53 @@ class TileStream:
 
     # -- pipeline ----------------------------------------------------------------
 
+    def _cost(self, src) -> int:
+        """Decoded bytes a started chunk adds until its tile is
+        assembled; a cache hit is shared with the cache and adds none."""
+        if isinstance(src, np.ndarray):
+            return 0
+        return src.chunk.n_elements * self.reader.dtype.itemsize
+
     def _schedule_one(self) -> None:
-        """Start the next planned tile: cache lookups, payload fetches,
-        and (with a pool) decode submissions. Fetch errors are deferred
-        to the tile's own yield slot so earlier tiles stream intact."""
-        reader = self.reader
+        """Start the next planned tile's chunks (:meth:`StoreReader._start`,
+        pooled). A fetch error is deferred to the tile's own yield slot
+        so earlier tiles stream intact."""
         tile_sel, chunks = self._plan[self._next]
         self._next += 1
-        sources: list[_TileSource] = []
+        sources: list = []
         error: Exception | None = None
         for chunk in chunks:
-            cached = reader._cache_get(chunk.coords)
-            if cached is not None:
-                # shared with the cache: no new memory, charge nothing
-                sources.append(_TileSource("array", chunk, None, cached, 0))
-                continue
-            entry = reader.chunk_entry(chunk.coords)
             try:
-                payload = reader.fetch_payload(entry)
+                src = self.reader._start(chunk, pooled=True)
             except CorruptChunkError as exc:
                 error = exc
                 break
-            charge = chunk.n_elements * reader.dtype.itemsize
-            self._charge(charge)
-            if reader.pool is not None:
-                task = reader.pool.submit(
-                    decode_chunk, reader.compressor, entry, payload, reader.verify
-                )
-                sources.append(_TileSource("task", chunk, entry, task, charge))
-            else:
-                sources.append(_TileSource("payload", chunk, entry, payload, charge))
-        self._pending.append((tile_sel, sources, error))
+            self._charge(self._cost(src))
+            sources.append(src)
+        self._pending.append((tile_sel, chunks, sources, error))
 
-    def _collect(self, tile_sel, sources, error):
-        """Finish one scheduled tile: await/execute its decodes, cache
-        the results, assemble the output box."""
-        reader = self.reader
+    def _collect(self, tile_sel, chunks, sources, error):
+        """Finish one scheduled tile: resolve its chunks (which caches
+        them) and assemble the output box."""
         if error is not None:
-            for src in sources:
-                self._drop_source(src)
+            self._drop(sources)
             raise error
         shape = tuple(s.stop - s.start for s in tile_sel)
-        out = np.empty(shape, dtype=reader.dtype)
+        out = np.empty(shape, dtype=self.reader.dtype)
         self._charge(out.nbytes)
         try:
-            for src in sources:
-                if src.kind == "array":
-                    data = src.value
-                else:
-                    if src.kind == "task":
-                        data = src.value.result()
-                    else:
-                        data = decode_chunk(
-                            reader.compressor, src.entry, src.value, reader.verify
-                        )
-                    reader._cache_put(src.chunk.coords, data)
-                assemble_region(out, tile_sel, src.chunk, data)
-                self._release(src.charge)
-                src.charge = 0
+            for chunk, src in zip(chunks, sources):
+                assemble_region(out, tile_sel, chunk, self.reader._resolve(src))
+                self._release(self._cost(src))
         finally:
             self._release(out.nbytes)
         return tile_sel, out
 
-    def _drop_source(self, src: _TileSource) -> None:
-        if src.kind == "task":
-            src.value.cancel()
-        self._release(src.charge)
-        src.charge = 0
+    def _drop(self, sources) -> None:
+        for src in sources:
+            if isinstance(src, _ChunkSource):
+                src.cancel()
+            self._release(self._cost(src))
 
     # -- iterator protocol -------------------------------------------------------
 
@@ -615,9 +624,8 @@ class TileStream:
         if not self._pending:
             self._finish()
             raise StopIteration
-        tile_sel, sources, error = self._pending.popleft()
         try:
-            result = self._collect(tile_sel, sources, error)
+            result = self._collect(*self._pending.popleft())
         except BaseException:
             self.close()
             raise
@@ -644,9 +652,7 @@ class TileStream:
         tiles. The reader itself stays open and usable."""
         self._closed = True
         while self._pending:
-            _, sources, _ = self._pending.popleft()
-            for src in sources:
-                self._drop_source(src)
+            self._drop(self._pending.popleft()[2])
 
     def __enter__(self) -> "TileStream":
         return self

@@ -1,6 +1,8 @@
 """StoreCatalog: keyed multi-store reads, shared byte-budgeted chunk
 cache, parallel decode, and byte-identity across every configuration."""
 
+import gc
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -123,6 +125,22 @@ class TestRegistrationAndScan:
                 fields["climate/wind"][:8, :16, :16],
             )
 
+    def test_close_closes_the_readers_a_reregistration_displaced(self, store_root):
+        root, _ = store_root
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            cat = StoreCatalog()
+            cat.register("data", root / "climate/temp.rps")
+            displaced = cat.reader("data")
+            cat.register("data", root / "climate/wind.rps")
+            # a read still in flight on the displaced reader can finish
+            assert displaced.read_chunk((0, 0, 0)).shape == CHUNK
+            del displaced
+            cat.read("data")
+            cat.close()
+            gc.collect()
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+
 
 class TestMultiStoreRoundTrip:
     def test_reads_by_key_match_direct_store_reads(self, store_root):
@@ -237,6 +255,20 @@ class TestDecodeSite:
             if workers:
                 assert cat.stats().pool.submitted == 4  # two chunks, read twice
                 assert cat.stats().pool.worker_seconds > 0.0
+            # a read that misses one chunk decodes it in the caller
+            one = (slice(None), slice(None), slice(0, chunk[2]))
+            assert cat.read("big", one).tobytes() == whole[one].tobytes()
+            if workers:
+                assert cat.stats().pool.submitted == 4
+        options = CatalogOptions(cache_bytes=4 << 20, workers=workers)
+        with StoreCatalog(tmp_path, options=options) as cat:
+            cat.read("big")  # cold: both chunks miss
+            submitted = cat.stats().pool.submitted if workers else 0
+            # warm: both chunks hit, nothing is sent to the pool
+            assert cat.read("big").tobytes() == whole.tobytes()
+            assert cat.stats().cache.hits == 2
+            if workers:
+                assert submitted == 2 and cat.stats().pool.submitted == 2
 
 
 class TestSharedChunkCache:
@@ -286,10 +318,8 @@ class TestSharedChunkCache:
     def test_zero_budget_disables_cache_but_reads_work(self, store_root):
         root, fields = store_root
         with StoreCatalog(root, options=CatalogOptions(cache_bytes=0)) as cat:
-            np.testing.assert_array_equal(
-                cat.read("nyx_baryon"),
-                Store(root / "nyx_baryon.rps").read(),
-            )
+            with Store(root / "nyx_baryon.rps") as plain:
+                np.testing.assert_array_equal(cat.read("nyx_baryon"), plain.read())
             assert len(cat.chunk_cache) == 0
             assert cat.chunk_cache.stats.hits == 0
 
@@ -339,6 +369,20 @@ class TestFailureIsolation:
             for key in ("climate/wind", "nyx_baryon"):
                 with Store(bad_root / f"{key}.rps") as st:
                     np.testing.assert_array_equal(cat.read(key), st.read())
+
+    def test_pooled_read_fails_on_the_corrupt_chunk_and_the_pool_serves_on(
+        self, root_with_corruption, store_root, pool_small_chunks
+    ):
+        # the chunks before the corrupt one are already submitted when its
+        # fetch fails; the read drops them and the next read is served
+        bad_root, coords = root_with_corruption
+        options = CatalogOptions(cache_bytes=0, workers=2)
+        with StoreCatalog(bad_root, options=options) as cat:
+            with pytest.raises(CorruptChunkError, match=str(coords)):
+                cat.read("climate/temp")
+            with Store(bad_root / "climate/wind.rps") as st:
+                assert cat.read("climate/wind").tobytes() == st.read().tobytes()
+            assert cat.stats().pool.submitted > 0
 
     def test_healthy_chunks_of_corrupt_store_still_readable(self, root_with_corruption):
         bad_root, coords = root_with_corruption

@@ -347,6 +347,22 @@ MANIFEST_DAMAGE = {
     "bad_shape": ("shape", lambda m: m.update(shape=["x", 2, 3])),
     "chunk_without_coords": ("chunks", lambda m: m["chunks"][0].pop("coords")),
     "chunk_dropped": ("chunks", lambda m: m["chunks"].pop()),
+    "chunk_without_offset": ("chunks", lambda m: m["chunks"][0].pop("offset")),
+    "chunk_offset_not_an_int": ("chunks", lambda m: m["chunks"][0].update(offset="x")),
+    "chunk_offset_negative": ("chunks", lambda m: m["chunks"][0].update(offset=-5)),
+    "chunk_payload_past_the_manifest": (
+        "chunks",
+        lambda m: m["chunks"][-1].update(nbytes=m["chunks"][-1]["nbytes"] + 1),
+    ),
+    "chunk_without_checksum": ("chunks", lambda m: m["chunks"][0].pop("checksum")),
+    "chunk_without_meta": ("chunks", lambda m: m["chunks"][0].pop("meta")),
+    "chunk_without_raw_bytes": ("chunks", lambda m: m["chunks"][0].pop("raw_bytes")),
+    "chunk_without_error_bound": ("chunks", lambda m: m["chunks"][0].pop("error_bound")),
+    "chunk_without_achieved_ratio": (
+        "chunks",
+        lambda m: m["chunks"][0].pop("achieved_ratio"),
+    ),
+    "chunk_coords_off_the_grid": ("chunks", lambda m: m["chunks"][0].update(coords=[9, 0, 0])),
 }
 
 
