@@ -6,12 +6,14 @@ budget can be steered per chunk while reads stay random-access. The grid
 is a pure function of ``(shape, chunk_shape)`` — writer and reader
 enumerate chunks in the same C order (last axis fastest) without any
 stored index, and a subvolume request maps to the exact set of chunks it
-intersects by integer arithmetic alone.
+intersects by integer arithmetic alone, worked out per axis, not per chunk.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 from math import prod
 
@@ -41,6 +43,13 @@ def default_chunk_shape(shape: tuple[int, ...], target_elements: int = DEFAULT_C
             break
         chunk[axis] = -(-chunk[axis] // 2)
     return tuple(chunk)
+
+
+def _coords(coords) -> tuple[int, ...]:
+    """Coordinates by ``operator.index``; a float, str or bool (NumPy's mask) is refused."""
+    if any(isinstance(c, (bool, np.bool_)) or not hasattr(c, "__index__") for c in coords):
+        raise TypeError(f"chunk coords {coords!r} are not integers")
+    return tuple(map(operator.index, coords))
 
 
 @dataclass(frozen=True)
@@ -103,35 +112,37 @@ class ChunkGrid:
             chunk_shape = default_chunk_shape(tuple(shape), target_elements)
         return cls(tuple(shape), tuple(chunk_shape))
 
-    @property
+    @cached_property
     def grid_shape(self) -> tuple[int, ...]:
         """Number of chunks along each axis."""
         return tuple(-(-s // c) for s, c in zip(self.shape, self.chunk_shape))
 
+    @cached_property
+    def _strides(self) -> tuple[int, ...]:
+        """Flat-id step of one chunk along each axis (C order)."""
+        return tuple(prod(self.grid_shape[i + 1 :]) for i in range(len(self.shape)))
+
     @property
     def n_chunks(self) -> int:
-        return int(np.prod(self.grid_shape))
+        return prod(self.grid_shape)
 
     def chunk_at(self, coords: tuple[int, ...]) -> Chunk:
         """The chunk at grid coordinates ``coords``."""
-        coords = tuple(int(c) for c in coords)
+        coords = _coords(coords)
         grid = self.grid_shape
         if len(coords) != len(grid):
             raise ValueError(f"coords {coords} do not match grid rank {len(grid)}")
         for c, g in zip(coords, grid):
             if not 0 <= c < g:
                 raise IndexError(f"chunk coords {coords} outside grid {grid}")
-        slices = tuple(
-            slice(c * cs, min((c + 1) * cs, s))
-            for c, cs, s in zip(coords, self.chunk_shape, self.shape)
-        )
-        return Chunk(index=int(np.ravel_multi_index(coords, grid)), coords=coords, slices=slices)
+        corner = tuple(slice(c * cs, c * cs + 1) for c, cs in zip(coords, self.chunk_shape))
+        return self._placements(corner)[0][0]
 
     def chunk(self, index: int) -> Chunk:
         """The chunk with flat id ``index`` (C order over the grid)."""
         if not 0 <= index < self.n_chunks:
             raise IndexError(f"chunk index {index} outside [0, {self.n_chunks})")
-        coords = tuple(int(c) for c in np.unravel_index(index, self.grid_shape))
+        coords = tuple(index // st % g for st, g in zip(self._strides, self.grid_shape))
         return self.chunk_at(coords)
 
     def __iter__(self):
@@ -168,7 +179,10 @@ class ChunkGrid:
                     raise ValueError("strided store reads are not supported")
                 start, stop, _ = r.indices(s)
             else:
-                idx = int(r)
+                try:
+                    idx = _coords((r,))[0]
+                except TypeError:
+                    raise IndexError(f"axis {axis}: {r!r} is not an integer index") from None
                 if idx < 0:
                     idx += s
                 if not 0 <= idx < s:
@@ -236,10 +250,21 @@ class ChunkGrid:
         An empty region intersects nothing — the caller gets an empty read
         rather than a decompression of zero-width chunks.
         """
-        sel = self.normalize_region(region)
+        return [chunk for chunk, _, _ in self._placements(self.normalize_region(region))]
+
+    def _placements(self, sel: tuple[slice, ...]) -> list:
+        """``(chunk, out_slices, chunk_slices)`` of each chunk a normalized
+        region meets, in flat-id order: each axis's coordinates are placed
+        once (flat-id term and slices), and a chunk zips one per axis."""
         if any(s.stop <= s.start for s in sel):
             return []
-        ranges = [
-            range(s.start // c, -(-s.stop // c)) for s, c in zip(sel, self.chunk_shape)
-        ]
-        return [self.chunk_at(coords) for coords in product(*ranges)]
+        axes = []
+        for r, c, s, st in zip(sel, self.chunk_shape, self.shape, self._strides):
+            axis = []
+            for k in range(r.start // c, -(-r.stop // c)):
+                lo, hi, o = k * c, min(k * c + c, s), r.start
+                a, b = max(o, lo), min(r.stop, hi)
+                axis.append((k, k * st, slice(lo, hi), slice(a - o, b - o), slice(a - lo, b - lo)))
+            axes.append(axis)
+        placed = (zip(*combo) for combo in product(*axes))
+        return [(Chunk(sum(terms), ks, field), out, part) for ks, terms, field, out, part in placed]

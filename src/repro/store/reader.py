@@ -12,8 +12,8 @@ chunk and subvolume reads through a staged pipeline:
    recorded compressor. A pure module-level function of the manifest
    entry and the payload bytes, so it pickles to worker processes and a
    :class:`~repro.serve.pool.WorkerPool` can fan a read's decodes out;
-3. **assemble** (:func:`assemble_region`) — scatter each chunk's
-   intersection into the caller's output array.
+3. **assemble** (:func:`assemble_region`) — copy each chunk's
+   intersection into the caller's output array, where the grid placed it.
 
 The stages are separable so a :class:`~repro.store.catalog.StoreCatalog`
 can inject a shared decompressed-chunk cache (``chunk_cache``) and a
@@ -28,7 +28,7 @@ stages 1 *and* 2, the cache's own :class:`~repro.serve.cache.CacheStats`
 counts each hit and miss once (``cat.stats().cache``; a miss is a
 decode), and since decode is deterministic and assembly order is fixed
 (flat chunk-id order), a read returns the same bytes for every worker
-count and cache size.
+count and cache size; a read that only hits costs little beyond its copies.
 
 **Where decode runs.** A reader keeps the pool it is handed only when
 its store's nominal chunk decodes to at least
@@ -61,8 +61,8 @@ import numpy as np
 
 from repro.compressors.base import CompressionResult
 from repro.compressors.registry import get_compressor
-from repro.obs import timed_span
-from repro.store.chunking import Chunk, ChunkGrid
+from repro.obs import span
+from repro.store.chunking import Chunk, ChunkGrid, _coords
 from repro.store.format import FOOTER_BYTES, HEADER_BYTES, CorruptChunkError, StoreFormatError
 from repro.store.format import chunk_checksum, read_manifest
 
@@ -101,20 +101,14 @@ def decode_chunk(
     return get_compressor(compressor).decompress(result)
 
 
-def assemble_region(out: np.ndarray, sel, chunk, data: np.ndarray) -> None:
-    """Stage 3: scatter one chunk's intersection with ``sel`` into ``out``.
+def assemble_region(out: np.ndarray, out_sl, data: np.ndarray, chunk_sl) -> None:
+    """Stage 3: copy one chunk's intersection with the region into ``out``.
 
-    ``sel`` is the normalized region (per-axis slices in field
-    coordinates); ``chunk`` carries its own field-coordinate slices. The
+    ``out_sl`` and ``chunk_sl`` are the overlap in the output's and the
+    chunk's coordinates (one placement of ``ChunkGrid._placements``). The
     chunk array is only read, never written — safe for cached arrays.
     """
-    out_sl, chunk_sl = [], []
-    for r, c in zip(sel, chunk.slices):
-        start = max(r.start, c.start)
-        stop = min(r.stop, c.stop)
-        out_sl.append(slice(start - r.start, stop - r.start))
-        chunk_sl.append(slice(start - c.start, stop - c.start))
-    out[tuple(out_sl)] = data[tuple(chunk_sl)]
+    out[out_sl] = data[chunk_sl]
 
 
 #: What a read takes from each manifest chunk entry, and the type it needs.
@@ -251,7 +245,7 @@ class StoreReader:
 
     def chunk_entry(self, coords: tuple[int, ...]) -> dict:
         """The manifest entry for one chunk (coords as grid coordinates)."""
-        key = tuple(int(c) for c in coords)
+        key = _coords(coords)
         if key not in self._entries:
             raise KeyError(f"no chunk {key} in {self.path.name} (grid {self.grid.grid_shape})")
         return self._entries[key]
@@ -365,9 +359,8 @@ class StoreReader:
         — cache disabled, or chunk bigger than the whole budget — stay
         writeable, as in the plain uncached reader.
         """
-        key = tuple(int(c) for c in coords)
-        self.chunk_entry(key)  # coords outside the grid: a KeyError naming it
-        return self._resolve(self._start(self.grid.chunk_at(key), pooled=False))
+        self.chunk_entry(coords)  # coords outside the grid: a KeyError naming it
+        return self._resolve(self._start(self.grid.chunk_at(coords), pooled=False))
 
     # -- subvolume reads ---------------------------------------------------------
 
@@ -386,21 +379,18 @@ class StoreReader:
         "Read-back contract").
         """
         sel = self.grid.normalize_region(region)
-        out_shape = tuple(s.stop - s.start for s in sel)
-        out = np.empty(out_shape, dtype=self.dtype)
-        chunks = self.grid.chunks_intersecting(sel)
-        with timed_span(
-            "store.read", path=str(self.path), n_chunks=len(chunks), shape=out_shape
-        ):
+        out = np.empty(tuple(s.stop - s.start for s in sel), dtype=self.dtype)
+        placed = self.grid._placements(sel)
+        with span("store.read", path=str(self.path), n_chunks=len(placed), shape=out.shape):
             # A lone miss decodes in the caller: one chunk gains nothing
             # from a process round trip.
-            started = [self._cache_get(chunk.coords) for chunk in chunks]
+            started = [self._cache_get(chunk.coords) for chunk, _, _ in placed]
             missing = [i for i, data in enumerate(started) if data is None]
             try:
                 for i in missing:
-                    started[i] = self._begin(chunks[i], pooled=len(missing) > 1)
-                for chunk, src in zip(chunks, started):
-                    assemble_region(out, sel, chunk, self._resolve(src))
+                    started[i] = self._begin(placed[i][0], pooled=len(missing) > 1)
+                for (_, out_sl, chunk_sl), src in zip(placed, started):
+                    assemble_region(out, out_sl, self._resolve(src), chunk_sl)
             except BaseException:
                 for src in started:
                     if isinstance(src, _ChunkSource):
@@ -586,9 +576,9 @@ class TileStream:
                 break
             self._charge(self._cost(src))
             sources.append(src)
-        self._pending.append((tile_sel, chunks, sources, error))
+        self._pending.append((tile_sel, sources, error))
 
-    def _collect(self, tile_sel, chunks, sources, error):
+    def _collect(self, tile_sel, sources, error):
         """Finish one scheduled tile: resolve its chunks (which caches
         them) and assemble the output box."""
         if error is not None:
@@ -598,8 +588,8 @@ class TileStream:
         out = np.empty(shape, dtype=self.reader.dtype)
         self._charge(out.nbytes)
         try:
-            for chunk, src in zip(chunks, sources):
-                assemble_region(out, tile_sel, chunk, self.reader._resolve(src))
+            for (_, out_sl, chunk_sl), src in zip(self.reader.grid._placements(tile_sel), sources):
+                assemble_region(out, out_sl, self.reader._resolve(src), chunk_sl)
                 self._release(self._cost(src))
         finally:
             self._release(out.nbytes)
@@ -652,7 +642,7 @@ class TileStream:
         tiles. The reader itself stays open and usable."""
         self._closed = True
         while self._pending:
-            self._drop(self._pending.popleft()[2])
+            self._drop(self._pending.popleft()[1])
 
     def __enter__(self) -> "TileStream":
         return self

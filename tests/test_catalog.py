@@ -3,7 +3,9 @@ cache, parallel decode, and byte-identity across every configuration."""
 
 import gc
 import warnings
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +20,8 @@ from repro.store import (
     StoreOptions,
     pack,
 )
+from repro.store import reader as reader_mod
+from repro.store.reader import StoreReader
 
 SHAPE = (24, 32, 32)
 CHUNK = (8, 16, 16)
@@ -338,6 +342,100 @@ class TestSharedChunkCache:
             out = cat.read_chunk("climate/temp", (0, 0, 0))
             assert out.flags.writeable
             out[0, 0, 0] = 0.0  # does not raise
+
+
+EDGE_CHUNK = (10, 12, 13)  # the last chunk of every axis is clipped by the field
+
+#: Regions read warm from the ``EDGE_CHUNK`` store.
+HIT_REGIONS = [
+    None,  # the whole field
+    (slice(20, 24), slice(24, 32), slice(26, 32)),  # the far corner chunk alone
+    (5, slice(None), slice(10, 30)),  # an int slab across edge chunks
+    (slice(7, 23), 31, -1),
+    (slice(3, 3),),  # empty
+]
+
+
+class TestHitPath:
+    """A read whose chunks all sit in the cache does no stage-1 (fetch)
+    or stage-2 (decode) work: it assembles each intersecting chunk once
+    and returns the bytes of an uncached read."""
+
+    @pytest.fixture(scope="class")
+    def edge_root(self, fitted, tmp_path_factory):
+        root = tmp_path_factory.mktemp("edge")
+        field = load_field("miranda/pressure", shape=SHAPE, seed=20)
+        pack(root / "edge.rps", field, fitted, TARGET, options=StoreOptions(chunk_shape=EDGE_CHUNK))
+        with Store(root / "edge.rps") as plain:
+            return root, plain.read()
+
+    @pytest.fixture()
+    def calls(self, monkeypatch):
+        calls = Counter()
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for owner, attr in [
+            (StoreReader, "fetch_payload"),
+            (reader_mod, "decode_chunk"),
+            (reader_mod, "assemble_region"),
+        ]:
+            monkeypatch.setattr(owner, attr, counted(attr, getattr(owner, attr)))
+        return calls
+
+    @pytest.mark.parametrize("region", HIT_REGIONS)
+    def test_warm_read_only_assembles(self, edge_root, calls, region):
+        root, _ = edge_root
+        with Store(root / "edge.rps") as plain:
+            expected = plain.read(region)
+        with StoreCatalog(root, options=CatalogOptions(cache_bytes=64 << 20)) as cat:
+            cat.read("edge")  # every chunk cached
+            n_chunks = len(cat.reader("edge").grid.chunks_intersecting(region))
+            calls.clear()
+            out = cat.read("edge", region)
+        assert [calls["fetch_payload"], calls["decode_chunk"]] == [0, 0]
+        assert calls["assemble_region"] == n_chunks
+        assert out.shape == expected.shape and out.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize(
+        "region", [None, (slice(2, 24), slice(5, 31), slice(None)), (slice(None), 13, 25)]
+    )
+    def test_warm_stream_only_assembles(self, edge_root, calls, region):
+        root, whole = edge_root
+        tile = (12, 20, 20)  # every tile spans chunks on each axis it crosses
+        with StoreCatalog(root, options=CatalogOptions(cache_bytes=64 << 20)) as cat:
+            cat.read("edge")
+            grid = cat.reader("edge").grid
+            sel = grid.normalize_region(region)
+            n_chunks = sum(len(chunks) for _, chunks in grid.plan_region(sel, tile))
+            calls.clear()
+            out = np.zeros_like(whole)
+            for tile_sel, piece in cat.read_iter("edge", region, tile=tile):
+                out[tile_sel] = piece
+        assert [calls["fetch_payload"], calls["decode_chunk"]] == [0, 0]
+        assert calls["assemble_region"] == n_chunks > len(grid.plan_region(sel, tile))
+        assert out[sel].tobytes() == whole[sel].tobytes()
+
+
+GOLDEN_SZ3 = Path(__file__).parent / "data" / "golden" / "plain_sz3.rps"
+
+
+@pytest.mark.parametrize("coords", [(0.9, 0, 0), ("0", "0", "0"), (True, False, False)])
+def test_non_integer_chunk_coords_rejected(store_root, coords):
+    # int() truncated these to a chunk the caller did not ask for
+    with StoreReader(GOLDEN_SZ3) as reader:
+        for read in (reader.read_chunk, reader.chunk_entry, reader.grid.chunk_at):
+            with pytest.raises(TypeError, match="chunk coords"):
+                read(coords)
+    root, _ = store_root
+    with StoreCatalog(root) as cat:
+        with pytest.raises(TypeError, match="chunk coords"):
+            cat.read_chunk("climate/temp", coords)
 
 
 class TestFailureIsolation:

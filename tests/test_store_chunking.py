@@ -1,5 +1,6 @@
 """Deterministic chunk grids: tiling, enumeration, region intersection."""
 
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -129,23 +130,61 @@ class TestRegions:
         with pytest.raises(IndexError):
             grid.normalize_region((6,))
 
+    @pytest.mark.parametrize("index", [1.7, "2", np.float32(2.9), True, np.True_, None])
+    def test_non_integer_index_rejected(self, index):
+        # NumPy refuses a float or str index and reads a bool as a mask:
+        # none of them may select a truncated row
+        grid = ChunkGrid((6, 8), (4, 4))
+        with pytest.raises(IndexError, match="axis 0"):
+            grid.normalize_region((index,))
+
     def test_intersection_matches_bruteforce(self):
         rng = np.random.default_rng(0)
-        grid = ChunkGrid((9, 11, 7), (4, 3, 5))
-        for _ in range(25):
-            lo = [int(rng.integers(0, s)) for s in grid.shape]
-            hi = [int(rng.integers(low + 1, s + 1)) for low, s in zip(lo, grid.shape)]
-            region = tuple(slice(a, b) for a, b in zip(lo, hi))
-            expected = [
-                c.index
-                for c in grid
-                if all(
-                    r.start < cs.stop and cs.start < r.stop
-                    for r, cs in zip(region, c.slices)
-                )
-            ]
-            got = [c.index for c in grid.chunks_intersecting(region)]
-            assert got == expected
+        grids = [ChunkGrid((9, 11, 7), (4, 3, 5)), ChunkGrid((5, 3), (8, 3))]
+        for _ in range(60):
+            rank = int(rng.integers(1, 5))
+            shape = tuple(int(s) for s in rng.integers(1, 10, size=rank))
+            # edge chunks clipped by the field, and chunks past the field
+            chunk = tuple(int(c) for c in rng.integers(1, 12, size=rank))
+            grids.append(ChunkGrid(shape, chunk))
+        for grid in grids:
+            chunks = list(grid)
+            for c in chunks:
+                assert c == _chunk_oracle(grid, c.coords)
+                assert grid.chunk(c.index) == grid.chunk_at(c.coords) == c
+            for _ in range(12):
+                region = tuple(_random_axis(rng, s) for s in grid.shape)
+                sel = grid.normalize_region(region)
+                expected = [
+                    c
+                    for c in chunks
+                    if all(
+                        r.start < r.stop and r.start < cs.stop and cs.start < r.stop
+                        for r, cs in zip(sel, c.slices)
+                    )
+                ]
+                assert grid.chunks_intersecting(region) == expected
+                placed = grid._placements(sel)
+                assert [chunk for chunk, _, _ in placed] == expected
+                for chunk, out_sl, chunk_sl in placed:
+                    assert (out_sl, chunk_sl) == _placement_oracle(sel, chunk)
+
+    def test_huge_grid_builds_nothing_per_chunk(self):
+        # a grid answers from per-axis facts: a billion chunks cost no
+        # more to count, index or intersect than eight
+        tracemalloc.start()
+        try:
+            grid = ChunkGrid((10**9,), (1,))
+            assert grid.n_chunks == len(grid) == 10**9
+            last = grid.chunk(10**9 - 1)
+            assert last.coords == (10**9 - 1,)
+            assert last.slices == (slice(10**9 - 1, 10**9),)
+            assert [c.index for c in grid.chunks_intersecting((slice(5, 7),))] == [5, 6]
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert all(len(v) == 1 for v in vars(grid).values())  # one entry per axis
 
     def test_empty_region_intersects_nothing(self):
         grid = ChunkGrid((6, 8), (3, 4))
@@ -156,6 +195,42 @@ class TestRegions:
         assert isinstance(chunk, Chunk)
         with pytest.raises(AttributeError):
             chunk.index = 3
+
+
+def _random_axis(rng, size: int):
+    """One axis of a region: an int slab (negative counts from the end),
+    the whole axis, an open-ended slice, a span, or an empty span."""
+    kind = int(rng.integers(6))
+    if kind == 0:
+        return int(rng.integers(-size, size))
+    if kind == 1:
+        return slice(None)
+    start = int(rng.integers(0, size + 1))
+    if kind == 2:
+        return slice(start, None)
+    if kind == 3:
+        return slice(start, start)
+    return slice(start, int(rng.integers(start, size + 1)))
+
+
+def _chunk_oracle(grid: ChunkGrid, coords) -> Chunk:
+    """A chunk as ``ChunkGrid.chunk_at`` built it one at a time: the flat
+    id by ``np.ravel_multi_index``, the slices clipped at the field edge."""
+    ends = [min((c + 1) * cs, s) for c, cs, s in zip(coords, grid.chunk_shape, grid.shape)]
+    slices = tuple(slice(c * cs, end) for c, cs, end in zip(coords, grid.chunk_shape, ends))
+    return Chunk(int(np.ravel_multi_index(coords, grid.grid_shape)), tuple(coords), slices)
+
+
+def _placement_oracle(sel, chunk: Chunk):
+    """Where a chunk lands in a region's output, by the per-chunk slice
+    arithmetic ``assemble_region`` once did for every chunk it copied."""
+    out_sl, chunk_sl = [], []
+    for r, c in zip(sel, chunk.slices):
+        start = max(r.start, c.start)
+        stop = min(r.stop, c.stop)
+        out_sl.append(slice(start - r.start, stop - r.start))
+        chunk_sl.append(slice(start - c.start, stop - c.start))
+    return tuple(out_sl), tuple(chunk_sl)
 
 
 def _two_pass_plan(grid: ChunkGrid, sel, tile_shape):
