@@ -149,10 +149,14 @@ class ErrorBoundModel:
         (``has_spread`` False), whose zero spread is degeneracy, not
         confidence — report ``nan`` per element. A ratio that is not
         positive and finite raises ``ValueError``: the forest would route
-        it down some branch and return a bound that means nothing.
+        it down some branch and return a bound that means nothing. So does
+        a ``safety`` that is not finite, which would shift every bound to
+        ``nan`` or to an end of the clamp range.
         """
         if self.forest is None:
             raise RuntimeError("model is not fitted")
+        if not np.isfinite(safety):
+            raise ValueError(f"safety must be finite, got {safety}")
         ratios = np.asarray(target_ratios, dtype=np.float64).ravel()
         if ratios.size == 0:
             return np.empty(0), np.empty(0)

@@ -11,7 +11,7 @@ interoperability with the reference compressors' CLIs.
 from __future__ import annotations
 
 import os
-import tempfile
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -71,26 +71,36 @@ def load_raw(
     )
 
 
-def save_raw(field: Field, path: str | Path) -> Path:
-    """Write a field as headerless binary (inverse of :func:`load_raw`).
+@contextmanager
+def atomic_write(path: str | Path):
+    """``with atomic_write(path) as fh:`` — a binary file handle whose
+    bytes replace ``path`` only once the block finishes.
 
-    The write is atomic: bytes go to a temporary file in the destination
-    directory which is ``os.replace``-d over ``path`` only once fully
-    written, so a crash mid-write never leaves a truncated field behind.
+    Bytes go to a temporary file in the destination directory, which is
+    ``os.replace``-d over ``path`` on success and removed on any failure,
+    so a crash or an exception mid-write never leaves a truncated file —
+    and never destroys the one it was replacing. A reader that already
+    holds the old file open keeps reading the old bytes.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp_name = tempfile.mkstemp(prefix=f".{path.name}.", suffix=".tmp", dir=path.parent)
+    tmp = path.with_name(f".{path.name}.{os.urandom(4).hex()}.tmp")
+    fh = open(tmp, "xb")  # exclusive: never truncates another writer's file
     try:
-        with os.fdopen(fd, "wb") as fh:
-            field.data.tofile(fh)
-        os.replace(tmp_name, path)
+        with fh:
+            yield fh
+        os.replace(tmp, path)
     except BaseException:
-        try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
+        tmp.unlink(missing_ok=True)
         raise
+
+
+def save_raw(field: Field, path: str | Path) -> Path:
+    """Write a field as headerless binary (inverse of :func:`load_raw`),
+    atomically (:func:`atomic_write`)."""
+    path = Path(path)
+    with atomic_write(path) as fh:
+        field.data.tofile(fh)
     return path
 
 

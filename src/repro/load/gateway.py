@@ -41,11 +41,12 @@ flush reason.
 from __future__ import annotations
 
 import asyncio
+import math
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
-from repro.obs import timed_span
+from repro.obs import span
 
 
 class Overloaded(RuntimeError):
@@ -92,6 +93,8 @@ class GatewayOptions:
             raise ValueError("max_wait_ms must be >= 0")
         if self.max_pending < 1:
             raise ValueError("max_pending must be >= 1")
+        if not math.isfinite(self.safety):
+            raise ValueError(f"safety must be finite, got {self.safety}")
 
 
 @dataclass(frozen=True)
@@ -288,7 +291,7 @@ class Gateway:
         requests = [(data, ratio) for data, ratio, _ in batch]
         self._batches += 1
         self._flushes[reason] += 1
-        with timed_span("load.gateway.batch", n_requests=len(batch), reason=reason):
+        with span("load.gateway.batch", n_requests=len(batch), reason=reason):
             try:
                 outcomes = await self._predict(requests)
             except Exception as exc:  # noqa: BLE001 - failures belong to the callers

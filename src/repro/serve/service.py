@@ -35,7 +35,7 @@ import numpy as np
 from repro.core.carol import CarolFramework
 from repro.core.framework import Prediction
 from repro.core.fxrz import FxrzFramework
-from repro.obs import timed_span
+from repro.obs import span
 from repro.serve.cache import CacheStats, LRUCache, digest_array
 from repro.utils.validation import as_float_array
 
@@ -167,7 +167,7 @@ class PredictionService:
         self.n_batches += 1
         if not pairs:
             return []
-        with timed_span("serve.predict_batch", n_requests=len(pairs)):
+        with span("serve.predict_batch", n_requests=len(pairs)):
             # one key per distinct array object: every array stays alive
             # in ``pairs``, so no id() is reused within the call
             keys_by_id: dict[int, tuple] = {}

@@ -1,11 +1,25 @@
 """Streaming store writer with a closed-loop byte budget and wave parallelism.
 
 :class:`StoreWriter` turns "this field must fit N bytes" into a chunked
-``.rps`` container: it walks a deterministic :class:`~repro.store.chunking.ChunkGrid`
-over the input, predicts each chunk's error bound through a fitted
-framework, compresses, and appends the payload — the input is only
-ever touched one *wave* at a time, so fields loaded via ``np.memmap``
-stream through without materializing.
+``.rps`` container. It walks a deterministic :class:`~repro.store.chunking.ChunkGrid`
+over the input one *wave* of ``wave_size`` chunks (flat chunk-id order)
+at a time, so fields loaded via ``np.memmap`` stream through without
+materializing, and takes each wave through three stages:
+
+- **decide** — every chunk of the wave gets one error bound for the
+  wave's shared target: the surrogate heuristic for a relaxed (T0)
+  wave, else one feature pass and one model pass, after which the
+  controller may escalate single chunks to a warm FRaZ search (T2);
+- **compress** — the chunks that were not escalated (a search has
+  already compressed its chunk) are compressed in the caller, or fanned
+  out over a :class:`repro.serve.WorkerPool` (``workers > 0``);
+- **commit** — payloads are appended strictly in chunk-id order, each
+  with one :class:`ChunkWriteRecord` from which its manifest entry is
+  written.
+
+The file is written to a temporary name and replaces ``path`` only when
+the pack has finished, so a failed pack leaves any previous store there
+intact.
 
 The byte budget is *closed-loop*: after each wave lands, the remaining
 budget is redistributed over the remaining raw bytes, so a chunk that
@@ -14,16 +28,10 @@ versa) instead of letting the error accumulate. Open-loop mode
 (``closed_loop=False``) asks every chunk for the global target — the
 per-chunk-prediction baseline the closed loop is measured against.
 
-**Wave parallelism.** The pack loop is organized into deterministic
-waves of ``wave_size`` chunks (flat chunk-id order). All chunks in a
-wave share one re-target computed from the budget state at the wave
-boundary; their features are extracted in the caller's process, their
-compression fans out across a :class:`repro.serve.WorkerPool`
-(``workers > 0``), and the payloads are committed to the file strictly
-in chunk-id order. Because the re-target sequence depends only on
-``wave_size`` — never on ``workers`` — the output file is
-**byte-identical for every worker count**, including the in-process
-``workers=0`` path. ``wave_size=1`` degenerates to the original serial
+**Determinism.** Targets and tier decisions are made at wave boundaries
+from committed bytes only, and escalated chunks refine in-process, so
+the output file is **byte-identical for every worker count**, including
+the in-process ``workers=0`` path; ``wave_size=1`` is the serial
 chunk-at-a-time loop bit-for-bit.
 
 Every ``(features, error bound, achieved ratio, target)`` outcome can be
@@ -42,8 +50,8 @@ import numpy as np
 from repro.compressors.registry import get_compressor
 from repro.control.controller import Controller, _require_framework
 from repro.control.policy import ControlOptions, ControlStats, Tier
-from repro.core.framework import Prediction
-from repro.obs import timed_span
+from repro.data.io import atomic_write
+from repro.obs import span
 from repro.serve.pool import PoolStats, WorkerPool
 from repro.store.chunking import DEFAULT_CHUNK_ELEMENTS, ChunkGrid
 from repro.store.format import chunk_checksum, json_safe, write_header, write_manifest
@@ -106,6 +114,8 @@ class StoreOptions:
             object.__setattr__(self, "chunk_shape", tuple(int(c) for c in self.chunk_shape))
         if self.chunk_elements < 1:
             raise ValueError("chunk_elements must be >= 1")
+        if not np.isfinite(self.safety):
+            raise ValueError(f"safety must be finite, got {self.safety}")
         if not 1.0 <= self.min_chunk_ratio <= self.max_chunk_ratio:
             raise ValueError("need 1 <= min_chunk_ratio <= max_chunk_ratio")
         if self.workers < 0:
@@ -126,7 +136,9 @@ class StoreOptions:
 
 @dataclass
 class ChunkWriteRecord:
-    """One packed chunk's outcome (mirrors its manifest entry)."""
+    """One packed chunk's outcome. Its manifest entry is these fields
+    but ``stored_bytes`` (which also counts the codec's stream header),
+    plus the payload's offset, nbytes, checksum and codec metadata."""
 
     coords: tuple[int, ...]
     target_ratio: float
@@ -250,22 +262,39 @@ class StoreWriter:
         if framework.model.forest is None:
             raise ValueError("framework is not fitted")
 
-    # -- prediction --------------------------------------------------------------
+    # -- decide ------------------------------------------------------------------
 
-    def _predict_wave(self, arrays: list[np.ndarray], target: float) -> list[Prediction]:
-        """Error-bound predictions for one wave, in chunk order: one
-        feature pass and one model pass, with the model's spread kept
-        for the controller. Each row is the bits a single-chunk call
-        gives, so ``wave_size=1`` reproduces the serial pack."""
+    def _decide_wave(self, arrays, target, controller, pressure) -> list[tuple]:
+        """Each chunk's ``(features, error_bound, fraz)``, in chunk order.
+
+        A relaxed (T0) wave takes the surrogate heuristic and has no
+        features. Otherwise the wave gets one feature pass and one model
+        pass (each row the bits a single-chunk call gives, so
+        ``wave_size=1`` reproduces the serial pack), and the controller
+        then decides each chunk in flat chunk-id order: a chunk it
+        escalates is refined in-process and carries its
+        :class:`~repro.core.fraz.FrazResult`, already compressed; every
+        other chunk has ``fraz=None``. All of it uses wave-boundary state
+        only, so the decisions are the same for every worker count.
+        """
+        if controller is not None and controller.wave_tier(pressure) is Tier.HEURISTIC:
+            preds = [controller.heuristic_prediction(a, target) for a in arrays]
+            return [(p.features, p.error_bound, None) for p in preds]
         framework = self._framework
         F = framework.extract_features_many(arrays)
         ebs, stds = framework.model.predict_error_bound_batch_with_std(
             F, np.full(len(arrays), float(target)), safety=self.options.safety
         )
-        return [
-            Prediction(float(eb), float(target), F[i], 0.0, 0.0, std=float(s))
-            for i, (eb, s) in enumerate(zip(ebs, stds))
-        ]
+        decided = []
+        for a, features, eb, std in zip(arrays, F, ebs.tolist(), stds.tolist()):
+            fraz = None
+            if controller is not None:
+                controller.record_std(std)
+                if controller.chunk_tier(std, pressure) is Tier.REFINE:
+                    fraz = controller.refine(a, target, initial_eb=eb, features=features)
+                    eb = float(fraz.error_bound)
+            decided.append((features, eb, fraz))
+        return decided
 
     # -- packing -----------------------------------------------------------------
 
@@ -334,179 +363,107 @@ class StoreWriter:
         entries: list[dict] = []
         records: list[ChunkWriteRecord] = []
         chunks = list(grid)
-
         pool = None
         if opts.workers > 0:
             pool = WorkerPool(opts.workers, timeout=POOL_TIMEOUT_SECONDS)
-
-        self.path.parent.mkdir(parents=True, exist_ok=True)
         try:
-            with timed_span(
-                "store.pack",
-                path=str(self.path),
-                n_chunks=grid.n_chunks,
-                target_ratio=target_ratio,
-                closed_loop=opts.closed_loop,
-                workers=opts.workers,
-                wave_size=wave_size,
+            with (
+                span(
+                    "store.pack",
+                    path=str(self.path),
+                    n_chunks=grid.n_chunks,
+                    target_ratio=target_ratio,
+                    closed_loop=opts.closed_loop,
+                    workers=opts.workers,
+                    wave_size=wave_size,
+                ),
+                atomic_write(self.path) as fh,
             ):
-                with open(self.path, "wb") as fh:
-                    offset = write_header(fh)
-                    for wave_index, start in enumerate(range(0, len(chunks), wave_size)):
-                        wave = chunks[start : start + wave_size]
-                        wave_target = self._wave_target(
-                            target_ratio, budget, spent, raw_remaining
-                        )
-                        pressure = self._pressure(
-                            target_ratio, spent, original_bytes - raw_remaining
-                        )
+                offset = write_header(fh)
+                for wave_index, start in enumerate(range(0, len(chunks), wave_size)):
+                    wave = chunks[start : start + wave_size]
+                    wave_target = self._wave_target(target_ratio, budget, spent, raw_remaining)
+                    pressure = self._pressure(target_ratio, spent, original_bytes - raw_remaining)
+                    if controller is not None:
+                        # Aggregate drift can cancel (under- then over-shoot);
+                        # the controller folds in the committed cheap-tier
+                        # chunks' per-chunk ratio error, which cannot.
+                        pressure = controller.observed_pressure(pressure)
+                    with span(
+                        "store.pack.wave",
+                        index=wave_index,
+                        n_chunks=len(wave),
+                        target_ratio=wave_target,
+                    ):
+                        # One wave in RAM at a time: a memmap source is read
+                        # page-by-page here, never materialized whole.
+                        arrays = [np.ascontiguousarray(arr[c.slices], dtype=dtype) for c in wave]
+                        decided = self._decide_wave(arrays, wave_target, controller, pressure)
+                        # escalated chunks were compressed by their search
+                        tasks = [
+                            (codec.name, a, eb)
+                            for a, (_, eb, fraz) in zip(arrays, decided)
+                            if fraz is None
+                        ]
+                        if pool is not None:
+                            pooled = iter(pool.map_ordered(_compress_task, tasks))
+                        else:
+                            pooled = iter([_compress_task(*t) for t in tasks])
+                    # Ordered commit: payloads land in chunk-id order no
+                    # matter which worker finished first.
+                    for chunk, a, (features, eb, fraz) in zip(wave, arrays, decided):
+                        result = next(pooled) if fraz is None else fraz.result
                         if controller is not None:
-                            # Aggregate drift can cancel (under- then over-
-                            # shoot); the controller folds in the committed
-                            # cheap-tier chunks' per-chunk ratio error, which
-                            # cannot.
-                            pressure = controller.observed_pressure(pressure)
-                        with timed_span(
-                            "store.pack.wave",
-                            index=wave_index,
-                            n_chunks=len(wave),
-                            target_ratio=wave_target,
-                        ):
-                            # One wave in RAM at a time: a memmap source is
-                            # read page-by-page here, never materialized whole.
-                            arrays = [
-                                np.ascontiguousarray(arr[c.slices], dtype=dtype)
-                                for c in wave
-                            ]
-                            # Control decisions use only wave-boundary state
-                            # (pressure, committed spreads, remaining risk) and
-                            # escalated chunks refine in-process, so the bytes
-                            # below are identical for every worker count.
-                            escalated: dict[int, object] = {}
-                            if (
-                                controller is not None
-                                and controller.wave_tier(pressure) is Tier.HEURISTIC
-                            ):
-                                preds = [
-                                    controller.heuristic_prediction(a, wave_target)
-                                    for a in arrays
-                                ]
-                            else:
-                                preds = self._predict_wave(arrays, wave_target)
-                                if controller is not None:
-                                    for i, (a, p) in enumerate(zip(arrays, preds)):
-                                        controller.record_std(p.std)
-                                        tier = controller.chunk_tier(p.std, pressure)
-                                        if tier is not Tier.REFINE:
-                                            continue
-                                        fraz = controller.refine(
-                                            a,
-                                            wave_target,
-                                            initial_eb=p.error_bound,
-                                            features=p.features,
-                                        )
-                                        escalated[i] = fraz
-                                        preds[i] = Prediction(
-                                            error_bound=float(fraz.error_bound),
-                                            target_ratio=float(wave_target),
-                                            features=p.features,
-                                            feature_seconds=p.feature_seconds,
-                                            inference_seconds=p.inference_seconds,
-                                            std=p.std,
-                                        )
-                            tasks = [
-                                (codec.name, a, p.error_bound)
-                                for i, (a, p) in enumerate(zip(arrays, preds))
-                                if i not in escalated
-                            ]
-                            if pool is not None and len(tasks) > 1:
-                                pooled = pool.map_ordered(_compress_task, tasks)
-                            else:
-                                pooled = [_compress_task(*t) for t in tasks]
-                            # Weave refined payloads back into chunk order
-                            # (escalated chunks were already compressed by
-                            # the warm FRaZ search itself).
-                            pooled_iter = iter(pooled)
-                            results = [
-                                escalated[i].result if i in escalated
-                                else next(pooled_iter)
-                                for i in range(len(arrays))
-                            ]
-                        # Ordered commit: payloads land in chunk-id order no
-                        # matter which worker finished first.
-                        for wave_i, (chunk, chunk_arr, pred, result) in enumerate(
-                            zip(wave, arrays, preds, results)
-                        ):
-                            payload = result.payload
-                            chunk_raw = int(chunk_arr.nbytes)
-                            fh.write(payload)
-                            if controller is not None:
-                                if wave_i in escalated:
-                                    # The warm search's first probe ran at
-                                    # the model's own eb — the window keeps
-                                    # tracking the model, not FRaZ.
-                                    _, probe_ratio = escalated[wave_i].history[0]
-                                    controller.record_outcome(wave_target, probe_ratio)
-                                else:
-                                    controller.record_outcome(wave_target, result.ratio)
-                            if (
-                                feedback is not None
-                                and pred.features.size
-                                and wave_i not in escalated
-                            ):
-                                # Heuristic chunks have no features to learn
-                                # from; escalated chunks were already logged
-                                # probe-by-probe by controller.refine().
-                                feedback.record(
-                                    pred.features,
-                                    pred.error_bound,
-                                    result.ratio,
-                                    wave_target,
-                                )
-                            spent += result.compressed_bytes
-                            raw_remaining -= chunk_raw
-                            entries.append(
-                                {
-                                    "coords": list(chunk.coords),
-                                    "offset": offset,
-                                    "nbytes": len(payload),
-                                    "error_bound": float(pred.error_bound),
-                                    "target_ratio": float(wave_target),
-                                    "achieved_ratio": float(result.ratio),
-                                    "raw_bytes": chunk_raw,
-                                    "checksum": chunk_checksum(payload),
-                                    "meta": json_safe(result.metadata),
-                                }
-                            )
-                            records.append(
-                                ChunkWriteRecord(
-                                    coords=chunk.coords,
-                                    target_ratio=float(wave_target),
-                                    error_bound=float(pred.error_bound),
-                                    achieved_ratio=float(result.ratio),
-                                    raw_bytes=chunk_raw,
-                                    stored_bytes=result.compressed_bytes,
-                                )
-                            )
-                            offset += len(payload)
-                    manifest = {
-                        "version": 1,
-                        "compressor": codec.name,
-                        "framework": self._framework.name,
-                        "shape": list(arr.shape),
-                        "dtype": str(dtype),
-                        "chunk_shape": list(grid.chunk_shape),
-                        "grid_shape": list(grid.grid_shape),
-                        "target_ratio": target_ratio,
-                        "closed_loop": opts.closed_loop,
-                        "safety": opts.safety,
-                        "original_bytes": original_bytes,
-                        "stored_bytes": spent,
-                        "chunks": entries,
-                    }
-                    if opts.control is not None:
-                        manifest["control"] = asdict(opts.control)
-                    manifest_bytes = write_manifest(fh, manifest)
+                            # An escalated chunk reports its search's first
+                            # probe, the one at the model's own eb: the
+                            # window keeps tracking the model, not FRaZ.
+                            probe = result.ratio if fraz is None else fraz.history[0][1]
+                            controller.record_outcome(wave_target, probe)
+                        if feedback is not None and fraz is None and features.size:
+                            # T0 chunks have no features to learn from;
+                            # refine() already logged an escalated chunk.
+                            feedback.record(features, eb, result.ratio, wave_target)
+                        record = ChunkWriteRecord(
+                            coords=chunk.coords,
+                            target_ratio=float(wave_target),
+                            error_bound=eb,
+                            achieved_ratio=float(result.ratio),
+                            raw_bytes=int(a.nbytes),
+                            stored_bytes=result.compressed_bytes,
+                        )
+                        records.append(record)
+                        payload = result.payload
+                        fh.write(payload)
+                        entry = {
+                            **vars(record),
+                            "offset": offset,
+                            "nbytes": len(payload),
+                            "checksum": chunk_checksum(payload),
+                            "meta": json_safe(result.metadata),
+                        }
+                        del entry["stored_bytes"]  # the manifest keeps nbytes
+                        entries.append(entry)
+                        spent += record.stored_bytes
+                        raw_remaining -= record.raw_bytes
+                        offset += len(payload)
+                manifest = {
+                    "version": 1,
+                    "compressor": codec.name,
+                    "framework": self._framework.name,
+                    "shape": list(arr.shape),
+                    "dtype": str(dtype),
+                    "chunk_shape": list(grid.chunk_shape),
+                    "grid_shape": list(grid.grid_shape),
+                    "target_ratio": target_ratio,
+                    "closed_loop": opts.closed_loop,
+                    "safety": opts.safety,
+                    "original_bytes": original_bytes,
+                    "stored_bytes": spent,
+                    "chunks": entries,
+                }
+                if opts.control is not None:
+                    manifest["control"] = asdict(opts.control)
+                manifest_bytes = write_manifest(fh, manifest)
         finally:
             pool_stats = None
             if pool is not None:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from repro import load_dataset
-from repro.api import Carol, Fxrz, Service, ServiceOptions
+from repro.api import Carol, Fxrz, GatewayOptions, Service, ServiceOptions, StoreOptions
 from repro.load import Gateway
 from repro.serve import service as service_mod
 from repro.serve import (
@@ -620,8 +620,22 @@ class TestNonFiniteSample:
 
 
 class TestNonFiniteRatio:
-    """A NaN or infinite target ratio gets a ValueError at every entry
-    point, never the error bound of whichever leaf the forest routes it to."""
+    """A NaN or infinite target ratio or ``safety`` gets a ValueError at
+    every entry point, never the error bound of whichever leaf the forest
+    routes it to (or a bound shifted to ``nan`` or to a clamp end)."""
+
+    @pytest.mark.parametrize("safety", [np.nan, np.inf, -np.inf])
+    def test_safety(self, fitted, train_fields, safety):
+        data = train_fields[0].data
+        features = fitted.extract_features(data)
+        with pytest.raises(ValueError, match="safety must be finite"):
+            fitted.model.predict_error_bound_batch_with_std(features, [8.0], safety=safety)
+        with pytest.raises(ValueError, match="safety must be finite"):
+            fitted.predict_error_bound(data, 8.0, safety=safety)
+        with pytest.raises(ValueError, match="safety must be finite"):
+            StoreOptions(safety=safety)
+        with pytest.raises(ValueError, match="safety must be finite"):
+            GatewayOptions(safety=safety)
 
     @pytest.mark.parametrize("ratio", [np.nan, np.inf, -np.inf])
     def test_framework(self, fitted, train_fields, ratio):

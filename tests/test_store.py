@@ -482,3 +482,22 @@ class TestAtomicityOfRawWrites:
             save_raw(Field("d", "v", Exploding()), target)
         assert target.read_bytes() == b"GOOD"
         assert list(tmp_path.glob("*.tmp")) == []
+
+
+class TestAtomicPack:
+    def test_failed_repack_keeps_the_previous_store(self, fitted, field, packed, tmp_path):
+        """A pack that fails part-way never truncates the store it was
+        replacing, and a reader already holding that store reads on."""
+        source, _ = packed
+        path = tmp_path / "field.rps"
+        path.write_bytes(source.read_bytes())
+        bad = field.data.copy()
+        bad[-1, -1, -1] = np.nan  # the last chunk: the others are written first
+        with Store(path) as reader:
+            with pytest.raises(ValueError):
+                pack(path, bad, fitted, TARGET, options=StoreOptions(chunk_shape=CHUNK))
+            assert path.read_bytes() == source.read_bytes()
+            assert reader.read().shape == field.data.shape
+        assert [p.name for p in tmp_path.iterdir()] == ["field.rps"]
+        with Store(path) as st:
+            assert st.read().shape == field.data.shape

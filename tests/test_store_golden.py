@@ -13,7 +13,11 @@ closed-loop budget, chunk framing and the manifest. Two fixtures:
   path, one compression per chunk): chunks clipped by the field's edge on
   the last axis, each with its own Huffman codebook, some storing
   outliers. It pins sz3's predictor, quantizer and entropy stage at
-  store-chunk scale, where set-up is not amortised.
+  store-chunk scale, where set-up is not amortised;
+- ``relax_szx.rps`` — a controlled szx pack whose model is confident
+  enough that most waves *relax* to the surrogate heuristic (T0), packed
+  on two workers: it pins the writer's T0 branch, the wave-level tier
+  decision and the pooled compress-and-commit order.
 
 Each model is pinned next to its store (``*_model.npz``) so the bytes
 depend on prediction, not on re-running the training search; the fields
@@ -28,10 +32,12 @@ from __future__ import annotations
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from repro import CarolFramework, load_dataset, load_field
 from repro.api import load, save
 from repro.control import ControlOptions
+from repro.core.feedback import FeedbackLoop
 from repro.store import Store, StoreOptions, pack
 
 GOLDEN_DIR = Path(__file__).parent / "data" / "golden"
@@ -129,12 +135,67 @@ def test_golden_sz3_store_reads_back_within_its_bounds():
             assert np.abs(got.astype(np.float64) - want).max() <= bound + slack
 
 
+RELAX_MODEL = GOLDEN_DIR / "relax_szx_model.npz"
+RELAX_STORE = GOLDEN_DIR / "relax_szx.rps"
+
+_RELAX_SHAPE = (24, 32, 32)
+_RELAX_CHUNK = (8, 16, 16)  # twelve chunks: six waves of two
+_RELAX_RATIO = 8.0
+# A loose relax threshold and a strict escalation one: once two chunks'
+# spreads are in the window, every wave relaxes, and no chunk refines.
+_RELAX_CONTROL = ControlOptions(
+    t0_std=10.0, t0_pressure=0.5, t2_std=20.0, t2_pressure=1.0, std_window=2
+)
+
+
+def _relax_source() -> np.ndarray:
+    return load_field("miranda/pressure", shape=_RELAX_SHAPE, seed=3).data
+
+
+def _pack_relax(path: Path, *, workers: int = 2, feedback=None, model=None):
+    options = StoreOptions(
+        chunk_shape=_RELAX_CHUNK, wave_size=2, workers=workers, control=_RELAX_CONTROL
+    )
+    model = model or load(RELAX_MODEL)
+    return pack(path, _relax_source(), model, _RELAX_RATIO, options=options, feedback=feedback)
+
+
+@pytest.mark.parametrize("workers", [2, 0])
+def test_relaxed_szx_store_matches_golden(tmp_path, workers):
+    report = _pack_relax(tmp_path / "relax_szx.rps", workers=workers)
+    assert (tmp_path / "relax_szx.rps").read_bytes() == RELAX_STORE.read_bytes()
+    # The fixture only pins the T0 path while it takes it: the first wave
+    # runs the model (the window is empty), every later wave relaxes.
+    stats = report.control
+    assert (stats.t0, stats.t1, stats.t2) == (10, 2, 0)
+
+
+def test_relaxed_pack_feeds_back_only_model_chunks(tmp_path):
+    """T0 chunks have no features to learn from: the loop sees the two
+    T1 chunks' outcomes and nothing else."""
+    model = load(RELAX_MODEL)
+    loop = FeedbackLoop(model)
+    _pack_relax(tmp_path / "fb.rps", feedback=loop, model=model)
+    assert len(loop.observations) == 2
+    assert loop.refreshes == 0
+    with Store(RELAX_STORE) as st:
+        entries = st.manifest["chunks"][:2]
+    for obs, entry in zip(loop.observations, entries):
+        assert obs.error_bound == entry["error_bound"]
+        assert obs.achieved_ratio == entry["achieved_ratio"]
+
+
 def _regenerate() -> None:
-    for codec, bounds, chunk, model, store, do_pack in (
-        ("szx", np.geomspace(1e-3, 3e-1, 6), _CHUNK, MODEL, STORE, _pack),
-        ("sz3", np.geomspace(1e-7, 1e-1, 7), _SZ3_CHUNK, SZ3_MODEL, SZ3_STORE, _pack_sz3),
+    for codec, bounds, chunk, n_iter, seed, model, store, do_pack in (
+        ("szx", np.geomspace(1e-3, 3e-1, 6), _CHUNK, 4, 0, MODEL, STORE, _pack),
+        ("sz3", np.geomspace(1e-7, 1e-1, 7), _SZ3_CHUNK, 4, 0, SZ3_MODEL, SZ3_STORE, _pack_sz3),
+        # seed 0 draws a forest with no spread, and T0 never fires
+        ("szx", np.geomspace(1e-3, 3e-1, 8), _RELAX_CHUNK, 6, 1, RELAX_MODEL, RELAX_STORE,
+         _pack_relax),
     ):
-        fw = CarolFramework(compressor=codec, rel_error_bounds=bounds, n_iter=4, cv=2)
+        fw = CarolFramework(
+            compressor=codec, rel_error_bounds=bounds, n_iter=n_iter, cv=2, seed=seed
+        )
         fw.fit(load_dataset("miranda", shape=chunk))
         save(model, fw)
         report = do_pack(store)
