@@ -40,7 +40,7 @@ keywords directly) and read it back as ``.options``.
 Stats are typed the same way: :meth:`Service.stats`,
 :meth:`Gateway.stats`, and :meth:`Catalog.stats` return frozen
 :class:`ServiceStats` / :class:`GatewayStats` / :class:`CatalogStats`
-snapshots (each with ``as_dict()`` for serialization).
+snapshots (``dataclasses.asdict`` turns one into a dict).
 
 Signature conventions, uniform across the surface: configuration is
 keyword-only everywhere; a single requested ratio is ``target_ratio``

@@ -199,7 +199,7 @@ def cmd_store_pack(args) -> int:
 def cmd_store_info(args) -> int:
     from repro.store import Store
 
-    with Store(args.store, verify=False) as st:
+    with Store(args.store) as st:
         info = st.info()
         for key in (
             "path", "shape", "dtype", "compressor", "chunk_shape", "grid_shape",
@@ -419,17 +419,25 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command. Bad input it raises as a ``ValueError``,
+    ``KeyError`` or ``OSError`` (an unreadable or malformed file, an
+    unknown dataset, data the codecs refuse) ends in one stderr line and
+    exit status 2."""
     args = build_parser().parse_args(argv)
     trace_path = getattr(args, "trace", None)
-    if not trace_path:
-        return args.func(args)
-    recorder = obs.enable()
+    recorder = obs.enable() if trace_path else None
     try:
         return args.func(args)
+    except (ValueError, KeyError, OSError) as exc:
+        # str() of a KeyError is the repr of its message
+        message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+        print(f"repro {args.command}: {message}", file=sys.stderr)
+        return 2
     finally:
-        obs.disable()
-        out = obs.export_trace(trace_path, recorder)
-        print(f"trace written to {out}")
+        if recorder is not None:
+            obs.disable()
+            out = obs.export_trace(trace_path, recorder)
+            print(f"trace written to {out}")
 
 
 if __name__ == "__main__":

@@ -7,8 +7,8 @@ algorithm's architecture (see DESIGN.md for the fidelity argument):
   (SZx, HPDC'22);
 - :class:`repro.compressors.zfp.ZFPCompressor` — 4^d block transform +
   embedded bit-plane coding (ZFP, TVCG'14);
-- :class:`repro.compressors.sz3.SZ3Compressor` — spline-interpolation /
-  Lorenzo prediction + Huffman + LZ (SZ3, TBD'23);
+- :class:`repro.compressors.sz3.SZ3Compressor` — spline-interpolation
+  prediction + Huffman + LZ (SZ3, TBD'23);
 - :class:`repro.compressors.sperr.SPERRCompressor` — CDF 9/7 wavelet +
   SPECK set partitioning + outlier correction + LZ (SPERR, IPDPS'23).
 

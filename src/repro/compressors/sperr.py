@@ -12,11 +12,9 @@ Architecture per Li, Lindstrom & Clyne (IPDPS'23):
    bound;
 4. the SPECK stream goes through the LZ77 lossless backend (zstd's role).
 
-Each stage is a whole-array pass. With ``chunk_edge`` set, arrays larger
-than the edge are cut into independent chunks and each chunk runs the same
-single-chunk pipeline (real SPERR's chunked mode) — a format feature, not
-a memory policy: the store's chunk grid bounds the working set, so fields
-that do not fit comfortably go through ``Store.pack``.
+Each stage is a whole-array pass, and the array is one chunk: the store's
+chunk grid bounds the working set, so fields that do not fit comfortably
+go through ``Store.pack``.
 """
 
 from __future__ import annotations
@@ -39,18 +37,12 @@ class SPERRCompressor(LossyCompressor):
 
     name = "sperr"
 
-    def __init__(self, quant_factor: float = 0.5, chunk_edge: int | None = None) -> None:
+    def __init__(self, quant_factor: float = 0.5) -> None:
         # qstep = quant_factor * eb; smaller factor = fewer outliers but more
         # coded planes. 0.5 mirrors SPERR's default headroom.
         if not 0.0 < quant_factor <= 1.0:
             raise ValueError("quant_factor must be in (0, 1]")
-        # Real SPERR splits large arrays into independent chunks of up to
-        # 128 per dimension (Table 1's "large chunk" window); ``chunk_edge``
-        # enables that mode. None compresses the whole array as one chunk.
-        if chunk_edge is not None and chunk_edge < 8:
-            raise ValueError("chunk_edge must be >= 8")
         self.quant_factor = float(quant_factor)
-        self.chunk_edge = chunk_edge
 
     def _quantize(self, coefs: np.ndarray, qstep: float) -> tuple[np.ndarray, np.ndarray]:
         mag = np.floor(np.abs(coefs) / qstep).astype(np.int64)
@@ -60,39 +52,7 @@ class SPERRCompressor(LossyCompressor):
         vals = np.where(mag > 0, (mag.astype(np.float64) + 0.5) * qstep, 0.0)
         return np.where(neg, -vals, vals)
 
-    # -- chunked container --------------------------------------------------
-
-    def _chunk_slices(self, shape: tuple[int, ...]):
-        """Slicers of the independent chunks covering ``shape``."""
-        edge = self.chunk_edge
-        axes = []
-        for s in shape:
-            starts = list(range(0, s, edge))
-            axes.append([slice(a, min(a + edge, s)) for a in starts])
-        import itertools
-
-        return [tuple(c) for c in itertools.product(*axes)]
-
     def _compress(self, data: np.ndarray, error_bound: float) -> tuple[bytes, dict]:
-        if self.chunk_edge is None or all(s <= self.chunk_edge for s in data.shape):
-            return self._compress_single(data, error_bound)
-        parts = []
-        chunk_meta = []
-        for sl in self._chunk_slices(data.shape):
-            payload, meta = self._compress_single(np.ascontiguousarray(data[sl]), error_bound)
-            parts.append(payload)
-            chunk_meta.append({**meta, "nbytes": len(payload)})
-        return b"".join(parts), {
-            "mode": "chunked",
-            "chunk_edge": self.chunk_edge,
-            "chunks": chunk_meta,
-            # container-level keys expected downstream
-            "levels": 0,
-            "p_top": -1,
-            "qstep": self.quant_factor * error_bound,
-        }
-
-    def _compress_single(self, data: np.ndarray, error_bound: float) -> tuple[bytes, dict]:
         levels = max_levels(data.shape)
         qstep = self.quant_factor * error_bound
         clock = StageClock("compressor.stage", codec=self.name)
@@ -132,27 +92,11 @@ class SPERRCompressor(LossyCompressor):
         return payload, {"levels": levels, "p_top": p_top, "qstep": qstep}
 
     def _decompress(self, payload: bytes, metadata: dict) -> np.ndarray:
-        if metadata.get("mode") != "chunked":
-            return self._decompress_single(payload, metadata)
-        shape = tuple(metadata["shape"])
-        out = np.empty(shape, dtype=np.float64)
-        slicers = self._chunk_slices(shape)
-        chunk_meta = metadata["chunks"]
-        if len(slicers) != len(chunk_meta):
-            raise ValueError("corrupt chunked stream: chunk count mismatch")
-        offset = 0
-        for sl, meta in zip(slicers, chunk_meta):
-            nbytes = int(meta["nbytes"])
-            sub_meta = {
-                **meta,
-                "shape": tuple(s.stop - s.start for s in sl),
-                "error_bound": metadata["error_bound"],
-            }
-            out[sl] = self._decompress_single(payload[offset : offset + nbytes], sub_meta)
-            offset += nbytes
-        return out
-
-    def _decompress_single(self, payload: bytes, metadata: dict) -> np.ndarray:
+        if "mode" in metadata:
+            raise ValueError(
+                f"sperr stream names mode {metadata['mode']!r}; only whole-array "
+                "streams decode"
+            )
         shape = tuple(metadata["shape"])
         eb = float(metadata["error_bound"])
         levels = int(metadata["levels"])

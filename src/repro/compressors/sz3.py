@@ -1,7 +1,8 @@
-"""SZ3: prediction-based compressor (interpolation + Lorenzo modes).
+"""SZ3: prediction-based compressor (multilevel spline interpolation).
 
-Architecture per Liang et al. (IEEE TBD'23). The default ``interp``
-predictor is SZ3's multilevel spline interpolation:
+Architecture per Liang et al. (IEEE TBD'23), in SZ3's default
+configuration — the ``interp`` predictor, SZ3's multilevel spline
+interpolation:
 
 1. *anchors* — every ``2^L``-th point per axis is stored exactly;
 2. levels ``s = 2^L .. 2`` — for each level and each axis in turn, the
@@ -12,11 +13,6 @@ predictor is SZ3's multilevel spline interpolation:
 3. the quantization codes go through canonical Huffman and then the LZ77
    lossless backend (zstd's role in real SZ3); codes outside the 16-bit
    window become outliers stored exactly.
-
-The ``lorenzo`` predictor is the cuSZ-style decoupled variant: values are
-pre-quantized to the ``2*eb`` grid, then the integer Lorenzo transform
-(per-axis first differences) is applied losslessly — fully vectorizable
-while preserving the error bound.
 
 Every stage is a whole-array pass — predictor, quantizer, entropy coder
 composed in order, a few numpy kernels per (level, axis) pair. Nothing
@@ -106,16 +102,13 @@ def _predict(sub: np.ndarray, h: int, s: int) -> np.ndarray:
 
 
 class SZ3Compressor(LossyCompressor):
-    """Interpolation/Lorenzo prediction compressor with entropy backend."""
+    """Interpolation prediction compressor with entropy backend."""
 
     name = "sz3"
 
-    def __init__(self, predictor: str = "interp", entropy: str = "huffman") -> None:
-        if predictor not in ("interp", "lorenzo"):
-            raise ValueError("predictor must be 'interp' or 'lorenzo'")
+    def __init__(self, entropy: str = "huffman") -> None:
         if entropy not in _ENTROPIES:
             raise ValueError("entropy must be 'huffman' or 'range'")
-        self.predictor = predictor
         self.entropy = entropy
 
     def _clock(self, entropy: str) -> StageClock:
@@ -178,9 +171,9 @@ class SZ3Compressor(LossyCompressor):
         codec = HuffmanCodec.from_lengths(lengths)
         return codec.decode(BitReader(lz77_decompress(payload)), count)
 
-    # -- interpolation mode ------------------------------------------------
+    # -- interpolation -----------------------------------------------------
 
-    def _compress_interp(self, data: np.ndarray, eb: float) -> tuple[bytes, dict]:
+    def _compress(self, data: np.ndarray, eb: float) -> tuple[bytes, dict]:
         step = quantization_step(eb)
         shape = data.shape
         levels = _anchor_level(shape)
@@ -232,7 +225,10 @@ class SZ3Compressor(LossyCompressor):
             "n_anchors": int(anchors.size),
         }
 
-    def _decompress_interp(self, payload: bytes, metadata: dict) -> np.ndarray:
+    def _decompress(self, payload: bytes, metadata: dict) -> np.ndarray:
+        mode = metadata.get("mode")
+        if mode != "interp":
+            raise ValueError(f"sz3 stream names mode {mode!r}; only 'interp' decodes")
         shape = tuple(metadata["shape"])
         step = quantization_step(float(metadata["error_bound"]))
         levels = int(metadata["levels"])
@@ -276,68 +272,3 @@ class SZ3Compressor(LossyCompressor):
                 sub[h::s] = rec
         clock.emit()
         return recon
-
-    # -- Lorenzo mode (cuSZ-style decoupled) --------------------------------
-
-    def _compress_lorenzo(self, data: np.ndarray, eb: float) -> tuple[bytes, dict]:
-        step = quantization_step(eb)
-        clock = self._clock(self.entropy)
-        with clock("quantize"):
-            qv = np.rint(data / step)
-            if (np.abs(qv) >= 2**52).any():  # beyond exact float integer range
-                raise ValueError("error bound too small relative to data magnitude")
-            res = qv.astype(np.int64)
-        with clock("predict"):
-            for axis in range(res.ndim):
-                res = np.diff(res, axis=axis, prepend=0)
-            clipped = np.clip(res, -_RADIUS, _RADIUS)
-            outlier_mask = clipped != res
-            sym = (clipped + _OFFSET).ravel()
-            sym[outlier_mask.ravel()] = _OUTLIER
-            out_res = res[outlier_mask]
-
-        with clock("encode"):
-            writer = BitWriter()
-            # Outlier residuals stored as 64-bit two's complement.
-            writer.write_packed(pack_uint_array(out_res.view(np.uint64), 64))
-            lz = self._encode_codes(sym, writer)
-            head = writer.getvalue()
-        clock.emit(n_symbols=int(sym.size))
-        return len(head).to_bytes(8, "little") + head + lz, {
-            "mode": "lorenzo",
-            "entropy": self.entropy,
-            "n_codes": int(sym.size),
-            "n_outliers": int(out_res.size),
-        }
-
-    def _decompress_lorenzo(self, payload: bytes, metadata: dict) -> np.ndarray:
-        step = quantization_step(float(metadata["error_bound"]))
-        entropy = self._stream_entropy(metadata)
-        clock = self._clock(entropy)
-
-        head_len = int.from_bytes(payload[:8], "little")
-        reader = BitReader(payload[8 : 8 + head_len])
-        lz = payload[8 + head_len :]
-        out_res = reader.read_uint_array(int(metadata["n_outliers"]), 64).view(np.int64)
-        with clock("decode"):
-            symbols = self._decode_codes(reader, lz, int(metadata["n_codes"]), entropy)
-            res = symbols - _OFFSET
-            res[symbols == _OUTLIER] = out_res
-            res = res.reshape(tuple(metadata["shape"]))
-            for axis in range(res.ndim - 1, -1, -1):
-                res = np.cumsum(res, axis=axis)
-            out = res.astype(np.float64) * step
-        clock.emit()
-        return out
-
-    # -- dispatch -----------------------------------------------------------
-
-    def _compress(self, data: np.ndarray, error_bound: float) -> tuple[bytes, dict]:
-        if self.predictor == "interp":
-            return self._compress_interp(data, error_bound)
-        return self._compress_lorenzo(data, error_bound)
-
-    def _decompress(self, payload: bytes, metadata: dict) -> np.ndarray:
-        if metadata["mode"] == "interp":
-            return self._decompress_interp(payload, metadata)
-        return self._decompress_lorenzo(payload, metadata)

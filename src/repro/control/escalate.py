@@ -11,15 +11,11 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.fraz import REL_EB_BRACKET
 from repro.core.prediction import invert_curve
 from repro.surrogate.base import SurrogateEstimator
 from repro.surrogate.registry import get_surrogate
 from repro.utils.validation import as_float_array
-
-#: Relative error-bound range the heuristic curve samples — the same span
-#: :class:`FrazSearch` brackets, so a heuristic guess always lands inside
-#: the range a T2 escalation would search.
-HEURISTIC_REL_EB_RANGE = (1e-6, 0.5)
 
 
 def heuristic_error_bound(
@@ -47,7 +43,9 @@ def heuristic_error_bound(
     if surrogate is None:
         surrogate = get_surrogate(compressor)
     vrange = float(arr.max() - arr.min()) or 1.0
-    lo, hi = HEURISTIC_REL_EB_RANGE
+    # FrazSearch's own bracket, so a heuristic guess always lands inside
+    # the range a T2 escalation would search.
+    lo, hi = REL_EB_BRACKET
     ebs = np.exp(np.linspace(np.log(lo), np.log(hi), int(points))) * vrange
     ratios, _ = surrogate.estimate_curve(arr, ebs)
     return invert_curve(ebs, ratios, float(target_ratio))

@@ -174,16 +174,3 @@ class ControlStats:
     @property
     def escalations(self) -> int:
         return self.escalations_std + self.escalations_pressure
-
-    def as_dict(self) -> dict:
-        return {
-            "t0": self.t0,
-            "t1": self.t1,
-            "t2": self.t2,
-            "escalations_std": self.escalations_std,
-            "escalations_pressure": self.escalations_pressure,
-            "compressions_spent": self.compressions_spent,
-            "probes_spent": self.probes_spent,
-            "unreachable": self.unreachable,
-            "budget_drift": self.budget_drift,
-        }

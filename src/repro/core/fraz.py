@@ -32,6 +32,10 @@ from repro.compressors.base import CompressionResult
 from repro.compressors.registry import get_compressor
 from repro.utils.validation import as_float_array
 
+#: Relative error-bound span every search brackets: ``(lo, hi)`` times the
+#: array's value range.
+REL_EB_BRACKET = (1e-6, 0.5)
+
 
 @dataclass
 class FrazResult:
@@ -41,7 +45,7 @@ class FrazResult:
     ``n_compressions`` counts the real compressor runs behind them (one
     per probe, or a single final encode when the codec's sizer is a
     closed form). ``reachable`` is False when a probe at a
-    ``rel_eb_bracket`` end showed the target lies outside the codec's
+    :data:`REL_EB_BRACKET` end showed the target lies outside the codec's
     range there — ``result`` is then the nearest end, not an answer.
     """
 
@@ -71,20 +75,15 @@ class FrazSearch:
         compressor: str,
         tolerance: float = 0.05,
         max_iterations: int = 12,
-        rel_eb_bracket: tuple[float, float] = (1e-6, 0.5),
     ) -> None:
         if tolerance <= 0:
             raise ValueError("tolerance must be > 0")
         if max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        lo, hi = rel_eb_bracket
-        if not 0 < lo < hi:
-            raise ValueError("rel_eb_bracket must satisfy 0 < lo < hi")
         self.compressor_name = compressor
         self._codec = get_compressor(compressor)
         self.tolerance = float(tolerance)
         self.max_iterations = int(max_iterations)
-        self.rel_eb_bracket = (float(lo), float(hi))
 
     def compress_to_ratio(
         self, data: np.ndarray, target_ratio: float, *, initial_eb: float | None = None
@@ -105,8 +104,8 @@ class FrazSearch:
             raise ValueError("initial_eb must be positive")
         arr = as_float_array(data)
         vrange = float(arr.max() - arr.min()) or 1.0
-        lo = lo_end = np.log(self.rel_eb_bracket[0] * vrange)
-        hi = hi_end = np.log(self.rel_eb_bracket[1] * vrange)
+        lo = lo_end = np.log(REL_EB_BRACKET[0] * vrange)
+        hi = hi_end = np.log(REL_EB_BRACKET[1] * vrange)
 
         start = time.perf_counter()
         size = self._codec.sizer(arr)
@@ -178,7 +177,7 @@ class FrazSearch:
 
         The guess is measured first; the bracket then grows by a log step
         that *doubles with each probe* in whichever direction the ratio
-        missed, clamped to the absolute ``rel_eb_bracket`` ends, and the
+        missed, clamped to the absolute :data:`REL_EB_BRACKET` ends, and the
         usual bisection finishes inside it. Accelerating the step keeps
         the probe count logarithmic in how wrong the guess is: a
         guess off by three orders of magnitude brackets in ~3 probes

@@ -129,22 +129,6 @@ class GatewayStats:
         done = self.completed + self.failed
         return done / self.batches if self.batches else 0.0
 
-    def as_dict(self) -> dict:
-        return {
-            "submitted": self.submitted,
-            "accepted": self.accepted,
-            "rejected": self.rejected,
-            "completed": self.completed,
-            "failed": self.failed,
-            "batches": self.batches,
-            "flushes_full": self.flushes_full,
-            "flushes_timer": self.flushes_timer,
-            "flushes_drain": self.flushes_drain,
-            "max_queue_depth": self.max_queue_depth,
-            "rejection_rate": self.rejection_rate,
-            "mean_batch_size": self.mean_batch_size,
-        }
-
 
 class Gateway:
     """Asyncio front-end over a :class:`PredictionService`.

@@ -76,9 +76,7 @@ class CacheStats:
     """Immutable hit/miss/eviction snapshot for one cache.
 
     :attr:`LRUCache.stats` builds a fresh snapshot per access, so two
-    reads bracket an interval and each is safe to hold, hash, or compare
-    — the typed counterpart of the dict this layer used to hand out
-    (:meth:`as_dict` keeps that shape for serialization)."""
+    reads bracket an interval and each is safe to hold, hash, or compare."""
 
     hits: int = 0
     misses: int = 0
@@ -92,14 +90,6 @@ class CacheStats:
     def hit_rate(self) -> float:
         total = self.requests
         return self.hits / total if total else 0.0
-
-    def as_dict(self) -> dict:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-            "hit_rate": self.hit_rate,
-        }
 
 
 class LRUCache:

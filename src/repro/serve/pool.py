@@ -46,9 +46,7 @@ def _timed(fn, *args):
 class PoolStats:
     """Immutable task-accounting snapshot for one :class:`WorkerPool`.
 
-    :attr:`WorkerPool.stats` builds a fresh snapshot per access —
-    the typed counterpart of the dict this layer used to hand out
-    (:meth:`as_dict` keeps that shape for serialization).
+    :attr:`WorkerPool.stats` builds a fresh snapshot per access.
 
     ``worker_seconds`` is the time spent inside the tasks themselves,
     measured where each ran; ``wait_seconds`` is the time callers were
@@ -63,16 +61,6 @@ class PoolStats:
     timeouts: int = 0
     worker_seconds: float = 0.0
     wait_seconds: float = 0.0
-
-    def as_dict(self) -> dict:
-        return {
-            "submitted": self.submitted,
-            "completed": self.completed,
-            "fallbacks": self.fallbacks,
-            "timeouts": self.timeouts,
-            "worker_seconds": self.worker_seconds,
-            "wait_seconds": self.wait_seconds,
-        }
 
 
 class PoolTask:

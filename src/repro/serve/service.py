@@ -56,25 +56,13 @@ class ServiceOptions:
 
 @dataclass(frozen=True)
 class ServiceStats:
-    """Typed, immutable serving counters (always on).
-
-    Replaces the string-keyed dict :meth:`PredictionService.stats` used
-    to return: consumers read ``stats.cache.hit_rate`` instead of
-    ``stats["cache"]["hit_rate"]``, and a snapshot taken before a run
-    can be compared against one taken after. :meth:`as_dict` preserves
-    the historical dict shape for serialization and logging.
-    """
+    """Typed, immutable serving counters (always on): consumers read
+    ``stats.cache.hit_rate``, and a snapshot taken before a run can be
+    compared against one taken after."""
 
     requests: int
     batches: int
     cache: CacheStats
-
-    def as_dict(self) -> dict:
-        return {
-            "requests": self.requests,
-            "batches": self.batches,
-            "cache": self.cache.as_dict(),
-        }
 
 
 def _extractor_identity(framework) -> tuple[str, int | None] | None:
@@ -192,7 +180,7 @@ class PredictionService:
 
     def stats(self) -> ServiceStats:
         """A :class:`ServiceStats` snapshot of the cumulative serving
-        counters (``stats().as_dict()`` recovers the pre-typed dict)."""
+        counters."""
         return ServiceStats(
             requests=self.n_requests,
             batches=self.n_batches,

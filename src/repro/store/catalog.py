@@ -64,11 +64,7 @@ DEFAULT_CACHE_BYTES = 256 << 20
 class CatalogStats:
     """Typed, immutable catalog accounting: fleet size, shared-cache
     traffic and cost, decode-pool task counts and wait/work seconds
-    (``None`` without workers).
-
-    The typed counterpart of the dict :meth:`StoreCatalog.stats` used to
-    return; :meth:`as_dict` preserves that shape for serialization.
-    """
+    (``None`` without workers)."""
 
     stores_registered: int
     stores_open: int
@@ -77,20 +73,6 @@ class CatalogStats:
     cache_budget_bytes: float
     pool: PoolStats | None = None
     prefetch: PrefetchStats | None = None
-
-    def as_dict(self) -> dict:
-        out = {
-            "stores_registered": self.stores_registered,
-            "stores_open": self.stores_open,
-            "cache": self.cache.as_dict(),
-            "cache_cost_bytes": self.cache_cost_bytes,
-            "cache_budget_bytes": self.cache_budget_bytes,
-        }
-        if self.pool is not None:
-            out["pool"] = self.pool.as_dict()
-        if self.prefetch is not None:
-            out["prefetch"] = self.prefetch.as_dict()
-        return out
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -105,8 +87,6 @@ class CatalogOptions:
     decode in the caller whatever ``workers`` says (a process round trip
     costs more than their decode), and no worker is forked until a store
     that qualifies is read — ``stats().pool`` then simply counts 0 tasks.
-    ``verify=False`` skips checksum verification on payload fetch for
-    trusted local media.
     ``prefetch_depth`` enables catalog-driven read-ahead: after a key's
     request stream shows :attr:`Prefetcher.MIN_RUN` consecutive requests
     at one stride (sequential scans included), up to ``prefetch_depth``
@@ -116,7 +96,6 @@ class CatalogOptions:
 
     cache_bytes: int = DEFAULT_CACHE_BYTES
     workers: int = 0
-    verify: bool = True
     prefetch_depth: int = 0
 
     def __post_init__(self) -> None:
@@ -270,7 +249,6 @@ class StoreCatalog:
                 ) from None
             reader = StoreReader(
                 path,
-                verify=self.options.verify,
                 chunk_cache=self.chunk_cache,
                 cache_scope=self._scope(key),
                 pool=self.pool,
@@ -433,8 +411,7 @@ class StoreCatalog:
 
     def stats(self) -> CatalogStats:
         """A :class:`CatalogStats` snapshot: fleet size, cache hit rate
-        and cost, pool task counts (``stats().as_dict()`` recovers the
-        pre-typed dict)."""
+        and cost, pool task counts."""
         with self._lock:
             registered = len(self._paths)
             opened = len(self._readers)

@@ -56,14 +56,6 @@ class PrefetchStats:
     def hit_rate(self) -> float:
         return self.hits / self.issued if self.issued else 0.0
 
-    def as_dict(self) -> dict:
-        return {
-            "issued": self.issued,
-            "hits": self.hits,
-            "wasted": self.wasted,
-            "hit_rate": self.hit_rate,
-        }
-
 
 class Prefetcher:
     """Sequential-run and stride detection over per-key request streams.

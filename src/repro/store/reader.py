@@ -76,21 +76,16 @@ from repro.store.format import chunk_checksum, read_manifest
 POOL_MIN_CHUNK_BYTES = 512 << 10
 
 
-def decode_chunk(
-    compressor: str, entry: dict, payload: bytes, verify: bool = True
-) -> np.ndarray:
+def decode_chunk(compressor: str, entry: dict, payload: bytes) -> np.ndarray:
     """Stage 2: decode one chunk's payload through its recorded codec.
 
     Pure function of ``(compressor, manifest entry, payload)`` — no file
     handles, no reader state — and every argument pickles, so this is
-    also the task a decode pool runs. ``verify=False`` strips the
-    codec-level ``payload_check`` (the store-level checksum was already
-    skipped at fetch time), opting out of integrity work at both levels.
+    also the task a decode pool runs. The codec checks the stream's own
+    ``payload_check`` before it decodes.
     """
     meta = dict(entry["meta"])
     meta["shape"] = tuple(meta["shape"])
-    if not verify:
-        meta.pop("payload_check", None)
     result = CompressionResult(
         compressor=compressor,
         payload=payload,
@@ -143,8 +138,7 @@ class _ChunkSource(NamedTuple):
 class StoreReader:
     """Read side of the store: manifest introspection + random access.
 
-    ``verify=False`` skips checksum verification (trusted local media);
-    the default verifies every payload it decompresses.
+    Every payload it fetches is checked against the manifest checksum.
 
     ``chunk_cache`` (an :class:`repro.serve.cache.LRUCache`, typically
     cost-bounded in bytes) caches decompressed chunk arrays under
@@ -161,13 +155,11 @@ class StoreReader:
         self,
         path,
         *,
-        verify: bool = True,
         chunk_cache=None,
         cache_scope: str | None = None,
         pool=None,
     ) -> None:
         self.path = Path(path)
-        self.verify = bool(verify)
         self.chunk_cache = chunk_cache
         self.cache_scope = str(cache_scope) if cache_scope is not None else str(self.path)
         self._io_lock = threading.Lock()
@@ -275,7 +267,7 @@ class StoreReader:
 
     # -- stage 1: fetch + verify -------------------------------------------------
 
-    def fetch_payload(self, entry: dict, *, force_verify: bool = False) -> bytes:
+    def fetch_payload(self, entry: dict) -> bytes:
         """Read one chunk's payload bytes and verify them against the
         manifest checksum. Serialized on an internal lock, so concurrent
         subvolume reads can share one reader."""
@@ -287,7 +279,7 @@ class StoreReader:
             raise CorruptChunkError(
                 coords, self.path, f"payload truncated to {len(payload)} bytes"
             )
-        if (self.verify or force_verify) and chunk_checksum(payload) != entry["checksum"]:
+        if chunk_checksum(payload) != entry["checksum"]:
             raise CorruptChunkError(coords, self.path, "checksum mismatch")
         return payload
 
@@ -326,14 +318,14 @@ class StoreReader:
         payload = self.fetch_payload(entry)
         task = None
         if pooled and self.pool is not None:
-            task = self.pool.submit(decode_chunk, self.compressor, entry, payload, self.verify)
+            task = self.pool.submit(decode_chunk, self.compressor, entry, payload)
         return _ChunkSource(chunk, entry, payload, task)
 
     def _finish(self, src: _ChunkSource) -> np.ndarray:
         """Stage 2 of a begun chunk: the pool's result, or a decode here."""
         if src.task is not None:
             return src.task.result()
-        return decode_chunk(self.compressor, src.entry, src.payload, self.verify)
+        return decode_chunk(self.compressor, src.entry, src.payload)
 
     def _start(self, chunk, pooled: bool):
         """A chunk's cached array, else its begun :class:`_ChunkSource`."""
@@ -433,13 +425,6 @@ class StoreReader:
         sel = self.grid.normalize_region(region)
         return TileStream(self, sel, self.grid.plan_region(sel, tile), max_inflight)
 
-    def verify_all(self) -> int:
-        """Checksum every chunk payload (even with ``verify=False``);
-        returns the count verified."""
-        for entry in self._entries.values():
-            self.fetch_payload(entry, force_verify=True)
-        return len(self._entries)
-
     # -- lifecycle ---------------------------------------------------------------
 
     def close(self) -> None:
@@ -479,16 +464,6 @@ class StreamStats:
     @property
     def budget_bytes(self) -> int:
         return self.max_inflight * self.max_tile_cost_bytes
-
-    def as_dict(self) -> dict:
-        return {
-            "tiles_total": self.tiles_total,
-            "tiles_yielded": self.tiles_yielded,
-            "max_inflight": self.max_inflight,
-            "max_tile_cost_bytes": self.max_tile_cost_bytes,
-            "peak_inflight_bytes": self.peak_inflight_bytes,
-            "budget_bytes": self.budget_bytes,
-        }
 
 
 class TileStream:

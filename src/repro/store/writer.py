@@ -62,6 +62,12 @@ from repro.utils.validation import as_float_array
 #: re-targets at the same chunk boundaries and produces the same bytes.
 DEFAULT_WAVE_SIZE = 8
 
+#: The clamp on the per-chunk targets the closed loop may request, keeping
+#: one badly mispredicted chunk from driving the next target somewhere the
+#: model was never trained.
+MIN_CHUNK_RATIO = 1.01
+MAX_CHUNK_RATIO = 1e4
+
 #: Per-task limit on the write pool; a compression past it re-runs in the
 #: caller's process.
 POOL_TIMEOUT_SECONDS = 120.0
@@ -72,10 +78,8 @@ class StoreOptions:
     """Frozen, hashable packing configuration.
 
     ``chunk_shape=None`` derives a grid of roughly ``chunk_elements``
-    values per chunk. ``min_chunk_ratio``/``max_chunk_ratio`` clamp the
-    per-chunk targets the closed loop may request, keeping one badly
-    mispredicted chunk from driving the next target somewhere the model
-    was never trained.
+    values per chunk. The closed loop's per-chunk targets stay within
+    [:data:`MIN_CHUNK_RATIO`, :data:`MAX_CHUNK_RATIO`].
 
     ``workers`` fans each wave's compression out over a process pool (0
     keeps everything in-process); features are always extracted in the
@@ -103,8 +107,6 @@ class StoreOptions:
     chunk_elements: int = DEFAULT_CHUNK_ELEMENTS
     closed_loop: bool = True
     safety: float = 0.0
-    min_chunk_ratio: float = 1.01
-    max_chunk_ratio: float = 1e4
     workers: int = 0
     wave_size: int | None = None
     control: ControlOptions | None = None
@@ -116,8 +118,6 @@ class StoreOptions:
             raise ValueError("chunk_elements must be >= 1")
         if not np.isfinite(self.safety):
             raise ValueError(f"safety must be finite, got {self.safety}")
-        if not 1.0 <= self.min_chunk_ratio <= self.max_chunk_ratio:
-            raise ValueError("need 1 <= min_chunk_ratio <= max_chunk_ratio")
         if self.workers < 0:
             raise ValueError("workers must be >= 0")
         if self.wave_size is not None and self.wave_size < 1:
@@ -305,18 +305,17 @@ class StoreWriter:
 
         Hardened against budget exhaustion mid-pack: the remaining budget
         is floored at one byte (never zero, so the division is safe) and
-        the result is clamped into ``[min_chunk_ratio, max_chunk_ratio]``
+        the result is clamped into ``[MIN_CHUNK_RATIO, MAX_CHUNK_RATIO]``
         — an impossibly tight budget asks for the ceiling ratio instead
         of a nonsensical (or < 1) target.
         """
-        opts = self.options
-        if not opts.closed_loop:
+        if not self.options.closed_loop:
             return target_ratio
         remaining_budget = max(budget - spent, 1.0)
         if raw_remaining <= 0:
-            return opts.max_chunk_ratio
+            return MAX_CHUNK_RATIO
         target = raw_remaining / remaining_budget
-        return min(max(target, opts.min_chunk_ratio), opts.max_chunk_ratio)
+        return min(max(target, MIN_CHUNK_RATIO), MAX_CHUNK_RATIO)
 
     @staticmethod
     def _pressure(target_ratio: float, spent: int, committed_raw: int) -> float:

@@ -523,7 +523,6 @@ class TestStatsAndApi:
         assert stats.stores_open == 1
         assert 0.0 <= stats.cache.hit_rate <= 1.0
         assert stats.pool is not None
-        assert "pool" in stats.as_dict()
 
     def test_reused_cache_is_one_shared_instance(self, store_root):
         root, _ = store_root

@@ -3,6 +3,7 @@
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.cli import build_parser, main
@@ -174,6 +175,25 @@ class TestStoreCommands:
                 "store-pack", str(raw), "--model", str(model),
                 "--ratio", "6", "--out", str(tmp_path / "x.rps"),
             ])
+
+    @pytest.mark.parametrize("case", ["nan_raw_file", "unknown_dataset", "missing_store"])
+    def test_input_error_is_one_line_and_exit_2(self, store_env, tmp_path, capsys, case):
+        _, model, raw, _ = store_env
+        nan_raw = tmp_path / "nan.f32"
+        data = np.fromfile(raw, dtype=np.float32)
+        data[5] = np.nan
+        data.tofile(nan_raw)
+        pack = ["--model", str(model), "--ratio", "6", "--out", str(tmp_path / "x.rps")]
+        argv = {
+            "nan_raw_file": ["store-pack", str(nan_raw), "--shape", "16", "16", "16", *pack],
+            "unknown_dataset": ["store-pack", "nosuch/field", *pack],
+            "missing_store": ["store-info", str(tmp_path / "missing.rps")],
+        }[case]
+        rc = main(argv)
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith(f"repro {argv[0]}: ") and err.count("\n") == 1, err
+        assert "Traceback" not in err
 
     def test_info(self, store_env, capsys):
         _, _, _, store = store_env

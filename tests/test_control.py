@@ -164,7 +164,7 @@ class TestControlStats:
         )
         assert stats.requests == 8
         assert stats.escalations == 2
-        d = stats.as_dict()
+        d = dataclasses.asdict(stats)
         assert d["t2"] == 2 and d["budget_drift"] == pytest.approx(0.02)
         assert (d["compressions_spent"], d["probes_spent"], d["unreachable"]) == (2, 9, 1)
         with pytest.raises(AttributeError):

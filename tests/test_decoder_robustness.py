@@ -31,7 +31,7 @@ from repro.store.format import (
     write_header,
     write_manifest,
 )
-from repro.store.reader import StoreReader
+from repro.store.reader import StoreReader, decode_chunk
 
 ALL = available_compressors()
 
@@ -131,9 +131,9 @@ class TestMetadataTampering:
 
 
 class TestDamagedSz3Codebook:
-    """With the integrity stamp gone (``decode_chunk(..., verify=False)``
-    strips it) the decoder itself must reject a codebook no encoder could
-    have written — by name, not with a bare IndexError or wrong data."""
+    """With the integrity stamp gone (``_tampered`` strips it) the decoder
+    itself must reject a codebook no encoder could have written — by
+    name, not with a bare IndexError or wrong data."""
 
     @staticmethod
     def _tampered(res, edit):
@@ -193,8 +193,8 @@ class TestNegativeCounts:
             ("sz3", {}, "n_outliers"),
             ("sz3", {}, "n_anchors"),
             ("sz3", {}, "n_codes"),
-            ("sz3", {"predictor": "lorenzo"}, "n_outliers"),
-            ("sz3", {"predictor": "lorenzo"}, "n_codes"),
+            ("sz3", {"entropy": "range"}, "n_outliers"),
+            ("sz3", {"entropy": "range"}, "n_anchors"),
             ("sz3", {"entropy": "range"}, "n_codes"),
             ("szx", {}, "nblocks"),
         ],
@@ -208,6 +208,31 @@ class TestNegativeCounts:
         broken = dataclasses.replace(res, metadata={**res.metadata, field: value})
         with pytest.raises(ValueError, match=f"non-negative, got {value}$"):
             codec.decompress(broken)
+
+
+class TestRemovedModes:
+    """A stream naming a mode this codec no longer writes fails by name,
+    whether it is decoded directly or as a store chunk."""
+
+    CASES = [("sz3", "lorenzo"), ("sperr", "chunked")]
+
+    @pytest.mark.parametrize("name, mode", CASES)
+    def test_codec_names_the_mode(self, payloads, name, mode):
+        _, res = payloads[name]
+        broken = dataclasses.replace(res, metadata={**res.metadata, "mode": mode})
+        with pytest.raises(ValueError, match=f"'{mode}'"):
+            get_compressor(name).decompress(broken)
+
+    @pytest.mark.parametrize("name, mode", CASES)
+    def test_store_chunk_names_the_mode(self, payloads, name, mode):
+        _, res = payloads[name]
+        entry = {
+            "meta": json_safe({**res.metadata, "mode": mode}),
+            "raw_bytes": res.original_bytes,
+            "error_bound": res.error_bound,
+        }
+        with pytest.raises(ValueError, match=f"'{mode}'"):
+            decode_chunk(name, entry, res.payload)
 
 
 class TestDeterminism:
@@ -320,18 +345,16 @@ class TestStoreCorruption:
             with pytest.raises(StoreFormatError):
                 StoreReader(bad)
 
-    def test_verify_false_still_fails_closed_on_truncated_payload(
-        self, packed_store, tmp_path
-    ):
-        """verify=False skips checksums but a payload running past EOF is
-        still a hard CorruptChunkError, not a short silent read."""
+    def test_payload_past_eof_fails_closed(self, packed_store, tmp_path):
+        """A payload running past EOF is a hard CorruptChunkError naming
+        the truncation, not a short silent read."""
         path, payload_blobs, _ = packed_store
         offset, nbytes = payload_blobs[-1]
         blob = path.read_bytes()
         # keep framing valid but lie about the last payload's length
         bad = tmp_path / "lying.rps"
         bad.write_bytes(blob)
-        with StoreReader(bad, verify=False) as reader:
+        with StoreReader(bad) as reader:
             entry = reader.chunk_entry((1, 0))
             entry["nbytes"] = len(blob) + 1024  # points past EOF
             with pytest.raises(CorruptChunkError, match="truncated"):

@@ -39,14 +39,11 @@ _FIELD_EB = 1e-3
 #: have — every stream already on disk (``.rps`` stores included) was
 #: written in this format, so these fix the full payload layout (headers,
 #: outlier sections, entropy streams) across history, one blob per
-#: predictor x entropy variant of sz3 and per sperr container mode.
+#: entropy variant of sz3.
 _COMPRESSORS = {
     "sz3.bin": lambda: SZ3Compressor(),
     "sz3_range.bin": lambda: SZ3Compressor(entropy="range"),
-    "sz3_lorenzo.bin": lambda: SZ3Compressor(predictor="lorenzo"),
-    "sz3_lorenzo_range.bin": lambda: SZ3Compressor(predictor="lorenzo", entropy="range"),
     "szx.bin": lambda: SZXCompressor(),
-    "sperr.bin": lambda: SPERRCompressor(chunk_edge=16),
     "sperr_whole.bin": lambda: SPERRCompressor(),
 }
 

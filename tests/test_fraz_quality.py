@@ -5,7 +5,7 @@ import pytest
 
 from repro.compressors.base import LossyCompressor
 from repro.compressors.zfp import ZFPCompressor
-from repro.core.fraz import FrazSearch
+from repro.core.fraz import REL_EB_BRACKET, FrazSearch
 from repro.core.quality import max_abs_error, nrmse, psnr, rmse
 from repro.data import load_field
 
@@ -91,7 +91,7 @@ class TestFrazSearch:
         vrange = float(np.ptp(field.data))
         out = fraz.compress_to_ratio(field.data, target, initial_eb=1e-2 * vrange)
         assert not out.reachable and not out.converged
-        end = fraz.rel_eb_bracket[0 if target < 1 else 1] * vrange
+        end = REL_EB_BRACKET[0 if target < 1 else 1] * vrange
         assert out.error_bound == pytest.approx(end)
 
     def test_budget_exhausted_is_not_unreachable(self, field):
@@ -115,8 +115,6 @@ class TestFrazSearch:
             FrazSearch("szx", tolerance=0.0)
         with pytest.raises(ValueError):
             FrazSearch("szx", max_iterations=0)
-        with pytest.raises(ValueError):
-            FrazSearch("szx", rel_eb_bracket=(0.5, 0.1))
         with pytest.raises(ValueError):
             FrazSearch("szx").compress_to_ratio(np.ones(10), -1.0)
         with pytest.raises(ValueError):

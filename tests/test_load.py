@@ -262,10 +262,8 @@ class TestGatewayStats:
             stats.submitted = 0
         assert stats.rejection_rate == pytest.approx(0.2)
         assert stats.mean_batch_size == pytest.approx(4.0)
-        d = stats.as_dict()
-        assert d["submitted"] == 10
-        assert d["rejection_rate"] == pytest.approx(0.2)
-        assert d["mean_batch_size"] == pytest.approx(4.0)
+        d = dataclasses.asdict(stats)
+        assert d["submitted"] == 10 and d["max_queue_depth"] == 5
 
     def test_service_stats_typed(self, fitted, train_fields):
         with Service(fitted) as svc:
@@ -275,6 +273,4 @@ class TestGatewayStats:
         assert stats.cache.misses == 1
         with pytest.raises(dataclasses.FrozenInstanceError):
             stats.requests = 0
-        d = stats.as_dict()
-        assert d["requests"] == 1 and d["cache"]["misses"] == 1
-        assert set(d) == {"requests", "batches", "cache"}
+        assert stats.batches == 1

@@ -18,6 +18,7 @@ from repro.store import (
     open_raw,
     pack,
 )
+from repro.store.writer import MAX_CHUNK_RATIO
 
 SHAPE = (24, 32, 32)
 CHUNK = (8, 16, 16)
@@ -190,12 +191,7 @@ class TestCorruption:
         with Store(bad) as st:
             st.read_chunk(other)  # does not raise
             with pytest.raises(CorruptChunkError):
-                st.verify_all()
-
-    def test_verify_false_skips_checksum(self, corrupted):
-        bad, coords = corrupted
-        with Store(bad, verify=False) as st:
-            st.read_chunk(coords)  # decodes garbage rather than raising
+                st.read_chunk(coords)
 
     def test_truncated_file_rejected_at_open(self, packed, tmp_path):
         path, _ = packed
@@ -324,8 +320,6 @@ class TestValidation:
     def test_options_validation(self):
         with pytest.raises(ValueError, match="chunk_elements"):
             StoreOptions(chunk_elements=0)
-        with pytest.raises(ValueError, match="min_chunk_ratio"):
-            StoreOptions(min_chunk_ratio=0.5)
 
     def test_store_exported_on_facades(self):
         import repro
@@ -425,14 +419,14 @@ class TestBudgetExhaustion:
         self, fitted, field, tmp_path
     ):
         """A budget smaller than any achievable pack must clamp the wave
-        target to max_chunk_ratio and finish — never raise ZeroDivisionError
+        target to MAX_CHUNK_RATIO and finish — never raise ZeroDivisionError
         or ask for a target below 1."""
         opts = StoreOptions(chunk_shape=CHUNK, wave_size=4)
         report = pack(tmp_path / "tight.rps", field, fitted, 9000.0, options=opts)
         assert report.n_chunks > 0
         for rec in report.chunks:
             assert np.isfinite(rec.target_ratio)
-            assert 1.0 < rec.target_ratio <= opts.max_chunk_ratio
+            assert 1.0 < rec.target_ratio <= MAX_CHUNK_RATIO
         # budget is blown (the model can't reach ratio 9000) but the file
         # is complete and readable
         assert report.achieved_ratio < 9000.0
@@ -441,7 +435,6 @@ class TestBudgetExhaustion:
 
     def test_wave_target_clamps_at_exhaustion(self, fitted):
         writer = StoreWriter("unused.rps", fitted)
-        opts = writer.options
         # budget fully spent: the remaining budget floors at 1 byte, so the
         # division is safe and asks for raw_remaining : 1
         assert (
@@ -456,12 +449,12 @@ class TestBudgetExhaustion:
         # exhausted budget with lots of raw data left: clamped to the ceiling
         assert (
             writer._wave_target(TARGET, budget=100.0, spent=100, raw_remaining=10**6)
-            == opts.max_chunk_ratio
+            == MAX_CHUNK_RATIO
         )
         # no raw bytes left: ceiling, not 0/x
         assert (
             writer._wave_target(TARGET, budget=100.0, spent=10, raw_remaining=0)
-            == opts.max_chunk_ratio
+            == MAX_CHUNK_RATIO
         )
         # healthy state: plain redistribution, inside the clamp window
         t = writer._wave_target(TARGET, budget=1000.0, spent=100, raw_remaining=7200)

@@ -17,6 +17,7 @@ from __future__ import annotations
 import ast
 import dataclasses
 import functools
+import inspect
 import os
 import re
 import subprocess
@@ -218,10 +219,10 @@ OPTION_FIELDS = {
     "ServiceOptions": {"cache_entries"},
     "GatewayOptions": {"max_batch", "max_wait_ms", "max_pending", "safety"},
     "StoreOptions": {
-        "chunk_shape", "chunk_elements", "closed_loop", "safety",
-        "min_chunk_ratio", "max_chunk_ratio", "workers", "wave_size", "control",
+        "chunk_shape", "chunk_elements", "closed_loop", "safety", "workers",
+        "wave_size", "control",
     },
-    "CatalogOptions": {"cache_bytes", "workers", "verify", "prefetch_depth"},
+    "CatalogOptions": {"cache_bytes", "workers", "prefetch_depth"},
     "ControlOptions": {
         "t0_std", "t0_pressure", "t2_std", "t2_pressure", "risk_budget",
         "refine_compressions", "refine_tolerance", "heuristic_points",
@@ -240,6 +241,34 @@ def test_every_options_knob_is_pinned():
         assert fields == pinned, (
             f"{name}: added {sorted(fields - pinned)}, removed {sorted(pinned - fields)} "
             "— edit OPTION_FIELDS with the change"
+        )
+
+
+#: Every constructor keyword of each registered codec, and of the FRaZ
+#: search. The codecs run in their default configurations; a keyword
+#: stays while a ledger workload, a paper table or a stream format needs
+#: it, so a new codec mode is an edit here, as a new ``*Options`` field is.
+CODEC_KNOBS = {
+    "szx": ["block_size"],
+    "zfp": [],
+    "sz3": ["entropy"],
+    "sperr": ["quant_factor"],
+    "cuszp": ["block_size"],
+    "FrazSearch": ["compressor", "tolerance", "max_iterations"],
+}
+
+
+def test_every_codec_knob_is_pinned():
+    from repro.compressors.registry import _REGISTRY
+    from repro.core.fraz import FrazSearch
+
+    owners = {**_REGISTRY, "FrazSearch": FrazSearch}
+    assert set(owners) == set(CODEC_KNOBS), "pin the new codec's keywords here"
+    for name, owner in owners.items():
+        knobs = list(inspect.signature(owner).parameters)
+        assert knobs == CODEC_KNOBS[name], (
+            f"{name}: keywords {knobs}, pinned {CODEC_KNOBS[name]} — edit CODEC_KNOBS "
+            "with the change"
         )
 
 

@@ -1,4 +1,4 @@
-"""SZ3-specific behaviour: interpolation levels, outliers, Lorenzo mode."""
+"""SZ3-specific behaviour: interpolation levels, outliers, entropy coders."""
 
 import numpy as np
 import pytest
@@ -73,37 +73,6 @@ class TestInterpMode:
         assert ratio > 10
 
 
-class TestLorenzoMode:
-    def test_round_trip(self, smooth3d):
-        codec = SZ3Compressor(predictor="lorenzo")
-        out, _ = codec.roundtrip(smooth3d, 1e-3)
-        assert np.abs(out - smooth3d).max() <= 1e-3
-
-    def test_linear_field_free(self):
-        i, j = np.meshgrid(np.arange(32.0), np.arange(32.0), indexing="ij")
-        data = 2 * i - 3 * j
-        codec = SZ3Compressor(predictor="lorenzo")
-        out, res = codec.roundtrip(data, 1e-3)
-        assert np.abs(out - data).max() <= 1e-3
-        assert res.ratio > 20
-
-    def test_eb_too_small_rejected(self):
-        codec = SZ3Compressor(predictor="lorenzo")
-        with pytest.raises(ValueError):
-            codec.compress(np.array([1e30, -1e30]), 1e-25)
-
-    def test_eb_below_float_precision_rejected_by_name(self, rng):
-        data = 1e9 * rng.standard_normal((40, 40))
-        with pytest.raises(
-            ValueError, match="^error bound too small relative to data magnitude$"
-        ):
-            SZ3Compressor(predictor="lorenzo").compress(data, 1e-12)
-
-    def test_invalid_predictor(self):
-        with pytest.raises(ValueError):
-            SZ3Compressor(predictor="magic")
-
-
 class TestEntropyBackend:
     def test_smoothness_reflected_in_size(self, rng):
         smooth = np.cumsum(np.cumsum(rng.standard_normal((48, 48)), 0), 1) / 20
@@ -113,26 +82,24 @@ class TestEntropyBackend:
         assert codec.compression_ratio(smooth, eb) > 1.5 * codec.compression_ratio(rough, eb)
 
     def test_both_modes_bounded(self, smooth2d):
-        for predictor in ("interp", "lorenzo"):
-            out, _ = SZ3Compressor(predictor=predictor).roundtrip(smooth2d, 5e-3)
+        for entropy in ("huffman", "range"):
+            out, _ = SZ3Compressor(entropy=entropy).roundtrip(smooth2d, 5e-3)
             assert np.abs(out - smooth2d).max() <= 5e-3
 
-    @pytest.mark.parametrize("predictor", ["interp", "lorenzo"])
     @pytest.mark.parametrize("entropy", ["huffman", "range"])
-    def test_every_variant_bounded_on_awkward_shapes(self, rng, predictor, entropy):
-        codec = SZ3Compressor(predictor=predictor, entropy=entropy)
+    def test_every_variant_bounded_on_awkward_shapes(self, rng, entropy):
+        codec = SZ3Compressor(entropy=entropy)
         for shape in [(5,), (257,), (64, 3), (33, 18)]:
             x = np.cumsum(rng.standard_normal(shape), axis=0) / 4
             out, _ = codec.roundtrip(x, 5e-3)
             assert np.abs(out - x).max() <= 5e-3 * (1 + 1e-9)
 
-    @pytest.mark.parametrize("predictor", ["interp", "lorenzo"])
     @pytest.mark.parametrize("entropy", ["huffman", "range"])
-    def test_stream_names_its_own_entropy_coder(self, smooth3d, predictor, entropy):
+    def test_stream_names_its_own_entropy_coder(self, smooth3d, entropy):
         """A default instance (what ``get_compressor("sz3")`` and the store
         reader build) decodes a stream written with either entropy coder,
         and so does an instance configured for the other one."""
-        writer = SZ3Compressor(predictor=predictor, entropy=entropy)
+        writer = SZ3Compressor(entropy=entropy)
         res = writer.compress(smooth3d, 1e-3)
         expected = writer.decompress(res)
         other = "range" if entropy == "huffman" else "huffman"
