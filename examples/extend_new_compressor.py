@@ -12,8 +12,9 @@ paper's evaluated four):
 
 1. the codec is one entry in ``repro/compressors/registry.py`` (any
    ``LossyCompressor`` subclass is added the same way);
-2. its ratio estimator is the *generic* :class:`SampledFullSurrogate` with
-   block-window sampling — no codec-specific surrogate code at all;
+2. its ratio estimator is :class:`SampledFullSurrogate` — the one SECRE's
+   SZx and ZFP estimators are too — given the codec and a block-window
+   sampler: no codec-specific surrogate code at all;
 3. CAROL trains on surrogate + calibration curves as usual and then serves
    fixed-ratio requests against the new codec.
 
@@ -58,8 +59,8 @@ def main() -> None:
         print(f"  target {target:5.1f}x -> eb {pred.error_bound:.4g} "
               f"-> achieved {result.ratio:5.1f}x")
 
-    print("\nno cuSZp-specific surrogate was written — the registry entry is")
-    print("three lines wiring SampledFullSurrogate(window='block') to the codec.")
+    print("\nno cuSZp-specific surrogate was written — the registry entry hands")
+    print("the codec and a block sampler to SampledFullSurrogate, as SZx and ZFP do.")
 
 
 if __name__ == "__main__":

@@ -270,16 +270,13 @@ def ablation_sampling(scale: BenchScale) -> str:
     field = load_field("miranda/viscosity", **scale.dataset_kwargs("miranda"))
     ebs = scale.rel_ebs() * field.value_range
     rows = []
-    from repro.surrogate.szx_surrogate import SZXSurrogate
-    from repro.surrogate.sz3_surrogate import SZ3Surrogate
-
     true_szx, _ = true_curve(field, "szx", ebs)
     for stride in (16, 64, 128, 256):
-        est, t = SZXSurrogate(stride=stride).estimate_curve(field.data, ebs)
+        est, t = get_surrogate("szx", stride=stride).estimate_curve(field.data, ebs)
         rows.append(["szx", f"1/{stride} blocks", float(estimation_error(true_szx, est)), float(t)])
     true_sz3, _ = true_curve(field, "sz3", ebs)
     for stride in (3, 5, 8):
-        est, t = SZ3Surrogate(stride=stride).estimate_curve(field.data, ebs)
+        est, t = get_surrogate("sz3", stride=stride).estimate_curve(field.data, ebs)
         rows.append(
             ["sz3", f"1/{stride} per dim", float(estimation_error(true_sz3, est)), float(t)]
         )

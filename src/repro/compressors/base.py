@@ -107,13 +107,20 @@ class LossyCompressor(abc.ABC):
         require_finite(arr)
         eb = check_error_bound(error_bound)
         with span("compressor.compress", codec=self.name, error_bound=eb) as sp:
-            start = time.perf_counter()
-            payload, metadata = self._compress(arr.astype(np.float64, copy=False), eb)
-            elapsed = time.perf_counter() - start
-            sp.set(bytes_in=arr.nbytes, bytes_out=len(payload))
+            result = self._encoded(arr, eb, lambda x: self._compress(x, eb))
+            sp.set(bytes_in=arr.nbytes, bytes_out=len(result.payload))
+        return result
+
+    def _encoded(self, arr: np.ndarray, error_bound: float, encode) -> CompressionResult:
+        """Time ``encode(float64 view of arr) -> (payload, metadata)`` and
+        stamp what every stream records: shape, error bound, dtype and
+        payload checksum."""
+        start = time.perf_counter()
+        payload, metadata = encode(arr.astype(np.float64, copy=False))
+        elapsed = time.perf_counter() - start
         metadata = dict(metadata)
         metadata.setdefault("shape", arr.shape)
-        metadata.setdefault("error_bound", eb)
+        metadata.setdefault("error_bound", error_bound)
         metadata.setdefault("dtype", str(arr.dtype))
         metadata.setdefault("payload_check", payload_checksum(payload))
         return CompressionResult(
@@ -121,7 +128,7 @@ class LossyCompressor(abc.ABC):
             payload=payload,
             metadata=metadata,
             original_bytes=arr.nbytes,
-            error_bound=eb,
+            error_bound=error_bound,
             elapsed=elapsed,
         )
 

@@ -24,6 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.compressors.base import LossyCompressor, quantization_step
+from repro.compressors.szx import _as_blocks, _code_widths
 from repro.encoding.bitstream import BitReader, BitWriter
 
 BLOCK = 32
@@ -48,11 +49,8 @@ class CuSZpCompressor(LossyCompressor):
             raise ValueError("error bound too small relative to data magnitude")
         q = q.astype(np.int64)
         n = q.size
-        nblocks = -(-n // bs)
-        padded = np.zeros(nblocks * bs, dtype=np.int64)
-        padded[:n] = q
-        padded[n:] = q[-1] if n else 0
-        blocks = padded.reshape(nblocks, bs)
+        blocks = _as_blocks(q, bs)
+        nblocks = blocks.shape[0]
 
         # Delta within each block; column 0 keeps the absolute code.
         deltas = blocks.copy()
@@ -61,17 +59,9 @@ class CuSZpCompressor(LossyCompressor):
         rest = deltas[:, 1:]
 
         mags = np.abs(rest).astype(np.uint64)
-        zero_block = (mags == 0).all(axis=1)
-        widths = np.zeros(nblocks, dtype=np.int64)
-        nz = ~zero_block
-        if nz.any():
-            maxmag = mags[nz].max(axis=1)
-            w = np.zeros(maxmag.size, dtype=np.int64)
-            pos = maxmag > 0
-            w[pos] = np.floor(np.log2(maxmag[pos].astype(np.float64))).astype(np.int64) + 1
-            too_small = (np.uint64(1) << w.astype(np.uint64)) <= maxmag
-            w[too_small] += 1
-            widths[nz] = w
+        widths = _code_widths(mags.max(axis=1))
+        nz = widths > 0
+        zero_block = ~nz
 
         writer = BitWriter()
         writer.write_bit_array(zero_block)
@@ -80,15 +70,10 @@ class CuSZpCompressor(LossyCompressor):
         if nz.any():
             writer.write_uint_array(widths[nz].astype(np.uint64), _W_BITS)
             # Sign-magnitude payload, grouped by width for bulk packing.
-            signs = (rest < 0).astype(np.uint64)
             for width in np.unique(widths[nz]):
                 sel = widths == width
-                sel &= nz
-                if not sel.any():
-                    continue
-                writer.write_bit_array(signs[sel].astype(bool).ravel())
-                if width > 0:
-                    writer.write_uint_array(mags[sel].ravel(), int(width))
+                writer.write_bit_array((rest[sel] < 0).ravel())
+                writer.write_uint_array(mags[sel].ravel(), int(width))
         return writer.getvalue(), {"n": n, "nblocks": nblocks, "block_size": bs}
 
     def _decompress(self, payload: bytes, metadata: dict) -> np.ndarray:

@@ -7,28 +7,26 @@ expensive stages (Table 1 of the CAROL paper):
 ============  ===========  ==========================================
 compressor    sampling     surrogate pipeline
 ============  ===========  ==========================================
-SZx           block-wise   delta encoding on sampled blocks
-ZFP           block-wise   full transform+embedded coding on samples
+SZx           block-wise   the real codec on sampled 128-blocks
+ZFP           block-wise   the real codec on sampled 4^d blocks
 SZ3           point-wise   last-level spline interp, *no* Huffman/LZ
 SPERR         large chunk  wavelet+SPECK on one chunk, *no* outliers/LZ
 ============  ===========  ==========================================
 
-The skipped stages are exactly why SECRE is near-exact for SZx/ZFP but
-systematically biased (up to tens of %) for SZ3/SPERR — the behaviour
-CAROL's calibration corrects.
+SZx and ZFP (and cuSZp, the paper's Compressor Behavior 3 fallback) share
+one estimator, :class:`~repro.surrogate.sampled_full.SampledFullSurrogate`:
+the codec plus a sampler matched to its window. The skipped stages are
+exactly why SECRE is near-exact for SZx/ZFP but systematically biased (up
+to tens of %) for SZ3/SPERR — the behaviour CAROL's calibration corrects.
 """
 
 from repro.surrogate.base import SurrogateEstimator
 from repro.surrogate.registry import available_surrogates, get_surrogate
 from repro.surrogate.sperr_surrogate import SPERRSurrogate
 from repro.surrogate.sz3_surrogate import SZ3Surrogate
-from repro.surrogate.szx_surrogate import SZXSurrogate
-from repro.surrogate.zfp_surrogate import ZFPSurrogate
 
 __all__ = [
     "SurrogateEstimator",
-    "SZXSurrogate",
-    "ZFPSurrogate",
     "SZ3Surrogate",
     "SPERRSurrogate",
     "get_surrogate",

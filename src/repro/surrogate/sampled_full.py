@@ -1,67 +1,44 @@
-"""Generic fallback surrogate: full compression on sampled data.
+"""Sample-and-compress surrogate: the real compressor on window-matched samples.
 
-The paper's conclusion (Compressor Behavior 3): when no tailored surrogate
-exists for a compressor, "full compression will be first performed on
-sampled data, and then our proposed calibration method will be used to
-reduce the estimation error. The key to an accurate estimation is that the
-sampling method has to match the target compressor's compression window."
+SECRE's SZx and ZFP estimators (Table 1) run the real coder on a sample of
+the blocks it compresses independently, so the per-value cost of the sample
+extrapolates to the whole array nearly exactly. The paper's conclusion
+names the same recipe as the fallback for any codec without a tailored
+surrogate (Compressor Behavior 3): "full compression will be first
+performed on sampled data, and then our proposed calibration method will be
+used to reduce the estimation error. The key to an accurate estimation is
+that the sampling method has to match the target compressor's compression
+window."
 
-This estimator implements exactly that: it runs the *real* compressor on a
-sample drawn with a window-matched strategy and extrapolates the per-value
-cost. Any compressor in :mod:`repro.compressors.registry` gets ratio
-estimation for free this way (cuszp's surrogate is built from it).
+One class serves all of them; a codec's estimator is that codec plus a
+sampler matched to its window (see :mod:`repro.surrogate.registry`).
 """
 
 from __future__ import annotations
 
+from typing import Callable
+
 import numpy as np
 
-from repro.compressors.registry import get_compressor
+from repro.compressors.base import LossyCompressor
 from repro.surrogate.base import SurrogateEstimator
-from repro.surrogate.sampling import sample_chunk, sample_flat_blocks, sample_points
-
-#: window kind -> sampler producing ``(sample_array, fraction)``
-_WINDOWS = ("block", "point", "chunk")
 
 
 class SampledFullSurrogate(SurrogateEstimator):
-    """Window-matched sampling + the real compressor, extrapolated.
+    """``compressor`` run on ``sample(data)``, its per-value cost extrapolated.
 
-    Parameters
-    ----------
-    compressor:
-        Registry name of the target compressor.
-    window:
-        ``"block"`` (flat block sampling, delta/transform codecs),
-        ``"point"`` (strided point sampling, prediction codecs), or
-        ``"chunk"`` (one contiguous chunk, wavelet/large-window codecs).
-    fraction:
-        Approximate fraction of the data to compress (default 10%, the
-        upper end of SECRE's 5-10% range).
+    ``sample`` maps the float64 array to the values to compress — a sampler
+    from :mod:`repro.surrogate.sampling` matched to the codec's window, so
+    that the codec partitions the sample into the blocks (or points, or
+    chunk) it would see in the whole array.
     """
 
-    def __init__(self, compressor: str, window: str = "chunk", fraction: float = 0.1) -> None:
-        if window not in _WINDOWS:
-            raise ValueError(f"window must be one of {_WINDOWS}")
-        if not 0.0 < fraction <= 1.0:
-            raise ValueError("fraction must be in (0, 1]")
-        self.compressor_name = compressor
-        self.window = window
-        self.fraction = float(fraction)
-        self._codec = get_compressor(compressor)
-
-    def _sample(self, data: np.ndarray) -> np.ndarray:
-        if self.window == "block":
-            stride = max(int(round(1.0 / self.fraction)), 1)
-            sample, _ = sample_flat_blocks(data, 128, stride)
-            return sample
-        if self.window == "point":
-            stride = max(int(round((1.0 / self.fraction) ** (1.0 / data.ndim))), 1)
-            sample, _ = sample_points(data, stride)
-            return sample
-        frac_axis = self.fraction ** (1.0 / data.ndim)
-        sample, _ = sample_chunk(data, frac_axis)
-        return sample
+    def __init__(
+        self, compressor: LossyCompressor, sample: Callable[[np.ndarray], np.ndarray]
+    ) -> None:
+        self.compressor_name = compressor.name
+        self._codec = compressor
+        self._sample = sample
 
     def _estimate_curve(self, data: np.ndarray, ebs: np.ndarray, itemsize: int) -> np.ndarray:
         sample = self._sample(data)
@@ -69,6 +46,8 @@ class SampledFullSurrogate(SurrogateEstimator):
         out = np.empty(ebs.size)
         for i, eb in enumerate(ebs):
             res = self._codec.compress(sample, float(eb))
+            # Per-value compressed cost on the sample extrapolates to the
+            # full array; exclude the fixed header from the per-value cost.
             per_value = (res.compressed_bytes - res._HEADER_BYTES) / sample.size
             est_bytes = per_value * data.size + res._HEADER_BYTES
             out[i] = (data.size * itemsize) / est_bytes

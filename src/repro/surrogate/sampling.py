@@ -7,12 +7,11 @@ import numpy as np
 
 def sample_flat_blocks(
     data: np.ndarray, block_size: int, stride: int, min_blocks: int = 8
-) -> tuple[np.ndarray, float]:
-    """Block-wise sampling on the flattened array (SZx's window).
+) -> np.ndarray:
+    """Block-wise sampling on the flattened array (SZx's and cuSZp's window).
 
     Takes one ``block_size`` block every ``stride`` blocks; the stride is
     shrunk if the array is too small to yield ``min_blocks`` samples.
-    Returns ``(sampled_values, fraction_sampled)``.
     """
     flat = data.ravel()
     nblocks = max(flat.size // block_size, 1)
@@ -21,13 +20,13 @@ def sample_flat_blocks(
     idx = starts[:, None] + np.arange(block_size)[None, :]
     idx = idx[idx[:, -1] < flat.size]
     if idx.size == 0:
-        return flat.copy(), 1.0
-    return flat[idx].ravel(), idx.size / flat.size
+        return flat.copy()
+    return flat[idx].ravel()
 
 
 def sample_grid_blocks(
     data: np.ndarray, block_edge: int, stride: int, min_blocks: int = 8
-) -> tuple[np.ndarray, float]:
+) -> np.ndarray:
     """Multidimensional block sampling (ZFP's window).
 
     Selects one ``block_edge^d`` block every ``stride`` blocks in flattened
@@ -51,19 +50,17 @@ def sample_grid_blocks(
             pad = [(0, block_edge - s) for s in blk.shape]
             blk = np.pad(blk, pad, mode="edge")
         blocks[i] = blk
-    fraction = blocks.size / data.size
-    return blocks, min(fraction, 1.0)
+    return blocks
 
 
-def sample_points(data: np.ndarray, stride: int) -> tuple[np.ndarray, float]:
+def sample_points(data: np.ndarray, stride: int) -> np.ndarray:
     """Point-wise strided sampling (SZ3's window): one point every ``stride``
     along each axis, preserving dimensionality."""
     slicer = tuple(slice(0, None, stride) for _ in range(data.ndim))
-    sampled = data[slicer]
-    return np.ascontiguousarray(sampled), sampled.size / data.size
+    return np.ascontiguousarray(data[slicer])
 
 
-def sample_chunk(data: np.ndarray, fraction_per_axis: float = 0.5) -> tuple[np.ndarray, float]:
+def sample_chunk(data: np.ndarray, fraction_per_axis: float = 0.5) -> np.ndarray:
     """Contiguous center-chunk sampling (SPERR's large-chunk window).
 
     SPERR compresses independent large chunks, so its surrogate runs the real
@@ -77,5 +74,4 @@ def sample_chunk(data: np.ndarray, fraction_per_axis: float = 0.5) -> tuple[np.n
         ext = max(int(round(s * fraction_per_axis)), min(s, 8))
         start = (s - ext) // 2
         slicer.append(slice(start, start + ext))
-    chunk = np.ascontiguousarray(data[tuple(slicer)])
-    return chunk, chunk.size / data.size
+    return np.ascontiguousarray(data[tuple(slicer)])

@@ -13,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.compressors.speck import SpeckCoder
+from repro.compressors.sperr import SPERRCompressor
 from repro.encoding.bitstream import BitWriter
 from repro.obs import span
 from repro.surrogate.base import SurrogateEstimator
@@ -21,17 +22,16 @@ from repro.transforms.wavelet import cdf97_forward, max_levels
 
 
 class SPERRSurrogate(SurrogateEstimator):
-    """SPECK bit count on one wavelet-transformed chunk, extrapolated."""
+    """SPECK bit count on one wavelet-transformed center chunk (half of
+    each axis), extrapolated."""
 
     compressor_name = "sperr"
 
-    def __init__(self, fraction_per_axis: float = 0.5, quant_factor: float = 0.5) -> None:
-        self.fraction_per_axis = float(fraction_per_axis)
-        self.quant_factor = float(quant_factor)
-
     def _estimate_curve(self, data: np.ndarray, ebs: np.ndarray, itemsize: int) -> np.ndarray:
+        # The codec's own quantization step, so the two cannot drift apart.
+        quant_factor = SPERRCompressor().quant_factor
         with span("surrogate.estimate", surrogate=self.compressor_name, n_ebs=int(ebs.size)):
-            chunk, _fraction = sample_chunk(data, self.fraction_per_axis)
+            chunk = sample_chunk(data)
             levels = max_levels(chunk.shape)
             coefs = cdf97_forward(chunk, levels)
             absc = np.abs(coefs)
@@ -39,7 +39,7 @@ class SPERRSurrogate(SurrogateEstimator):
             out = np.empty(ebs.size)
             coder = SpeckCoder()
             for i, eb in enumerate(ebs):
-                qstep = self.quant_factor * float(eb)
+                qstep = quant_factor * float(eb)
                 mag = np.floor(absc / qstep).astype(np.int64)
                 writer = BitWriter()
                 coder.encode(mag, negc, writer)

@@ -58,7 +58,7 @@ class SZ3Surrogate(SurrogateEstimator):
 
     def _estimate_curve(self, data: np.ndarray, ebs: np.ndarray, itemsize: int) -> np.ndarray:
         with span("surrogate.estimate", surrogate=self.compressor_name, n_ebs=int(ebs.size)):
-            sampled, _fraction = sample_points(data, self.stride)
+            sampled = sample_points(data, self.stride)
             out = np.empty(ebs.size)
             anchor_bits = 64.0 * data.size / (1 << (6 * data.ndim))  # anchor overhead
             for i, eb in enumerate(ebs):

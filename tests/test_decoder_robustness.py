@@ -211,10 +211,10 @@ class TestNegativeCounts:
 
 
 class TestRemovedModes:
-    """A stream naming a mode this codec no longer writes fails by name,
-    whether it is decoded directly or as a store chunk."""
+    """A stream naming a mode this codec does not (or no longer) write
+    fails by name, whether it is decoded directly or as a store chunk."""
 
-    CASES = [("sz3", "lorenzo"), ("sperr", "chunked")]
+    CASES = [("sz3", "lorenzo"), ("sperr", "chunked"), ("zfp", "fixed_precision")]
 
     @pytest.mark.parametrize("name, mode", CASES)
     def test_codec_names_the_mode(self, payloads, name, mode):

@@ -1,15 +1,26 @@
 """Generic sampled-full surrogate."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 
 from repro.compressors import get_compressor
 from repro.core.metrics import estimation_error
 from repro.data import load_field
+from repro.surrogate import get_surrogate
 from repro.surrogate.sampled_full import SampledFullSurrogate
+from repro.surrogate.sampling import sample_chunk, sample_flat_blocks, sample_points
 
 SHAPE = (16, 20, 20)
 REL = np.geomspace(1e-3, 1e-1, 5)
+
+#: Window-matched samplers, each drawing ~15% of the values.
+WINDOWS = {
+    "block": partial(sample_flat_blocks, block_size=128, stride=7),
+    "point": partial(sample_points, stride=2),
+    "chunk": partial(sample_chunk, fraction_per_axis=0.15 ** (1 / 3)),
+}
 
 
 class TestSampledFullSurrogate:
@@ -25,25 +36,37 @@ class TestSampledFullSurrogate:
         true = np.array(
             [get_compressor(codec).compression_ratio(field.data, eb) for eb in ebs]
         )
-        sur = SampledFullSurrogate(codec, window=window, fraction=0.15)
+        sur = SampledFullSurrogate(get_compressor(codec), WINDOWS[window])
+        assert sur.compressor_name == codec
         est, elapsed = sur.estimate_curve(field.data, ebs)
         assert elapsed >= 0
         # real coder on a sample: decent accuracy without a tailored surrogate
         assert estimation_error(true, est) < 60.0
 
-    def test_point_window_preserves_dimensionality(self):
+    def test_point_window_preserves_dimensionality(self, monkeypatch):
+        """The sample reaches the codec as the sampler shaped it: SZ3's
+        interpolation sees a 3-D sample of a 3-D field."""
         field = load_field("miranda/density", shape=SHAPE)
-        sur = SampledFullSurrogate("sz3", window="point", fraction=0.1)
-        sample = sur._sample(field.data.astype(np.float64))
-        assert sample.ndim == 3
+        codec = get_compressor("sz3")
+        seen = []
+        compress = codec.compress
+        monkeypatch.setattr(
+            codec, "compress", lambda x, eb: seen.append(x.shape) or compress(x, eb)
+        )
+        SampledFullSurrogate(codec, WINDOWS["point"]).estimate_curve(
+            field.data, [1e-2 * field.value_range]
+        )
+        assert seen == [(8, 10, 10)]
 
     def test_invalid_args(self):
-        with pytest.raises(ValueError):
-            SampledFullSurrogate("szx", window="stars")
-        with pytest.raises(ValueError):
-            SampledFullSurrogate("szx", fraction=0.0)
-        with pytest.raises(KeyError):
-            SampledFullSurrogate("rar")
+        """The registry builds each sampled estimator at its one window and
+        sampling rate: no window or fraction keyword is taken."""
+        with pytest.raises(TypeError):
+            get_surrogate("cuszp", window="point")
+        with pytest.raises(TypeError):
+            get_surrogate("szx", fraction=0.5)
+        with pytest.raises(TypeError):
+            get_surrogate("zfp", stride=8)
 
     def test_calibration_composes(self):
         """The conclusion's recipe: sampled-full estimate + calibration."""
@@ -53,7 +76,7 @@ class TestSampledFullSurrogate:
         codec = get_compressor("sz3")
         ebs = REL * field.value_range
         true = np.array([codec.compression_ratio(field.data, eb) for eb in ebs])
-        est, _ = SampledFullSurrogate("sz3", window="point", fraction=0.1).estimate_curve(
+        est, _ = SampledFullSurrogate(codec, WINDOWS["point"]).estimate_curve(
             field.data, ebs
         )
         cal, _ = Calibrator(n_points=3).calibrate_curve(field.data, ebs, est, codec)

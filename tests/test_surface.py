@@ -272,6 +272,30 @@ def test_every_codec_knob_is_pinned():
         )
 
 
+#: Every keyword of each ``get_surrogate`` factory. An estimator runs at
+#: the sampling Table 1 gives it; ``stride`` stays on szx and sz3 because
+#: ``ablation_sampling`` sweeps it, so a new estimator knob is an edit here.
+SURROGATE_KNOBS = {
+    "szx": ["stride"],
+    "zfp": [],
+    "sz3": ["stride"],
+    "sperr": [],
+    "cuszp": [],
+}
+
+
+def test_every_surrogate_knob_is_pinned():
+    from repro.surrogate.registry import _REGISTRY
+
+    assert set(_REGISTRY) == set(SURROGATE_KNOBS), "pin the new surrogate's keywords here"
+    for name, factory in _REGISTRY.items():
+        knobs = list(inspect.signature(factory).parameters)
+        assert knobs == SURROGATE_KNOBS[name], (
+            f"{name}: keywords {knobs}, pinned {SURROGATE_KNOBS[name]} — edit "
+            "SURROGATE_KNOBS with the change"
+        )
+
+
 _NO_SCIPY = """
 import sys
 

@@ -1,4 +1,8 @@
-"""ZFP-specific behaviour: block partitioning, step-wise ratio function."""
+"""ZFP-specific behaviour: block partitioning, step-wise ratio function,
+fixed-rate budgets."""
+
+import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -70,3 +74,19 @@ class TestDimensionality:
         out, _ = ZFPCompressor().roundtrip(x, 1e-3)
         assert out.shape == shape
         assert np.abs(out - x).max() <= 1e-3
+
+
+class TestFixedRateBudget:
+    @pytest.mark.parametrize("rate", [0.0, -1.0, float("nan"), float("inf"), 1e30])
+    def test_unusable_rate_raises_naming_it(self, rate):
+        """Non-finite rates, and ones whose per-block budget does not fit
+        int64, are refused by name rather than overflowing."""
+        with pytest.raises(ValueError, match=re.escape(repr(rate))):
+            ZFPCompressor().compress_fixed_rate(np.ones((8, 8)), rate)
+
+    def test_stream_with_unusable_rate_fails_to_decode(self, rng):
+        codec = ZFPCompressor()
+        res = codec.compress_fixed_rate(rng.standard_normal((8, 8)), 4.0)
+        broken = dataclasses.replace(res, metadata={**res.metadata, "rate": float("inf")})
+        with pytest.raises(ValueError, match="inf"):
+            codec.decompress(broken)
