@@ -35,7 +35,3 @@ def true_curve(field: Field, compressor: str, ebs: np.ndarray) -> tuple[np.ndarr
         elapsed = time.perf_counter() - start
     _CACHE[key] = (ratios, elapsed)
     return ratios, elapsed
-
-
-def clear_cache() -> None:
-    _CACHE.clear()

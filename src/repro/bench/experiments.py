@@ -32,23 +32,18 @@ _TAB4_DATASETS = ("miranda", "nyx", "hurricane", "cesm", "hcci")
 # ---------------------------------------------------------------------------
 
 def fig2_surrogate_curves(scale: BenchScale) -> str:
-    from repro.bench.plots import ascii_plot
-
     field = load_field("miranda/viscosity", **scale.dataset_kwargs("miranda"))
     ebs = scale.rel_ebs() * field.value_range
     rows = []
-    plots = []
+    sections = []
     for name in COMPRESSORS:
         true, t_full = true_curve(field, name, ebs)
         est, t_est = get_surrogate(name).estimate_curve(field.data, ebs)
         alpha = estimation_error(true, est)
-        plots.append(
-            ascii_plot(
-                {"f_FXRZ (full)": (ebs, true), "f_SECRE": (ebs, est)},
-                width=56, height=10, logx=True, logy=True,
-                xlabel="error bound", ylabel="compression ratio",
-                title=f"[{name}] f(e): full vs SECRE",
-            )
+        sections.append(
+            f"{name}: eb grid = " + " ".join(f"{e:.3g}" for e in ebs)
+            + f"\n{name}: full    = " + " ".join(f"{v:.2f}" for v in true)
+            + f"\n{name}: SECRE   = " + " ".join(f"{v:.2f}" for v in est)
         )
         rows.append(
             [
@@ -68,7 +63,7 @@ def fig2_surrogate_curves(scale: BenchScale) -> str:
         rows,
         note="Paper shape: SECRE tracks SZx/ZFP closely, deviates on SZ3/SPERR, "
         "and costs a fraction of the full compressor's runtime.\n\n"
-        + "\n\n".join(plots),
+        + "\n\n".join(sections),
     )
 
 
@@ -141,20 +136,11 @@ def fig10_calibrated_curves(scale: BenchScale) -> str:
                 "over" if info.overestimating else "under",
             ]
         )
-        from repro.bench.plots import ascii_plot
-
         sections.append(
             f"{name}: eb grid   = " + " ".join(f"{e:.3g}" for e in ebs)
             + f"\n{name}: real      = " + " ".join(f"{v:.2f}" for v in true)
             + f"\n{name}: SECRE     = " + " ".join(f"{v:.2f}" for v in est)
             + f"\n{name}: calibrated= " + " ".join(f"{v:.2f}" for v in cal)
-            + "\n\n"
-            + ascii_plot(
-                {"real": (ebs, true), "SECRE": (ebs, est), "calibrated": (ebs, cal)},
-                width=56, height=10, logx=True, logy=True,
-                xlabel="error bound", ylabel="compression ratio",
-                title=f"[{name}] Figure 10 curves",
-            )
         )
     return format_table(
         f"Figure 10 — real vs SECRE vs calibrated f(e) on miranda/viscosity "

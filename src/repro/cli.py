@@ -31,9 +31,8 @@ import numpy as np
 from repro import obs
 from repro.compressors.registry import available_compressors
 from repro.control.policy import ControlOptions
-from repro.core.carol import CarolFramework
 from repro.core.collection import TrainingCollector
-from repro.core.fxrz import FxrzFramework
+from repro.core.config import FrameworkConfig
 from repro.data.datasets import DATASET_NAMES, load_dataset, load_field
 from repro.store.writer import DEFAULT_WAVE_SIZE, StoreOptions
 from repro.utils.serialization import load_framework, save_framework
@@ -86,23 +85,15 @@ def cmd_estimate(args) -> int:
 
 def cmd_train(args) -> int:
     if args.config:
-        from repro.core.config import FrameworkConfig
-
         cfg = FrameworkConfig.load(args.config)
-        fw = cfg.build()
-        fields = cfg.load_training_fields()
     else:
-        fields = []
-        for ds in args.datasets:
-            kwargs = {"shape": tuple(args.shape)} if args.shape else {}
-            fields.extend(load_dataset(ds, **kwargs))
-        cls = CarolFramework if args.framework == "carol" else FxrzFramework
-        fw = cls(
-            compressor=args.compressor,
-            rel_error_bounds=np.geomspace(args.eb_min, args.eb_max, args.n),
-            n_iter=args.iters,
-            cv=args.cv,
+        cfg = FrameworkConfig(
+            framework=args.framework, compressor=args.compressor,
+            rel_eb_min=args.eb_min, rel_eb_max=args.eb_max, n_error_bounds=args.n,
+            n_iter=args.iters, cv=args.cv, datasets=args.datasets, shape=args.shape,
         )
+    fw = cfg.build()
+    fields = cfg.load_training_fields()
     report = fw.fit(fields)
     print(
         f"{fw.name} fitted on {len(fields)} fields: "

@@ -25,7 +25,7 @@ from repro.compressors.base import LossyCompressor
 from repro.compressors.speck import SpeckCoder
 from repro.encoding.bitstream import BitReader, BitWriter, pack_uint_array
 from repro.encoding.lz77 import lz77_compress, lz77_decompress
-from repro.obs import StageClock
+from repro.obs import span
 from repro.transforms.wavelet import cdf97_forward, cdf97_inverse, max_levels
 
 _CORR_BITS = 8  # signed correction codes in [-127, 127]
@@ -55,20 +55,19 @@ class SPERRCompressor(LossyCompressor):
     def _compress(self, data: np.ndarray, error_bound: float) -> tuple[bytes, dict]:
         levels = max_levels(data.shape)
         qstep = self.quant_factor * error_bound
-        clock = StageClock("compressor.stage", codec=self.name)
-        with clock("predict"):
+        with span("compressor.stage.predict", codec=self.name):
             coefs = cdf97_forward(data, levels)
-        with clock("quantize"):
+        with span("compressor.stage.quantize", codec=self.name):
             mag, neg = self._quantize(coefs, qstep)
 
-        with clock("encode"):
+        with span("compressor.stage.encode", codec=self.name):
             speck_writer = BitWriter()
             p_top = SpeckCoder().encode(mag, neg, speck_writer)
             lz = lz77_compress(speck_writer.getvalue())
 
         # Outlier pass: reconstruct exactly as the decoder will and correct
         # every point still violating the bound.
-        with clock("outlier"):
+        with span("compressor.stage.outlier", codec=self.name):
             recon = cdf97_inverse(self._dequantize(mag, neg, qstep), levels)
             err = data - recon
             viol = np.abs(err) > error_bound
@@ -77,7 +76,7 @@ class SPERRCompressor(LossyCompressor):
             exact_mask = np.abs(corr) > _CORR_MAX
             exact_vals = data.ravel()[idxs[exact_mask]]
 
-        with clock("encode"):
+        with span("compressor.stage.encode", codec=self.name):
             head = BitWriter()
             nbits_idx = max(int(data.size - 1).bit_length(), 1)
             head.write_elias_gamma(int(idxs.size) + 1)
@@ -87,7 +86,6 @@ class SPERRCompressor(LossyCompressor):
             head.write_bit_array(exact_mask)
             head.write_packed(pack_uint_array(exact_vals.view(np.uint64), 64))
             head_bytes = head.getvalue()
-        clock.emit()
         payload = len(head_bytes).to_bytes(8, "little") + head_bytes + lz
         return payload, {"levels": levels, "p_top": p_top, "qstep": qstep}
 
@@ -103,7 +101,6 @@ class SPERRCompressor(LossyCompressor):
         p_top = int(metadata["p_top"])
         qstep = float(metadata["qstep"])
         size = int(np.prod(shape))
-        clock = StageClock("compressor.stage", codec=self.name)
 
         head_len = int.from_bytes(payload[:8], "little")
         reader = BitReader(payload[8 : 8 + head_len])
@@ -116,12 +113,11 @@ class SPERRCompressor(LossyCompressor):
         exact_mask = reader.read_bit_array(n_out)
         exact_vals = reader.read_uint_array(int(exact_mask.sum()), 64).view(np.float64)
 
-        with clock("decode"):
+        with span("compressor.stage.decode", codec=self.name):
             mag, neg = SpeckCoder().decode(BitReader(lz77_decompress(lz)), shape, p_top)
         coefs = self._dequantize(mag.reshape(shape), neg.reshape(shape), qstep)
-        with clock("predict"):
+        with span("compressor.stage.predict", codec=self.name):
             recon = cdf97_inverse(coefs, levels)
-        clock.emit()
 
         flat = recon.ravel()
         if n_out:

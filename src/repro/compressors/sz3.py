@@ -28,7 +28,7 @@ from repro.compressors.base import LossyCompressor, quantization_step
 from repro.encoding.bitstream import BitReader, BitWriter, pack_uint_array
 from repro.encoding.huffman import HuffmanCodec
 from repro.encoding.lz77 import lz77_compress, lz77_decompress
-from repro.obs import StageClock
+from repro.obs import span
 
 _C0 = -1.0 / 16.0
 _C1 = 9.0 / 16.0
@@ -111,9 +111,6 @@ class SZ3Compressor(LossyCompressor):
             raise ValueError("entropy must be 'huffman' or 'range'")
         self.entropy = entropy
 
-    def _clock(self, entropy: str) -> StageClock:
-        return StageClock("compressor.stage", codec=self.name, entropy=entropy)
-
     def _stream_entropy(self, metadata: dict) -> str:
         """The coder the stream names; this instance's when it names none."""
         entropy = metadata.get("entropy", self.entropy)
@@ -178,7 +175,7 @@ class SZ3Compressor(LossyCompressor):
         shape = data.shape
         levels = _anchor_level(shape)
         stride = 1 << levels
-        clock = self._clock(self.entropy)
+        entropy = self.entropy
         recon = np.zeros_like(data)
         anchor_slicer = tuple(slice(0, None, stride) for _ in shape)
         anchors = data[anchor_slicer].astype(np.float64)
@@ -191,9 +188,9 @@ class SZ3Compressor(LossyCompressor):
             if sub is None:
                 continue
             orig = _pass_subgrid(data, axis, s, h)
-            with clock("predict"):
+            with span("compressor.stage.predict", codec=self.name, entropy=entropy):
                 pred = _predict(sub, h, s)
-            with clock("quantize"):
+            with span("compressor.stage.quantize", codec=self.name, entropy=entropy):
                 vals = orig[h::s]
                 q = np.rint((vals - pred) / step)
                 bad = np.abs(q) > _RADIUS
@@ -209,13 +206,13 @@ class SZ3Compressor(LossyCompressor):
 
         symbols = np.concatenate(codes) if codes else np.zeros(0, dtype=np.int64)
         out_vals = np.concatenate(outliers) if outliers else np.zeros(0, dtype=np.float64)
-        with clock("encode"):
+        with span("compressor.stage.encode", codec=self.name, entropy=entropy,
+                  n_symbols=int(symbols.size)):
             writer = BitWriter()
             writer.write_packed(pack_uint_array(anchors.ravel().view(np.uint64), 64))
             writer.write_packed(pack_uint_array(out_vals.view(np.uint64), 64))
             lz = self._encode_codes(symbols, writer) if symbols.size else b""
             head = writer.getvalue()
-        clock.emit(n_symbols=int(symbols.size))
         return len(head).to_bytes(8, "little") + head + lz, {
             "mode": "interp",
             "entropy": self.entropy,
@@ -234,14 +231,13 @@ class SZ3Compressor(LossyCompressor):
         levels = int(metadata["levels"])
         n_codes = int(metadata["n_codes"])
         entropy = self._stream_entropy(metadata)
-        clock = self._clock(entropy)
 
         head_len = int.from_bytes(payload[:8], "little")
         reader = BitReader(payload[8 : 8 + head_len])
         lz = payload[8 + head_len :]
         anchors = reader.read_uint_array(int(metadata["n_anchors"]), 64).view(np.float64)
         out_vals = reader.read_uint_array(int(metadata["n_outliers"]), 64).view(np.float64)
-        with clock("decode"):
+        with span("compressor.stage.decode", codec=self.name, entropy=entropy):
             symbols = (
                 self._decode_codes(reader, lz, n_codes, entropy)
                 if n_codes
@@ -258,9 +254,9 @@ class SZ3Compressor(LossyCompressor):
             sub = _pass_subgrid(recon, axis, s, h)
             if sub is None:
                 continue
-            with clock("predict"):
+            with span("compressor.stage.predict", codec=self.name, entropy=entropy):
                 pred = _predict(sub, h, s)
-            with clock("decode"):
+            with span("compressor.stage.decode", codec=self.name, entropy=entropy):
                 sym = symbols[pos : pos + pred.size].reshape(pred.shape)
                 pos += pred.size
                 bad = sym == _OUTLIER
@@ -270,5 +266,4 @@ class SZ3Compressor(LossyCompressor):
                     rec[bad] = out_vals[out_pos : out_pos + n_bad]
                     out_pos += n_bad
                 sub[h::s] = rec
-        clock.emit()
         return recon

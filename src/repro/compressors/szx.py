@@ -30,7 +30,7 @@ from repro.compressors.base import (
     quantization_step,
 )
 from repro.encoding.bitstream import BitReader, BitWriter, pack_uint_array
-from repro.obs import StageClock
+from repro.obs import span
 from repro.utils.validation import as_float_array, check_error_bound, require_finite
 
 BLOCK = 128
@@ -113,9 +113,8 @@ class SZXCompressor(LossyCompressor):
         bs = self.block_size
         flat = data.ravel()
         n = flat.size
-        clock = StageClock("compressor.stage", codec=self.name)
 
-        with clock("quantize"):
+        with span("compressor.stage.quantize", codec=self.name):
             blocks = _as_blocks(flat, bs)
             nblocks = blocks.shape[0]
             bmin = blocks.min(axis=1)
@@ -129,7 +128,7 @@ class SZXCompressor(LossyCompressor):
                 q = np.rint((blocks[nc] - bmin[nc, None]) / step).astype(np.uint64)
                 w = _code_widths(q.max(axis=1))
 
-        with clock("encode"):
+        with span("compressor.stage.encode", codec=self.name):
             writer = BitWriter()
             writer.write_bit_array(const)
             # Constant blocks: the midpoint as raw float64 bits.
@@ -141,7 +140,6 @@ class SZXCompressor(LossyCompressor):
                 for width in np.unique(w[w > 0]):
                     writer.write_packed(pack_uint_array(q[w == width].ravel(), int(width)))
             payload = writer.getvalue()
-        clock.emit()
         return payload, {"n": n, "nblocks": nblocks, "block_size": bs}
 
     # -- decoding ---------------------------------------------------------
@@ -152,9 +150,8 @@ class SZXCompressor(LossyCompressor):
         bs = int(metadata.get("block_size", self.block_size))
         eb = float(metadata["error_bound"])
         reader = BitReader(payload)
-        clock = StageClock("compressor.stage", codec=self.name)
 
-        with clock("decode"):
+        with span("compressor.stage.decode", codec=self.name):
             const = reader.read_bit_array(nblocks)
             out = np.empty((nblocks, bs), dtype=np.float64)
             n_const = int(const.sum())
@@ -171,5 +168,4 @@ class SZXCompressor(LossyCompressor):
                     vals = reader.read_uint_array(int(sel.sum()) * bs, int(width))
                     q[sel] = vals.reshape(-1, bs).astype(np.float64)
                 out[~const] = bmin[:, None] + q * quantization_step(eb)
-        clock.emit()
         return out.reshape(-1)[:n].reshape(tuple(metadata["shape"]))

@@ -32,16 +32,6 @@ from repro.core.metrics import signed_estimation_errors
 from repro.obs import span
 
 
-def correct_overestimation(f_secre: np.ndarray, alpha: np.ndarray) -> np.ndarray:
-    """Paper Eq. (3) semantics: shrink an overestimated ratio by alpha%."""
-    return np.asarray(f_secre) / (1.0 + np.abs(alpha) / 100.0)
-
-
-def correct_underestimation(f_secre: np.ndarray, alpha: np.ndarray) -> np.ndarray:
-    """Paper Eq. (4) semantics: grow an underestimated ratio by alpha%."""
-    return np.asarray(f_secre) / (1.0 - np.abs(alpha) / 100.0)
-
-
 @dataclass
 class CalibrationInfo:
     """Everything measured during one calibration (feeds Tables 5, Fig. 10)."""

@@ -3,18 +3,19 @@
 Experiments should be reproducible from a single artifact: a
 :class:`FrameworkConfig` captures everything that determines a fit —
 framework kind, compressor, error-bound grid, trainer budget, calibration
-points, model family — and round-trips through a plain JSON dict, so a
-training run can be pinned in a config file and rebuilt bit-for-bit
-(modulo wall clock) anywhere.
+points, model family — and loads from a plain JSON file, so a training
+run can be pinned in a config file and rebuilt bit-for-bit (modulo wall
+clock) anywhere.
 
-Used by the CLI's ``train --config`` path and by the benchmark harnesses'
-provenance records.
+The CLI's ``train`` builds one, from its flags or from ``--config``, and
+fits what :meth:`FrameworkConfig.build` returns on
+:meth:`FrameworkConfig.load_training_fields`.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -82,19 +83,7 @@ class FrameworkConfig:
             fields.extend(load_dataset(ds, **kwargs))
         return fields
 
-    def fit(self):
-        """Build the framework and fit it on the configured datasets."""
-        fw = self.build()
-        fw.fit(self.load_training_fields())
-        return fw
-
-    # -- (de)serialization ---------------------------------------------------
-
-    def to_dict(self) -> dict:
-        out = asdict(self)
-        if out["shape"] is not None:
-            out["shape"] = list(out["shape"])
-        return out
+    # -- loading ------------------------------------------------------------
 
     @classmethod
     def from_dict(cls, raw: dict) -> "FrameworkConfig":
@@ -103,11 +92,6 @@ class FrameworkConfig:
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         return cls(**raw)
-
-    def save(self, path: str | Path) -> Path:
-        path = Path(path)
-        path.write_text(json.dumps(self.to_dict(), indent=2) + "\n")
-        return path
 
     @classmethod
     def load(cls, path: str | Path) -> "FrameworkConfig":

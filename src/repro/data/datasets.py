@@ -214,6 +214,11 @@ def load_dataset(name: str, **kwargs) -> list[Field]:
     key = name.lower()
     if key not in _GENERATORS:
         raise KeyError(f"unknown dataset {name!r}; available: {', '.join(_GENERATORS)}")
+    shape = kwargs.get("shape")
+    if shape is not None and not all(
+        isinstance(n, (int, np.integer)) and n > 0 for n in shape
+    ):
+        raise ValueError(f"shape {tuple(shape)}: every axis must be a positive integer")
     return _GENERATORS[key](**kwargs)
 
 

@@ -9,19 +9,12 @@ import numpy as np
 
 @dataclass
 class Field:
-    """One named scalar field from a (synthetic) scientific dataset.
-
-    ``mask`` is set only by loaders that replaced non-finite fill
-    sentinels (see ``load_raw(..., on_nonfinite="mask")``): ``True``
-    marks positions whose value was substituted and should be restored
-    after a lossy round trip.
-    """
+    """One named scalar field from a (synthetic) scientific dataset."""
 
     dataset: str
     name: str
     data: np.ndarray
     timestep: int = 0
-    mask: np.ndarray | None = None
 
     @property
     def path(self) -> str:

@@ -19,55 +19,49 @@ import numpy as np
 from repro.data.fields import Field
 
 
-def load_raw(
-    path: str | Path,
-    shape: tuple[int, ...],
-    dtype: str | np.dtype = np.float32,
-    dataset: str | None = None,
-    name: str | None = None,
-    on_nonfinite: str = "raise",
-) -> Field:
-    """Load a headerless binary field (SDRBench convention).
+def open_raw(path: str | Path, shape: tuple[int, ...], dtype=np.float32) -> np.memmap:
+    """Memory-map a headerless binary field (SDRBench convention).
 
     ``shape`` is the logical grid (C order, slowest axis first, matching
     SDRBench's ``<field>_<d1>x<d2>x<d3>.f32`` naming read right-to-left in
-    the filename but passed here in array order).
-
-    Real SDRBench fields carry NaN/Inf fill sentinels (land cells in
-    climate data, void regions). ``on_nonfinite`` selects how they are
-    handled: ``"raise"`` (default) rejects the file — error-bounded
-    compression is undefined on non-finite values — while ``"mask"``
-    replaces them with the mean of the finite values and records the
-    replaced positions on :attr:`Field.mask`, so a caller can restore the
-    sentinels after decompression.
+    the filename but passed here in array order). The file must hold
+    exactly that many values. The memmap streams through
+    :meth:`repro.store.StoreWriter.write` one wave at a time, so fields
+    larger than RAM never fully materialize.
     """
-    if on_nonfinite not in ("raise", "mask"):
-        raise ValueError(f'on_nonfinite must be "raise" or "mask", got {on_nonfinite!r}')
     path = Path(path)
     dtype = np.dtype(dtype)
     expected = int(np.prod(shape)) * dtype.itemsize
     actual = path.stat().st_size
     if actual != expected:
         raise ValueError(
-            f"{path.name}: file has {actual} bytes but shape {shape} with "
+            f"{path.name}: file has {actual} bytes but shape {tuple(shape)} with "
             f"dtype {dtype} needs {expected}"
         )
-    data = np.fromfile(path, dtype=dtype).reshape(shape)
-    mask = None
-    finite = np.isfinite(data)
-    if not finite.all():
-        if on_nonfinite == "raise":
-            raise ValueError(f"{path.name}: contains non-finite values")
-        if not finite.any():
-            raise ValueError(f"{path.name}: every value is non-finite; nothing to mask")
-        mask = ~finite
-        data = data.copy()
-        data[mask] = data[finite].mean(dtype=np.float64)
+    return np.memmap(path, dtype=dtype, mode="r", shape=tuple(shape))
+
+
+def load_raw(
+    path: str | Path,
+    shape: tuple[int, ...],
+    dtype: str | np.dtype = np.float32,
+    dataset: str | None = None,
+    name: str | None = None,
+) -> Field:
+    """Read a headerless binary field (:func:`open_raw`) into memory.
+
+    Real SDRBench fields can carry NaN/Inf fill sentinels (land cells in
+    climate data, void regions); such a file is rejected, since
+    error-bounded compression is undefined on non-finite values.
+    """
+    path = Path(path)
+    data = np.array(open_raw(path, shape, dtype))
+    if not np.isfinite(data).all():
+        raise ValueError(f"{path.name}: contains non-finite values")
     return Field(
         dataset=dataset or path.parent.name or "raw",
         name=name or path.stem,
         data=data,
-        mask=mask,
     )
 
 

@@ -13,14 +13,13 @@ Modules:
 """
 
 from repro.encoding.bitstream import BitReader, BitWriter
-from repro.encoding.huffman import HuffmanCodec, huffman_encoded_bits, stream_entropy_bits
+from repro.encoding.huffman import HuffmanCodec, stream_entropy_bits
 from repro.encoding.lz77 import lz77_compress, lz77_decompress
 
 __all__ = [
     "BitReader",
     "BitWriter",
     "HuffmanCodec",
-    "huffman_encoded_bits",
     "stream_entropy_bits",
     "lz77_compress",
     "lz77_decompress",

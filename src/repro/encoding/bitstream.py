@@ -126,10 +126,6 @@ class BitWriter:
         """Size in bytes of the packed stream (final byte zero-padded)."""
         return (self._nbits + 7) // 8
 
-    def write_bit(self, bit: int) -> None:
-        self._chunks.append(np.array([bool(bit)], dtype=_BOOL))
-        self._nbits += 1
-
     def write_bits(self, value: int, nbits: int) -> None:
         """Write the ``nbits`` least-significant bits of ``value``, MSB first."""
         if nbits < 0:

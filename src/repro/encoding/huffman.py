@@ -134,28 +134,6 @@ def _codes(canonical: tuple, alphabet_size: int) -> np.ndarray:
     return codes
 
 
-def canonical_codes(lengths: np.ndarray) -> np.ndarray:
-    """Assign canonical code values from code lengths.
-
-    Symbols are ordered by (length, symbol); codes of the same length are
-    consecutive. Returns an array of code values (as uint64); symbols with
-    length 0 get code 0 and must not be encoded.
-    """
-    lengths = np.asarray(lengths, dtype=np.int64)
-    return _codes(_canonical(lengths), lengths.size)
-
-
-def huffman_encoded_bits(frequencies: np.ndarray) -> int:
-    """Exact encoded payload size in bits for a stream with these counts.
-
-    Used by size estimators that want the Huffman cost without materializing
-    the bitstream.
-    """
-    freq = np.asarray(frequencies, dtype=np.int64)
-    lengths = huffman_code_lengths(freq)
-    return int((freq * lengths).sum())
-
-
 def stream_entropy_bits(symbols: np.ndarray) -> float:
     """Shannon entropy (bits/symbol) of an integer symbol stream.
 
@@ -209,10 +187,6 @@ class HuffmanCodec:
     @property
     def alphabet_size(self) -> int:
         return int(self.lengths.size)
-
-    def encoded_bits(self, symbols: np.ndarray) -> int:
-        symbols = np.asarray(symbols, dtype=np.int64).ravel()
-        return int(self.lengths[symbols].sum())
 
     def encode(self, symbols: np.ndarray, writer: BitWriter) -> None:
         """Append the code for each symbol to ``writer`` (vectorized)."""
@@ -345,17 +319,6 @@ class HuffmanCodec:
             else:
                 raise ValueError("invalid Huffman stream")
         return out
-
-    def serialize(self, writer: BitWriter) -> None:
-        """Write the codebook (alphabet size + per-symbol lengths)."""
-        writer.write_elias_gamma(self.alphabet_size + 1)
-        writer.write_uint_array(self.lengths.astype(np.uint64), 6)
-
-    @classmethod
-    def deserialize(cls, reader: BitReader) -> "HuffmanCodec":
-        size = reader.read_elias_gamma() - 1
-        lengths = reader.read_uint_array(size, 6).astype(np.int64)
-        return cls.from_lengths(lengths)
 
 
 def _gather(table: np.ndarray, index: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

@@ -7,10 +7,10 @@ maximizing *expected improvement* over a candidate pool (exploration +
 local perturbations of the incumbent = exploitation).
 
 The optimizer's full state is its observation list, which makes
-*checkpointing* trivial: ``checkpoint()`` / ``from_checkpoint()`` carry the
-observations into a later training session, so model refreshes on new data
-start warm instead of from scratch — the incremental-refinement behaviour
-of Fig. 5a.
+*checkpointing* trivial: ``checkpoint()`` returns the observations, and
+``BayesianOptimizer(space, observations=...)`` carries them into a later
+training session, so model refreshes on new data start warm instead of
+from scratch — the incremental-refinement behaviour of Fig. 5a.
 """
 
 from __future__ import annotations
@@ -90,12 +90,6 @@ class BayesianOptimizer:
         return [
             (self.space.decode(x), y) for x, y in zip(self._X, self._y)
         ]
-
-    @classmethod
-    def from_checkpoint(
-        cls, space: SearchSpace, state: list[tuple[dict, float]], **kwargs
-    ) -> "BayesianOptimizer":
-        return cls(space, observations=state, **kwargs)
 
     # -- ask/tell --------------------------------------------------------------
 

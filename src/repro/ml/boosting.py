@@ -94,15 +94,3 @@ class GradientBoostingRegressor:
         ss_res = float(((y - pred) ** 2).sum())
         ss_tot = float(((y - y.mean()) ** 2).sum())
         return 1.0 - ss_res / ss_tot if ss_tot > 0 else 0.0
-
-    def staged_score(self, X: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """R^2 after each boosting stage (for early-stopping studies)."""
-        X = np.asarray(X, dtype=np.float64)
-        y = np.asarray(y, dtype=np.float64).ravel()
-        pred = np.full(X.shape[0], self.base_value)
-        ss_tot = float(((y - y.mean()) ** 2).sum()) or 1.0
-        scores = np.empty(len(self.trees))
-        for i, tree in enumerate(self.trees):
-            pred += self.learning_rate * tree.predict(X)
-            scores[i] = 1.0 - float(((y - pred) ** 2).sum()) / ss_tot
-        return scores

@@ -12,7 +12,6 @@ import numpy as np
 
 from repro.ml.tree import (
     _LEAF,
-    NODE_ARRAYS,
     DecisionTreeRegressor,
     check_training_data,
     fit_trees,
@@ -151,9 +150,9 @@ class RandomForestRegressor:
         subsampled = self.max_features is not None and self.max_features != "auto"
         return self.bootstrap or subsampled
 
-    def _reduce(self, X: np.ndarray, mean: bool, std: bool):
+    def _reduce(self, X: np.ndarray, std: bool):
         """One forest traversal per block of rows, reduced to the across-tree
-        mean and/or spread (``None`` for the one not asked for).
+        mean and, when ``std`` asks for it, the spread (else ``None``).
 
         The reductions are the per-tree loops' own arithmetic: the mean
         accumulates tree by tree in ``trees`` order, the spread reduces the
@@ -166,20 +165,18 @@ class RandomForestRegressor:
         if self._flat is None:
             self._flat = _FlatForest(self.trees)
         n, n_trees = X.shape[0], len(self.trees)
-        means = np.zeros(n) if mean else None
+        means = np.zeros(n)
         stds = np.empty(n) if std else None
         block = max(_WALK_PAIRS // n_trees, 1)
         for start in range(0, n, block):
             rows = slice(start, start + block)
             preds = self._flat.leaf_values(X[rows])
-            if mean:
-                acc = means[rows]
-                for k in range(n_trees):
-                    acc += preds[:, k]
+            acc = means[rows]
+            for k in range(n_trees):
+                acc += preds[:, k]
             if std:
                 stds[rows] = preds.std(axis=-1)
-        if mean:
-            means /= n_trees
+        means /= n_trees
         return means, stds
 
     def predict(self, X: np.ndarray) -> np.ndarray:
@@ -187,30 +184,23 @@ class RandomForestRegressor:
         single = X.ndim == 1
         if single:
             X = X[None, :]
-        out, _ = self._reduce(X, mean=True, std=False)
+        out, _ = self._reduce(X, std=False)
         return out[0] if single else out
 
-    def predict_std(self, X: np.ndarray) -> np.ndarray:
-        """Across-tree standard deviation of the prediction.
-
-        A cheap epistemic-uncertainty proxy: where the trees disagree, the
-        training data underdetermines the answer. Used by the frameworks'
-        ``safety`` option to bias error-bound predictions conservatively.
-        """
-        X = np.asarray(X, dtype=np.float64)
-        if X.ndim == 1:
-            X = X[None, :]
-        return self._reduce(X, mean=False, std=True)[1]
-
     def predict_with_std(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Mean prediction and across-tree spread from ONE ensemble pass,
-        each bitwise-identical to the separate :meth:`predict` and
-        :meth:`predict_std` calls."""
+        """Mean prediction and across-tree standard deviation from ONE
+        ensemble pass; the mean is bitwise-identical to :meth:`predict`.
+
+        The spread is a cheap epistemic-uncertainty proxy: where the trees
+        disagree, the training data underdetermines the answer.
+        :class:`repro.core.prediction.ErrorBoundModel` reports it with each
+        predicted bound and shifts the bound by it under ``safety``.
+        """
         X = np.asarray(X, dtype=np.float64)
         single = X.ndim == 1
         if single:
             X = X[None, :]
-        mean, std = self._reduce(X, mean=True, std=True)
+        mean, std = self._reduce(X, std=True)
         return (mean[0], std[0]) if single else (mean, std)
 
     def score(self, X: np.ndarray, y: np.ndarray) -> float:
@@ -220,11 +210,3 @@ class RandomForestRegressor:
         ss_res = float(((y - pred) ** 2).sum())
         ss_tot = float(((y - y.mean()) ** 2).sum())
         return 1.0 - ss_res / ss_tot if ss_tot > 0 else 0.0
-
-    def memory_footprint_bytes(self) -> int:
-        """In-memory size of the fitted ensemble's node arrays.
-
-        Used by the Fig. 5a harness to model the paper's 96 GB memory wall
-        for parallel grid-search training.
-        """
-        return sum(getattr(tree, name).nbytes for tree in self.trees for name in NODE_ARRAYS)

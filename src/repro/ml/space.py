@@ -99,16 +99,6 @@ class SearchSpace:
     def decode(self, vec: np.ndarray) -> dict:
         return {n: self.specs[n].decode(v) for n, v in zip(self.names, vec)}
 
-    def grid_axes(self) -> dict[str, list]:
-        """All values per parameter (for exhaustive/grid enumeration)."""
-        out: dict[str, list] = {}
-        for name, spec in self.specs.items():
-            if isinstance(spec, Choice):
-                out[name] = list(spec.values)
-            else:
-                out[name] = list(range(spec.lo, spec.hi + 1, spec.step))
-        return out
-
 
 def _forest_space(n_estimators: IntRange, max_depth: IntRange) -> SearchSpace:
     return SearchSpace(

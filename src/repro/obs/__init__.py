@@ -34,15 +34,11 @@ Typical use::
 from repro.obs.summary import StageStats, aggregate, format_summary
 from repro.obs.trace import (
     Span,
-    StageClock,
     TraceRecorder,
     capture,
     disable,
     enable,
-    emit_span,
-    enabled,
     export_trace,
-    get_recorder,
     load_trace,
     span,
     timed_span,
@@ -50,16 +46,12 @@ from repro.obs.trace import (
 
 __all__ = [
     "Span",
-    "StageClock",
     "TraceRecorder",
     "span",
     "timed_span",
-    "emit_span",
     "enable",
     "disable",
-    "enabled",
     "capture",
-    "get_recorder",
     "export_trace",
     "load_trace",
     "StageStats",

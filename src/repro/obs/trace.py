@@ -165,22 +165,12 @@ class TraceRecorder:
         elif span in stack:  # tolerate mismatched exits
             stack.remove(span)
 
-    def clear(self) -> None:
-        with self._lock:
-            self.roots = []
-        self._local = threading.local()
-
     def to_dict(self) -> dict:
         with self._lock:
             return {"spans": [r.to_dict() for r in self.roots]}
 
 
 # -- module-level switch ----------------------------------------------------
-
-
-def enabled() -> bool:
-    """Is tracing currently on?"""
-    return _ENABLED
 
 
 def enable(recorder: TraceRecorder | None = None) -> TraceRecorder:
@@ -198,10 +188,6 @@ def disable() -> TraceRecorder | None:
     _ENABLED = False
     _recorder = None
     return rec
-
-
-def get_recorder() -> TraceRecorder | None:
-    return _recorder
 
 
 @contextmanager
@@ -234,79 +220,6 @@ def timed_span(name: str, /, **attrs) -> Span:
     trace totals and report totals identical by construction.
     """
     return Span(name, attrs, recorder=_recorder if _ENABLED else None)
-
-
-def emit_span(name: str, seconds: float, /, **attrs) -> None:
-    """Record one already-measured interval as a span ending *now*.
-
-    The retrospective counterpart of :func:`span` for aggregated work:
-    a pipeline accumulates per-stage wall time across many passes and
-    emits *one* span per stage afterwards, instead of one span per pass
-    (which would swamp ``trace-summary`` on large fields). The span is
-    parented wherever a live ``with span(...)`` would be.
-    No-op when tracing is off.
-    """
-    if not _ENABLED:
-        return
-    sp = Span(name, attrs, recorder=_recorder)
-    with sp:
-        pass
-    sp.start_s = sp.end_s - max(float(seconds), 0.0)
-
-
-class StageClock:
-    """Accumulates per-stage wall time across passes, emitting one
-    aggregated span per stage.
-
-    ``with clock("quantize"):`` adds the block's duration (and one call)
-    to the ``"quantize"`` bucket; :meth:`emit` then records a single
-    ``<prefix>.<stage>`` span per touched stage with ``calls`` and any
-    shared attributes attached. All bookkeeping is skipped while tracing
-    is disabled, so hot loops can time every stage unconditionally.
-    """
-
-    __slots__ = ("prefix", "attrs", "_seconds", "_calls")
-
-    def __init__(self, prefix: str, **attrs) -> None:
-        self.prefix = prefix
-        self.attrs = attrs
-        self._seconds: dict[str, float] = {}
-        self._calls: dict[str, int] = {}
-
-    @contextmanager
-    def __call__(self, stage: str):
-        if not _ENABLED:
-            yield
-            return
-        start = time.perf_counter()
-        try:
-            yield
-        finally:
-            elapsed = time.perf_counter() - start
-            self._seconds[stage] = self._seconds.get(stage, 0.0) + elapsed
-            self._calls[stage] = self._calls.get(stage, 0) + 1
-
-    def add(self, stage: str, seconds: float, calls: int = 1) -> None:
-        """Fold an externally measured interval into ``stage``."""
-        if not _ENABLED:
-            return
-        self._seconds[stage] = self._seconds.get(stage, 0.0) + float(seconds)
-        self._calls[stage] = self._calls.get(stage, 0) + int(calls)
-
-    def emit(self, **extra) -> None:
-        """Emit one span per accumulated stage and reset the clock."""
-        if not _ENABLED:
-            return
-        for stage, seconds in self._seconds.items():
-            emit_span(
-                f"{self.prefix}.{stage}",
-                seconds,
-                calls=self._calls[stage],
-                **self.attrs,
-                **extra,
-            )
-        self._seconds = {}
-        self._calls = {}
 
 
 # -- JSON export / import ---------------------------------------------------

@@ -44,6 +44,7 @@ file is byte-identical for every worker count — ``wave_size=1`` is the
 classic serial loop bit-for-bit.
 """
 
+from repro.data.io import open_raw
 from repro.store.catalog import CatalogOptions, CatalogStats, StoreCatalog
 from repro.store.chunking import Chunk, ChunkGrid, default_chunk_shape
 from repro.store.format import CorruptChunkError, StoreFormatError
@@ -54,7 +55,6 @@ from repro.store.writer import (
     PackReport,
     StoreOptions,
     StoreWriter,
-    open_raw,
     pack,
 )
 

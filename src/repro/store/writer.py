@@ -219,24 +219,6 @@ def _as_source_array(source) -> np.ndarray:
     return as_float_array(source)
 
 
-def open_raw(path, shape: tuple[int, ...], dtype=np.float32) -> np.memmap:
-    """Memory-map a headerless SDRBench-style raw file for packing.
-
-    The returned memmap streams through :meth:`StoreWriter.write` one
-    wave at a time — fields larger than RAM never fully materialize.
-    """
-    path = Path(path)
-    dtype = np.dtype(dtype)
-    expected = int(np.prod(shape)) * dtype.itemsize
-    actual = path.stat().st_size
-    if actual != expected:
-        raise ValueError(
-            f"{path.name}: file has {actual} bytes but shape {tuple(shape)} with "
-            f"dtype {dtype} needs {expected}"
-        )
-    return np.memmap(path, dtype=dtype, mode="r", shape=tuple(shape))
-
-
 def _compress_task(codec_name: str, data: np.ndarray, error_bound: float):
     """Worker-side chunk compression (module-level for pickling).
 

@@ -21,7 +21,7 @@ to tens of %) for SZ3/SPERR — the behaviour CAROL's calibration corrects.
 """
 
 from repro.surrogate.base import SurrogateEstimator
-from repro.surrogate.registry import available_surrogates, get_surrogate
+from repro.surrogate.registry import get_surrogate
 from repro.surrogate.sperr_surrogate import SPERRSurrogate
 from repro.surrogate.sz3_surrogate import SZ3Surrogate
 
@@ -30,5 +30,4 @@ __all__ = [
     "SZ3Surrogate",
     "SPERRSurrogate",
     "get_surrogate",
-    "available_surrogates",
 ]

@@ -21,11 +21,6 @@ class SurrogateEstimator(abc.ABC):
 
     compressor_name: str = "abstract"
 
-    def estimate_ratio(self, data: np.ndarray, error_bound: float) -> float:
-        """Estimated compression ratio for one error bound."""
-        ratios, _ = self.estimate_curve(data, [error_bound])
-        return float(ratios[0])
-
     def estimate_curve(
         self, data: np.ndarray, error_bounds
     ) -> tuple[np.ndarray, float]:

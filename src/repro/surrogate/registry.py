@@ -54,10 +54,6 @@ _REGISTRY: dict[str, Callable[..., SurrogateEstimator]] = {
 }
 
 
-def available_surrogates() -> list[str]:
-    return list(_REGISTRY)
-
-
 def get_surrogate(name: str, **kwargs) -> SurrogateEstimator:
     key = name.lower()
     if key not in _REGISTRY:

@@ -10,16 +10,14 @@
   transform on 4^d blocks with its exact inverse.
 """
 
-from repro.transforms.lorenzo import lorenzo_predict, lorenzo_residuals
-from repro.transforms.spline import spline_predict_axis, spline_residuals
+from repro.transforms.lorenzo import lorenzo_predict
+from repro.transforms.spline import spline_predict_axis
 from repro.transforms.wavelet import cdf97_forward, cdf97_inverse
 from repro.transforms.zfp_transform import zfp_block_forward, zfp_block_inverse
 
 __all__ = [
     "lorenzo_predict",
-    "lorenzo_residuals",
     "spline_predict_axis",
-    "spline_residuals",
     "cdf97_forward",
     "cdf97_inverse",
     "zfp_block_forward",

@@ -38,13 +38,3 @@ def lorenzo_predict(data: np.ndarray) -> np.ndarray:
         else:
             pred -= view
     return pred
-
-
-def lorenzo_residuals(data: np.ndarray) -> np.ndarray:
-    """``data - lorenzo_predict(data)`` — what SZ3's Lorenzo stage quantizes.
-
-    Note the residual at each point uses *original* (not reconstructed)
-    neighbours; the compressor proper re-runs prediction on reconstructed
-    values to keep the error bound (see :mod:`repro.compressors.sz3`).
-    """
-    return np.asarray(data, dtype=np.float64) - lorenzo_predict(data)

@@ -44,16 +44,3 @@ def spline_predict_axis(data: np.ndarray, axis: int) -> np.ndarray:
             + _C0 * moved[6:n]
         )
     return np.moveaxis(pred, 0, axis)
-
-
-def spline_residuals(data: np.ndarray) -> np.ndarray:
-    """Sum over axes of |d - spline(d)| per point — Eq. (8)'s inner term.
-
-    This is the quantity the MSD feature averages; the SZ3 compressor uses
-    the per-axis predictions directly.
-    """
-    data = np.asarray(data, dtype=np.float64)
-    out = np.zeros_like(data)
-    for axis in range(data.ndim):
-        out += np.abs(data - spline_predict_axis(data, axis))
-    return out

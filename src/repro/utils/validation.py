@@ -44,17 +44,3 @@ def check_error_bound(error_bound: float) -> float:
     if not np.isfinite(eb) or eb <= 0.0:
         raise ValueError(f"error_bound must be finite and > 0, got {error_bound!r}")
     return eb
-
-
-def check_positive_int(value, *, name: str) -> int:
-    iv = int(value)
-    if iv <= 0 or iv != value:
-        raise ValueError(f"{name} must be a positive integer, got {value!r}")
-    return iv
-
-
-def check_probability(value: float, *, name: str) -> float:
-    fv = float(value)
-    if not (0.0 <= fv <= 1.0):
-        raise ValueError(f"{name} must be in [0, 1], got {value!r}")
-    return fv

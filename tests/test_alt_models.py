@@ -30,7 +30,12 @@ class TestBoosting:
     def test_more_stages_monotone_train_score(self, xy):
         X, y = xy
         m = GradientBoostingRegressor(n_estimators=50, learning_rate=0.2, random_state=0).fit(X, y)
-        staged = m.staged_score(X, y)
+        pred = np.full(len(y), m.base_value)
+        ss_tot = ((y - y.mean()) ** 2).sum()
+        staged = []
+        for tree in m.trees:
+            pred += m.learning_rate * tree.predict(X)
+            staged.append(1.0 - ((y - pred) ** 2).sum() / ss_tot)
         assert staged[-1] > staged[0]
         assert staged[-1] == pytest.approx(m.score(X, y), abs=1e-9)
 

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.bench.curves import clear_cache, true_curve
+from repro.bench import curves
+from repro.bench.curves import true_curve
 from repro.bench.harness import format_table, get_scale
 from repro.data import load_field
 
@@ -50,8 +51,11 @@ class TestFormatTable:
 
 
 class TestCurveCache:
+    @pytest.fixture(autouse=True)
+    def _empty_cache(self, monkeypatch):
+        monkeypatch.setattr(curves, "_CACHE", {})
+
     def test_cache_hits_are_free(self):
-        clear_cache()
         field = load_field("hcci/oh", shape=(10, 12, 12))
         ebs = np.geomspace(1e-2, 1e-1, 3) * field.value_range
         r1, t1 = true_curve(field, "szx", ebs)
@@ -60,7 +64,6 @@ class TestCurveCache:
         assert t2 == t1  # cached entry reports the original cost
 
     def test_different_grid_different_entry(self):
-        clear_cache()
         field = load_field("hcci/oh", shape=(10, 12, 12))
         ebs1 = np.geomspace(1e-2, 1e-1, 3) * field.value_range
         ebs2 = np.geomspace(1e-2, 1e-1, 4) * field.value_range

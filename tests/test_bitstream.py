@@ -16,7 +16,7 @@ class TestBitWriter:
     def test_single_bits(self):
         w = BitWriter()
         for b in (1, 0, 1, 1, 0, 0, 0, 1):
-            w.write_bit(b)
+            w.write_bits(b, 1)
         assert w.bit_length == 8
         assert w.getvalue() == bytes([0b10110001])
 

@@ -74,8 +74,6 @@ class TestWarmStartValue:
         cold = BayesianOptimizer(space, n_initial=4, random_state=2)
         cold_res = cold.run(_objective, n_iter=14)
 
-        warm = BayesianOptimizer.from_checkpoint(
-            space, cold.checkpoint(), random_state=3
-        )
+        warm = BayesianOptimizer(space, observations=cold.checkpoint(), random_state=3)
         warm_res = warm.run(_objective, n_iter=6)
         assert warm_res.best_score >= cold_res.best_score - 1e-9

@@ -1,5 +1,6 @@
 """CLI command tests (python -m repro ...)."""
 
+import json
 import re
 from pathlib import Path
 
@@ -109,6 +110,28 @@ class TestTrainPredictCompress:
         out = capsys.readouterr().out
         assert "predicted error bound" in out
 
+    def test_flags_and_config_file_train_the_same_model(self, model_path, tmp_path):
+        """``train``'s flags and the equivalent ``--config`` file build one
+        FrameworkConfig, so their models predict the same bits."""
+        from repro import load_field
+        from repro.utils.serialization import load_framework
+
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({
+            "compressor": "szx", "rel_eb_min": 1e-3, "rel_eb_max": 1e-1,
+            "n_error_bounds": 5, "n_iter": 4, "cv": 3, "datasets": ["miranda"],
+            "shape": [12, 16, 16],
+        }))
+        from_config = tmp_path / "from_config.npz"
+        assert main(["train", "--config", str(config), "--out", str(from_config)]) == 0
+        data = load_field("miranda/pressure", shape=(12, 16, 16)).data
+        flags, cfg = load_framework(model_path), load_framework(from_config)
+        for ratio in (3.0, 6.0, 12.0):
+            assert (
+                flags.predict_error_bound(data, ratio).error_bound
+                == cfg.predict_error_bound(data, ratio).error_bound
+            )
+
     def test_compress_writes_payload(self, model_path, tmp_path, capsys):
         out_file = tmp_path / "payload.bin"
         rc = main([
@@ -176,7 +199,9 @@ class TestStoreCommands:
                 "--ratio", "6", "--out", str(tmp_path / "x.rps"),
             ])
 
-    @pytest.mark.parametrize("case", ["nan_raw_file", "unknown_dataset", "missing_store"])
+    @pytest.mark.parametrize(
+        "case", ["nan_raw_file", "unknown_dataset", "missing_store", "zero_axis"]
+    )
     def test_input_error_is_one_line_and_exit_2(self, store_env, tmp_path, capsys, case):
         _, model, raw, _ = store_env
         nan_raw = tmp_path / "nan.f32"
@@ -188,6 +213,7 @@ class TestStoreCommands:
             "nan_raw_file": ["store-pack", str(nan_raw), "--shape", "16", "16", "16", *pack],
             "unknown_dataset": ["store-pack", "nosuch/field", *pack],
             "missing_store": ["store-info", str(tmp_path / "missing.rps")],
+            "zero_axis": ["estimate", "miranda/pressure", "--shape", "0", "4", "4"],
         }[case]
         rc = main(argv)
         err = capsys.readouterr().err

@@ -288,7 +288,7 @@ class TestForestSpread:
         ).fit(X, y)
         assert not degenerate.has_spread
         # identical trees agree exactly: zero spread, meaningless as signal
-        assert degenerate.predict_std(X).max() == 0.0
+        assert degenerate.predict_with_std(X)[1].max() == 0.0
         assert RandomForestRegressor(n_estimators=2, bootstrap=True).has_spread
         assert RandomForestRegressor(
             n_estimators=2, bootstrap=False, max_features="sqrt"

@@ -1,5 +1,7 @@
 """Synthetic dataset generators: determinism, structure, evolution."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,16 @@ class TestRegistry:
     def test_unknown_field(self):
         with pytest.raises(KeyError):
             load_field("miranda/entropy")
+
+    @pytest.mark.parametrize("shape", [(0, 4, 4), (4, -1, 4), (4, 4, 2.5), (0, 8)])
+    def test_non_positive_axis_rejected_naming_the_shape(self, shape):
+        dataset = "cesm" if len(shape) == 2 else "miranda"
+        with pytest.raises(ValueError, match=re.escape(f"shape {shape}")):
+            load_dataset(dataset, shape=shape)
+
+    def test_zero_axis_field_rejected(self):
+        with pytest.raises(ValueError, match="positive integer"):
+            load_field("miranda/pressure", shape=(0, 4, 4))
 
 
 class TestFieldCounts:

@@ -130,7 +130,6 @@ class TestFlatTraversal:
 
         def check_batch_of_300():
             np.testing.assert_array_equal(rf.predict(Q), mean)
-            np.testing.assert_array_equal(rf.predict_std(Q), std)
             both = rf.predict_with_std(Q)
             np.testing.assert_array_equal(both[0], mean)
             np.testing.assert_array_equal(both[1], std)
@@ -141,7 +140,6 @@ class TestFlatTraversal:
         # batch of 1 vs batch of 300
         for i in (0, 3, 7, 299):
             assert np.array_equal(rf.predict(Q[i]), mean[i], equal_nan=True)
-            assert np.array_equal(rf.predict_std(Q[i])[0], std[i], equal_nan=True)
             one = rf.predict_with_std(Q[i : i + 1])
             assert np.array_equal(one[0][0], mean[i], equal_nan=True)
             assert np.array_equal(one[1][0], std[i], equal_nan=True)
@@ -167,18 +165,3 @@ class TestParams:
         p = rf.get_params()
         rf2 = RandomForestRegressor(**p)
         assert rf2.get_params() == p
-
-    def test_memory_footprint_positive(self, rng):
-        X = rng.random((60, 3))
-        y = rng.random(60)
-        rf = RandomForestRegressor(n_estimators=4, random_state=0).fit(X, y)
-        assert rf.memory_footprint_bytes() > 0
-
-    def test_memory_footprint_counts_every_node_array(self, rng):
-        X = rng.random((60, 3))
-        y = rng.random(60)
-        rf = RandomForestRegressor(n_estimators=4, random_state=0).fit(X, y)
-        arrays = ("feature", "threshold", "left", "right", "value", "n_samples", "mse")
-        held = sum(getattr(tree, name).nbytes for tree in rf.trees for name in arrays)
-        assert rf.memory_footprint_bytes() == held
-        assert held == 7 * 8 * sum(tree.node_count for tree in rf.trees)

@@ -186,7 +186,7 @@ class TestBayesOpt:
         bo.run(lambda p: float(p["x"]), n_iter=4)
         state = bo.checkpoint()
         assert len(state) == 4
-        warm = BayesianOptimizer.from_checkpoint(simple_space, state, random_state=1)
+        warm = BayesianOptimizer(simple_space, observations=state, random_state=1)
         assert warm.n_observations == 4
         res = warm.run(lambda p: float(p["x"]), n_iter=2)
         assert warm.n_observations == 6
@@ -197,7 +197,7 @@ class TestBayesOpt:
         """With enough prior observations, the first fresh suggestion is
         model-guided (exploitation) rather than uniform random."""
         state = [({"x": x, "flag": True}, -(x - 80) ** 2 / 10.0) for x in (0, 20, 40, 60, 80, 100)]
-        warm = BayesianOptimizer.from_checkpoint(simple_space, state, random_state=0)
+        warm = BayesianOptimizer(simple_space, observations=state, random_state=0)
         suggestion = warm.suggest()
         assert abs(suggestion["x"] - 80) <= 25
 

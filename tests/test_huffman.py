@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 
 from repro.encoding.bitstream import BitReader, BitWriter
-from repro.encoding.huffman import (
-    HuffmanCodec,
-    canonical_codes,
-    huffman_code_lengths,
-    huffman_encoded_bits,
-)
+from repro.encoding.huffman import HuffmanCodec, huffman_code_lengths
+
+
+def canonical_codes(lengths):
+    return HuffmanCodec.from_lengths(lengths).codes
 
 
 class TestCodeLengths:
@@ -50,7 +49,7 @@ class TestCodeLengths:
         n = freq.sum()
         p = freq / n
         entropy = -(p * np.log2(p)).sum()
-        bits = huffman_encoded_bits(freq) / n
+        bits = (freq * huffman_code_lengths(freq)).sum() / n
         assert entropy <= bits + 1e-12 <= entropy + 1.0 + 1e-12
 
 
@@ -73,7 +72,6 @@ class TestCanonicalCodes:
         lengths = np.array([2, 2, 2, 2])
         codes = canonical_codes(lengths)
         assert list(codes) == [0, 1, 2, 3]
-
 
     def test_closed_form_equals_sequential_assignment(self, rng):
         # The textbook loop: walk symbols by (length, symbol), count up,
@@ -141,7 +139,7 @@ class TestCodecRoundTrip:
         codec = HuffmanCodec.fit(syms)
         w = BitWriter()
         codec.encode(syms, w)
-        assert codec.encoded_bits(syms) == w.bit_length
+        assert codec.lengths[syms].sum() == w.bit_length
 
     def test_unknown_symbol_rejected(self):
         codec = HuffmanCodec.fit(np.array([0, 0, 1, 1]))
@@ -162,13 +160,13 @@ class TestCodecRoundTrip:
 
 class TestCodecSerialization:
     def test_codebook_round_trip(self, rng):
+        """The one stored codebook format: sz3's present-symbol table."""
+        from repro.compressors.sz3 import SZ3Compressor
+
         syms = rng.integers(0, 40, 1000)
-        codec = HuffmanCodec.fit(syms)
+        syms[::7] = 65536  # the outlier sentinel, the alphabet's last symbol
         w = BitWriter()
-        codec.serialize(w)
-        codec.encode(syms, w)
+        payload = SZ3Compressor()._encode_codes(syms, w)
         r = BitReader(w.getvalue())
-        restored = HuffmanCodec.deserialize(r)
-        np.testing.assert_array_equal(restored.lengths, codec.lengths)
-        np.testing.assert_array_equal(restored.codes, codec.codes)
-        np.testing.assert_array_equal(restored.decode(r, 1000), syms)
+        restored = SZ3Compressor()._decode_codes(r, payload, syms.size, "huffman")
+        np.testing.assert_array_equal(restored, syms)

@@ -4,11 +4,7 @@ import numpy as np
 import pytest
 
 from repro.compressors import get_compressor
-from repro.core.calibration import (
-    Calibrator,
-    correct_overestimation,
-    correct_underestimation,
-)
+from repro.core.calibration import Calibrator
 from repro.core.metrics import estimation_error, signed_estimation_errors
 from repro.data import load_field
 
@@ -39,14 +35,35 @@ class TestMetrics:
             estimation_error([0.0], [1.0])
 
 
+class _ConstantRatio:
+    """A compressor stand-in whose true ratio is 100 at every bound."""
+
+    name = "constant"
+
+    def compression_ratio(self, data, error_bound):
+        return 100.0
+
+
+def _calibrated(estimate: float) -> tuple[np.ndarray, bool]:
+    ebs = np.geomspace(1e-3, 1e-1, 5)
+    cal, info = Calibrator(n_points=3).calibrate_curve(
+        np.zeros(8), ebs, np.full(ebs.size, estimate), _ConstantRatio()
+    )
+    return cal, info.overestimating
+
+
 class TestCorrectionFormulas:
     def test_overestimation_shrinks(self):
-        out = correct_overestimation(np.array([120.0]), np.array([20.0]))
-        assert out[0] == pytest.approx(100.0)
+        """Eq. (3): a curve 20 % over the truth shrinks onto it."""
+        cal, over = _calibrated(120.0)
+        assert over
+        np.testing.assert_allclose(cal, 100.0)
 
     def test_underestimation_grows(self):
-        out = correct_underestimation(np.array([80.0]), np.array([20.0]))
-        assert out[0] == pytest.approx(100.0)
+        """Eq. (4): a curve 20 % under the truth grows onto it."""
+        cal, over = _calibrated(80.0)
+        assert not over
+        np.testing.assert_allclose(cal, 100.0)
 
     def test_signed_interpolated_correction_is_exact_at_points(self):
         """f_cal = f_secre/(1 + alpha/100) recovers truth exactly where

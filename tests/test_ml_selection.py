@@ -82,11 +82,6 @@ class TestSpace:
         with pytest.raises(ValueError):
             SearchSpace({})
 
-    def test_grid_axes(self):
-        axes = SCALED_SPACE.grid_axes()
-        assert set(axes) == set(SCALED_SPACE.names)
-        assert axes["min_samples_split"] == [2, 5, 10]
-
 
 class TestGridSearch:
     @pytest.fixture(scope="class")

@@ -66,65 +66,70 @@ class TestDisabledMode:
     def test_nothing_recorded(self):
         with obs.span("ignored"):
             pass
-        assert obs.get_recorder() is None
+        assert obs.disable() is None  # no recorder was ever active
 
     def test_timed_span_still_times(self):
         with obs.timed_span("always") as sp:
             sum(range(1000))
         assert sp.elapsed > 0.0
-        assert obs.get_recorder() is None
+        assert obs.disable() is None
 
     def test_enable_disable_roundtrip(self):
-        assert not obs.enabled()
+        assert obs.span("off") is _NOOP_SPAN
         rec = obs.enable()
-        assert obs.enabled() and obs.get_recorder() is rec
-        assert obs.disable() is rec
-        assert not obs.enabled()
-
-
-class TestStageClock:
-    """Per-tile stage timing aggregates into *one* span per stage — a
-    fused loop over thousands of tiles must not emit thousands of spans."""
-
-    def test_one_span_per_stage_with_call_counts(self):
-        with obs.capture() as rec:
-            clock = obs.StageClock("compressor.stage", codec="t")
-            for _ in range(3):
-                with clock("predict"):
-                    pass
-                with clock("encode"):
-                    pass
-            clock.add("encode", 0.5, calls=2)
-            clock.emit(tiles=3)
-        assert sorted(r.name for r in rec.roots) == [
-            "compressor.stage.encode",
-            "compressor.stage.predict",
-        ]
-        by_name = {r.name: r for r in rec.roots}
-        predict = by_name["compressor.stage.predict"]
-        assert predict.attrs["calls"] == 3
-        assert predict.attrs["codec"] == "t"
-        assert predict.attrs["tiles"] == 3
-        encode = by_name["compressor.stage.encode"]
-        assert encode.attrs["calls"] == 5  # 3 timed blocks + add(calls=2)
-        assert encode.elapsed >= 0.5
-
-    def test_emit_resets_the_clock(self):
-        with obs.capture() as rec:
-            clock = obs.StageClock("x")
-            with clock("a"):
-                pass
-            clock.emit()
-            clock.emit()  # nothing accumulated since the first emit
-        assert len(rec.roots) == 1
-
-    def test_noop_while_disabled(self):
-        clock = obs.StageClock("x")
-        with clock("a"):
+        with obs.span("on"):
             pass
-        clock.add("b", 1.0)
-        assert clock._seconds == {} and clock._calls == {}
-        clock.emit()  # must not raise (and has nothing to emit)
+        assert [r.name for r in rec.roots] == ["on"]
+        assert obs.disable() is rec
+        assert obs.span("off again") is _NOOP_SPAN
+
+
+class TestCompressorStageSpans:
+    """A codec opens one ``compressor.stage.<stage>`` span per pass, so a
+    stage's call count is the number of its spans, as for every span."""
+
+    @pytest.fixture(scope="class")
+    def field(self):
+        from repro import load_field
+
+        return load_field("miranda/pressure", shape=(16, 32, 32)).data
+
+    def _counts(self, name, data):
+        from repro.compressors import get_compressor
+        from repro.obs import aggregate
+
+        codec = get_compressor(name)
+        with obs.capture() as rec:
+            result = codec.compress(data, 1e-3 * float(np.ptp(data)))
+            codec.decompress(result)
+        stats = aggregate(rec.roots)
+        return {
+            stage.rpartition(".")[2]: st.count
+            for stage, st in stats.items()
+            if stage.startswith("compressor.stage.")
+        }, rec
+
+    def test_sz3_opens_one_span_per_interpolation_pass(self, field):
+        counts, rec = self._counts("sz3", field)
+        # 12 (level, axis) passes each way: predict on both sides, quantize
+        # on compress; decode is the entropy stage plus one per pass.
+        assert counts == {"predict": 24, "quantize": 12, "encode": 1, "decode": 13}
+        (encode,) = [
+            sp for root in rec.roots for sp in _walk(root)
+            if sp.name == "compressor.stage.encode"
+        ]
+        assert encode.attrs["codec"] == "sz3" and encode.attrs["entropy"] == "huffman"
+        assert encode.attrs["n_symbols"] > 0
+
+    def test_szx_opens_one_span_per_stage(self, field):
+        counts, _ = self._counts("szx", field)
+        assert counts == {"quantize": 1, "encode": 1, "decode": 1}
+
+
+def _walk(span):
+    yield span
+    for child in span.children:
+        yield from _walk(child)
 
 
 class TestJsonRoundTrip:
@@ -341,7 +346,7 @@ class TestCli:
         ])
         assert rc == 0
         assert trace.exists()
-        assert not obs.enabled()  # CLI turns observability back off
+        assert obs.span("after") is _NOOP_SPAN  # CLI turns observability back off
         capsys.readouterr()
 
         rc = main(["trace-summary", str(trace)])

@@ -54,6 +54,6 @@ class TestSafetyMargin:
         forest = fitted.model.forest
         x = np.concatenate((fitted.predict_error_bound(test_field.data, 6.0).features,
                             [np.log(6.0)]))
-        std = forest.predict_std(x[None, :])
+        std = forest.predict_with_std(x[None, :])[1]
         assert std.shape == (1,)
         assert std[0] >= 0

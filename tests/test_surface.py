@@ -1,8 +1,10 @@
-"""Every module and every top-level name has a caller (ROADMAP item 5).
+"""Every module, every function and every top-level name has a caller
+(ROADMAP items 5 and 12).
 
 The rule, applied to the AST and never by importing: a module earns its
 place when the ledger, the CLI, a benchmark or an example reaches it —
-its own test file and a re-export do not count. ``from pkg import name``
+its own test file and a re-export do not count. A function or public
+method earns its place when a file outside ``tests/`` names it. ``from pkg import name``
 is followed through the package's re-exports to the module that defines
 ``name``, so a package ``__init__`` makes nothing reachable by listing it;
 only a package imported as a module object (``from repro import obs``)
@@ -133,6 +135,95 @@ def test_every_module_is_reached_from_a_root():
     assert not stale, f"reached now, drop from ALLOWED_UNREACHED: {stale}"
 
 
+#: Defs nothing outside ``tests/`` names that stay anyway, each with why.
+ALLOWED_UNCALLED = {
+    "repro.api.save": "README's documented surface: `repro.api.save(framework, path)`",
+    "repro.obs.trace.capture": "README's documented surface: `with obs.capture() as rec:`",
+    "repro.compressors.base.LossyCompressor.roundtrip": (
+        "13 test files drive it; deleting it would only move it into the tests"
+    ),
+    "repro.data.io.load_raw_dataset": "docs/ARCHITECTURE.md's entry point for real SDRBench data",
+}
+
+
+def _names_used_outside_tests() -> set[str]:
+    """Every name, attribute, identifier string and name imported by a
+    module other than a package ``__init__``, in ``src/repro``, the
+    ledger, the benchmarks and the examples. ``__all__`` entries do not
+    count: a re-export is not a use."""
+    used: set[str] = set()
+    for path in [*MODULES.values(), *_python_files("ledger", "benchmarks", "examples")]:
+        tree = _tree(path)
+        exported = {
+            id(const)
+            for node in tree.body
+            if isinstance(node, ast.Assign)
+            and getattr(node.targets[0], "id", None) == "__all__"
+            for const in ast.walk(node.value)
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom) and path.name != "__init__.py":
+                used.update(alias.name for alias in node.names)
+            elif (
+                isinstance(node, ast.Constant)
+                and isinstance(node.value, str)
+                and node.value.isidentifier()
+                and id(node) not in exported
+            ):
+                used.add(node.value)
+    return used
+
+
+def _is_property(decorator: ast.expr) -> bool:
+    if isinstance(decorator, ast.Name):
+        return decorator.id in ("property", "cached_property")
+    return isinstance(decorator, ast.Attribute) and decorator.attr in ("setter", "deleter")
+
+
+def _callable_defs() -> dict[str, str]:
+    """``{qualified name: bare name}`` for every module-level function and
+    every public non-property method of a module-level class, outside the
+    modules ``ALLOWED_UNREACHED`` already lets stand."""
+    out = {}
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    for mod, path in MODULES.items():
+        if mod in ALLOWED_UNREACHED:
+            continue
+        for node in _tree(path).body:
+            if isinstance(node, functions):
+                out[f"{mod}.{node.name}"] = node.name
+            elif isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if (
+                        isinstance(item, functions)
+                        and not item.name.startswith("_")
+                        and not any(_is_property(d) for d in item.decorator_list)
+                    ):
+                        out[f"{mod}.{node.name}.{item.name}"] = item.name
+    return out
+
+
+def test_every_function_has_a_use_outside_tests():
+    """The module rule one level down: a def earns its place when some
+    file outside ``tests/`` names it. Names are matched bare, so a common
+    name (``fit``, ``to_dict``) can hide an unused def; the rule can miss
+    dead code, never flag used code."""
+    defs = _callable_defs()
+    used = _names_used_outside_tests()
+    uncalled = {qual for qual, name in defs.items() if name not in used}
+    flagged = sorted(uncalled - set(ALLOWED_UNCALLED))
+    assert not flagged, (
+        f"named by nothing outside tests/: {flagged} — delete them, or add the "
+        "caller (ledger workload, CLI command, benchmark, example) that uses them"
+    )
+    stale = sorted(set(ALLOWED_UNCALLED) - uncalled)
+    assert not stale, f"gone or called now, drop from ALLOWED_UNCALLED: {stale}"
+
+
 def test_every_top_level_name_is_imported_by_some_file():
     """``from repro import name`` or ``repro.name`` in the ledger, an
     example, a benchmark, a test, or a README / docs snippet."""
@@ -180,8 +271,7 @@ def test_readme_surface_table_is_repro_api_all():
 #: field of its owner's typed stats snapshot, a per-call quantity a span
 #: attribute, a call count the number of spans of that name.
 OBS_SPAN_API = {
-    "Span", "StageClock", "TraceRecorder", "span", "timed_span", "emit_span",
-    "enable", "disable", "enabled", "capture", "get_recorder",
+    "Span", "TraceRecorder", "span", "timed_span", "enable", "disable", "capture",
     "export_trace", "load_trace", "StageStats", "aggregate", "format_summary",
 }
 METRIC_MIRROR_NAMES = {"count", "observe", "set_gauge", "set_gauge_max", "MetricsRegistry"}

@@ -6,7 +6,8 @@ import pytest
 from repro.compressors import get_compressor
 from repro.core.metrics import estimation_error
 from repro.data import load_field
-from repro.surrogate import available_surrogates, get_surrogate
+from repro.surrogate import get_surrogate
+from repro.surrogate.registry import _REGISTRY
 
 SHAPE = (24, 32, 32)
 
@@ -25,14 +26,14 @@ class TestRegistry:
     def test_all_compressors_covered(self):
         from repro.compressors import available_compressors
 
-        assert set(available_surrogates()) == set(available_compressors())
+        assert set(_REGISTRY) == set(available_compressors())
 
     def test_unknown_rejected(self):
         with pytest.raises(KeyError):
             get_surrogate("nope")
 
     def test_names_match(self):
-        for name in available_surrogates():
+        for name in _REGISTRY:
             assert get_surrogate(name).compressor_name == name
 
 
@@ -67,11 +68,12 @@ class TestEstimates:
         assert alpha < 150.0  # ...but in the right ballpark
 
     def test_single_ratio_matches_curve(self, field):
+        """A one-point curve is that point of a longer curve."""
         sur = get_surrogate("szx")
         eb = 0.01 * field.value_range
-        one = sur.estimate_ratio(field.data, eb)
-        curve, _ = sur.estimate_curve(field.data, [eb])
-        assert one == pytest.approx(curve[0])
+        one, _ = sur.estimate_curve(field.data, [eb])
+        curve, _ = sur.estimate_curve(field.data, [eb / 2, eb, 2 * eb])
+        assert one[0] == pytest.approx(curve[1])
 
 
 class TestSpeed:

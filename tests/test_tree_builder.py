@@ -166,7 +166,7 @@ def test_forest_tree_is_the_tree_fitted_alone(max_features):
 @pytest.mark.parametrize("subsample", [1.0, 0.6])
 def test_boosting_stages(subsample):
     """Boosting fits one tree at a time through the same builder: same
-    trees as stages built on the reference, same staged_score."""
+    trees as stages built on the reference, same predictions."""
     X, y = problem(200, 4, tied=False)
     params = dict(
         n_estimators=12, learning_rate=0.3, max_depth=3, min_samples_leaf=2, subsample=subsample
@@ -197,7 +197,7 @@ def test_boosting_stages(subsample):
     assert len(model.trees) == len(expected.trees)
     for tree, stage in zip(model.trees, expected.trees):
         assert differing(tree, arrays_of(stage)) == []
-    assert model.staged_score(X, y).tobytes() == expected.staged_score(X, y).tobytes()
+    assert model.predict(X).tobytes() == expected.predict(X).tobytes()
 
 
 def test_leading_zero_reduceat_is_ndarray_sum():

@@ -6,8 +6,6 @@ import pytest
 from repro.utils.validation import (
     as_float_array,
     check_error_bound,
-    check_positive_int,
-    check_probability,
     require_finite,
 )
 
@@ -52,15 +50,3 @@ class TestValidation:
     def test_check_error_bound(self, bad):
         with pytest.raises(ValueError):
             check_error_bound(bad)
-
-    def test_check_positive_int(self):
-        assert check_positive_int(5, name="n") == 5
-        with pytest.raises(ValueError):
-            check_positive_int(0, name="n")
-        with pytest.raises(ValueError):
-            check_positive_int(2.5, name="n")
-
-    def test_check_probability(self):
-        assert check_probability(0.5, name="p") == 0.5
-        with pytest.raises(ValueError):
-            check_probability(1.5, name="p")
