@@ -1,4 +1,5 @@
-"""Digest-keyed LRU cache for the serving layer.
+"""Digest-keyed cache for the serving layer: GreedyDual eviction, which
+is LRU when every entry costs the same to rebuild.
 
 The expensive part of a serving request is feature extraction, and the
 features depend only on the values the extractor reads — its block or
@@ -16,10 +17,24 @@ computes one such hash per distinct array per batch.
   feature cache, whose entries are uniform 5-vectors;
 - **total cost** (``max_cost`` plus a ``cost`` function, typically bytes)
   — right for the store catalog's decompressed-chunk cache, whose
-  entries vary by orders of magnitude in size. Eviction is still
-  least-recently-used; it just runs until the *cost* fits the budget,
-  and an entry whose own cost exceeds the whole budget is never
-  admitted (it would evict everything and still not fit).
+  entries vary by orders of magnitude in size. Eviction runs until the
+  *cost* fits the budget, and an entry whose own cost exceeds the whole
+  budget is never admitted (it would evict everything and still not fit).
+
+**Which entry goes** is GreedyDual (Cao & Irani's GreedyDual-Size):
+``put(key, value, penalty)`` gives an entry the priority
+``H = clock + penalty``, a hit raises it again to ``clock + penalty``,
+and eviction removes the lowest ``H`` (ties: the least recent entry) and
+sets ``clock`` to it. So an entry that is dear to rebuild outlives cheap
+ones that were used as recently, and an idle one still ages out as the
+clock passes it. With equal penalties — the feature cache passes none —
+this is exactly least-recently-used. The store catalog charges each
+decoded chunk its measured decode seconds per byte, so which chunks stay
+resident follows this host's decode times; what a read returns never
+does (the cache decides *when* a chunk is decoded, not *what* it decodes
+to). A hit is one dict write: the priority heap is touched only by
+:meth:`~LRUCache.put` and by eviction, which re-files a heap record that
+a later hit left stale when that record reaches the top.
 
 All operations take an internal lock, so one cache can be shared by
 concurrent readers. The cache keeps its own always-on
@@ -31,8 +46,10 @@ counted; the serving layer and the catalog report hit rates from it);
 from __future__ import annotations
 
 import hashlib
+import heapq
+import itertools
+import math
 import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,8 +110,8 @@ class CacheStats:
 
 
 class LRUCache:
-    """Thread-safe least-recently-used mapping, bounded by entry count
-    and/or total cost.
+    """Thread-safe GreedyDual mapping (least-recently-used when every
+    penalty is equal), bounded by entry count and/or total cost.
 
     ``max_entries=None`` lifts the entry-count bound (use with
     ``max_cost``); ``max_entries=0`` or ``max_cost=0`` disables caching
@@ -123,8 +140,14 @@ class LRUCache:
         self.total_cost = 0.0
         self._cost = cost if cost is not None else default_cost
         self._lock = threading.Lock()
-        # key -> (value, cost); cost is 0.0 when no cost bound is set
-        self._entries: OrderedDict = OrderedDict()
+        # key -> (value, cost, penalty, H, seq); cost is 0.0 when no cost
+        # bound is set, seq orders accesses (the tie-break). The heap holds
+        # (H, seq, key) records, one or more per entry; the one matching
+        # the entry's seq is current, any other is stale.
+        self._entries: dict = {}
+        self._heap: list = []
+        self._clock = 0.0
+        self._seq = itertools.count()
 
     @property
     def stats(self) -> CacheStats:
@@ -153,42 +176,79 @@ class LRUCache:
         return True
 
     def get(self, key, default=None):
-        """Return the cached value (refreshing recency) or ``default``."""
+        """Return the cached value (raising its priority to
+        ``clock + penalty``) or ``default``."""
         with self._lock:
             entry = self._entries.get(key, _MISSING)
             if entry is _MISSING:
                 self._misses += 1
                 return default
-            self._entries.move_to_end(key)
+            value, cost, penalty, _, _ = entry
+            self._entries[key] = (value, cost, penalty, self._clock + penalty, next(self._seq))
             self._hits += 1
-            return entry[0]
+            return value
 
-    def put(self, key, value) -> bool:
-        """Insert/refresh an entry, evicting the least recent past either
-        bound. In cost mode an entry costing more than the whole budget
-        is not admitted. Returns whether the entry was stored — ``False``
-        when the cache is disabled or the entry alone exceeds the budget
-        — so callers can tie side effects (e.g. freezing an array) to
-        actual admission."""
+    def put(self, key, value, penalty: float = 1.0) -> bool:
+        """Insert/refresh an entry at priority ``clock + penalty``, first
+        evicting the lowest-priority entries until it fits both bounds.
+        ``penalty`` is what the entry costs to rebuild (any non-negative
+        unit, the same for every put to one cache). In cost mode an
+        entry costing more than the whole budget is not admitted.
+        Returns whether the entry was stored — ``False`` when the cache
+        is disabled or the entry alone exceeds the budget, and then no
+        entry is left under ``key`` — so callers can tie side effects
+        (e.g. freezing an array) to actual admission."""
+        if not 0.0 <= penalty < math.inf:
+            raise ValueError(f"penalty must be finite and >= 0, got {penalty!r}")
         if self.disabled:
             return False
         with self._lock:
-            cost = self._cost(value) if self.max_cost is not None else 0.0
-            if self.max_cost is not None and cost > self.max_cost:
-                return False
             old = self._entries.pop(key, None)
             if old is not None:
                 self.total_cost -= old[1]
-            self._entries[key] = (value, cost)
-            self.total_cost += cost
-            while self._entries and (
-                (self.max_entries is not None and len(self._entries) > self.max_entries)
-                or (self.max_cost is not None and self.total_cost > self.max_cost)
-            ):
-                _, (_, evicted_cost) = self._entries.popitem(last=False)
-                self.total_cost -= evicted_cost
-                self._evictions += 1
-            return True
+            cost = self._cost(value) if self.max_cost is not None else 0.0
+            admitted = self.max_cost is None or cost <= self.max_cost
+            if admitted:
+                self._make_room(cost)
+                h, seq = self._clock + penalty, next(self._seq)
+                self._entries[key] = (value, cost, penalty, h, seq)
+                self.total_cost += cost
+                heapq.heappush(self._heap, (h, seq, key))
+            self._compact()
+            return admitted
+
+    def _make_room(self, cost: float) -> None:
+        """Evict lowest ``(H, seq)`` first until one more entry of
+        ``cost`` fits both bounds. A stale record (its entry was hit,
+        re-put or dropped since) is re-filed under the entry's current
+        priority, or discarded if the entry is gone. A hit only raises a
+        priority and a put files a record of its own, so every entry has
+        a record at or below its current priority, and the first current
+        record popped is the true minimum. Caller holds the lock."""
+        entries, heap = self._entries, self._heap
+        while entries and (
+            (self.max_entries is not None and len(entries) >= self.max_entries)
+            or (self.max_cost is not None and self.total_cost + cost > self.max_cost)
+        ):
+            h, seq, key = heapq.heappop(heap)
+            entry = entries.get(key)
+            if entry is None:
+                continue
+            if entry[4] != seq:
+                heapq.heappush(heap, (entry[3], entry[4], key))
+                continue
+            del entries[key]
+            self.total_cost -= entry[1]
+            self._evictions += 1
+            self._clock = h
+
+    def _compact(self) -> None:
+        """Rebuild the heap from the entries once stale records outnumber
+        current ones (re-puts and :meth:`evict_scope` leave them behind),
+        so it stays within twice the entry count. Caller holds the lock."""
+        if len(self._heap) > 2 * len(self._entries):
+            self._heap = [(e[3], e[4], key) for key, e in self._entries.items()]
+            heapq.heapify(self._heap)
 
     def evict_scope(self, scope) -> int:
         """Drop every entry whose key is a tuple starting with ``scope``
@@ -204,8 +264,8 @@ class LRUCache:
                 if isinstance(key, tuple) and key and key[0] == scope
             ]
             for key in doomed:
-                _, cost = self._entries.pop(key)
-                self.total_cost -= cost
+                self.total_cost -= self._entries.pop(key)[1]
+            self._compact()
             return len(doomed)
 
     def __contains__(self, key) -> bool:
@@ -219,4 +279,6 @@ class LRUCache:
     def clear(self) -> None:
         with self._lock:
             self._entries.clear()
+            self._heap.clear()
+            self._clock = 0.0
             self.total_cost = 0.0

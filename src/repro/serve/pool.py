@@ -73,15 +73,21 @@ class PoolTask:
     submitter is responsible for bounding how many tasks it holds in
     flight (backpressure lives with the caller, who knows the real cost
     of each pending result).
+
+    Once :meth:`result` has returned, :attr:`seconds` is the time the
+    task itself took, measured where it ran (the worker, or the caller
+    on a fallback) — never the caller's wait — which is what the store
+    catalog charges a pooled decode in its chunk cache.
     """
 
-    __slots__ = ("_pool", "_fn", "_args", "_future")
+    __slots__ = ("_pool", "_fn", "_args", "_future", "seconds")
 
     def __init__(self, pool: "WorkerPool", fn, args, future) -> None:
         self._pool = pool
         self._fn = fn
         self._args = args
         self._future = future  # None: deferred by a submit-time fallback
+        self.seconds = 0.0
 
     def result(self, timeout: float | None = None):
         """The task's result, waiting if needed (``timeout`` overrides
@@ -104,10 +110,12 @@ class PoolTask:
                 else:
                     pool._completed += 1
                     pool._clock(worker=seconds)
+                    self.seconds = seconds
                     return result
             # deferred at submit, timed out or its worker died: run it here,
             # its time counted once, where it finished
-            return pool._run_inline(self._fn, self._args, fallback=True)
+            self.seconds, result = pool._run_inline(self._fn, self._args, fallback=True)
+            return result
         finally:
             pool._clock(wait=perf_counter() - start)
 
@@ -196,13 +204,14 @@ class WorkerPool:
             self._worker_seconds += worker
             self._wait_seconds += wait
 
-    def _run_inline(self, fn, args, *, fallback: bool) -> object:
+    def _run_inline(self, fn, args, *, fallback: bool) -> tuple[float, object]:
+        """``(seconds, fn(*args))``, run and counted here."""
         if fallback:
             self._fallbacks += 1
         seconds, result = _timed(fn, *args)
         self._completed += 1
         self._clock(worker=seconds)
-        return result
+        return seconds, result
 
     def map_ordered(self, fn, tasks, *, timeout: float | None = None) -> list:
         """Run ``fn(*task)`` for every task, preserving order.
@@ -228,7 +237,7 @@ class WorkerPool:
         self._submitted += len(tasks)
         start = perf_counter()
         try:
-            return [self._run_inline(fn, args, fallback=False) for args in tasks]
+            return [self._run_inline(fn, args, fallback=False)[1] for args in tasks]
         finally:
             self._clock(wait=perf_counter() - start)
 

@@ -27,7 +27,8 @@ materialize.
 Many stores are served together through a
 :class:`~repro.store.catalog.StoreCatalog` (``Catalog`` on
 :mod:`repro.api`): datasets addressed by key, manifests loaded lazily,
-and a shared byte-budgeted LRU of decompressed chunks plus optional
+and a shared byte-budgeted cache of decompressed chunks (GreedyDual;
+LRU when costs are equal) plus optional
 worker-pool decode injected into every reader it opens::
 
     from repro.api import Catalog, CatalogOptions

@@ -7,13 +7,18 @@ for ``*.rps`` files (the key is the relative path minus the suffix) and/
 or by explicit :meth:`~StoreCatalog.register` calls — and shares two
 resources across every reader it opens:
 
-- a **byte-budgeted LRU of decompressed chunks**
+- a **byte-budgeted cache of decompressed chunks**
   (:class:`~repro.serve.cache.LRUCache` in cost mode, keyed by
   ``(dataset key + registration generation, chunk coords)``), so
   repeated subvolume reads across concurrent callers re-decode nothing
   and total cache memory stays under one budget no matter how many
   stores are open — and re-registering a key under a new path can never
-  serve the old store's chunks (see :meth:`StoreCatalog.register`);
+  serve the old store's chunks (see :meth:`StoreCatalog.register`).
+  Eviction is GreedyDual (LRU when costs are equal): each chunk is
+  charged the seconds per byte its decode took where it ran, so an sz3
+  chunk that costs milliseconds to rebuild outlives szx chunks used as
+  recently. Residency therefore follows this host's measured decode
+  times; the bytes a read returns do not;
 - an optional **decode pool** (:class:`~repro.serve.pool.WorkerPool`)
   that fans a read's chunk decodes out over worker processes — for the
   stores whose chunks are big enough to repay the round trip: a reader
@@ -29,7 +34,7 @@ cache size. On top of the request stream the catalog can layer a
 :class:`~repro.store.prefetch.Prefetcher`
 (``CatalogOptions(prefetch_depth=...)``): sequential and strided scans
 are detected per key and predicted next chunks are decoded into the
-shared LRU after each request, so the next request hits cache instead of
+shared cache after each request, so the next request hits cache instead of
 disk. A hint takes the reader's own chunk path: for a store that kept
 the decode pool its decode is submitted, the request that triggered it
 returns at once, and the chunk is harvested into the cache before the
@@ -79,10 +84,13 @@ class CatalogStats:
 class CatalogOptions:
     """Frozen, hashable catalog configuration.
 
-    ``cache_bytes`` budgets the shared decompressed-chunk LRU (0 disables
-    caching; every read decodes). ``workers`` fans chunk decode out over
-    a process pool (0 keeps decode in-process) for stores whose nominal
-    chunk decodes to at least
+    ``cache_bytes`` budgets the shared decompressed-chunk cache (0
+    disables caching; every read decodes). Its eviction is GreedyDual,
+    LRU when costs are equal: a chunk is charged its measured decode
+    seconds per byte, so which chunks stay resident follows decode cost
+    on this host; what a read returns does not. ``workers`` fans chunk
+    decode out over a process pool (0 keeps decode in-process) for
+    stores whose nominal chunk decodes to at least
     :data:`repro.store.reader.POOL_MIN_CHUNK_BYTES`; smaller-chunk stores
     decode in the caller whatever ``workers`` says (a process round trip
     costs more than their decode), and no worker is forked until a store
@@ -269,9 +277,12 @@ class StoreCatalog:
         reader = self.reader(key)
         if self.prefetcher is None:
             return reader.read(region)
-        chunks = reader.grid.chunks_intersecting(region)
+        # Placed once, for the prefetch hooks and the read alike.
+        sel = reader.grid.normalize_region(region)
+        placed = reader.grid._placements(sel)
+        chunks = [chunk for chunk, _, _ in placed]
         self._settle_pending(reader, chunks)
-        out = reader.read(region)
+        out = reader._read_placed(sel, placed)
         self._after_request(key, reader, chunks)
         return out
 
@@ -288,9 +299,12 @@ class StoreCatalog:
         reader = self.reader(key)
         if self.prefetcher is None:
             return reader.read_iter(region, tile=tile, max_inflight=max_inflight)
-        chunks = reader.grid.chunks_intersecting(region)
+        # Planned once, for the prefetch hooks and the stream alike.
+        sel = reader.grid.normalize_region(region)
+        plan = reader.grid.plan_region(sel, tile)
+        chunks = [chunk for _, tile_chunks in plan for chunk in tile_chunks]
         self._settle_pending(reader, chunks)
-        stream = reader.read_iter(region, tile=tile, max_inflight=max_inflight)
+        stream = TileStream(reader, sel, plan, max_inflight)
         stream.on_complete(lambda: self._after_request(key, reader, chunks))
         return stream
 
@@ -308,8 +322,8 @@ class StoreCatalog:
         it intersects) is served, while cache residency still reflects
         what the request will see: an issued chunk this request covers
         is a **hit** if still resident (the read about to happen
-        consumes it from cache) and **wasted** if the LRU already
-        dropped it; issued chunks outside the request stay pending
+        consumes it from cache) and **wasted** if the cache already
+        evicted it; issued chunks outside the request stay pending
         unless evicted. Async hint decodes that have finished by now are
         admitted first, so the request sees every chunk prefetch managed
         to land."""
@@ -364,19 +378,20 @@ class StoreCatalog:
 
     def _admit_hint(self, key: str, reader: StoreReader, src) -> None:
         """Finish one begun hint chunk (:meth:`StoreReader._finish`),
-        admit it to the shared cache and count it as issued. A hint whose
-        reader was retired (the key re-pointed while the decode ran) is
-        dropped — its cache scope is already evicted and its bytes belong
-        to the old store; counting only *admitted* hints keeps
-        ``issued >= hits + wasted`` exact."""
+        admit it to the shared cache — charged its decode's own seconds,
+        not the ~0 s a harvest waits for a finished task — and count it
+        as issued. A hint whose reader was retired (the key re-pointed
+        while the decode ran) is dropped — its cache scope is already
+        evicted and its bytes belong to the old store; counting only
+        *admitted* hints keeps ``issued >= hits + wasted`` exact."""
         try:
-            data = reader._finish(src)
+            data, seconds = reader._finish(src)
         except Exception:
             return
         with self._lock:
             current = self._readers.get(key) is reader
         coords = src.chunk.coords
-        if not current or not reader._cache_put(coords, data):
+        if not current or not reader._cache_put(coords, data, seconds):
             return
         with self._prefetch_lock:
             self._prefetch_pending.add(reader._cache_key(coords))

@@ -193,56 +193,39 @@ class ChunkGrid:
             out.append(slice(start, stop))
         return tuple(out)
 
-    def tiles_for_region(self, region, tile_shape=None) -> list[tuple[slice, ...]]:
-        """Split a subvolume into tiles (field-coordinate slice tuples).
+    def plan_region(
+        self, sel: tuple[slice, ...], tile_shape=None
+    ) -> list[tuple[tuple[slice, ...], list[Chunk]]]:
+        """The streaming plan of a normalized region ``sel`` (the output
+        of :meth:`normalize_region`, which this does not repeat): its
+        tiles, each paired with the chunks that feed it (flat-id order).
 
-        The planning step of a streaming read: ``tile_shape=None`` makes
-        each tile one chunk's intersection with the region, enumerated in
-        flat chunk-id order — the storage order, so a full-region stream
-        walks the file forward. An explicit ``tile_shape`` grids the
-        region itself into boxes of that shape anchored at the region's
-        start (edge tiles clipped), enumerated in C order. Either way the
-        tile list is a pure function of ``(region, tile_shape)`` — the
-        ordering-determinism half of the streaming contract — and tiles
-        the region exactly once. An empty region has no tiles.
+        ``tile_shape=None`` makes each tile one chunk's intersection with
+        the region, enumerated in flat chunk-id order — the storage
+        order, so a full-region stream walks the file forward — and the
+        whole plan comes out of one grid pass. An explicit ``tile_shape``
+        grids the region itself into boxes of that shape anchored at the
+        region's start (edge tiles clipped), enumerated in C order, each
+        intersecting the grid once. Either way the plan is a pure
+        function of ``(region, tile_shape)`` — the ordering-determinism
+        half of the streaming contract — and tiles the region exactly
+        once. An empty region has no tiles.
         """
-        sel = self.normalize_region(region)
+        if tile_shape is None:
+            return [(chunk.clip(sel), [chunk]) for chunk, _, _ in self._placements(sel)]
         if any(s.stop <= s.start for s in sel):
             return []
-        if tile_shape is None:
-            return [chunk.clip(sel) for chunk in self.chunks_intersecting(sel)]
         tile = tuple(int(t) for t in tile_shape)
         if len(tile) != len(self.shape):
             raise ValueError(f"tile_shape {tile} does not match field rank {len(self.shape)}")
         if any(t < 1 for t in tile):
             raise ValueError(f"tile_shape must be positive, got {tile}")
         starts = [range(s.start, s.stop, t) for s, t in zip(sel, tile)]
-        return [
-            tuple(
-                slice(start, min(start + t, s.stop))
-                for start, t, s in zip(origin, tile, sel)
-            )
+        boxes = (
+            tuple(slice(start, min(start + t, s.stop)) for start, t, s in zip(origin, tile, sel))
             for origin in product(*starts)
-        ]
-
-    def plan_region(
-        self, region, tile_shape=None
-    ) -> list[tuple[tuple[slice, ...], list[Chunk]]]:
-        """The streaming plan: every tile of :meth:`tiles_for_region`, in
-        its order, paired with the chunks that feed it (flat-id order).
-
-        With ``tile_shape=None`` a tile *is* one chunk's intersection
-        with the region, so the whole plan comes out of a single
-        :meth:`chunks_intersecting` pass; explicit tiles intersect the
-        grid once each.
-        """
-        sel = self.normalize_region(region)
-        if tile_shape is None:
-            return [(chunk.clip(sel), [chunk]) for chunk in self.chunks_intersecting(sel)]
-        return [
-            (tile, self.chunks_intersecting(tile))
-            for tile in self.tiles_for_region(sel, tile_shape)
-        ]
+        )
+        return [(box, self.chunks_intersecting(box)) for box in boxes]
 
     def chunks_intersecting(self, region) -> list[Chunk]:
         """Chunks overlapping a subvolume, in flat-id order.

@@ -8,7 +8,7 @@ plane, telegraphs exactly which chunks it will ask for next. The
 :class:`Prefetcher` watches that stream and, once a pattern has held for
 ``MIN_RUN`` consecutive requests, predicts up to ``depth`` flat chunk
 ids ahead of it. The catalog then decodes those chunks into the shared
-LRU *after* serving the current request, so the next request finds its
+cache *after* serving the current request, so the next request finds its
 chunks already decompressed.
 
 Two properties keep this safe to reason about:
@@ -21,7 +21,7 @@ Two properties keep this safe to reason about:
   already resident is not re-issued), but the hint sequence itself never
   changes — which is what makes prefetch behavior testable.
 - **prefetch is advisory, never load-bearing.** A prefetched chunk the
-  LRU evicts before use is counted ``wasted`` and simply re-decoded on
+  cache evicts before use is counted ``wasted`` and simply re-decoded on
   demand; a prefetch that raises is swallowed (the *next request* will
   surface a genuinely corrupt chunk through the normal read path, with
   the normal error). Streaming reads hold their own references to

@@ -23,7 +23,9 @@ path** serves :meth:`~StoreReader.read`, :meth:`~StoreReader.read_chunk`,
 *started* — a cache hit, else ``StoreReader._begin`` runs stage 1 and,
 when pooled, submits stage 2 — and later *resolved* —
 ``StoreReader._finish`` collects the pool's result or decodes in the
-caller, and the array is offered to the cache. So a cached chunk skips
+caller, and the array is offered to the cache, charged the seconds per
+byte its decode took where it ran (the caller, or the pool worker — never
+the caller's wait for it). So a cached chunk skips
 stages 1 *and* 2, the cache's own :class:`~repro.serve.cache.CacheStats`
 counts each hit and miss once (``cat.stats().cache``; a miss is a
 decode), and since decode is deterministic and assembly order is fixed
@@ -55,6 +57,7 @@ from collections import deque
 from dataclasses import dataclass
 from math import prod
 from pathlib import Path
+from time import perf_counter
 from typing import NamedTuple
 
 import numpy as np
@@ -141,9 +144,11 @@ class StoreReader:
     Every payload it fetches is checked against the manifest checksum.
 
     ``chunk_cache`` (an :class:`repro.serve.cache.LRUCache`, typically
-    cost-bounded in bytes) caches decompressed chunk arrays under
-    ``(cache_scope, coords)`` keys; arrays entering the cache are frozen
-    read-only, since hits hand back the shared object. ``pool`` (a
+    cost-bounded in bytes: GreedyDual, LRU when costs are equal) caches
+    decompressed chunk arrays under ``(cache_scope, coords)`` keys, each
+    charged its measured decode seconds per byte, so chunks that are
+    dear to decode stay resident longer; arrays entering the cache are
+    frozen read-only, since hits hand back the shared object. ``pool`` (a
     :class:`repro.serve.pool.WorkerPool`) fans a multi-chunk read's
     decode stage out across worker processes — kept (as ``self.pool``)
     only by stores whose nominal chunk reaches
@@ -296,7 +301,7 @@ class StoreReader:
             return None
         return self.chunk_cache.get(self._cache_key(coords))
 
-    def _cache_put(self, coords: tuple[int, ...], data: np.ndarray) -> bool:
+    def _cache_put(self, coords: tuple[int, ...], data: np.ndarray, seconds: float) -> bool:
         # Hits hand back the shared object, so freeze anything the cache
         # stores — before the put, so no other thread can see it
         # writeable. A chunk the cache would decline (cache disabled, or
@@ -308,7 +313,11 @@ class StoreReader:
         if self.chunk_cache is None or not self.chunk_cache.admits(data):
             return False
         data.setflags(write=False)
-        return self.chunk_cache.put(self._cache_key(coords), data)
+        # Charged its decode's seconds per byte, measured where that
+        # decode ran: chunks dear to decode stay resident longer.
+        return self.chunk_cache.put(
+            self._cache_key(coords), data, seconds / max(data.nbytes, 1)
+        )
 
     def _begin(self, chunk, pooled: bool) -> _ChunkSource:
         """Start one chunk the cache missed: stage 1 (fetch + verify)
@@ -321,11 +330,15 @@ class StoreReader:
             task = self.pool.submit(decode_chunk, self.compressor, entry, payload)
         return _ChunkSource(chunk, entry, payload, task)
 
-    def _finish(self, src: _ChunkSource) -> np.ndarray:
-        """Stage 2 of a begun chunk: the pool's result, or a decode here."""
+    def _finish(self, src: _ChunkSource) -> tuple[np.ndarray, float]:
+        """Stage 2 of a begun chunk: the pool's result, or a decode here,
+        with the seconds the decode itself took where it ran."""
         if src.task is not None:
-            return src.task.result()
-        return decode_chunk(self.compressor, src.entry, src.payload)
+            data = src.task.result()
+            return data, src.task.seconds
+        start = perf_counter()
+        data = decode_chunk(self.compressor, src.entry, src.payload)
+        return data, perf_counter() - start
 
     def _start(self, chunk, pooled: bool):
         """A chunk's cached array, else its begun :class:`_ChunkSource`."""
@@ -337,8 +350,8 @@ class StoreReader:
         chunk finished and offered to the cache."""
         if isinstance(started, np.ndarray):
             return started
-        data = self._finish(started)
-        self._cache_put(started.chunk.coords, data)
+        data, seconds = self._finish(started)
+        self._cache_put(started.chunk.coords, data, seconds)
         return data
 
     def read_chunk(self, coords: tuple[int, ...]) -> np.ndarray:
@@ -371,8 +384,13 @@ class StoreReader:
         "Read-back contract").
         """
         sel = self.grid.normalize_region(region)
+        return self._read_placed(sel, self.grid._placements(sel))
+
+    def _read_placed(self, sel, placed) -> np.ndarray:
+        """:meth:`read` of a normalized region ``sel`` already placed on
+        the grid (``placed`` is ``self.grid._placements(sel)``) — the
+        path a catalog takes after placing the region once for itself."""
         out = np.empty(tuple(s.stop - s.start for s in sel), dtype=self.dtype)
-        placed = self.grid._placements(sel)
         with span("store.read", path=str(self.path), n_chunks=len(placed), shape=out.shape):
             # A lone miss decodes in the caller: one chunk gains nothing
             # from a process round trip.

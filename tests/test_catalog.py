@@ -2,6 +2,7 @@
 cache, parallel decode, and byte-identity across every configuration."""
 
 import gc
+import time
 import warnings
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
@@ -342,6 +343,138 @@ class TestSharedChunkCache:
             out = cat.read_chunk("climate/temp", (0, 0, 0))
             assert out.flags.writeable
             out[0, 0, 0] = 0.0  # does not raise
+
+
+class TestDecodeCostResidency:
+    """The shared cache charges each chunk its measured decode seconds
+    per byte (GreedyDual), so chunks dear to decode outlive cheap ones
+    used as recently — and the bytes a read returns never change."""
+
+    A, B = "climate/temp", "climate/wind"
+    #: Half of store A: chunk rows 0-2, column 0, both planes (6 of 12).
+    A_HALF = (slice(None), slice(0, 16), slice(None))
+
+    @pytest.fixture()
+    def slow_a(self, monkeypatch, store_root):
+        """Store A's decodes sleep 20 ms first, so the test rests on that
+        fixed gap and not on this host's sz3/szx speeds; counts each
+        store's decode calls."""
+        root, _ = store_root
+        with Store(root / f"{self.A}.rps") as st:
+            a_checksums = {entry["checksum"] for entry in st.manifest["chunks"]}
+        decodes = Counter()
+        decode = reader_mod.decode_chunk
+
+        def slow(compressor, entry, payload):
+            store = self.A if entry["checksum"] in a_checksums else self.B
+            decodes[store] += 1
+            if store == self.A:
+                time.sleep(0.02)
+            return decode(compressor, entry, payload)
+
+        monkeypatch.setattr(reader_mod, "decode_chunk", slow)
+        return decodes
+
+    def _rounds(self, store_root, equal_penalties: bool):
+        """Three rounds of: half of A, then all of B, in a cache that
+        holds 12 of the two stores' 24 chunks. LRU lets B's scan push
+        A's half out every round."""
+        root, fields = store_root
+        chunk_bytes = np.empty(CHUNK, dtype=np.float32).nbytes
+        options = CatalogOptions(cache_bytes=12 * chunk_bytes)
+        with StoreCatalog(root, options=options) as cat:
+            if equal_penalties:
+                put = cat.chunk_cache.put
+                cat.chunk_cache.put = lambda key, value, penalty: put(key, value)
+            for _ in range(3):
+                out = cat.read(self.A, self.A_HALF)
+                assert out.tobytes() == fields[self.A][self.A_HALF].tobytes()
+                assert cat.read(self.B).tobytes() == fields[self.B].tobytes()
+            reader = cat.reader(self.A)
+            return [
+                reader._cache_key(chunk.coords) in cat.chunk_cache
+                for chunk in reader.grid.chunks_intersecting(self.A_HALF)
+            ]
+
+    def test_chunks_dear_to_decode_stay_resident(self, store_root, slow_a):
+        resident = self._rounds(store_root, equal_penalties=False)
+        assert all(resident) and len(resident) == 6
+        greedy = dict(slow_a)
+        slow_a.clear()
+        resident = self._rounds(store_root, equal_penalties=True)
+        assert not any(resident)  # LRU: B's scan evicted A's half
+        lru = dict(slow_a)
+        assert greedy[self.A] == 6 and lru[self.A] == 18  # A decoded once, not every round
+        assert sum(greedy.values()) < sum(lru.values())
+
+    def test_harvested_hint_is_charged_its_worker_seconds(self, store_root, pool_small_chunks):
+        root, fields = store_root
+        options = CatalogOptions(cache_bytes=64 << 20, workers=1, prefetch_depth=2)
+        with StoreCatalog(root, options=options) as cat:
+            charged = {}
+            put = cat.chunk_cache.put
+
+            def recording_put(key, value, penalty=1.0):
+                charged[key] = penalty * value.nbytes  # back to seconds
+                return put(key, value, penalty)
+
+            cat.chunk_cache.put = recording_put
+            grid = cat.reader(self.A).grid
+            for i in range(3):  # a chunk-by-chunk scan: the third read issues hints
+                region = grid.chunk(i).slices
+                assert cat.read(self.A, region).tobytes() == fields[self.A][region].tobytes()
+            with cat._prefetch_lock:
+                hints = [src for _, _, src in cat._prefetch_inflight]
+            assert hints  # the pool ran them: the test cannot go vacuous
+            for src in hints:
+                while not src.task.done():
+                    time.sleep(0.005)
+            cat.stats()  # harvests the finished hints
+            reader = cat.reader(self.A)
+            for src in hints:
+                seconds = charged[reader._cache_key(src.chunk.coords)]
+                assert seconds > 0
+                assert seconds == pytest.approx(src.task.seconds, rel=1e-9)
+            assert cat.stats().pool.submitted >= len(hints)
+
+
+class TestRegionPlacedOnce:
+    """A catalog read normalizes its region and places it on the grid
+    once, whether or not the prefetcher needs the chunk list too."""
+
+    @pytest.mark.parametrize("prefetch_depth", [0, 2])
+    def test_placements_run_once_per_read(self, store_root, monkeypatch, prefetch_depth):
+        from repro.store.chunking import ChunkGrid
+
+        root, fields = store_root
+        placed = []
+        place = ChunkGrid._placements
+
+        def counted(grid, sel):
+            placed.append(sel)
+            return place(grid, sel)
+
+        monkeypatch.setattr(ChunkGrid, "_placements", counted)
+        options = CatalogOptions(prefetch_depth=prefetch_depth)
+        with StoreCatalog(root, options=options) as cat:
+            grid = cat.reader("nyx_baryon").grid
+            for i in range(4):  # a chunk-by-chunk scan: from the third read on, hints
+                region = grid.chunk(i).slices
+                sel = grid.normalize_region(region)
+                placed.clear()
+                out = cat.read("nyx_baryon", region)
+                assert out.tobytes() == fields["nyx_baryon"][region].tobytes()
+                # a hint looks its chunk up by id, which places that chunk's
+                # corner; the request's own region is placed exactly once
+                assert placed.count(sel) == 1
+                assert all(p == sel or _is_corner(p) for p in placed)
+            if prefetch_depth:
+                assert cat.stats().prefetch.issued > 0
+
+
+def _is_corner(sel) -> bool:
+    """A one-element region: what ``ChunkGrid.chunk_at`` places."""
+    return all(s.stop - s.start == 1 for s in sel)
 
 
 EDGE_CHUNK = (10, 12, 13)  # the last chunk of every axis is clipped by the field

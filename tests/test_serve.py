@@ -159,6 +159,16 @@ class TestLRUCacheCostMode:
         cache.clear()
         assert cache.total_cost == 0.0 and len(cache) == 0
 
+    def test_refused_reput_drops_the_old_value(self):
+        # a put that is not admitted must not leave the key's previous
+        # value behind to be served as if it were current
+        cache = LRUCache(max_entries=None, max_cost=100)
+        assert cache.put("a", np.zeros(10, dtype=np.float32))  # 40 B
+        assert cache.put("a", np.zeros(100, dtype=np.float32)) is False  # 400 B
+        assert cache.get("a") is None
+        assert "a" not in cache and len(cache) == 0
+        assert cache.total_cost == 0.0
+
     def test_put_reports_admission(self):
         cache = LRUCache(max_entries=None, max_cost=100)
         assert cache.put("a", np.zeros(10, dtype=np.float32)) is True

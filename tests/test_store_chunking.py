@@ -273,7 +273,6 @@ class TestStreamingPlan:
             for tile_shape in (None, tuple(int(rng.integers(1, 9)) for _ in range(rank))):
                 want = _two_pass_plan(grid, sel, tile_shape)
                 assert grid.plan_region(sel, tile_shape) == want
-                assert grid.tiles_for_region(sel, tile_shape) == [t for t, _ in want]
 
     def test_chunk_sized_tile_is_the_chunk_clipped_to_the_region(self):
         grid = ChunkGrid((10, 10), (4, 5))

@@ -6,7 +6,7 @@ The streaming contract under test, end to end:
   for every worker count x tile shape x ``max_inflight`` x cache size
   (decode is pure, the tile plan is fixed up front);
 - tiles arrive in the deterministic plan order
-  (:meth:`ChunkGrid.tiles_for_region`) and partition the region exactly;
+  (:meth:`ChunkGrid.plan_region`) and partition the region exactly;
 - in-flight decoded bytes never exceed twice the ``max_inflight`` tile
   budget (backpressure, not queueing);
 - a corrupt chunk surfaces as :class:`CorruptChunkError` naming the
@@ -43,6 +43,11 @@ WORKER_COUNTS = (0, 1, 2, 4)
 CACHE_SIZES = (0, 64 << 20)
 MAX_INFLIGHT = (1, 2, 8)
 TILE_SHAPES = (None, CHUNK, (5, 12, 16), SHAPE)
+
+
+def tiles(grid, region, tile=None):
+    """The tiles of ``region``'s streaming plan, in plan order."""
+    return [t for t, _ in grid.plan_region(grid.normalize_region(region), tile)]
 
 
 @pytest.fixture(scope="module")
@@ -114,7 +119,7 @@ class TestStreamMatchesRead:
             for region in regions:
                 sel = reader.grid.normalize_region(region)
                 want = expected[sel]
-                plan = reader.grid.tiles_for_region(sel)
+                plan = tiles(reader.grid, sel)
                 for tile in TILE_SHAPES:
                     for max_inflight in MAX_INFLIGHT:
                         stream = cat.read_iter(
@@ -123,11 +128,11 @@ class TestStreamMatchesRead:
                         got, order = assemble(stream, sel, expected.dtype)
                         assert got.tobytes() == want.tobytes()
                         # deterministic plan order, independent of config
-                        assert order == reader.grid.tiles_for_region(sel, tile)
+                        assert order == tiles(reader.grid, sel, tile)
                         stats = stream.stats
                         assert stats.tiles_yielded == stats.tiles_total == len(order)
                         assert stats.peak_inflight_bytes <= 2 * stats.budget_bytes
-                assert plan == reader.grid.tiles_for_region(sel)  # plan is pure
+                assert plan == tiles(reader.grid, sel)  # plan is pure
             if workers:
                 assert cat.stats().pool.submitted > 0
 
@@ -148,7 +153,7 @@ class TestStreamMatchesRead:
             sel = st.grid.normalize_region(None)
             got, order = assemble(st.read_iter(max_inflight=4), sel, expected.dtype)
         np.testing.assert_array_equal(got, expected)
-        assert order == st.grid.tiles_for_region(None)
+        assert order == tiles(st.grid, None)
 
     def test_stream_is_context_manager(self, store_root):
         root, expected = store_root
@@ -264,7 +269,7 @@ class TestBackpressure:
             want = max(
                 sum(int(np.prod(c.shape)) for c in st.grid.chunks_intersecting(t))
                 + int(np.prod([s.stop - s.start for s in t]))
-                for t in st.grid.tiles_for_region(region, tile)
+                for t in tiles(st.grid, region, tile)
             ) * expected.itemsize
             assert stream.stats.max_tile_cost_bytes == want
             stream.close()
