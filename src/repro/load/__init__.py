@@ -4,9 +4,10 @@ Where :mod:`repro.serve` makes one prediction fast, this package makes
 a *stream* of them survivable: :class:`Gateway` / :class:`GatewayOptions`
 are an asyncio front door over a :class:`~repro.serve.PredictionService`
 — bounded admission (typed :class:`Overloaded` rejections, never
-unbounded queues) and request coalescing into ``predict_batch`` calls
-(flush on ``max_batch`` or ``max_wait_ms``, whichever first),
-bitwise-identical to direct ``service.predict`` calls. Load generation
+unbounded queues) and request coalescing: each flush hands the whole
+queue to one ``predict_batch`` call (``max_wait_ms`` after the oldest
+request, or at once when the queue reaches ``max_pending``), and every
+response is bitwise-identical to a direct ``service.predict`` call. Load generation
 and latency measurement live outside the library, in the ledger's
 ``serve-open`` workload (``ledger/README.md``).
 

@@ -11,10 +11,14 @@ service is fastest at, while refusing to melt under overload:
   forever), so latency for admitted requests stays bounded and memory
   cannot grow without limit;
 - **request coalescing** — admitted requests accumulate in a queue that
-  a single batcher task drains into
-  :meth:`~repro.serve.service.PredictionService.predict_batch` calls,
-  flushing on whichever comes first: ``max_batch`` requests queued, or
-  ``max_wait_ms`` elapsed since the oldest queued request;
+  a single batcher task drains, whole, into one
+  :meth:`~repro.serve.service.PredictionService.predict_batch` call per
+  flush. It flushes once ``max_wait_ms`` has elapsed since the oldest
+  queued request, or early when the queue reaches ``max_pending`` or
+  :meth:`Gateway.close` starts the drain. There is no batch cap: with
+  one executor thread a cap would only split work that runs serially
+  anyway, and each slice would key and extract its fields again, where
+  one ``predict_batch`` does so once per distinct array;
 - **determinism** — ``predict_batch`` is bitwise-identical to
   sequential ``predict`` (the PR-2 contract), so every gateway response
   is bitwise-identical to a direct ``service.predict(data, ratio)``
@@ -22,9 +26,9 @@ service is fastest at, while refusing to melt under overload:
   (``tests/test_load.py::TestCoalescingDeterminism`` gates on exactly
   this);
 - **failure isolation** — when ``predict_batch`` raises, the batch's
-  requests are served again one at a time, so a bad request (an empty
-  array, a non-finite field) fails alone and its neighbours still get
-  their predictions.
+  requests (up to ``max_pending`` of them) are served again one at a
+  time, so a bad request (an empty array, a non-finite field) fails
+  alone and its neighbours still get their predictions.
 
 Batches execute on a dedicated single-thread executor, so the event
 loop keeps accepting (and rejecting) requests while the service is busy
@@ -74,21 +78,19 @@ class GatewayOptions:
     """Frozen, hashable gateway configuration (counterpart of
     :class:`repro.serve.ServiceOptions` for the admission layer).
 
-    ``max_batch`` / ``max_wait_ms`` tune the coalescing window — a
-    queued batch flushes when either trips. ``max_pending`` is the
-    admission cap over queued **plus** in-flight requests. ``safety``
-    is the prediction bias applied uniformly to every request (one
-    batch has one safety, so it is gateway-level configuration).
+    ``max_wait_ms`` is the coalescing window: the queue flushes, whole,
+    that long after its oldest request arrived. ``max_pending`` is the
+    admission cap over queued **plus** in-flight requests, and a queue
+    that reaches it flushes at once. ``safety`` is the prediction bias
+    applied uniformly to every request (one batch has one safety, so it
+    is gateway-level configuration).
     """
 
-    max_batch: int = 16
     max_wait_ms: float = 2.0
     max_pending: int = 256
     safety: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.max_batch < 1:
-            raise ValueError("max_batch must be >= 1")
         if self.max_wait_ms < 0:
             raise ValueError("max_wait_ms must be >= 0")
         if self.max_pending < 1:
@@ -105,8 +107,9 @@ class GatewayStats:
     ``submitted = accepted + rejected``; ``accepted`` eventually becomes
     ``completed + failed`` once the queue drains. ``flushes_full`` /
     ``flushes_timer`` / ``flushes_drain`` split batches by what
-    triggered them (cap reached, oldest request timed out, close()
-    drain); their sum is ``batches``.
+    triggered them (the queue reached ``max_pending``, the oldest
+    request's ``max_wait_ms`` ran out, close() drain); their sum is
+    ``batches``.
     """
 
     submitted: int
@@ -136,7 +139,7 @@ class Gateway:
     Use as an async context manager (or call :meth:`close` explicitly)
     so in-flight requests drain before the executor shuts down::
 
-        async with Gateway(service, options=GatewayOptions(max_batch=8)) as gw:
+        async with Gateway(service, options=GatewayOptions(max_wait_ms=1.0)) as gw:
             pred = await gw.submit(field.data, 16.0)
 
     All coordination state lives on the event loop (single-threaded),
@@ -148,7 +151,7 @@ class Gateway:
     def __init__(self, service, *, options: GatewayOptions | None = None) -> None:
         self.service = service
         self.options = options or GatewayOptions()
-        self._queue: deque = deque()  # (data, ratio, future) awaiting a batch
+        self._queue: deque = deque()  # (data, ratio, future, enqueued at)
         self._pending = 0  # queued + in-flight (admission-controlled)
         self._wake: asyncio.Event | None = None
         self._batcher: asyncio.Task | None = None
@@ -223,14 +226,14 @@ class Gateway:
         if self._pending > self._max_queue_depth:
             self._max_queue_depth = self._pending
         future = self._loop.create_future()
-        self._queue.append((data, float(target_ratio), future))
+        self._queue.append((data, float(target_ratio), future, self._loop.time()))
         self._wake.set()
         return await future
 
     # -- batching ----------------------------------------------------------------
 
     async def _run(self) -> None:
-        max_batch = self.options.max_batch
+        max_pending = self.options.max_pending
         max_wait = self.options.max_wait_ms / 1000.0
         loop = self._loop
         while True:
@@ -240,10 +243,13 @@ class Gateway:
                 await self._wake.wait()
             if not self._queue and self._closing:
                 return
-            # One request is queued; linger up to max_wait for company,
-            # unless the batch fills (or close() starts draining) first.
-            deadline = loop.time() + max_wait
-            while len(self._queue) < max_batch and not self._closing:
+            # Linger for company until max_wait after the oldest request
+            # arrived (which may already be past, if it queued behind the
+            # last batch), unless the queue fills or close() drains first.
+            # Nothing is in flight here, so the queue is all that admission
+            # counts and can reach max_pending.
+            deadline = self._queue[0][3] + max_wait
+            while len(self._queue) < max_pending and not self._closing:
                 remaining = deadline - loop.time()
                 if remaining <= 0:
                     break
@@ -252,13 +258,11 @@ class Gateway:
                     await asyncio.wait_for(self._wake.wait(), remaining)
                 except asyncio.TimeoutError:
                     break
-            batch = [
-                self._queue.popleft()
-                for _ in range(min(max_batch, len(self._queue)))
-            ]
+            batch = list(self._queue)
+            self._queue.clear()
             if self._closing:
                 reason = "drain"
-            elif len(batch) == max_batch:
+            elif len(batch) >= max_pending:
                 reason = "full"
             else:
                 reason = "timer"
@@ -272,7 +276,7 @@ class Gateway:
         )
 
     async def _serve_batch(self, batch: list, reason: str) -> None:
-        requests = [(data, ratio) for data, ratio, _ in batch]
+        requests = [(data, ratio) for data, ratio, _, _ in batch]
         self._batches += 1
         self._flushes[reason] += 1
         with span("load.gateway.batch", n_requests=len(batch), reason=reason):
@@ -290,7 +294,7 @@ class Gateway:
                             outcomes += await self._predict([request])
                         except Exception as one:  # noqa: BLE001
                             outcomes.append(one)
-        for (_, _, future), outcome in zip(batch, outcomes):
+        for (_, _, future, _), outcome in zip(batch, outcomes):
             self._pending -= 1
             if isinstance(outcome, Exception):
                 self._failed += 1

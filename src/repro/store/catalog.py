@@ -302,7 +302,7 @@ class StoreCatalog:
         # Planned once, for the prefetch hooks and the stream alike.
         sel = reader.grid.normalize_region(region)
         plan = reader.grid.plan_region(sel, tile)
-        chunks = [chunk for _, tile_chunks in plan for chunk in tile_chunks]
+        chunks = [chunk for _, placed in plan for chunk, _, _ in placed]
         self._settle_pending(reader, chunks)
         stream = TileStream(reader, sel, plan, max_inflight)
         stream.on_complete(lambda: self._after_request(key, reader, chunks))

@@ -193,12 +193,13 @@ class ChunkGrid:
             out.append(slice(start, stop))
         return tuple(out)
 
-    def plan_region(
-        self, sel: tuple[slice, ...], tile_shape=None
-    ) -> list[tuple[tuple[slice, ...], list[Chunk]]]:
+    def plan_region(self, sel: tuple[slice, ...], tile_shape=None) -> list:
         """The streaming plan of a normalized region ``sel`` (the output
         of :meth:`normalize_region`, which this does not repeat): its
-        tiles, each paired with the chunks that feed it (flat-id order).
+        tiles, each paired with the placements that feed it — the
+        ``(chunk, out_slices, chunk_slices)`` of :meth:`_placements`, in
+        flat-id order, with ``out_slices`` relative to the tile — so a
+        stream assembles each tile without placing it again.
 
         ``tile_shape=None`` makes each tile one chunk's intersection with
         the region, enumerated in flat chunk-id order — the storage
@@ -206,13 +207,17 @@ class ChunkGrid:
         whole plan comes out of one grid pass. An explicit ``tile_shape``
         grids the region itself into boxes of that shape anchored at the
         region's start (edge tiles clipped), enumerated in C order, each
-        intersecting the grid once. Either way the plan is a pure
+        placed on the grid once. Either way the plan is a pure
         function of ``(region, tile_shape)`` — the ordering-determinism
         half of the streaming contract — and tiles the region exactly
         once. An empty region has no tiles.
         """
         if tile_shape is None:
-            return [(chunk.clip(sel), [chunk]) for chunk, _, _ in self._placements(sel)]
+            plan = []
+            for chunk, _, part in self._placements(sel):
+                whole = tuple(slice(0, p.stop - p.start) for p in part)
+                plan.append((chunk.clip(sel), [(chunk, whole, part)]))
+            return plan
         if any(s.stop <= s.start for s in sel):
             return []
         tile = tuple(int(t) for t in tile_shape)
@@ -225,15 +230,7 @@ class ChunkGrid:
             tuple(slice(start, min(start + t, s.stop)) for start, t, s in zip(origin, tile, sel))
             for origin in product(*starts)
         )
-        return [(box, self.chunks_intersecting(box)) for box in boxes]
-
-    def chunks_intersecting(self, region) -> list[Chunk]:
-        """Chunks overlapping a subvolume, in flat-id order.
-
-        An empty region intersects nothing — the caller gets an empty read
-        rather than a decompression of zero-width chunks.
-        """
-        return [chunk for chunk, _, _ in self._placements(self.normalize_region(region))]
+        return [(box, self._placements(box)) for box in boxes]
 
     def _placements(self, sel: tuple[slice, ...]) -> list:
         """``(chunk, out_slices, chunk_slices)`` of each chunk a normalized

@@ -517,9 +517,9 @@ class TileStream:
         itemsize = reader.dtype.itemsize
         self._max_tile_cost = max(
             (
-                (sum(c.n_elements for c in chunks) + prod(s.stop - s.start for s in t))
+                (sum(c.n_elements for c, _, _ in placed) + prod(s.stop - s.start for s in t))
                 * itemsize
-                for t, chunks in plan
+                for t, placed in plan
             ),
             default=0,
         )
@@ -557,11 +557,11 @@ class TileStream:
         """Start the next planned tile's chunks (:meth:`StoreReader._start`,
         pooled). A fetch error is deferred to the tile's own yield slot
         so earlier tiles stream intact."""
-        tile_sel, chunks = self._plan[self._next]
+        tile_sel, placed = self._plan[self._next]
         self._next += 1
         sources: list = []
         error: Exception | None = None
-        for chunk in chunks:
+        for chunk, _, _ in placed:
             try:
                 src = self.reader._start(chunk, pooled=True)
             except CorruptChunkError as exc:
@@ -569,11 +569,11 @@ class TileStream:
                 break
             self._charge(self._cost(src))
             sources.append(src)
-        self._pending.append((tile_sel, sources, error))
+        self._pending.append((tile_sel, placed, sources, error))
 
-    def _collect(self, tile_sel, sources, error):
+    def _collect(self, tile_sel, placed, sources, error):
         """Finish one scheduled tile: resolve its chunks (which caches
-        them) and assemble the output box."""
+        them) and assemble the output box where the plan placed them."""
         if error is not None:
             self._drop(sources)
             raise error
@@ -581,7 +581,7 @@ class TileStream:
         out = np.empty(shape, dtype=self.reader.dtype)
         self._charge(out.nbytes)
         try:
-            for (_, out_sl, chunk_sl), src in zip(self.reader.grid._placements(tile_sel), sources):
+            for (_, out_sl, chunk_sl), src in zip(placed, sources):
                 assemble_region(out, out_sl, self.reader._resolve(src), chunk_sl)
                 self._release(self._cost(src))
         finally:
@@ -635,7 +635,7 @@ class TileStream:
         tiles. The reader itself stays open and usable."""
         self._closed = True
         while self._pending:
-            self._drop(self._pending.popleft()[1])
+            self._drop(self._pending.popleft()[2])
 
     def __enter__(self) -> "TileStream":
         return self

@@ -393,7 +393,9 @@ class TestDecodeCostResidency:
             reader = cat.reader(self.A)
             return [
                 reader._cache_key(chunk.coords) in cat.chunk_cache
-                for chunk in reader.grid.chunks_intersecting(self.A_HALF)
+                for chunk, _, _ in reader.grid._placements(
+                    reader.grid.normalize_region(self.A_HALF)
+                )
             ]
 
     def test_chunks_dear_to_decode_stay_resident(self, store_root, slow_a):
@@ -471,6 +473,36 @@ class TestRegionPlacedOnce:
             if prefetch_depth:
                 assert cat.stats().prefetch.issued > 0
 
+    @pytest.mark.parametrize("tile", [None, (5, 12, 16)])
+    @pytest.mark.parametrize("prefetch_depth", [0, 2])
+    def test_stream_places_each_tile_once(self, store_root, monkeypatch, prefetch_depth, tile):
+        from repro.store.chunking import ChunkGrid
+
+        root, fields = store_root
+        placed = []
+        place = ChunkGrid._placements
+
+        def counted(grid, sel):
+            placed.append(sel)
+            return place(grid, sel)
+
+        monkeypatch.setattr(ChunkGrid, "_placements", counted)
+        region = (slice(3, 19), slice(5, 30), slice(None))
+        with StoreCatalog(root, options=CatalogOptions(prefetch_depth=prefetch_depth)) as cat:
+            grid = cat.reader("nyx_baryon").grid
+            sel = grid.normalize_region(region)
+            placed.clear()
+            out = np.empty(fields["nyx_baryon"].shape, fields["nyx_baryon"].dtype)
+            tiles = []
+            for tile_sel, piece in cat.read_iter("nyx_baryon", region, tile=tile):
+                out[tile_sel] = piece
+                tiles.append(tile_sel)
+        assert out[sel].tobytes() == fields["nyx_baryon"][sel].tobytes()
+        # the plan places the region (tile=None) or each tile box once, and
+        # assembly reuses those placements; hints place only chunk corners
+        assert len(tiles) > 1
+        assert [p for p in placed if not _is_corner(p)] == ([sel] if tile is None else tiles)
+
 
 def _is_corner(sel) -> bool:
     """A one-element region: what ``ChunkGrid.chunk_at`` places."""
@@ -528,7 +560,8 @@ class TestHitPath:
             expected = plain.read(region)
         with StoreCatalog(root, options=CatalogOptions(cache_bytes=64 << 20)) as cat:
             cat.read("edge")  # every chunk cached
-            n_chunks = len(cat.reader("edge").grid.chunks_intersecting(region))
+            grid = cat.reader("edge").grid
+            n_chunks = len(grid._placements(grid.normalize_region(region)))
             calls.clear()
             out = cat.read("edge", region)
         assert [calls["fetch_payload"], calls["decode_chunk"]] == [0, 0]

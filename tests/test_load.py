@@ -2,6 +2,7 @@
 
 import asyncio
 import dataclasses
+import threading
 
 import numpy as np
 import pytest
@@ -34,35 +35,36 @@ def _run(coro):
 class TestGatewayOptions:
     def test_defaults_and_validation(self):
         opts = GatewayOptions()
-        assert opts.max_batch >= 1 and opts.max_pending >= 1
-        with pytest.raises(ValueError):
-            GatewayOptions(max_batch=0)
+        assert opts.max_wait_ms >= 0 and opts.max_pending >= 1
         with pytest.raises(ValueError):
             GatewayOptions(max_wait_ms=-1.0)
         with pytest.raises(ValueError):
             GatewayOptions(max_pending=0)
 
     def test_frozen_hashable_keyword_only(self):
-        opts = GatewayOptions(max_batch=4)
-        assert opts == GatewayOptions(max_batch=4)
-        assert hash(opts) == hash(GatewayOptions(max_batch=4))
+        opts = GatewayOptions(max_pending=4)
+        assert opts == GatewayOptions(max_pending=4)
+        assert hash(opts) == hash(GatewayOptions(max_pending=4))
         with pytest.raises(dataclasses.FrozenInstanceError):
-            opts.max_batch = 8
+            opts.max_pending = 8
         with pytest.raises(TypeError):
             GatewayOptions(8)
 
 
 class TestCoalescingDeterminism:
-    @pytest.mark.parametrize("max_batch,max_wait_ms", [
-        (1, 0.0), (3, 0.0), (3, 5.0), (16, 5.0),
+    # ``together`` requests are submitted at once and awaited before the
+    # next group goes in, so each group is exactly one flush: the four
+    # configurations coalesce 16 requests into 16, 8, 6 and 1 batches.
+    @pytest.mark.parametrize("together,max_wait_ms", [
+        (1, 0.0), (2, 5.0), (3, 0.0), (16, 5.0),
     ])
     def test_bitwise_identical_to_direct_predict(
-        self, fitted, train_fields, max_batch, max_wait_ms
+        self, fitted, train_fields, together, max_wait_ms
     ):
         rng = np.random.default_rng(7)
         requests = [
             (int(rng.integers(len(train_fields))), float(rng.choice([4.0, 8.0, 16.0])))
-            for _ in range(10)
+            for _ in range(16)
         ]
         datas = [f.data for f in train_fields]
         with Service(fitted) as svc:
@@ -71,27 +73,101 @@ class TestCoalescingDeterminism:
             ]
 
         async def main(svc):
-            opts = GatewayOptions(
-                max_batch=max_batch, max_wait_ms=max_wait_ms, max_pending=64
-            )
+            opts = GatewayOptions(max_wait_ms=max_wait_ms, max_pending=64)
+            preds = []
             async with Gateway(svc, options=opts) as gw:
-                preds = await asyncio.gather(
-                    *(gw.submit(datas[i], r) for i, r in requests)
-                )
+                for at in range(0, len(requests), together):
+                    preds += await asyncio.gather(
+                        *(gw.submit(datas[i], r) for i, r in requests[at:at + together])
+                    )
             return [p.error_bound for p in preds], gw.stats()
 
         with Service(fitted) as svc:
             answers, stats = _run(main(svc))
         assert answers == direct
         assert stats.completed == len(requests)
-        if max_batch > 1:
-            # simultaneous submission must actually coalesce
-            assert stats.batches < len(requests)
-            assert stats.mean_batch_size > 1.0
+        assert stats.batches == -(-len(requests) // together)
+        assert stats.flushes_timer == stats.batches
+
+    def test_burst_is_one_flush_keying_each_array_once(
+        self, fitted, train_fields, monkeypatch
+    ):
+        import repro.serve.service as service_mod
+
+        datas = [f.data for f in train_fields]
+        opts = GatewayOptions(max_wait_ms=10_000.0, max_pending=64)
+        requests = [
+            (datas[i % len(datas)], (4.0, 8.0, 16.0, 32.0)[i % 4])
+            for i in range(opts.max_pending)
+        ]
+        with Service(fitted) as svc:
+            direct = [svc.predict(d, r) for d, r in requests]
+
+        keyed = []
+        digest = service_mod.digest_array
+
+        def counted(sample):
+            keyed.append(sample.shape)
+            return digest(sample)
+
+        monkeypatch.setattr(service_mod, "digest_array", counted)
+
+        async def main(svc):
+            # the linger window outlasts the test: only a full queue flushes
+            async with Gateway(svc, options=opts) as gw:
+                preds = await asyncio.gather(*(gw.submit(d, r) for d, r in requests))
+            return preds, gw.stats()
+
+        with Service(fitted) as svc:
+            preds, stats = _run(main(svc))
+        assert stats.batches == 1 and stats.flushes_full == 1
+        assert stats.completed == opts.max_pending
+        assert len(keyed) == len(datas)
+        assert [p.error_bound for p in preds] == [p.error_bound for p in direct]
+        assert [p.std for p in preds] == [p.std for p in direct]
+        assert all(np.array_equal(p.features, q.features) for p, q in zip(preds, direct))
+
+    def test_linger_deadline_runs_from_the_oldest_request(self):
+        max_wait = 1.0  # seconds: far past any scheduling hiccup
+        started, gate = threading.Event(), threading.Event()
+
+        class BlockedService:
+            """Holds its first batch until the test opens the gate."""
+
+            def predict_batch(self, requests, *, safety=0.0):
+                started.set()
+                assert gate.wait(timeout=30.0)
+                return [ratio for _, ratio in requests]
+
+        async def main():
+            loop = asyncio.get_running_loop()
+            opts = GatewayOptions(max_wait_ms=max_wait * 1000.0, max_pending=4)
+            async with Gateway(BlockedService(), options=opts) as gw:
+                try:
+                    first = asyncio.ensure_future(gw.submit(None, 4.0))
+                    assert await loop.run_in_executor(None, started.wait, 30.0)
+                    # the first batch is in flight; the second request
+                    # ages past its whole window in the queue behind it
+                    second = asyncio.ensure_future(gw.submit(None, 8.0))
+                    await asyncio.sleep(max_wait + 0.05)
+                    gate.set()
+                    released = loop.time()
+                    assert await first == 4.0
+                    assert await second == 8.0
+                    waited = loop.time() - released
+                finally:
+                    gate.set()  # never leave the executor blocked
+            return waited, gw.stats()
+
+        waited, stats = _run(main())
+        # already due when the first batch returns: flushed at once, not
+        # after a fresh window
+        assert waited < max_wait / 2
+        assert stats.batches == 2 and stats.flushes_timer == 2
 
     def test_single_request_flushes_on_timer(self, fitted, train_fields):
         async def main(svc):
-            opts = GatewayOptions(max_batch=16, max_wait_ms=1.0)
+            opts = GatewayOptions(max_wait_ms=1.0)
             async with Gateway(svc, options=opts) as gw:
                 pred = await gw.submit(train_fields[0].data, 8.0)
             return pred, gw.stats()
@@ -108,7 +184,7 @@ class TestCoalescingDeterminism:
             direct = svc.predict(data, 8.0, safety=1.5).error_bound
 
         async def main(svc):
-            opts = GatewayOptions(max_batch=2, safety=1.5)
+            opts = GatewayOptions(safety=1.5)
             async with Gateway(svc, options=opts) as gw:
                 return (await gw.submit(data, 8.0)).error_bound
 
@@ -121,7 +197,7 @@ class TestAdmissionControl:
         data = train_fields[0].data
 
         async def main(svc):
-            opts = GatewayOptions(max_batch=4, max_wait_ms=50.0, max_pending=4)
+            opts = GatewayOptions(max_wait_ms=50.0, max_pending=4)
             async with Gateway(svc, options=opts) as gw:
                 results = await asyncio.gather(
                     *(gw.submit(data, 8.0) for _ in range(10)),
@@ -145,7 +221,7 @@ class TestAdmissionControl:
         data = train_fields[0].data
 
         async def main(svc):
-            opts = GatewayOptions(max_batch=2, max_wait_ms=0.0, max_pending=2)
+            opts = GatewayOptions(max_wait_ms=0.0, max_pending=2)
             async with Gateway(svc, options=opts) as gw:
                 first = await asyncio.gather(
                     *(gw.submit(data, 8.0) for _ in range(2))
@@ -167,7 +243,7 @@ class TestCloseSemantics:
 
         async def main(svc):
             # a long linger window: only the close() drain can flush early
-            opts = GatewayOptions(max_batch=64, max_wait_ms=10_000.0)
+            opts = GatewayOptions(max_wait_ms=10_000.0)
             gw = Gateway(svc, options=opts)
             async with gw:
                 tasks = [
@@ -208,7 +284,7 @@ class TestCloseSemantics:
 
     def test_service_failure_propagates_to_callers(self, fitted, train_fields):
         async def main(svc):
-            async with Gateway(svc, options=GatewayOptions(max_batch=2)) as gw:
+            async with Gateway(svc) as gw:
                 results = await asyncio.gather(
                     gw.submit(train_fields[0].data, 8.0),
                     gw.submit(train_fields[0].data, -3.0),  # invalid ratio
@@ -229,7 +305,8 @@ class TestCloseSemantics:
         empty = np.zeros((0, 4), np.float32)
 
         async def main(svc):
-            options = GatewayOptions(max_batch=16, max_wait_ms=50.0)
+            # 16 admitted requests fill the queue: one full flush
+            options = GatewayOptions(max_wait_ms=50.0, max_pending=16)
             async with Gateway(svc, options=options) as gw:
                 results = await asyncio.gather(
                     *(gw.submit(d, r) for d, r in good[:7]),

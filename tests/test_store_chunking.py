@@ -163,7 +163,6 @@ class TestRegions:
                         for r, cs in zip(sel, c.slices)
                     )
                 ]
-                assert grid.chunks_intersecting(region) == expected
                 placed = grid._placements(sel)
                 assert [chunk for chunk, _, _ in placed] == expected
                 for chunk, out_sl, chunk_sl in placed:
@@ -179,7 +178,7 @@ class TestRegions:
             last = grid.chunk(10**9 - 1)
             assert last.coords == (10**9 - 1,)
             assert last.slices == (slice(10**9 - 1, 10**9),)
-            assert [c.index for c in grid.chunks_intersecting((slice(5, 7),))] == [5, 6]
+            assert [c.index for c, _, _ in grid._placements((slice(5, 7),))] == [5, 6]
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -188,7 +187,7 @@ class TestRegions:
 
     def test_empty_region_intersects_nothing(self):
         grid = ChunkGrid((6, 8), (3, 4))
-        assert grid.chunks_intersecting((slice(2, 2),)) == []
+        assert grid._placements(grid.normalize_region((slice(2, 2),))) == []
 
     def test_chunk_is_frozen_value(self):
         chunk = ChunkGrid((4,), (2,)).chunk(0)
@@ -235,8 +234,9 @@ def _placement_oracle(sel, chunk: Chunk):
 
 def _two_pass_plan(grid: ChunkGrid, sel, tile_shape):
     """The streaming plan as ``StoreReader.read_iter`` used to build it:
-    the tile list first, then one grid intersection per tile. Kept here
-    as the reference ``ChunkGrid.plan_region`` must reproduce."""
+    the tile list first, then one grid intersection per tile, each chunk
+    placed in its tile by the per-chunk slice arithmetic. Kept here as
+    the reference ``ChunkGrid.plan_region`` must reproduce."""
     if any(s.stop <= s.start for s in sel):
         tiles = []
     elif tile_shape is None:
@@ -245,7 +245,7 @@ def _two_pass_plan(grid: ChunkGrid, sel, tile_shape):
                 slice(max(r.start, c.start), min(r.stop, c.stop))
                 for r, c in zip(sel, chunk.slices)
             )
-            for chunk in grid.chunks_intersecting(sel)
+            for chunk, _, _ in grid._placements(sel)
         ]
     else:
         starts = [range(s.start, s.stop, t) for s, t in zip(sel, tile_shape)]
@@ -256,7 +256,10 @@ def _two_pass_plan(grid: ChunkGrid, sel, tile_shape):
             )
             for origin in product(*starts)
         ]
-    return [(t, grid.chunks_intersecting(t)) for t in tiles]
+    return [
+        (t, [(c, *_placement_oracle(t, c)) for c, _, _ in grid._placements(t)])
+        for t in tiles
+    ]
 
 
 class TestStreamingPlan:
@@ -277,7 +280,8 @@ class TestStreamingPlan:
     def test_chunk_sized_tile_is_the_chunk_clipped_to_the_region(self):
         grid = ChunkGrid((10, 10), (4, 5))
         sel = grid.normalize_region((slice(3, 9), slice(2, 7)))
-        for tile, chunks in grid.plan_region(sel):
-            (chunk,) = chunks
+        for tile, placed in grid.plan_region(sel):
+            ((chunk, out_sl, chunk_sl),) = placed
             assert tile == chunk.clip(sel)
+            assert (out_sl, chunk_sl) == _placement_oracle(tile, chunk)
             assert chunk.n_elements == int(np.prod(chunk.shape))

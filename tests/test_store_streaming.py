@@ -267,7 +267,7 @@ class TestBackpressure:
             region = (slice(3, 19), slice(5, 30), slice(0, 17))
             stream = st.read_iter(region, tile=tile)
             want = max(
-                sum(int(np.prod(c.shape)) for c in st.grid.chunks_intersecting(t))
+                sum(int(np.prod(c.shape)) for c, _, _ in st.grid._placements(t))
                 + int(np.prod([s.stop - s.start for s in t]))
                 for t in tiles(st.grid, region, tile)
             ) * expected.itemsize

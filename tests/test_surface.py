@@ -307,7 +307,7 @@ def test_obs_is_the_span_api_and_the_metric_mirror_stays_gone():
 #: that stops paying leaves, and this table shrinks with it.
 OPTION_FIELDS = {
     "ServiceOptions": {"cache_entries"},
-    "GatewayOptions": {"max_batch", "max_wait_ms", "max_pending", "safety"},
+    "GatewayOptions": {"max_wait_ms", "max_pending", "safety"},
     "StoreOptions": {
         "chunk_shape", "chunk_elements", "closed_loop", "safety", "workers",
         "wave_size", "control",
