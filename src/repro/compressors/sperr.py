@@ -23,7 +23,7 @@ import numpy as np
 
 from repro.compressors.base import LossyCompressor
 from repro.compressors.speck import SpeckCoder
-from repro.encoding.bitstream import BitReader, BitWriter, pack_uint_array
+from repro.encoding.bitstream import BitReader, BitWriter
 from repro.encoding.lz77 import lz77_compress, lz77_decompress
 from repro.obs import span
 from repro.transforms.wavelet import cdf97_forward, cdf97_inverse, max_levels
@@ -80,11 +80,11 @@ class SPERRCompressor(LossyCompressor):
             head = BitWriter()
             nbits_idx = max(int(data.size - 1).bit_length(), 1)
             head.write_elias_gamma(int(idxs.size) + 1)
-            head.write_packed(pack_uint_array(idxs.astype(np.uint64), nbits_idx))
+            head.write_uint_array(idxs.astype(np.uint64), nbits_idx)
             clipped = (corr + _CORR_MAX + 1).clip(0, 2 * _CORR_MAX + 1)
-            head.write_packed(pack_uint_array(clipped.astype(np.uint64), _CORR_BITS))
+            head.write_uint_array(clipped.astype(np.uint64), _CORR_BITS)
             head.write_bit_array(exact_mask)
-            head.write_packed(pack_uint_array(exact_vals.view(np.uint64), 64))
+            head.write_uint_array(exact_vals.view(np.uint64), 64)
             head_bytes = head.getvalue()
         payload = len(head_bytes).to_bytes(8, "little") + head_bytes + lz
         return payload, {"levels": levels, "p_top": p_top, "qstep": qstep}

@@ -25,7 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.compressors.base import LossyCompressor, quantization_step
-from repro.encoding.bitstream import BitReader, BitWriter, pack_uint_array
+from repro.encoding.bitstream import BitReader, BitWriter
 from repro.encoding.huffman import HuffmanCodec
 from repro.encoding.lz77 import lz77_compress, lz77_decompress
 from repro.obs import span
@@ -132,15 +132,14 @@ class SZ3Compressor(LossyCompressor):
             payload, freq = range_encode(symbols, alphabet_size=_ALPHABET)
             present = np.flatnonzero(freq > 0)
             writer.write_elias_gamma(present.size + 1)
-            writer.write_packed(pack_uint_array(present.astype(np.uint64), _SYMBOL_BITS))
-            for c in freq[present]:
-                writer.write_elias_gamma(int(c))
+            writer.write_uint_array(present.astype(np.uint64), _SYMBOL_BITS)
+            writer.write_elias_gamma(freq[present])
             return payload
         codec = HuffmanCodec.fit(symbols, alphabet_size=_ALPHABET)
         present = np.flatnonzero(codec.lengths > 0)
         writer.write_elias_gamma(present.size + 1)
-        writer.write_packed(pack_uint_array(present.astype(np.uint64), _SYMBOL_BITS))
-        writer.write_packed(pack_uint_array(codec.lengths[present].astype(np.uint64), 6))
+        writer.write_uint_array(present.astype(np.uint64), _SYMBOL_BITS)
+        writer.write_uint_array(codec.lengths[present].astype(np.uint64), 6)
         code_writer = BitWriter()
         codec.encode(symbols, code_writer)
         return lz77_compress(code_writer.getvalue())
@@ -209,8 +208,8 @@ class SZ3Compressor(LossyCompressor):
         with span("compressor.stage.encode", codec=self.name, entropy=entropy,
                   n_symbols=int(symbols.size)):
             writer = BitWriter()
-            writer.write_packed(pack_uint_array(anchors.ravel().view(np.uint64), 64))
-            writer.write_packed(pack_uint_array(out_vals.view(np.uint64), 64))
+            writer.write_uint_array(anchors.ravel().view(np.uint64), 64)
+            writer.write_uint_array(out_vals.view(np.uint64), 64)
             lz = self._encode_codes(symbols, writer) if symbols.size else b""
             head = writer.getvalue()
         return len(head).to_bytes(8, "little") + head + lz, {

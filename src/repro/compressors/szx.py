@@ -29,7 +29,7 @@ from repro.compressors.base import (
     Sizer,
     quantization_step,
 )
-from repro.encoding.bitstream import BitReader, BitWriter, pack_uint_array
+from repro.encoding.bitstream import BitReader, BitWriter
 from repro.obs import span
 from repro.utils.validation import as_float_array, check_error_bound, require_finite
 
@@ -132,13 +132,13 @@ class SZXCompressor(LossyCompressor):
             writer = BitWriter()
             writer.write_bit_array(const)
             # Constant blocks: the midpoint as raw float64 bits.
-            writer.write_packed(pack_uint_array(means[const].view(np.uint64), 64))
+            writer.write_uint_array(means[const].view(np.uint64), 64)
             if any_nc:
-                writer.write_packed(pack_uint_array(bmin[nc].view(np.uint64), 64))
-                writer.write_packed(pack_uint_array(w.astype(np.uint64), _K_BITS))
+                writer.write_uint_array(bmin[nc].view(np.uint64), 64)
+                writer.write_uint_array(w.astype(np.uint64), _K_BITS)
                 # Group payload by width for bulk packing.
                 for width in np.unique(w[w > 0]):
-                    writer.write_packed(pack_uint_array(q[w == width].ravel(), int(width)))
+                    writer.write_uint_array(q[w == width].ravel(), int(width))
             payload = writer.getvalue()
         return payload, {"n": n, "nblocks": nblocks, "block_size": bs}
 

@@ -91,12 +91,14 @@ class FrazSearch:
         """Search the error bound whose ratio matches ``target_ratio``.
 
         ``initial_eb`` warm-starts the search: instead of bracketing the
-        whole relative-eb range from both ends (the cold path, unchanged),
-        the guess is measured first and the bracket grows geometrically
-        *around it* in whichever direction the measured ratio missed. A
-        guess from a surrogate curve or a model prediction is usually
-        within a factor of a few of the answer, so the warm search spends
-        1–3 probes where the cold bracket spends its full budget.
+        whole relative-eb range from both ends (the cold start), the guess
+        is measured first and the bracket grows geometrically *from it* in
+        whichever direction the measured ratio missed. The step doubles
+        with each probe, so a guess off by three orders of magnitude
+        brackets in ~3 probes. A guess from a surrogate curve or a model
+        prediction is usually within a factor of a few of the answer, so
+        the warm search spends 1–3 probes where the cold bracket spends
+        its full budget.
         """
         if target_ratio <= 0:
             raise ValueError("target_ratio must be positive")
@@ -104,14 +106,14 @@ class FrazSearch:
             raise ValueError("initial_eb must be positive")
         arr = as_float_array(data)
         vrange = float(arr.max() - arr.min()) or 1.0
-        lo = lo_end = np.log(REL_EB_BRACKET[0] * vrange)
-        hi = hi_end = np.log(REL_EB_BRACKET[1] * vrange)
+        lo_end = np.log(REL_EB_BRACKET[0] * vrange)
+        hi_end = np.log(REL_EB_BRACKET[1] * vrange)
 
         start = time.perf_counter()
         size = self._codec.sizer(arr)
         history: list[tuple[float, float]] = []
         best: CompressionResult | None = None
-        best_eb = float(np.exp(0.5 * (lo + hi)))
+        best_eb = float(np.exp(0.5 * (lo_end + hi_end)))
         best_gap = np.inf
         converged = False
         reachable = True
@@ -137,23 +139,31 @@ class FrazSearch:
                 reachable = False
             return ratio
 
-        if initial_eb is not None:
-            self._warm_search(
-                run, float(initial_eb), lo, hi, target_ratio, history,
-                done=lambda: converged,
-            )
+        # One bracket-then-bisect loop: the first probe says which way the
+        # answer lies (``up``: ratio under target, so eb must grow), the
+        # bracket steps that way, doubling the step each probe and clamped
+        # to the bracket end, and bisects once a probe lands past the
+        # target. Cold starts at the low end with an unbounded step, so its
+        # second probe is the high end (taken even on a budget of one).
+        if initial_eb is None:
+            probe, step, budget = lo_end, np.inf, max(self.max_iterations, 2)
         else:
-            # Bracket ends first: a target outside the achievable range
-            # ends the search there (``run`` marks it unreachable).
-            run(lo)
-            if reachable and not converged:
-                run(hi)
-            while reachable and not converged and len(history) < self.max_iterations:
-                mid = 0.5 * (lo + hi)
-                if run(mid) < target_ratio:
-                    lo = mid
-                else:
-                    hi = mid
+            probe = float(np.clip(np.log(initial_eb), lo_end, hi_end))
+            step, budget = float(np.log(4.0)), self.max_iterations
+        up = run(probe) < target_ratio
+        lo, hi = (probe, None) if up else (None, probe)
+        while not converged and len(history) < budget:
+            if lo is None or hi is None:
+                if probe == (hi_end if up else lo_end):
+                    break  # the target lies past this end: ``run`` marked it unreachable
+                probe = min(probe + step, hi_end) if up else max(probe - step, lo_end)
+                step *= 2.0
+            else:
+                probe = 0.5 * (lo + hi)
+            if run(probe) < target_ratio:
+                lo = probe
+            else:
+                hi = probe
 
         if best is None:  # the best probe measured without encoding
             best = self._codec.compress(arr, best_eb)
@@ -168,62 +178,3 @@ class FrazSearch:
             history=history,
             reachable=reachable,
         )
-
-    def _warm_search(
-        self, run, initial_eb: float, lo_abs: float, hi_abs: float,
-        target_ratio: float, history: list, done,
-    ) -> None:
-        """Bracket geometrically around ``initial_eb``, then bisect.
-
-        The guess is measured first; the bracket then grows by a log step
-        that *doubles with each probe* in whichever direction the ratio
-        missed, clamped to the absolute :data:`REL_EB_BRACKET` ends, and the
-        usual bisection finishes inside it. Accelerating the step keeps
-        the probe count logarithmic in how wrong the guess is: a
-        guess off by three orders of magnitude brackets in ~3 probes
-        where a constant step would burn the whole budget walking. Every
-        probe goes through ``run`` (which tracks best/converged and
-        marks a miss at a bracket end unreachable); ``done()`` reads the
-        convergence flag.
-        """
-        grow = float(np.log(4.0))
-        log0 = float(np.clip(np.log(initial_eb), lo_abs, hi_abs))
-        r0 = run(log0)
-        if done():
-            return
-        if r0 < target_ratio:
-            # eb too small (ratio under target): expand upward.
-            lo, hi, probe = log0, None, log0
-            while hi is None and len(history) < self.max_iterations:
-                if probe >= hi_abs:
-                    return  # target beyond the achievable range; best is the end
-                probe = min(probe + grow, hi_abs)
-                grow *= 2.0
-                if run(probe) >= target_ratio:
-                    hi = probe
-                else:
-                    lo = probe
-                if done():
-                    return
-        else:
-            # eb too large (ratio over target): expand downward.
-            lo, hi, probe = None, log0, log0
-            while lo is None and len(history) < self.max_iterations:
-                if probe <= lo_abs:
-                    return
-                probe = max(probe - grow, lo_abs)
-                grow *= 2.0
-                if run(probe) < target_ratio:
-                    lo = probe
-                else:
-                    hi = probe
-                if done():
-                    return
-        if lo is None or hi is None:
-            return
-        while not done() and len(history) < self.max_iterations:
-            mid = 0.5 * (lo + hi)
-            if run(mid) < target_ratio:
-                lo = mid
-            else:
-                hi = mid

@@ -2,8 +2,9 @@
 
 Modules:
 
-- :mod:`repro.encoding.bitstream` — MSB-first bit writer/reader with bulk
-  (vectorized) paths used by the embedded coders.
+- :mod:`repro.encoding.bitstream` — MSB-first bit writer/reader; every
+  write is a bulk (vectorized) array operation, one per kind of field
+  (raw bits, fixed width, variable width, Elias gamma).
 - :mod:`repro.encoding.huffman` — canonical Huffman coding over integer
   symbol alphabets (SZ3's entropy stage).
 - :mod:`repro.encoding.lz77` — greedy hash-chain LZ77 byte compressor, the

@@ -1,19 +1,15 @@
 """MSB-first bitstream writer/reader.
 
 The embedded bit-plane coders (ZFP, SPERR) emit millions of individual bits;
-a per-bit Python loop would dominate compression time. The writer therefore
-buffers *numpy bool chunks* and only packs to bytes once, and both writer and
-reader expose bulk array operations (``write_bit_array``,
-``write_uint_array``, ``read_bit_array``) so hot paths stay vectorized.
-
-A second chunk kind is the *packed* chunk, ``(uint8 array, bit count)`` —
-already byte-packed bits, possibly ending mid-byte. :func:`pack_uint_array`
-builds one (an ``np.unpackbits`` byte-view pack, several times faster than
-the bit-broadcast of :meth:`BitWriter.write_uint_array`),
-:meth:`BitWriter.write_varlen_uint_array` builds one from variable-width
-values, and :meth:`BitWriter.write_packed` appends it;
-:meth:`BitWriter.getvalue` shift-merges the mixed chunk list in one
-vectorized pass per chunk.
+a per-bit Python loop would dominate compression time, so every write and
+read is a bulk array operation. The writer keeps one kind of chunk per kind
+of field: bool arrays for raw bits (:meth:`BitWriter.write_bit_array`), and
+*packed* runs, ``(uint8 array, bit count)`` — already byte-packed bits,
+possibly ending mid-byte — for fixed-width fields
+(:meth:`BitWriter.write_uint_array`, an ``np.unpackbits`` byte-view pack)
+and variable-width ones (:meth:`BitWriter.write_varlen_uint_array`, which
+Elias-gamma codes go through too). :meth:`BitWriter.getvalue` shift-merges
+the mixed chunk list in one vectorized pass per chunk.
 """
 
 from __future__ import annotations
@@ -51,28 +47,6 @@ def _container_dtype(nbits: int) -> tuple[str, int]:
     return ">u8", 64
 
 
-def pack_uint_array(values: np.ndarray, nbits: int) -> _Packed:
-    """Pack each value to a fixed ``nbits``-bit MSB-first field.
-
-    The bit-for-bit equivalent of :meth:`BitWriter.write_uint_array` for
-    bulk sections: values are viewed as big-endian bytes,
-    ``np.unpackbits`` expands them, and the leading container padding is
-    sliced off — byte traffic proportional to the container width instead
-    of one bool (1 byte) per output *bit*.
-    """
-    values = np.asarray(values, dtype=np.uint64).ravel()
-    if nbits <= 0 or values.size == 0:
-        return _Packed(np.zeros(0, dtype=np.uint8), 0)
-    if nbits > 64:
-        raise ValueError("nbits must be <= 64")
-    dtype, cbits = _container_dtype(nbits)
-    bits = np.unpackbits(
-        values.astype(dtype).view(np.uint8).reshape(values.size, cbits // 8), axis=1
-    )
-    field = bits[:, cbits - nbits :].ravel()
-    return _Packed(np.packbits(field), values.size * nbits)
-
-
 def window_values(packed: np.ndarray, nbits: int, width: int) -> np.ndarray:
     """``width``-bit MSB-first window value at every bit position.
 
@@ -106,10 +80,10 @@ def window_values(packed: np.ndarray, nbits: int, width: int) -> np.ndarray:
 class BitWriter:
     """Accumulates bits MSB-first and packs them into bytes on demand.
 
-    Chunks are either numpy bool arrays (one element per bit, from the
-    ``write_*`` methods) or :class:`_Packed` runs (already byte-packed,
-    from :meth:`write_packed`); :meth:`getvalue` shift-merges the mixed
-    list into one stream.
+    Chunks are either numpy bool arrays (one element per bit, from
+    :meth:`write_bit_array`) or :class:`_Packed` runs (already
+    byte-packed, from every other ``write_*``); :meth:`getvalue`
+    shift-merges the mixed list into one stream.
     """
 
     def __init__(self) -> None:
@@ -126,20 +100,6 @@ class BitWriter:
         """Size in bytes of the packed stream (final byte zero-padded)."""
         return (self._nbits + 7) // 8
 
-    def write_bits(self, value: int, nbits: int) -> None:
-        """Write the ``nbits`` least-significant bits of ``value``, MSB first."""
-        if nbits < 0:
-            raise ValueError("nbits must be >= 0")
-        if nbits == 0:
-            return
-        value = int(value)
-        if value < 0:
-            raise ValueError("write_bits takes non-negative values; encode sign separately")
-        shifts = np.arange(nbits - 1, -1, -1, dtype=np.uint64)
-        bits = (np.uint64(value) >> shifts) & np.uint64(1)
-        self._chunks.append(bits.astype(_BOOL))
-        self._nbits += nbits
-
     def write_bit_array(self, bits: np.ndarray) -> None:
         """Append a 1-D array interpreted as bits (nonzero = 1)."""
         arr = np.asarray(bits).astype(_BOOL, copy=False).ravel()
@@ -148,21 +108,30 @@ class BitWriter:
             self._nbits += arr.size
 
     def write_uint_array(self, values: np.ndarray, nbits: int) -> None:
-        """Write each value with a fixed width of ``nbits`` bits, MSB first."""
+        """Write each value with a fixed width of ``nbits`` bits, MSB first.
+
+        Only the low ``nbits`` bits of a value count. Values are viewed as
+        big-endian bytes of the smallest container that holds ``nbits``,
+        ``np.unpackbits`` expands them and the leading container padding
+        is sliced off — byte traffic proportional to the container width
+        instead of one bool (1 byte) per output *bit*.
+        """
+        _check_width(nbits)
         values = np.asarray(values, dtype=np.uint64).ravel()
         if nbits == 0 or values.size == 0:
             return
-        shifts = np.arange(nbits - 1, -1, -1, dtype=np.uint64)
-        bits = (values[:, None] >> shifts[None, :]) & np.uint64(1)
-        self._chunks.append(bits.astype(_BOOL).ravel())
-        self._nbits += values.size * nbits
+        dtype, cbits = _container_dtype(nbits)
+        bits = np.unpackbits(
+            values.astype(dtype).view(np.uint8).reshape(values.size, cbits // 8), axis=1
+        )
+        self._append(_Packed(np.packbits(bits[:, cbits - nbits :].ravel()), values.size * nbits))
 
     def write_varlen_uint_array(self, values: np.ndarray, lengths: np.ndarray) -> None:
         """Write ``values[i]`` with an individual width of ``lengths[i]`` bits.
 
-        The bulk analogue of calling ``write_bits(values[i], lengths[i])`` in
-        a loop, packed a 64-bit word at a time rather than a bool per bit:
-        a value lands in the word holding its first bit, shifted into
+        Only the low ``lengths[i]`` bits of a value count. Packed a 64-bit
+        word at a time rather than a bool per bit: a value lands in the
+        word holding its first bit, shifted into
         place, and the bits that do not fit spill into the next word (a
         value is at most 64 bits, so it never reaches a third). Values
         arrive in stream order, so all that share a word are adjacent and
@@ -196,30 +165,26 @@ class BitWriter:
         words[word[first]] = np.bitwise_or.reduceat(head, first)
         over = np.flatnonzero(room < 0)
         words[word[over] + 1] |= values[over] << (np.uint64(64) - spill[over])
-        self.write_packed(_Packed(words.astype(">u8").view(np.uint8), total))
+        self._append(_Packed(words.astype(">u8").view(np.uint8), total))
 
-    def write_unary(self, value: int) -> None:
-        """``value`` zero bits followed by a terminating one bit."""
-        value = int(value)
-        if value < 0:
-            raise ValueError("unary codes are defined for non-negative integers")
-        bits = np.zeros(value + 1, dtype=_BOOL)
-        bits[-1] = True
-        self._chunks.append(bits)
-        self._nbits += value + 1
+    def write_elias_gamma(self, values: np.ndarray | int) -> None:
+        """Elias-gamma code of each value ``>= 1`` (for unbounded counts).
 
-    def write_elias_gamma(self, value: int) -> None:
-        """Elias-gamma code for ``value >= 1`` (used for unbounded lengths)."""
-        value = int(value)
-        if value < 1:
+        The code of ``v`` is ``v`` itself in ``2 * bitlen(v) - 1`` bits:
+        ``bitlen(v) - 1`` zeros, then ``v`` in ``bitlen(v)`` bits (its
+        leading one ends the unary length prefix). Both fields go through
+        :meth:`write_varlen_uint_array`, so each stays within 64 bits for
+        any value up to ``2**64 - 1``.
+        """
+        values = np.asarray(values).ravel()
+        if (values < 1).any():  # before the uint64 cast, which would wrap or reject it
             raise ValueError("Elias gamma is defined for integers >= 1")
-        nbits = value.bit_length()
-        self.write_unary(nbits - 1)
-        if nbits > 1:
-            self.write_bits(value - (1 << (nbits - 1)), nbits - 1)
+        values = values.astype(np.uint64)
+        nbits = np.searchsorted(_POW2, values, side="right")  # bit length, exact to 2**64 - 1
+        fields = np.stack((np.zeros_like(values), values), axis=1)
+        self.write_varlen_uint_array(fields, np.stack((nbits - 1, nbits), axis=1))
 
-    def write_packed(self, packed: _Packed) -> None:
-        """Append a :class:`_Packed` run (see :func:`pack_uint_array`)."""
+    def _append(self, packed: _Packed) -> None:
         if packed.nbits:
             self._chunks.append(packed)
             self._nbits += packed.nbits
@@ -326,10 +291,6 @@ class BitReader:
         self._pos = start + n
         return start
 
-    def read_bit(self) -> int:
-        pos = self._advance(1)
-        return (self._raw[pos >> 3] >> (7 - (pos & 7))) & 1
-
     def read_bits(self, nbits: int) -> int:
         _check_width(nbits)
         if nbits == 0:
@@ -420,6 +381,9 @@ class BitReader:
             return 1
         return (1 << (nbits - 1)) + self.read_bits(nbits - 1)
 
+
+#: ``2**k`` for k in 0..63: a value's bit length is how many of them it reaches.
+_POW2 = np.uint64(1) << np.arange(64, dtype=np.uint64)
 
 #: Zero bytes after the payload: a 64-bit field at phase 7 spans nine
 #: bytes, so the 8-byte window at any data byte, and the byte after it,

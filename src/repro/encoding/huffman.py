@@ -18,8 +18,9 @@ chases only those anchors, all anchors then walk the single-step map in
 lockstep, and the symbols come out of one gather. Codes longer than the
 table window are resolved, for all positions that miss the table at
 once, through the canonical first-code arrays (codes of equal length are
-consecutive integers). :meth:`HuffmanCodec._decode_walk` is the
-tiny-stream path and the oracle the array path is tested against.
+consecutive integers). This one path serves every symbol count; the
+per-bit canonical walk it replaced is kept in ``tests/encoding_oracle.py``
+as the reference it is tested against.
 """
 
 from __future__ import annotations
@@ -206,9 +207,9 @@ class HuffmanCodec:
 
         The stream is read as if zero-padded, and running past its end
         is an ``EOFError`` — a window no code matches a ``ValueError`` —
-        raised for the first code that fails. Streams of at most 64
-        symbols take the per-bit reference walk; everything else is
-        array passes plus ``ceil(count / 2**_HOPS)`` Python steps.
+        raised for the first code that fails. Array passes over the
+        rest of the stream plus ``ceil(count / 2**_HOPS)`` Python steps,
+        for any ``count``.
         """
         count = int(count)
         if count < 0:
@@ -218,8 +219,6 @@ class HuffmanCodec:
             if count:
                 raise ValueError("cannot decode with an empty codebook")
             return np.zeros(0, dtype=np.int64)
-        if count <= 64:
-            return self._decode_walk(reader, count)
         sym_table, len_table = self._tables()
         width = min(int(sorted_lens[-1]), _TABLE_BITS)
         has_long = bool(sorted_lens[-1] > width)
@@ -303,22 +302,6 @@ class HuffmanCodec:
             len_table[:filled] = np.repeat(sorted_lens[:n_short], spans)
             self._decode_tables = sym_table, len_table
         return self._decode_tables
-
-    def _decode_walk(self, reader: BitReader, count: int) -> np.ndarray:
-        """Canonical per-length walk (handles arbitrarily long codes)."""
-        sorted_syms, sorted_lens, first_code, first_rank, counts = self._canonical_arrays()
-        max_len = int(sorted_lens[-1])
-        out = np.empty(count, dtype=np.int64)
-        for i in range(count):
-            code = 0
-            for L in range(1, max_len + 1):
-                code = (code << 1) | reader.read_bit()
-                if counts[L] and code - first_code[L] < counts[L] and code >= first_code[L]:
-                    out[i] = sorted_syms[first_rank[L] + (code - first_code[L])]
-                    break
-            else:
-                raise ValueError("invalid Huffman stream")
-        return out
 
 
 def _gather(table: np.ndarray, index: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

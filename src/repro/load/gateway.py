@@ -283,17 +283,7 @@ class Gateway:
             try:
                 outcomes = await self._predict(requests)
             except Exception as exc:  # noqa: BLE001 - failures belong to the callers
-                if len(requests) == 1:
-                    outcomes = [exc]
-                else:
-                    # one bad request must not fail its neighbours: serve
-                    # each alone, so every caller gets its own outcome
-                    outcomes = []
-                    for request in requests:
-                        try:
-                            outcomes += await self._predict([request])
-                        except Exception as one:  # noqa: BLE001
-                            outcomes.append(one)
+                outcomes = await self._split(requests, exc)
         for (_, _, future, _), outcome in zip(batch, outcomes):
             self._pending -= 1
             if isinstance(outcome, Exception):
@@ -304,6 +294,27 @@ class Gateway:
                 self._completed += 1
                 if not future.cancelled():
                     future.set_result(outcome)
+
+    async def _split(self, requests: list, exc: Exception) -> list:
+        """Outcomes of ``requests``, whose ``predict_batch`` raised ``exc``.
+
+        One bad request must not fail its neighbours, nor cost a call per
+        neighbour: the batch is served again in halves, a failing half
+        split the same way, so a request that fails alone gets its own
+        exception after about ``2 * log2(n) + 1`` calls (17 for one in
+        256). Rows are independent, so every other caller gets what the
+        whole batch would have given it.
+        """
+        if len(requests) == 1:
+            return [exc]
+        mid = len(requests) // 2
+        outcomes = []
+        for half in (requests[:mid], requests[mid:]):
+            try:
+                outcomes += await self._predict(half)
+            except Exception as one:  # noqa: BLE001
+                outcomes += await self._split(half, one)
+        return outcomes
 
     # -- introspection -----------------------------------------------------------
 

@@ -87,10 +87,3 @@ class GradientBoostingRegressor:
         for tree in self.trees:
             out += self.learning_rate * tree.predict(X)
         return out[0] if single else out
-
-    def score(self, X: np.ndarray, y: np.ndarray) -> float:
-        y = np.asarray(y, dtype=np.float64).ravel()
-        pred = self.predict(X)
-        ss_res = float(((y - pred) ** 2).sum())
-        ss_tot = float(((y - y.mean()) ** 2).sum())
-        return 1.0 - ss_res / ss_tot if ss_tot > 0 else 0.0

@@ -202,11 +202,3 @@ class RandomForestRegressor:
             X = X[None, :]
         mean, std = self._reduce(X, std=True)
         return (mean[0], std[0]) if single else (mean, std)
-
-    def score(self, X: np.ndarray, y: np.ndarray) -> float:
-        """Coefficient of determination R^2 (higher is better)."""
-        y = np.asarray(y, dtype=np.float64).ravel()
-        pred = self.predict(X)
-        ss_res = float(((y - pred) ** 2).sum())
-        ss_tot = float(((y - y.mean()) ** 2).sum())
-        return 1.0 - ss_res / ss_tot if ss_tot > 0 else 0.0

@@ -49,5 +49,13 @@ def cross_val_score(
     for train, test in splitter.split(X.shape[0]):
         model = model_factory()
         model.fit(X[train], y[train])
-        scores.append(model.score(X[test], y[test]))
+        scores.append(r2_score(y[test], model.predict(X[test])))
     return np.array(scores)
+
+
+def r2_score(y: np.ndarray, pred: np.ndarray) -> float:
+    """Coefficient of determination R^2 of ``pred`` against float64 ``y``
+    (higher is better; 0 when ``y`` is constant)."""
+    ss_res = float(((y - pred) ** 2).sum())
+    ss_tot = float(((y - y.mean()) ** 2).sum())
+    return 1.0 - ss_res / ss_tot if ss_tot > 0 else 0.0

@@ -61,10 +61,3 @@ class KNeighborsRegressor:
             w = 1.0 / np.sqrt(d2[rows, idx] + 1e-12)
             out = (self._y[idx] * w).sum(axis=1) / w.sum(axis=1)
         return out[0:1][0] if single else out
-
-    def score(self, X: np.ndarray, y: np.ndarray) -> float:
-        y = np.asarray(y, dtype=np.float64).ravel()
-        pred = self.predict(X)
-        ss_res = float(((y - pred) ** 2).sum())
-        ss_tot = float(((y - y.mean()) ** 2).sum())
-        return 1.0 - ss_res / ss_tot if ss_tot > 0 else 0.0

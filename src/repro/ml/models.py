@@ -3,8 +3,9 @@
 The paper's conclusion proposes "utilizing different machine learning
 models"; this registry lets the frameworks swap the regressor while keeping
 the same trainer (grid search or Bayesian optimization), since every model
-exposes ``fit`` / ``predict`` / ``score`` / ``get_params`` and has a
-matching hyper-parameter search space.
+exposes ``fit`` / ``predict`` / ``get_params`` (cross-validation scores
+its predictions with :func:`repro.ml.kfold.r2_score`) and has a matching
+hyper-parameter search space.
 """
 
 from __future__ import annotations

@@ -46,9 +46,6 @@ class BitReader:
         self._pos += n
         return out
 
-    def read_bit(self) -> int:
-        return int(self._take(1)[0])
-
     def read_bits(self, nbits: int) -> int:
         if nbits == 0:
             return 0

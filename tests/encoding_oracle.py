@@ -2,11 +2,11 @@
 verbatim as the test-side reference.
 
 Each function here is a copy of the implementation that
-:mod:`repro.encoding.lz77`, :mod:`repro.encoding.huffman` and
-:mod:`repro.encoding.range_coder` replaced. The vectorized encoders
-promise *identical output streams*: the property tests
-(``tests/test_property_encoding.py::TestVectorizedMatchesReference`` and
-``TestHuffmanDecoderEquivalence``) diff every stream, decoded symbol and
+:mod:`repro.encoding.bitstream`, :mod:`repro.encoding.lz77`,
+:mod:`repro.encoding.huffman` and :mod:`repro.encoding.range_coder`
+replaced. The vectorized encoders promise *identical output streams*:
+the property tests (``tests/test_property_encoding.py``,
+``tests/test_bitstream.py``) diff every stream, decoded symbol and
 reader position against these oracles and fail on a single differing
 byte. Nothing in the package imports this module.
 """
@@ -22,6 +22,55 @@ from repro.encoding.lz77 import _match_length, _write_varint
 
 _MIN_MATCH = 4
 _WINDOW = 1 << 16
+
+
+# -- bit writer ---------------------------------------------------------------
+#
+# The writer's per-call bodies before it kept one fixed-width path: each
+# lays its bits down as one bool chunk, as the old methods appended them.
+
+
+def write_bits_reference(writer: BitWriter, value: int, nbits: int) -> None:
+    """Old ``BitWriter.write_bits``: the ``nbits`` low bits of ``value``."""
+    if nbits < 0:
+        raise ValueError("nbits must be >= 0")
+    if nbits == 0:
+        return
+    value = int(value)
+    if value < 0:
+        raise ValueError("write_bits takes non-negative values; encode sign separately")
+    shifts = np.arange(nbits - 1, -1, -1, dtype=np.uint64)
+    writer.write_bit_array((np.uint64(value) >> shifts) & np.uint64(1))
+
+
+def write_uint_array_reference(writer: BitWriter, values: np.ndarray, nbits: int) -> None:
+    """Old ``BitWriter.write_uint_array``: one bool per output bit."""
+    values = np.asarray(values, dtype=np.uint64).ravel()
+    if nbits == 0 or values.size == 0:
+        return
+    shifts = np.arange(nbits - 1, -1, -1, dtype=np.uint64)
+    writer.write_bit_array(((values[:, None] >> shifts[None, :]) & np.uint64(1)).ravel())
+
+
+def write_unary_reference(writer: BitWriter, value: int) -> None:
+    """Old ``BitWriter.write_unary``: ``value`` zeros, then a one."""
+    value = int(value)
+    if value < 0:
+        raise ValueError("unary codes are defined for non-negative integers")
+    bits = np.zeros(value + 1, dtype=bool)
+    bits[-1] = True
+    writer.write_bit_array(bits)
+
+
+def write_elias_gamma_reference(writer: BitWriter, value: int) -> None:
+    """Old ``BitWriter.write_elias_gamma``: unary length, then the low bits."""
+    value = int(value)
+    if value < 1:
+        raise ValueError("Elias gamma is defined for integers >= 1")
+    nbits = value.bit_length()
+    write_unary_reference(writer, nbits - 1)
+    if nbits > 1:
+        write_bits_reference(writer, value - (1 << (nbits - 1)), nbits - 1)
 
 
 # -- LZ77 --------------------------------------------------------------------
@@ -155,8 +204,28 @@ def _slow_entries(codec) -> dict[int, dict[int, int]]:
     return slow
 
 
+def huffman_decode_walk(codec, reader: BitReader, count: int) -> np.ndarray:
+    """Old ``HuffmanCodec._decode_walk``: canonical per-length walk, one
+    bit at a time (handles arbitrarily long codes); the decoder's path
+    for streams of at most 64 symbols before the table path took them."""
+    sorted_syms, sorted_lens, first_code, first_rank, counts = codec._canonical_arrays()
+    max_len = int(sorted_lens[-1])
+    out = np.empty(count, dtype=np.int64)
+    for i in range(count):
+        code = 0
+        for L in range(1, max_len + 1):
+            code = (code << 1) | reader.read_bits(1)
+            if counts[L] and code - first_code[L] < counts[L] and code >= first_code[L]:
+                out[i] = sorted_syms[first_rank[L] + (code - first_code[L])]
+                break
+        else:
+            raise ValueError("invalid Huffman stream")
+    return out
+
+
 def huffman_decode_reference(codec, reader: BitReader, count: int) -> np.ndarray:
-    """Original hybrid decoder: per-position window tables + scalar chase.
+    """Original hybrid decoder: per-position window tables + scalar chase,
+    after the walk for streams of at most 64 symbols.
 
     One Python loop iteration per symbol, with the per-symbol dict fallback
     for codes longer than the 16-bit window.
@@ -168,7 +237,7 @@ def huffman_decode_reference(codec, reader: BitReader, count: int) -> np.ndarray
             raise ValueError("cannot decode with an empty codebook")
         return np.zeros(0, dtype=np.int64)
     if count <= 64:
-        return codec._decode_walk(reader, count)
+        return huffman_decode_walk(codec, reader, count)
     max_len = min(int(lengths[present].max()), _TABLE_BITS)
 
     sym_table, len_table = codec._tables()

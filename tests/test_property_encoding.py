@@ -28,9 +28,12 @@ class TestBitstreamProperties:
     @given(st.lists(st.tuples(st.integers(0, 2**32 - 1), st.integers(1, 48)), max_size=40))
     @settings(**_SETTINGS)
     def test_any_sequence_round_trips(self, items):
-        w = BitWriter()
+        w, ref = BitWriter(), BitWriter()
+        values = np.array([value for value, _ in items], dtype=np.uint64)
+        w.write_varlen_uint_array(values, np.array([width for _, width in items], dtype=np.int64))
         for value, width in items:
-            w.write_bits(value & ((1 << width) - 1), width)
+            reference.write_bits_reference(ref, value & ((1 << width) - 1), width)
+        assert w.getvalue() == ref.getvalue()
         r = BitReader(w.getvalue())
         for value, width in items:
             assert r.read_bits(width) == value & ((1 << width) - 1)
@@ -103,7 +106,7 @@ def _fuzz_streams(rng: np.random.Generator) -> dict[str, np.ndarray]:
         "all_equal": np.full(500, 7, dtype=np.int64),
         "incompressible": rng.permutation(4096).astype(np.int64),
         "skewed": skewed,  # SZ3-like: one dominant symbol, geometric tails
-        "tiny": rng.integers(0, 5, size=3).astype(np.int64),  # below table path
+        "tiny": rng.integers(0, 5, size=3).astype(np.int64),  # the walk is the reference
     }
 
 
@@ -194,20 +197,20 @@ class TestVectorizedMatchesReference:
         np.testing.assert_array_equal(out, syms)
 
     def test_bitstream_bulk_matches_scalar(self, property_rng):
-        # Bulk uint-array writes must lay down exactly the bits the scalar
-        # write_bits path lays down, at every misalignment.
+        # Bulk uint-array writes must lay down exactly the bits the old
+        # scalar write_bits laid down, at every misalignment.
         widths = property_rng.integers(1, 49, size=30)
         values = [
             property_rng.integers(0, 1 << int(w), size=17, dtype=np.uint64)
             for w in widths
         ]
         w_bulk, w_scalar = BitWriter(), BitWriter()
-        w_bulk.write_bits(1, 3)  # misalign both streams identically
-        w_scalar.write_bits(1, 3)
+        for writer in (w_bulk, w_scalar):  # misalign both streams identically
+            reference.write_bits_reference(writer, 1, 3)
         for w, vals in zip(widths, values):
             w_bulk.write_uint_array(vals, int(w))
             for v in vals.tolist():
-                w_scalar.write_bits(int(v), int(w))
+                reference.write_bits_reference(w_scalar, int(v), int(w))
         assert w_bulk.getvalue() == w_scalar.getvalue()
         r = BitReader(w_bulk.getvalue())
         assert r.read_bits(3) == 1
@@ -231,7 +234,7 @@ class TestVectorizedMatchesReference:
             )
 
 
-# -- the data-parallel Huffman decoder against its two oracles ------------------
+# -- the data-parallel Huffman decoder against its two oracles -----------------
 
 
 def _decoder_alphabets(
@@ -274,13 +277,12 @@ def _assert_same_outcome(got, want, where):
         assert got[1] == want[1], where
 
 
-def _walk(codec, reader, count):
-    return codec._decode_walk(reader, count)
-
-
 class TestHuffmanDecoderEquivalence:
-    """``HuffmanCodec.decode`` == ``huffman_decode_reference`` ==
-    ``_decode_walk``: same symbols, same cursor, same exception type."""
+    """``HuffmanCodec.decode`` == ``huffman_decode_reference`` (the
+    decoder before the table path took every count: the per-bit walk up
+    to 64 symbols, the hybrid table decoder past that) ==
+    ``huffman_decode_walk``: same symbols, same cursor, same exception
+    type."""
 
     @pytest.mark.parametrize("name", ["uniform", "dominant", "geometric", "single", "deep", "long"])
     def test_counts_and_offsets(self, property_rng, name):
@@ -289,12 +291,12 @@ class TestHuffmanDecoderEquivalence:
         syms = property_rng.choice(p.size, size=total, p=p).astype(np.int64)
         w = BitWriter()
         codec.encode(syms, w)
-        ends = np.cumsum(codec.lengths[syms])
+        ends = np.r_[0, np.cumsum(codec.lengths[syms])]  # where code i ends: ends[i + 1]
         hop = 1 << _HOPS
         for start in (0, 3, 13):
             # No byte padding: the reader holds the junk prefix and the codes.
             bits = np.concatenate((property_rng.integers(0, 2, size=start).astype(bool), w.bits()))
-            for count in (65, 16 * hop - 1, 16 * hop, 16 * hop + 1, total, total + 1):
+            for count in (0, 1, 8, 64, 65, 16 * hop - 1, 16 * hop, 16 * hop + 1, total, total + 1):
                 got = _outcome(HuffmanCodec.decode, codec, bits, start, count)
                 ref = _outcome(reference.huffman_decode_reference, codec, bits, start, count)
                 _assert_same_outcome(got, ref, (name, start, count))
@@ -302,9 +304,9 @@ class TestHuffmanDecoderEquivalence:
                     assert got is EOFError
                     continue
                 np.testing.assert_array_equal(got[0], syms[:count])
-                assert got[1] == start + ends[count - 1]  # exactly after the last code
+                assert got[1] == start + ends[count]  # exactly after the last code
                 if count < 1000:  # the per-bit walk is slow
-                    walk = _outcome(_walk, codec, bits, start, count)
+                    walk = _outcome(reference.huffman_decode_walk, codec, bits, start, count)
                     _assert_same_outcome(walk, got, (name, start, count, "walk"))
 
     @pytest.mark.parametrize("name", ["uniform", "dominant", "geometric", "single", "deep", "long"])
@@ -333,6 +335,31 @@ class TestHuffmanDecoderEquivalence:
         if name in ("single", "long"):  # incomplete codes: a flip can leave no code at all
             assert ValueError in seen
 
+
+    @pytest.mark.parametrize("name", ["uniform", "dominant", "geometric", "single", "deep"])
+    def test_short_damaged_streams_fail_like_the_walk(self, property_rng, name):
+        # Up to 64 symbols the decoder used to be the walk. On these
+        # codebooks it fails where, and as, the table path does: every
+        # window of a complete code names a symbol, and "single" has one
+        # code of one bit. (On "long", an incomplete codebook of long
+        # codes, they differ within 48 bits of the end: the walk calls an
+        # unmatched window invalid after the longest code, the table path
+        # only once 49 bits were there to look at.)
+        codec, p = _decoder_alphabets(property_rng)[name]
+        syms = property_rng.choice(p.size, size=64, p=p).astype(np.int64)
+        w = BitWriter()
+        codec.encode(syms, w)
+        payload = w.getvalue()
+        flips = property_rng.integers(0, 8, size=len(payload))
+        for pos in range(len(payload)):
+            buf = bytearray(payload)
+            buf[pos] ^= 1 << int(flips[pos])
+            for blob in (payload[:pos], bytes(buf)):
+                bits = np.unpackbits(np.frombuffer(blob, dtype=np.uint8)).astype(bool)
+                for count in (1, 8, 64):
+                    got = _outcome(HuffmanCodec.decode, codec, bits, 0, count)
+                    walk = _outcome(reference.huffman_decode_walk, codec, bits, 0, count)
+                    _assert_same_outcome(got, walk, (name, pos, count))
 
     def test_unmatched_long_window_is_eof_until_49_bits_remain(self, property_rng):
         # A window no code of up to _MAX_CODE_LEN bits matches is "invalid"

@@ -362,6 +362,34 @@ def test_every_codec_knob_is_pinned():
         )
 
 
+#: The public methods and properties of the bit writer and reader. The
+#: writer keeps one method per kind of field (raw bits, fixed width,
+#: variable width, Elias gamma), the reader one per kind it reads, so a
+#: second writer for a kind already served is an edit here, as a new
+#: codec keyword is.
+BIT_IO_API = {
+    "BitWriter": {
+        "bit_length", "byte_length", "write_bit_array", "write_uint_array",
+        "write_varlen_uint_array", "write_elias_gamma", "bits", "getvalue",
+    },
+    "BitReader": {
+        "position", "remaining", "read_bits", "read_bit_array", "read_uint_array",
+        "read_unary", "read_elias_gamma",
+    },
+}
+
+
+def test_bit_io_surface_is_pinned():
+    from repro.encoding import bitstream
+
+    for name, pinned in BIT_IO_API.items():
+        api = {attr for attr in vars(getattr(bitstream, name)) if not attr.startswith("_")}
+        assert api == pinned, (
+            f"{name}: added {sorted(api - pinned)}, removed {sorted(pinned - api)} "
+            "— edit BIT_IO_API with the change"
+        )
+
+
 #: Every keyword of each ``get_surrogate`` factory. An estimator runs at
 #: the sampling Table 1 gives it; ``stride`` stays on szx and sz3 because
 #: ``ablation_sampling`` sweeps it, so a new estimator knob is an edit here.
