@@ -36,13 +36,8 @@ class CuSZpCompressor(LossyCompressor):
 
     name = "cuszp"
 
-    def __init__(self, block_size: int = BLOCK) -> None:
-        if block_size < 2:
-            raise ValueError("block_size must be >= 2")
-        self.block_size = int(block_size)
-
     def _compress(self, data: np.ndarray, error_bound: float) -> tuple[bytes, dict]:
-        bs = self.block_size
+        bs = BLOCK
         step = quantization_step(error_bound)
         q = np.rint(data.ravel() / step)
         if (np.abs(q) >= 2**52).any():
@@ -79,7 +74,9 @@ class CuSZpCompressor(LossyCompressor):
     def _decompress(self, payload: bytes, metadata: dict) -> np.ndarray:
         n = int(metadata["n"])
         nblocks = int(metadata["nblocks"])
-        bs = int(metadata.get("block_size", self.block_size))
+        if "block_size" not in metadata:
+            raise ValueError("cuszp stream metadata has no 'block_size' field")
+        bs = int(metadata["block_size"])
         eb = float(metadata["error_bound"])
         step = quantization_step(eb)
         reader = BitReader(payload)

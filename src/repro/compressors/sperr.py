@@ -30,19 +30,15 @@ from repro.transforms.wavelet import cdf97_forward, cdf97_inverse, max_levels
 
 _CORR_BITS = 8  # signed correction codes in [-127, 127]
 _CORR_MAX = 127
+# qstep = _QUANT_FACTOR * eb; a smaller factor means fewer outliers but
+# more coded planes. 0.5 mirrors SPERR's default headroom.
+_QUANT_FACTOR = 0.5
 
 
 class SPERRCompressor(LossyCompressor):
     """Wavelet-based high-ratio compressor with guaranteed error bound."""
 
     name = "sperr"
-
-    def __init__(self, quant_factor: float = 0.5) -> None:
-        # qstep = quant_factor * eb; smaller factor = fewer outliers but more
-        # coded planes. 0.5 mirrors SPERR's default headroom.
-        if not 0.0 < quant_factor <= 1.0:
-            raise ValueError("quant_factor must be in (0, 1]")
-        self.quant_factor = float(quant_factor)
 
     def _quantize(self, coefs: np.ndarray, qstep: float) -> tuple[np.ndarray, np.ndarray]:
         mag = np.floor(np.abs(coefs) / qstep).astype(np.int64)
@@ -54,7 +50,7 @@ class SPERRCompressor(LossyCompressor):
 
     def _compress(self, data: np.ndarray, error_bound: float) -> tuple[bytes, dict]:
         levels = max_levels(data.shape)
-        qstep = self.quant_factor * error_bound
+        qstep = _QUANT_FACTOR * error_bound
         with span("compressor.stage.predict", codec=self.name):
             coefs = cdf97_forward(data, levels)
         with span("compressor.stage.quantize", codec=self.name):

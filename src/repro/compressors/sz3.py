@@ -112,8 +112,10 @@ class SZ3Compressor(LossyCompressor):
         self.entropy = entropy
 
     def _stream_entropy(self, metadata: dict) -> str:
-        """The coder the stream names; this instance's when it names none."""
-        entropy = metadata.get("entropy", self.entropy)
+        """The coder the stream names (every sz3 stream names one)."""
+        if "entropy" not in metadata:
+            raise ValueError("sz3 stream metadata has no 'entropy' field")
+        entropy = metadata["entropy"]
         if entropy not in _ENTROPIES:
             raise ValueError(f"unknown entropy coder {entropy!r} in sz3 stream metadata")
         return entropy

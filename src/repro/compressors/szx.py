@@ -97,20 +97,15 @@ class SZXCompressor(LossyCompressor):
 
     name = "szx"
 
-    def __init__(self, block_size: int = BLOCK) -> None:
-        if block_size < 2:
-            raise ValueError("block_size must be >= 2")
-        self.block_size = int(block_size)
-
     def sizer(self, data: np.ndarray) -> Sizer:
         arr = as_float_array(data)
         require_finite(arr)
-        return _ClosedFormSizer(arr, self.block_size)
+        return _ClosedFormSizer(arr, BLOCK)
 
     # -- encoding ---------------------------------------------------------
 
     def _compress(self, data: np.ndarray, error_bound: float) -> tuple[bytes, dict]:
-        bs = self.block_size
+        bs = BLOCK
         flat = data.ravel()
         n = flat.size
 
@@ -147,7 +142,9 @@ class SZXCompressor(LossyCompressor):
     def _decompress(self, payload: bytes, metadata: dict) -> np.ndarray:
         n = int(metadata["n"])
         nblocks = int(metadata["nblocks"])
-        bs = int(metadata.get("block_size", self.block_size))
+        if "block_size" not in metadata:
+            raise ValueError("szx stream metadata has no 'block_size' field")
+        bs = int(metadata["block_size"])
         eb = float(metadata["error_bound"])
         reader = BitReader(payload)
 

@@ -43,19 +43,10 @@ class Controller:
     ``framework`` is a fitted
     :class:`~repro.core.framework.RatioControlledFramework` (anything
     with its ``predict_error_bound`` and ``compressor_name``).
-    ``feedback``, if given, receives **every** T2 probe measurement as a
-    ground-truth observation.
     """
 
-    def __init__(
-        self,
-        framework,
-        *,
-        options: ControlOptions | None = None,
-        feedback=None,
-    ) -> None:
+    def __init__(self, framework, *, options: ControlOptions | None = None) -> None:
         self.options = options or ControlOptions()
-        self.feedback = feedback
         self.framework = _require_framework(framework)
         self._surrogate = None
         self._search: FrazSearch | None = None
@@ -196,23 +187,15 @@ class Controller:
             inference_seconds=0.0,
         )
 
-    def refine(
-        self,
-        data: np.ndarray,
-        target_ratio: float,
-        *,
-        initial_eb: float,
-        features: np.ndarray | None = None,
-    ) -> FrazResult:
+    def refine(self, data: np.ndarray, target_ratio: float, *, initial_eb: float) -> FrazResult:
         """T2: warm-started search against the real compressor.
 
         Runs strictly in-process (never on a worker pool), so escalated
-        chunks cost the same bytes for every worker count. Every probe's
-        ``(eb, ratio)`` measurement is logged into the feedback loop when
-        one is attached and ``features`` are known — the caller should
-        then *not* log the chunk again. Probes go through the codec's
-        sizer, so they are exact but not necessarily compressions: the
-        stats count both (``probes_spent`` vs ``compressions_spent``).
+        chunks cost the same bytes for every worker count. Probes go
+        through the codec's sizer, so they are exact but not necessarily
+        compressions: the stats count both (``probes_spent`` vs
+        ``compressions_spent``), and the result's ``history`` keeps every
+        probe's ``(eb, ratio)`` for the caller to learn from.
         """
         codec = self.framework.compressor_name
         if self._search is None or self._search_codec != codec:
@@ -228,11 +211,6 @@ class Controller:
         self._compressions += fraz.n_compressions
         self._probes += fraz.n_probes
         self._unreachable += int(not fraz.reachable)
-        if self.feedback is not None and features is not None:
-            feats = np.asarray(features, dtype=np.float64)
-            if feats.size:
-                for eb, ratio in fraz.history:
-                    self.feedback.record(feats, eb, ratio, target_ratio)
         return fraz
 
     # -- introspection -----------------------------------------------------------

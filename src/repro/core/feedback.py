@@ -9,9 +9,10 @@ that cost nothing extra to measure.
 
 :class:`FeedbackLoop` buffers those observations and, once enough accumulate
 (or the rolling accuracy degrades past a threshold), folds them into the
-framework's training data and re-trains — warm-started via the Bayesian
-optimizer's checkpoint when the framework supports it (CAROL does; FXRZ's
-grid search retrains from scratch, the exact asymmetry the paper motivates).
+framework's training data through the update step that ``refine`` runs —
+warm-started via the Bayesian optimizer's checkpoint when the framework
+has one (CAROL does; FXRZ's grid search retrains from scratch, the exact
+asymmetry the paper motivates).
 """
 
 from __future__ import annotations
@@ -136,25 +137,11 @@ class FeedbackLoop:
         return data
 
     def refresh(self) -> None:
-        """Fold pending feedback into the model and re-train."""
+        """Fold pending feedback into the model: the framework's own warm
+        update step, on the pending rows."""
         if not self._pending:
             return
-        fw = self.framework
-        fresh = self.pending_training_data()
-        if fw.training_data is None:
-            fw.training_data = fresh
-        else:
-            fw.training_data = fw.training_data.merge(fresh)
-        checkpoint = fw.model.checkpoint  # None for FXRZ: cold re-train
-        fw.model.fit(
-            fw.training_data,
-            method=fw.training_method,
-            space=fw.space,
-            n_iter=max(fw.n_iter // 2, 3) if checkpoint else fw.n_iter,
-            cv=fw.cv,
-            seed=fw.seed,
-            checkpoint=checkpoint,
-        )
+        self.framework._train(self.pending_training_data(), warm=True)
         self._pending.clear()
         self.refreshes += 1
 

@@ -166,9 +166,9 @@ class RatioControlledFramework:
 
     # -- setup ------------------------------------------------------------------
 
-    def fit(self, fields, checkpoint: list | None = None) -> SetupReport:
-        """Collect training data and train the error-bound model."""
-        return self._run_setup(list(fields), checkpoint=checkpoint, merge=False)
+    def fit(self, fields) -> SetupReport:
+        """Collect training data and train the error-bound model cold."""
+        return self._run_setup(list(fields), warm=False)
 
     def refine(self, new_fields) -> SetupReport:
         """Incrementally refine the model with newly arrived fields.
@@ -177,17 +177,14 @@ class RatioControlledFramework:
         training set, and re-trains. Trainers that checkpoint (CAROL's
         Bayesian optimizer) warm-start from the previous search's
         observations — the "checkpointing of the training process" of
-        Section 5.3; non-resumable trainers (FXRZ's grid search) simply
-        re-search on the merged data. Falls back to :meth:`fit` when
-        nothing has been collected yet.
+        Section 5.3 — including a framework reloaded by
+        :func:`repro.utils.serialization.load_framework`, whose archive
+        carries the checkpoint but no training rows; non-resumable
+        trainers (FXRZ's grid search) simply re-search on the merged data.
         """
-        if self.training_data is None:
-            return self.fit(new_fields)
-        return self._run_setup(
-            list(new_fields), checkpoint=self.model.checkpoint, merge=True
-        )
+        return self._run_setup(list(new_fields), warm=True)
 
-    def _run_setup(self, fields, checkpoint: list | None, merge: bool) -> SetupReport:
+    def _run_setup(self, fields, *, warm: bool) -> SetupReport:
         with timed_span(
             "fit.collection",
             framework=self.name,
@@ -195,20 +192,42 @@ class RatioControlledFramework:
             mode=self.collection_mode,
             n_fields=len(fields),
         ) as sp_collect:
-            collector = self._make_collector()
-            fresh = collector.collect(fields)
-        self.training_data = self.training_data.merge(fresh) if merge else fresh
+            fresh = self._make_collector().collect(fields)
+        training_seconds = self._train(fresh, warm=warm)
+        self.setup_report = SetupReport(
+            framework=self.name,
+            compressor=self.compressor_name,
+            collection_seconds=sp_collect.elapsed,
+            training_seconds=training_seconds,
+            n_rows=self.training_data.n_rows,
+            training_info=self.model.info,
+        )
+        return self.setup_report
 
+    def _train(self, fresh: TrainingData, *, warm: bool) -> float:
+        """The one update step; returns its seconds.
+
+        A cold step trains on ``fresh`` alone. A warm step merges
+        ``fresh`` into the training set (which it becomes when there is
+        none) and starts from the model's checkpoint when it has one.
+        Either way the model trains with this framework's own method,
+        space, budget, seed and model kind — :meth:`fit`, :meth:`refine`
+        and :class:`repro.core.feedback.FeedbackLoop` all end here.
+        """
+        data = fresh
+        if warm and self.training_data is not None:
+            data = self.training_data.merge(fresh)
+        checkpoint = self.model.checkpoint if warm else None
         with timed_span(
             "fit.training",
             framework=self.name,
             method=self.training_method,
             model_kind=self.model_kind,
-            n_rows=self.training_data.n_rows,
+            n_rows=data.n_rows,
             warm_start=checkpoint is not None,
-        ) as sp_train:
+        ) as sp:
             self.model.fit(
-                self.training_data,
+                data,
                 method=self.training_method,
                 space=self.space,
                 n_iter=self.n_iter,
@@ -217,15 +236,8 @@ class RatioControlledFramework:
                 checkpoint=checkpoint,
                 model_kind=self.model_kind,
             )
-        self.setup_report = SetupReport(
-            framework=self.name,
-            compressor=self.compressor_name,
-            collection_seconds=sp_collect.elapsed,
-            training_seconds=sp_train.elapsed,
-            n_rows=self.training_data.n_rows,
-            training_info=self.model.info,
-        )
-        return self.setup_report
+        self.training_data = data
+        return sp.elapsed
 
     # -- inference -----------------------------------------------------------------
 

@@ -26,9 +26,10 @@ service is fastest at, while refusing to melt under overload:
   (``tests/test_load.py::TestCoalescingDeterminism`` gates on exactly
   this);
 - **failure isolation** — when ``predict_batch`` raises, the batch's
-  requests (up to ``max_pending`` of them) are served again one at a
-  time, so a bad request (an empty array, a non-finite field) fails
-  alone and its neighbours still get their predictions.
+  requests are served again in halves, a failing half split the same
+  way, so a bad request (an empty array, a non-finite field) fails alone
+  after about ``2 * log2(n) + 1`` calls (17 for one in 256) and its
+  neighbours still get their predictions.
 
 Batches execute on a dedicated single-thread executor, so the event
 loop keeps accepting (and rejecting) requests while the service is busy

@@ -34,10 +34,11 @@ the output file is **byte-identical for every worker count**, including
 the in-process ``workers=0`` path; ``wave_size=1`` is the serial
 chunk-at-a-time loop bit-for-bit.
 
-Every ``(features, error bound, achieved ratio, target)`` outcome can be
-fed to a :class:`repro.core.feedback.FeedbackLoop` (``feedback=``): a
+Every ``(features, error bound, achieved ratio, target)`` measurement can
+be fed to a :class:`repro.core.feedback.FeedbackLoop` (``feedback=``): a
 pack run is a batch of free ground-truth observations, so packing
-improves the very model that budgets the next pack.
+improves the very model that budgets the next pack. The writer alone
+decides what the loop learns, at commit and in chunk-id order.
 """
 
 from __future__ import annotations
@@ -273,7 +274,7 @@ class StoreWriter:
             if controller is not None:
                 controller.record_std(std)
                 if controller.chunk_tier(std, pressure) is Tier.REFINE:
-                    fraz = controller.refine(a, target, initial_eb=eb, features=features)
+                    fraz = controller.refine(a, target, initial_eb=eb)
                     eb = float(fraz.error_bound)
             decided.append((features, eb, fraz))
         return decided
@@ -317,8 +318,9 @@ class StoreWriter:
         """Pack ``source`` to ``target_ratio``; returns a :class:`PackReport`.
 
         ``feedback``, if given, is a :class:`repro.core.feedback.FeedbackLoop`
-        (or anything with its ``record`` signature): every chunk's measured
-        outcome is recorded as a training observation, in chunk-id order.
+        (or anything with its ``record`` signature). At commit, in chunk-id
+        order, it records one observation for a model-tier chunk, one per
+        probe of an escalated chunk's search, and none for a T0 chunk.
         """
         target_ratio = float(target_ratio)
         if not np.isfinite(target_ratio) or target_ratio <= 1.0:
@@ -333,9 +335,7 @@ class StoreWriter:
         wave_size = opts.resolved_wave_size
         controller = None
         if opts.control is not None:
-            controller = Controller(
-                self._framework, options=opts.control, feedback=feedback
-            )
+            controller = Controller(self._framework, options=opts.control)
 
         original_bytes = int(arr.nbytes)
         budget = original_bytes / target_ratio
@@ -400,10 +400,12 @@ class StoreWriter:
                             # window keeps tracking the model, not FRaZ.
                             probe = result.ratio if fraz is None else fraz.history[0][1]
                             controller.record_outcome(wave_target, probe)
-                        if feedback is not None and fraz is None and features.size:
-                            # T0 chunks have no features to learn from;
-                            # refine() already logged an escalated chunk.
-                            feedback.record(features, eb, result.ratio, wave_target)
+                        if feedback is not None and features.size:
+                            # T0 chunks have no features to learn from; an
+                            # escalated chunk teaches every probe it measured.
+                            measured = [(eb, result.ratio)] if fraz is None else fraz.history
+                            for probe_eb, ratio in measured:
+                                feedback.record(features, probe_eb, ratio, wave_target)
                         record = ChunkWriteRecord(
                             coords=chunk.coords,
                             target_ratio=float(wave_target),

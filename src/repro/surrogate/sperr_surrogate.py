@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.compressors.speck import SpeckCoder
-from repro.compressors.sperr import SPERRCompressor
+from repro.compressors.sperr import _QUANT_FACTOR
 from repro.encoding.bitstream import BitWriter
 from repro.obs import span
 from repro.surrogate.base import SurrogateEstimator
@@ -28,8 +28,6 @@ class SPERRSurrogate(SurrogateEstimator):
     compressor_name = "sperr"
 
     def _estimate_curve(self, data: np.ndarray, ebs: np.ndarray, itemsize: int) -> np.ndarray:
-        # The codec's own quantization step, so the two cannot drift apart.
-        quant_factor = SPERRCompressor().quant_factor
         with span("surrogate.estimate", surrogate=self.compressor_name, n_ebs=int(ebs.size)):
             chunk = sample_chunk(data)
             levels = max_levels(chunk.shape)
@@ -39,7 +37,8 @@ class SPERRSurrogate(SurrogateEstimator):
             out = np.empty(ebs.size)
             coder = SpeckCoder()
             for i, eb in enumerate(ebs):
-                qstep = quant_factor * float(eb)
+                # the codec's own quantization step, so the two cannot drift apart
+                qstep = _QUANT_FACTOR * float(eb)
                 mag = np.floor(absc / qstep).astype(np.int64)
                 writer = BitWriter()
                 coder.encode(mag, negc, writer)

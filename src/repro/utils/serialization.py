@@ -10,8 +10,7 @@ round-trips through a single ``.npz`` archive, with no pickle involved
 Every ``model_kind`` a framework can train ("forest", "gbt", "knn")
 round-trips: :func:`save_model` / :func:`load_model` dispatch on the model
 class and record the kind in the archive metadata, so a loaded framework
-can serve any of them. Archives written before the ``kind`` field
-default to ``"forest"`` on load.
+can serve any of them.
 """
 
 from __future__ import annotations
@@ -105,7 +104,9 @@ def load_model(path: str | Path) -> tuple[object, dict]:
         meta = json.loads(bytes(data["meta_json"].tobytes()).decode())
         if meta.get("version") != _FORMAT_VERSION:
             raise ValueError(f"unsupported model format version {meta.get('version')!r}")
-        kind = meta.get("kind", "forest")
+        if "kind" not in meta:
+            raise ValueError("model archive has no 'kind' field")
+        kind = meta["kind"]
         if kind == "forest":
             model = RandomForestRegressor(**meta["params"])
             model.trees = [_tree_from_arrays(data, i) for i in range(meta["n_trees"])]
@@ -129,8 +130,11 @@ def save_framework(path: str | Path, framework) -> Path:
 
     Saves the trained model (any ``model_kind``), the trained error-bound
     range, the compressor name, the framework class name, and (for CAROL)
-    the BO checkpoint so that a reloaded framework can both predict and
-    :meth:`refine`.
+    the BO checkpoint, so that a reloaded framework can both predict and
+    :meth:`refine`: its refine warm-starts from that checkpoint, on the
+    new fields' rows alone (the archive keeps no training rows). The
+    archive keeps no training configuration either, so the reloaded
+    framework has the constructor's grid, ``n_iter`` and ``cv``.
     """
     model = framework.model
     if model.forest is None:
@@ -154,7 +158,9 @@ def load_framework(path: str | Path):
 
     model, extra = load_model(path)
     cls = {"carol": CarolFramework, "fxrz": FxrzFramework}[extra["framework"]]
-    model_kind = extra.get("model_kind", "forest")
+    if "model_kind" not in extra:
+        raise ValueError("framework archive has no 'model_kind' field")
+    model_kind = extra["model_kind"]
     fw = cls(compressor=extra["compressor"], model_kind=model_kind)
     fw.model.forest = model
     fw.model.feature_names = list(extra["feature_names"])

@@ -240,18 +240,13 @@ class TestControllerAccounting:
         assert np.isnan(pred.std)
         assert ctrl.stats().t0 == 1
 
-    def test_refine_runs_real_compressor_and_logs_feedback(self, fitted, smooth3d):
-        loop = FeedbackLoop(fitted, refresh_every=10_000)
-        ctrl = Controller(
-            StubFramework(),
-            options=ControlOptions(refine_compressions=6),
-            feedback=loop,
-        )
-        fraz = ctrl.refine(smooth3d, 6.0, initial_eb=1e-3, features=np.ones(5))
-        # szx probes are closed-form: several measurements, each one a
-        # feedback observation, and a single real compression.
+    def test_refine_runs_real_compressor(self, smooth3d):
+        ctrl = Controller(StubFramework(), options=ControlOptions(refine_compressions=6))
+        fraz = ctrl.refine(smooth3d, 6.0, initial_eb=1e-3)
+        # szx probes are closed-form: several measurements, each one kept
+        # in the history, and a single real compression.
         assert fraz.n_probes > fraz.n_compressions == 1
-        assert len(loop.observations) == fraz.n_probes
+        assert len(fraz.history) == fraz.n_probes
         stats = ctrl.stats()
         assert stats.compressions_spent == fraz.n_compressions
         assert stats.probes_spent == fraz.n_probes
@@ -481,11 +476,15 @@ SPREAD_SPACE = SearchSpace(
 class TestPackerSeesTheSpread:
     OPTS = ControlOptions(t2_std=0.05, t2_pressure=5.0)
 
-    def test_std_escalates_a_framework_pack(self, field, tmp_path):
+    @pytest.fixture(scope="class")
+    def fw(self):
         fw = CarolFramework(
             compressor="szx", rel_error_bounds=REL, space=SPREAD_SPACE, n_iter=2, cv=2
         )
         fw.fit(load_dataset("miranda", shape=CHUNK))
+        return fw
+
+    def test_std_escalates_a_framework_pack(self, fw, field, tmp_path):
         assert fw.model.forest.has_spread
         report = pack(
             tmp_path / "spread.rps", field, fw, 8.0,
@@ -511,3 +510,44 @@ class TestPackerSeesTheSpread:
                     ).error_bound
                 assert rec.error_bound == expected
         assert report.control.escalations_std == report.control.t2 == n_std
+
+    def test_loop_learns_in_chunk_order(self, fw, field, tmp_path, monkeypatch):
+        """At commit, in chunk-id order, the writer records one observation
+        per model-tier chunk and one per probe of an escalated chunk's
+        search — here where each wave holds a model-tier chunk and then an
+        escalated one (scaled up, the first chunk of a wave spreads less)."""
+        source = field.data.copy()
+        source[..., : CHUNK[-1]] *= 1e3
+        searches = {}
+        refine = Controller.refine
+
+        def spy(ctrl, data, target_ratio, **kwargs):
+            searches[data.tobytes()] = refine(ctrl, data, target_ratio, **kwargs)
+            return searches[data.tobytes()]
+
+        monkeypatch.setattr(Controller, "refine", spy)
+        loop = FeedbackLoop(fw, refresh_every=10_000)
+        report = pack(
+            tmp_path / "order.rps", source, fw, 8.0,
+            options=StoreOptions(
+                chunk_shape=CHUNK, wave_size=2,
+                control=ControlOptions(t2_std=0.45, t2_pressure=5.0),
+            ),
+            feedback=loop,
+        )
+        expected, escalated = [], []
+        for rec in report.chunks:
+            chunk = np.ascontiguousarray(
+                source[tuple(slice(c * e, (c + 1) * e) for c, e in zip(rec.coords, CHUNK))]
+            )
+            fraz = searches.get(chunk.tobytes())
+            escalated.append(fraz is not None)
+            measured = [(rec.error_bound, rec.achieved_ratio)] if fraz is None else fraz.history
+            features = fw.extract_features(chunk)
+            expected += [(features, eb, ratio, rec.target_ratio) for eb, ratio in measured]
+        assert sum(escalated) == report.control.t2
+        assert any(escalated[i] and not escalated[i - 1] for i in range(1, len(escalated), 2))
+        assert len(loop.observations) == len(expected)
+        for obs, (features, eb, ratio, target) in zip(loop.observations, expected):
+            np.testing.assert_array_equal(obs.features, features)
+            assert (obs.error_bound, obs.achieved_ratio, obs.target_ratio) == (eb, ratio, target)

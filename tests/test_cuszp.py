@@ -53,10 +53,6 @@ class TestLimits:
         with pytest.raises(ValueError):
             CuSZpCompressor().compress(np.array([1e30, -1e30]), 1e-25)
 
-    def test_bad_block_size(self):
-        with pytest.raises(ValueError):
-            CuSZpCompressor(block_size=1)
-
     def test_throughput_class(self, rng):
         """cuSZp belongs with SZx in the high-throughput class: it must be
         far faster than the high-ratio codecs on the same input."""

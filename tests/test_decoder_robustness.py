@@ -210,6 +210,21 @@ class TestNegativeCounts:
             codec.decompress(broken)
 
 
+class TestMissingBlockSize:
+    """An szx or cuszp stream names the block size it was written with
+    (sz3 names its coder: ``tests/test_sz3.py``); one that does not fails
+    with a ``ValueError`` naming the field, never by falling back to the
+    decoder's own constant."""
+
+    @pytest.mark.parametrize("name", ["szx", "cuszp"])
+    def test_missing_block_size_is_named(self, payloads, name):
+        _, res = payloads[name]
+        meta = {k: v for k, v in res.metadata.items() if k != "block_size"}
+        assert len(meta) == len(res.metadata) - 1
+        with pytest.raises(ValueError, match="no 'block_size' field"):
+            get_compressor(name).decompress(dataclasses.replace(res, metadata=meta))
+
+
 class TestRemovedModes:
     """A stream naming a mode this codec does not (or no longer) write
     fails by name, whether it is decoded directly or as a store chunk."""

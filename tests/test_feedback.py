@@ -1,10 +1,13 @@
 """On-the-fly feedback loop tests (paper future work)."""
 
+import copy
+
 import numpy as np
 import pytest
 
 from repro import CarolFramework, load_dataset, load_field
 from repro.core.feedback import FeedbackLoop, FeedbackObservation
+from repro.ml.models import MODEL_KINDS
 
 SHAPE = (12, 16, 16)
 REL = np.geomspace(1e-3, 1e-1, 5)
@@ -108,3 +111,30 @@ class TestLoop:
             result, pred = loop.compress_to_ratio(field.data, target)
             assert pred.error_bound > 0
             assert result.ratio > 1.0
+
+
+class TestRefreshIsRefine:
+    """A refresh is the framework's own warm update step, the one
+    ``refine`` runs: same model kind, same search space, same budget."""
+
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    def test_refresh_trains_like_refine(self, kind):
+        fw = CarolFramework(
+            compressor="szx", rel_error_bounds=REL, n_iter=8, cv=2, model_kind=kind
+        )
+        fw.fit(load_dataset("miranda", shape=SHAPE)[:3])
+        cold = len(fw.model.checkpoint)
+        refined, looped = copy.deepcopy(fw), fw
+        refined.refine(load_dataset("miranda", shape=SHAPE, seed=9)[:1])
+
+        loop = FeedbackLoop(looped, refresh_every=2, error_threshold=10.0)
+        field = load_field("miranda/pressure", shape=SHAPE, seed=3)
+        loop.compress_to_ratio(field.data, 5.0)
+        loop.compress_to_ratio(field.data, 8.0)
+        assert loop.refreshes == 1
+
+        info, warm = looped.model.info, refined.model.info.n_evaluations
+        assert info.model_kind == refined.model.info.model_kind == kind
+        assert type(looped.model.forest) is type(refined.model.forest)
+        assert info.n_evaluations == warm < looped.n_iter
+        assert len(looped.model.checkpoint) == cold + warm

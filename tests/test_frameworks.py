@@ -1,5 +1,7 @@
 """End-to-end framework tests: FXRZ baseline and CAROL."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -120,6 +122,23 @@ class TestRefinement:
         fw = CarolFramework(compressor="szx", rel_error_bounds=REL, n_iter=3, cv=2)
         rep = fw.refine(train_fields[:2])
         assert rep.n_rows == 2 * REL.size
+
+    def test_failed_collection_leaves_the_framework_as_it_was(
+        self, fitted_carol, train_fields
+    ):
+        """``fit`` and ``refine`` collect before they change anything: a
+        field the collector refuses leaves the training set, the model and
+        the last report as they were."""
+        data = train_fields[0].data.copy()
+        data[0, 0, 0] = np.nan
+        bad = dataclasses.replace(train_fields[0], data=data)
+        fw = fitted_carol
+        before = (fw.training_data, fw.model.forest, fw.model.info, fw.setup_report)
+        for step in (fw.fit, fw.refine):
+            with pytest.raises(ValueError, match="NaN or Inf"):
+                step([bad])
+            after = (fw.training_data, fw.model.forest, fw.model.info, fw.setup_report)
+            assert all(x is y for x, y in zip(after, before))
 
 
 class TestValidation:

@@ -78,10 +78,17 @@ class TestFrameworkIO:
         assert len(loaded.model.checkpoint) == len(fitted.model.checkpoint)
 
     def test_loaded_framework_can_refine(self, fitted, tmp_path):
+        """The saved checkpoint is what a reloaded framework refines from:
+        a warm run, cheaper than a cold search, whose evaluations extend
+        the checkpoint rather than replace it."""
         path = save_framework(tmp_path / "carol.npz", fitted)
         loaded = load_framework(path)
+        before = len(loaded.model.checkpoint)
         rep = loaded.refine(load_dataset("miranda", shape=SHAPE, seed=9)[:2])
         assert rep.n_rows > 0
+        warm = rep.training_info.n_evaluations
+        assert 0 < warm < loaded.n_iter
+        assert len(loaded.model.checkpoint) == before + warm
 
     def test_fxrz_round_trip(self, tmp_path):
         fw = FxrzFramework(compressor="zfp", rel_error_bounds=REL, n_iter=2, cv=2)
@@ -127,9 +134,9 @@ class TestModelIO:
         with pytest.raises(TypeError):
             save_model(tmp_path / "x.npz", object())
 
-    def test_load_model_rejects_unknown_kind(self, rng, tmp_path):
-        """The "rejects other kinds" case, on ``load_model``'s own kind
-        check (``load_forest`` went with the other back-compat wrappers)."""
+    @staticmethod
+    def _archive_with_meta(rng, tmp_path, edit):
+        """A saved gbt archive whose metadata ``edit`` has rewritten."""
         X = rng.random((30, 2))
         gbt = GradientBoostingRegressor(n_estimators=2, random_state=0).fit(
             X, X[:, 0]
@@ -138,10 +145,23 @@ class TestModelIO:
         with np.load(path) as data:
             arrays = dict(data)
         meta = json.loads(arrays["meta_json"].tobytes().decode())
-        meta["kind"] = "svm"
+        edit(meta)
         arrays["meta_json"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
         np.savez_compressed(path, **arrays)
+        return path
+
+    def test_load_model_rejects_unknown_kind(self, rng, tmp_path):
+        """The "rejects other kinds" case, on ``load_model``'s own kind
+        check (``load_forest`` went with the other back-compat wrappers)."""
+        path = self._archive_with_meta(rng, tmp_path, lambda meta: meta.update(kind="svm"))
         with pytest.raises(ValueError, match="unknown serialized model kind 'svm'"):
+            load_model(path)
+
+    def test_load_model_rejects_archive_without_kind(self, rng, tmp_path):
+        """Every archive names its kind; one that does not is refused by
+        name, not read as a forest."""
+        path = self._archive_with_meta(rng, tmp_path, lambda meta: meta.pop("kind"))
+        with pytest.raises(ValueError, match="no 'kind' field"):
             load_model(path)
 
 

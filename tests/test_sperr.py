@@ -1,7 +1,6 @@
-"""SPERR-specific behaviour: outlier correction, quantization factor."""
+"""SPERR-specific behaviour: outlier correction, high ratios."""
 
 import numpy as np
-import pytest
 
 from repro.compressors.sperr import SPERRCompressor
 
@@ -27,24 +26,6 @@ class TestOutlierCorrection:
         x[37] += 1e7
         out, _ = SPERRCompressor().roundtrip(x, 1e-5)
         assert np.abs(out - x).max() <= 1e-5
-
-
-class TestQuantFactor:
-    def test_invalid_factor(self):
-        with pytest.raises(ValueError):
-            SPERRCompressor(quant_factor=0.0)
-        with pytest.raises(ValueError):
-            SPERRCompressor(quant_factor=1.5)
-
-    def test_smaller_factor_fewer_outliers(self, rng):
-        x = rng.standard_normal((24, 24))
-        tight = SPERRCompressor(quant_factor=0.25).compress(x, 1e-2)
-        loose = SPERRCompressor(quant_factor=1.0).compress(x, 1e-2)
-        # both hold the bound; sizes just trade off differently
-        for codec, res in ((SPERRCompressor(quant_factor=0.25), tight),
-                           (SPERRCompressor(quant_factor=1.0), loose)):
-            out = codec.decompress(res)
-            assert np.abs(out - x).max() <= 1e-2
 
 
 class TestHighRatio:

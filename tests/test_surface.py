@@ -336,14 +336,17 @@ def test_every_options_knob_is_pinned():
 
 #: Every constructor keyword of each registered codec, and of the FRaZ
 #: search. The codecs run in their default configurations; a keyword
-#: stays while a ledger workload, a paper table or a stream format needs
-#: it, so a new codec mode is an edit here, as a new ``*Options`` field is.
+#: stays while a ledger workload or a paper table sets it, so a new codec
+#: mode is an edit here, as a new ``*Options`` field is. A stream field is
+#: not a keyword: szx and cuszp encode with their module's ``BLOCK`` and
+#: still write ``block_size`` into every stream, which decodes with the
+#: stream's value.
 CODEC_KNOBS = {
-    "szx": ["block_size"],
+    "szx": [],
     "zfp": [],
     "sz3": ["entropy"],
-    "sperr": ["quant_factor"],
-    "cuszp": ["block_size"],
+    "sperr": [],
+    "cuszp": [],
     "FrazSearch": ["compressor", "tolerance", "max_iterations"],
 }
 
@@ -360,6 +363,61 @@ def test_every_codec_knob_is_pinned():
             f"{name}: keywords {knobs}, pinned {CODEC_KNOBS[name]} — edit CODEC_KNOBS "
             "with the change"
         )
+
+
+def _calls_by_function(tree: ast.Module, matches) -> set[str]:
+    """Qualified names (``Class.method``) of the innermost functions in
+    ``tree`` that hold a call for which ``matches(call)`` is true."""
+    found: set[str] = set()
+
+    def visit(node: ast.AST, where: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, f"{where}.{child.name}".lstrip("."))
+                continue
+            if isinstance(child, ast.Call) and matches(child) and where:
+                found.add(where)
+            visit(child, where)
+
+    visit(tree, "")
+    return found
+
+
+def test_one_training_step_and_one_feedback_path():
+    """The error-bound model is trained from one function in
+    ``repro.core``: ``fit``, ``refine`` and the feedback loop all end in
+    it. The controller takes no feedback loop: the store writer alone
+    decides what the loop learns. A second training body or a second
+    feedback path is then an edit here, as a new codec keyword is."""
+
+    def is_model_fit(call: ast.Call) -> bool:
+        func = call.func
+        return (
+            isinstance(func, ast.Attribute)
+            and func.attr == "fit"
+            and isinstance(func.value, ast.Attribute)
+            and func.value.attr == "model"
+        )
+
+    trainers = {
+        f"{mod}.{qual}"
+        for mod, path in MODULES.items()
+        if mod.startswith("repro.core.")
+        for qual in _calls_by_function(_tree(path), is_model_fit)
+    }
+    assert len(trainers) == 1, f"`.model.fit(` is called from {sorted(trainers)}"
+
+    controller = next(
+        node for node in _tree(MODULES["repro.control.controller"]).body
+        if isinstance(node, ast.ClassDef) and node.name == "Controller"
+    )
+    init = next(
+        item for item in controller.body
+        if isinstance(item, ast.FunctionDef) and item.name == "__init__"
+    )
+    params = [a.arg for a in (*init.args.posonlyargs, *init.args.args, *init.args.kwonlyargs)]
+    assert params == ["self", "framework", "options"], params
+    assert init.args.vararg is None and init.args.kwarg is None
 
 
 #: The public methods and properties of the bit writer and reader. The

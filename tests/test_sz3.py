@@ -106,13 +106,14 @@ class TestEntropyBackend:
         for reader in (SZ3Compressor(), SZ3Compressor(entropy=other)):
             np.testing.assert_array_equal(reader.decompress(res), expected)
 
-    def test_entropy_falls_back_to_the_instance_when_metadata_lacks_it(self, smooth2d):
+    def test_stream_without_entropy_is_refused_by_name(self, smooth2d):
+        """Every sz3 stream names its coder; one that does not is refused,
+        not decoded with the instance's own coder."""
         codec = SZ3Compressor(entropy="range")
         res = codec.compress(smooth2d, 1e-3)
         del res.metadata["entropy"]
-        np.testing.assert_array_equal(
-            codec.decompress(res), SZ3Compressor().decompress(codec.compress(smooth2d, 1e-3))
-        )
+        with pytest.raises(ValueError, match="no 'entropy' field"):
+            codec.decompress(res)
 
     def test_unknown_entropy_in_metadata_rejected_by_name(self, smooth2d):
         res = SZ3Compressor().compress(smooth2d, 1e-3)
